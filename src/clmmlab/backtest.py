@@ -142,8 +142,10 @@ def resolve_hyperparameters(config: RunConfig) -> Tuple[RunConfig, str]:
         config = dataclasses.replace(config, ewa_widths=ewa.n_widths,
                                      ewa_eta=ewa.eta, ewa_t_re=ewa.t_re)
         label = label or ORACLE_TUNED_LABEL
-    if config.method == "tau-reset" and config.tau is not None and config.tau < 1:
-        raise RunError(f"tau must be >= 1, got {config.tau}")
+    # a tau-reset config always has a tau here: the table filled it or raised
+    if config.method == "tau-reset" and not 1 <= config.tau <= config.n_actions:
+        raise RunError(f"tau must be in 1..n_actions={config.n_actions}, "
+                       f"got {config.tau}")
     return config, label
 
 

@@ -123,8 +123,8 @@ def ddqn_target(
     s2b = np.asarray(s2, dtype=float)
     if single:
         s2b = s2b[None, :]
-    q_local, _, _ = nets.forward(local, s2b)
-    q_target, _, _ = nets.forward(target, s2b)
+    q_local = nets._forward_all(local, s2b)[0]
+    q_target = nets._forward_all(target, s2b)[0]
     best = q_local.argmax(axis=1)
     boot = q_target[np.arange(len(s2b)), best]
     y = r + gamma * np.where(done, 0.0, boot)

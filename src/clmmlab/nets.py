@@ -8,13 +8,17 @@ scalar value head and a per-action advantage head,
 so mean_a q(s, a) = V(s) identically. Gradients of the squared TD loss are
 derived analytically and checked against central finite differences in the
 test suite. Everything is float64 numpy; training is deterministic given
-the init seed and data order.
+the init seed and data order. All weights live in one float64 vector,
+`NetworkParams.flat`, that the named arrays view; gradients, Adam moments and
+the target net share its layout, and checkpoints (`dueling-mlp-v1`) still
+store one named array per parameter.
 """
 
+import itertools
 import json
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -34,24 +38,33 @@ class TrainingDiverged(RuntimeError):
     """Non-finite loss or gradients encountered."""
 
 
-@dataclass
+PARAM_NAMES = ("w1", "b1", "w2", "b2", "wv", "bv", "wa", "ba")
+
+
 class NetworkParams:
-    """Weights of the dueling MLP; biases are 1-d, weights are (in, out)."""
+    """Dueling MLP weights: biases 1-d, weights (in, out), all views into `flat`."""
 
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    wv: np.ndarray
-    bv: np.ndarray
-    wa: np.ndarray
-    ba: np.ndarray
+    def __init__(self, w1, b1, w2, b2, wv, bv, wa, ba):
+        arrays = [np.asarray(a, dtype=float) for a in (w1, b1, w2, b2, wv, bv, wa, ba)]
+        stops = list(itertools.accumulate(a.size for a in arrays))
+        layout = tuple(zip(PARAM_NAMES, [0] + stops[:-1], stops,  # name, start, stop, shape
+                           [a.shape for a in arrays]))
+        self._bind(np.concatenate([a.reshape(-1) for a in arrays]), layout)
 
-    def names(self) -> List[str]:
-        return [f.name for f in fields(self)]
+    @classmethod
+    def from_flat(cls, flat: np.ndarray, layout: Tuple) -> "NetworkParams":
+        """Wrap `flat` (not copied) with the named views of `layout`."""
+        self = cls.__new__(cls)
+        self._bind(flat, layout)
+        return self
+
+    def _bind(self, flat, layout):
+        self.flat, self.layout = flat, layout
+        for name, start, stop, shape in layout:
+            setattr(self, name, flat[start:stop].reshape(shape))
 
     def arrays(self) -> List[Tuple[str, np.ndarray]]:
-        return [(name, getattr(self, name)) for name in self.names()]
+        return [(name, getattr(self, name)) for name in PARAM_NAMES]
 
     @property
     def input_dim(self) -> int:
@@ -62,7 +75,7 @@ class NetworkParams:
         return self.wa.shape[1]
 
     def copy(self) -> "NetworkParams":
-        return NetworkParams(**{n: a.copy() for n, a in self.arrays()})
+        return NetworkParams.from_flat(self.flat.copy(), self.layout)
 
     def validate(self) -> None:
         h1 = self.w1.shape[1]
@@ -111,7 +124,8 @@ def _forward_all(params: NetworkParams, x: np.ndarray):
     h2 = np.maximum(z2, 0.0)
     v = h2 @ params.wv + params.bv
     adv = h2 @ params.wa + params.ba
-    q = v + adv - adv.mean(axis=1, keepdims=True)
+    # sum / n is what ndarray.mean computes, minus its Python wrapper
+    q = v + adv - adv.sum(axis=1, keepdims=True) / adv.shape[1]
     return q, v, adv, (z1, h1, z2, h2)
 
 
@@ -161,30 +175,30 @@ def loss_and_gradients(
     dq = np.zeros_like(q)
     dq[np.arange(n), a] = 2.0 * err / n
     dv = dq.sum(axis=1, keepdims=True)
-    dadv = dq - dq.mean(axis=1, keepdims=True)
+    dadv = dq - dq.sum(axis=1, keepdims=True) / dq.shape[1]
 
-    dwv = h2.T @ dv
-    dbv = dv.sum(axis=0)
-    dwa = h2.T @ dadv
-    dba = dadv.sum(axis=0)
+    grads = NetworkParams.from_flat(np.empty(params.flat.size), params.layout)
+    np.matmul(h2.T, dv, out=grads.wv)
+    dv.sum(axis=0, out=grads.bv)
+    np.matmul(h2.T, dadv, out=grads.wa)
+    dadv.sum(axis=0, out=grads.ba)
     dh2 = dv @ params.wv.T + dadv @ params.wa.T
     dz2 = dh2 * (z2 > 0.0)
-    dw2 = h1.T @ dz2
-    db2 = dz2.sum(axis=0)
+    np.matmul(h1.T, dz2, out=grads.w2)
+    dz2.sum(axis=0, out=grads.b2)
     dh1 = dz2 @ params.w2.T
     dz1 = dh1 * (z1 > 0.0)
-    dw1 = x.T @ dz1
-    db1 = dz1.sum(axis=0)
-
-    grads = NetworkParams(w1=dw1, b1=db1, w2=dw2, b2=db2,
-                          wv=dwv, bv=dbv, wa=dwa, ba=dba)
+    np.matmul(x.T, dz1, out=grads.w1)
+    dz1.sum(axis=0, out=grads.b1)
     return loss, grads
 
 
 def global_norm(grads: NetworkParams) -> float:
+    # per-parameter sums in layout order: one dot over `flat` rounds differently
+    sq = grads.flat * grads.flat
     total = 0.0
-    for _, g in grads.arrays():
-        total += float(np.sum(g * g))
+    for _, start, stop, _ in grads.layout:
+        total += float(sq[start:stop].sum())
     return math.sqrt(total)
 
 
@@ -192,13 +206,12 @@ def clip_by_global_norm(grads: NetworkParams, max_norm: float) -> NetworkParams:
     norm = global_norm(grads)
     if norm <= max_norm or norm == 0.0:
         return grads
-    scale = max_norm / norm
-    return NetworkParams(**{n: g * scale for n, g in grads.arrays()})
+    return NetworkParams.from_flat(grads.flat * (max_norm / norm), grads.layout)
 
 
 @dataclass
 class OptimizerState:
-    """Adam accumulators plus the fixed hyperparameters."""
+    """Adam accumulators plus the fixed hyperparameters; `m`/`v` view `m_flat`/`v_flat`."""
 
     m: Dict[str, np.ndarray]
     v: Dict[str, np.ndarray]
@@ -206,14 +219,17 @@ class OptimizerState:
     learning_rate: float = 1e-4
     clip_norm: float = 0.7
 
+    def __post_init__(self):
+        m, v = NetworkParams(**self.m), NetworkParams(**self.v)
+        self.m_flat, self.v_flat = m.flat, v.flat
+        self.m, self.v = dict(m.arrays()), dict(v.arrays())
+
     @classmethod
     def for_params(cls, params: NetworkParams, learning_rate: float = 1e-4,
                    clip_norm: float = 0.7) -> "OptimizerState":
-        return cls(
-            m={n: np.zeros_like(a) for n, a in params.arrays()},
-            v={n: np.zeros_like(a) for n, a in params.arrays()},
-            step=0, learning_rate=learning_rate, clip_norm=clip_norm,
-        )
+        zeros = {n: np.zeros_like(a) for n, a in params.arrays()}
+        return cls(m=zeros, v=zeros, step=0, learning_rate=learning_rate,
+                   clip_norm=clip_norm)
 
 
 def apply_update(
@@ -222,35 +238,32 @@ def apply_update(
     grads: NetworkParams,
 ) -> NetworkParams:
     """Clip by global norm, then one Adam step. Mutates `opt`, returns new params."""
-    for name, g in grads.arrays():
-        if not np.all(np.isfinite(g)):
-            raise TrainingDiverged(f"non-finite gradient in {name}")
-    grads = clip_by_global_norm(grads, opt.clip_norm)
+    if not np.isfinite(grads.flat).all():
+        bad = next(n for n, g in grads.arrays() if not np.isfinite(g).all())
+        raise TrainingDiverged(f"non-finite gradient in {bad}")
+    g = clip_by_global_norm(grads, opt.clip_norm).flat
     opt.step += 1
     t = opt.step
-    out = {}
-    for name, p in params.arrays():
-        g = getattr(grads, name)
-        opt.m[name] = ADAM_BETA1 * opt.m[name] + (1.0 - ADAM_BETA1) * g
-        opt.v[name] = ADAM_BETA2 * opt.v[name] + (1.0 - ADAM_BETA2) * (g * g)
-        m_hat = opt.m[name] / (1.0 - ADAM_BETA1 ** t)
-        v_hat = opt.v[name] / (1.0 - ADAM_BETA2 ** t)
-        out[name] = p - opt.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    return NetworkParams(**out)
+    m, v = opt.m_flat, opt.v_flat
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * (g * g)
+    m_hat = m / (1.0 - ADAM_BETA1 ** t)
+    v_hat = v / (1.0 - ADAM_BETA2 ** t)
+    return NetworkParams.from_flat(
+        params.flat - opt.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS),
+        params.layout)
 
 
 def soft_update(target: NetworkParams, local: NetworkParams,
                 rate: float = 0.01) -> NetworkParams:
     """target' = rate * local + (1 - rate) * target, elementwise."""
-    out = {}
-    for name, tgt in target.arrays():
-        loc = getattr(local, name)
-        if loc.shape != tgt.shape:
-            raise CheckpointError(
-                f"shape mismatch in {name}: {loc.shape} vs {tgt.shape}"
-            )
-        out[name] = rate * loc + (1.0 - rate) * tgt
-    return NetworkParams(**out)
+    if local.layout != target.layout:
+        loc, tgt = next((a, b) for a, b in zip(local.layout, target.layout) if a != b)
+        raise CheckpointError(f"shape mismatch in {loc[0]}: {loc[3]} vs {tgt[3]}")
+    return NetworkParams.from_flat(rate * local.flat + (1.0 - rate) * target.flat,
+                                   target.layout)
 
 
 def _encode_array(arr: np.ndarray) -> Dict:
@@ -268,6 +281,15 @@ def _decode_array(name: str, blob) -> np.ndarray:
             f"field {name}: {data.size} values do not fill shape {shape}"
         )
     return data.reshape(shape)
+
+
+def _section(blob, name: str, keys: Sequence[str]) -> Dict:
+    if not isinstance(blob, dict):
+        raise CheckpointError(f"missing {name} section")
+    missing = [k for k in keys if k not in blob]
+    if missing:
+        raise CheckpointError(f"missing {name} fields: {missing}")
+    return blob
 
 
 def save_checkpoint(
@@ -305,21 +327,24 @@ def load_checkpoint(
             raise CheckpointError(f"not valid JSON: {e}") from None
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"unknown checkpoint format {doc.get('format')!r}")
-    raw = doc.get("params")
-    if not isinstance(raw, dict):
-        raise CheckpointError("missing params section")
-    names = [f.name for f in fields(NetworkParams)]
-    missing = [n for n in names if n not in raw]
-    if missing:
-        raise CheckpointError(f"missing parameter fields: {missing}")
-    params = NetworkParams(**{n: _decode_array(n, raw[n]) for n in names})
+    raw = _section(doc.get("params"), "params", PARAM_NAMES)
+    params = NetworkParams(**{n: _decode_array(n, raw[n]) for n in PARAM_NAMES})
     params.validate()
     opt = None
     if "optimizer" in doc:
-        blob = doc["optimizer"]
+        blob = _section(doc["optimizer"], "optimizer",
+                        ("step", "learning_rate", "clip_norm", "m", "v"))
+        moments = {}
+        for key in ("m", "v"):
+            arrays = _section(blob[key], f"optimizer.{key}", PARAM_NAMES)
+            moments[key] = {n: _decode_array(f"optimizer.{key}.{n}", arrays[n])
+                            for n in PARAM_NAMES}
+            bad = [n for n, a in params.arrays() if moments[key][n].shape != a.shape]
+            if bad:
+                raise CheckpointError(
+                    f"optimizer.{key} shapes do not match the params in {bad}")
         opt = OptimizerState(
-            m={n: _decode_array(f"optimizer.m.{n}", blob["m"][n]) for n in names},
-            v={n: _decode_array(f"optimizer.v.{n}", blob["v"][n]) for n in names},
+            m=moments["m"], v=moments["v"],
             step=int(blob["step"]),
             learning_rate=float(blob["learning_rate"]),
             clip_norm=float(blob["clip_norm"]),

@@ -47,7 +47,7 @@ class CheckResult:
 
 def _finish(criterion: int, name: str, t0: float, passed: bool, detail: str,
             limit: Optional[float] = None) -> CheckResult:
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     if limit is not None and elapsed >= limit:
         passed = False
         detail += f"; exceeded {limit:.0f}s time limit"
@@ -74,7 +74,7 @@ def _random_band_and_path(rng: np.random.Generator, n_moves: int = 8):
 def check_accounting_identity(n_trials: int = 10_000, seed: int = 0
                               ) -> CheckResult:
     """Value change equals hedge PnL plus LVR; LVR increments stay <= 0."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst_rel = 0.0
     worst_incr = -math.inf
@@ -112,7 +112,7 @@ def _micro_fee(liquidity: float, lo: float, hi: float, path: Sequence[float],
 def check_fee_oracle(n_paths: int = 1_000, n_micro: int = 10_000,
                      seed: int = 1) -> CheckResult:
     """Closed-form path fee matches micro-step accrual on crossing paths."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     fee_tier = 0.003
     worst = 0.0
@@ -132,7 +132,7 @@ def check_fee_oracle(n_paths: int = 1_000, n_micro: int = 10_000,
 def check_value_continuity(n_positions: int = 10_000, seed: int = 2
                            ) -> CheckResult:
     """Position value is continuous at band edges; budgets round-trip."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst_jump = 0.0
     worst_budget = 0.0
@@ -159,7 +159,7 @@ def check_value_continuity(n_positions: int = 10_000, seed: int = 2
 
 def check_published_table() -> CheckResult:
     """PnL = fee - gas - LVR reproduces the published detail table."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     chk = verify_published_table()
     example = next(r for r in chk.rows
                    if (r["pool"], r["period"], r["method"]) == ("usdc", 1, "ddqn"))
@@ -176,7 +176,7 @@ def check_published_table() -> CheckResult:
 
 def check_network(n_inputs: int = 1_000, seed: int = 3) -> CheckResult:
     """Dueling mean identity, analytic gradients, checkpoint round-trip."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     params = nets.init_params(6, 4, hidden=(16, 16), seed=seed)
     worst_mean = 0.0
@@ -248,7 +248,7 @@ def check_toy_convergence(n_seeds: int = 10, seed0: int = 0,
                           progress: Optional[Callable[[str], None]] = None
                           ) -> CheckResult:
     """DDQN reaches >= 95% of the value-iteration optimum on >= 8/10 seeds."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     config = toymdp.ToyConfig()
     transitions, rewards = toymdp.build_tabular_mdp(config)
     q_star, _ = tabular.value_iteration(transitions, rewards, config.gamma)
@@ -276,7 +276,7 @@ def check_toy_convergence(n_seeds: int = 10, seed0: int = 0,
 
 def check_drift_neutrality() -> CheckResult:
     """Hedged PnL ignores drift sign; unhedged PnL follows it."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     study = drift_neutrality_study(mu_values=(0.0005, -0.0005), sigma=0.01,
                                    n_seeds=100, horizon=1000)
     h_diff, h_se = drift_gap(study, "hedged")
@@ -294,7 +294,7 @@ def check_drift_neutrality() -> CheckResult:
 
 def check_ewa_weights(seed: int = 4) -> CheckResult:
     """Weight normalization, small-eta uniformity, known softmax point."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst_norm = 0.0
     for _ in range(200):
@@ -320,7 +320,7 @@ def _bytes(path: str) -> bytes:
 
 def check_determinism(work_dir: Optional[str] = None) -> CheckResult:
     """Identical config + seed give bit-identical artifacts."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     tmp = work_dir or tempfile.mkdtemp(prefix="clmmlab-det-")
     made_tmp = work_dir is None
     try:
@@ -359,7 +359,7 @@ def check_determinism(work_dir: Optional[str] = None) -> CheckResult:
 
 def check_smoke(work_dir: Optional[str] = None) -> CheckResult:
     """CLI backtests, a 50-episode train, and a report on the fixture."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     from .cli import main as cli_main
     tmp = work_dir or tempfile.mkdtemp(prefix="clmmlab-smoke-")
     made_tmp = work_dir is None

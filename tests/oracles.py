@@ -2,12 +2,17 @@
 
 Everything here is written directly from the defining formulas, on purpose
 without importing the implementation's fee/lvr walkers, so that agreement
-between the two is evidence rather than tautology.
+between the two is evidence rather than tautology. The learner oracles
+share only the parameter container, the Adam constants and the error types
+with clmmlab.nets.
 """
 
 import math
 
 import numpy as np
+
+from clmmlab.nets import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, CheckpointError,
+                          NetworkParams, TrainingDiverged)
 
 
 def micro_fee_oracle(liquidity, price_lower, price_upper, path, fee_tier, n_micro=10_000):
@@ -79,3 +84,57 @@ def random_band_and_path(rng, n_moves=8, crossing=True):
     for _ in range(n_moves):
         path.append(float(rng.uniform(lo, hi)))
     return L, pa, pb, path
+
+
+# -- per-array learner updates -------------------------------------------
+#
+# Reference versions of the learner's optimizer path that loop over the
+# named arrays one by one. The whole-vector versions in clmmlab.nets must
+# agree with these bit for bit.
+
+
+def global_norm(grads):
+    total = 0.0
+    for _, g in grads.arrays():
+        total += float(np.sum(g * g))
+    return math.sqrt(total)
+
+
+def clip_by_global_norm(grads, max_norm):
+    norm = global_norm(grads)
+    if norm <= max_norm or norm == 0.0:
+        return grads
+    scale = max_norm / norm
+    return NetworkParams(**{n: g * scale for n, g in grads.arrays()})
+
+
+def apply_update(params, opt, grads):
+    """Clip by global norm, then one Adam step. Mutates `opt`, returns new params."""
+    for name, g in grads.arrays():
+        if not np.all(np.isfinite(g)):
+            raise TrainingDiverged(f"non-finite gradient in {name}")
+    grads = clip_by_global_norm(grads, opt.clip_norm)
+    opt.step += 1
+    t = opt.step
+    out = {}
+    for name, p in params.arrays():
+        g = getattr(grads, name)
+        opt.m[name] = ADAM_BETA1 * opt.m[name] + (1.0 - ADAM_BETA1) * g
+        opt.v[name] = ADAM_BETA2 * opt.v[name] + (1.0 - ADAM_BETA2) * (g * g)
+        m_hat = opt.m[name] / (1.0 - ADAM_BETA1 ** t)
+        v_hat = opt.v[name] / (1.0 - ADAM_BETA2 ** t)
+        out[name] = p - opt.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    return NetworkParams(**out)
+
+
+def soft_update(target, local, rate=0.01):
+    """target' = rate * local + (1 - rate) * target, elementwise."""
+    out = {}
+    for name, tgt in target.arrays():
+        loc = getattr(local, name)
+        if loc.shape != tgt.shape:
+            raise CheckpointError(
+                f"shape mismatch in {name}: {loc.shape} vs {tgt.shape}"
+            )
+        out[name] = rate * loc + (1.0 - rate) * tgt
+    return NetworkParams(**out)

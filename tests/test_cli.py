@@ -50,6 +50,16 @@ class TestErrorContract:
         assert code == 1
         assert "out_dir" in err
 
+    @pytest.mark.parametrize("tau", ["0", "12"])
+    def test_tau_outside_actions_is_config_error(self, candles_csv, capsys,
+                                                 tmp_path, tau):
+        code, _, err = run_cli(
+            ["backtest", "--method", "tau-reset", "--tau", tau,
+             "--candles", candles_csv, "--out-dir", str(tmp_path)], capsys)
+        assert code == 1
+        assert err.strip().startswith("error: config: tau must be in 1..n_actions=10")
+        assert len(err.strip().splitlines()) == 1
+
     def test_config_file_not_found(self, capsys, tmp_path):
         code, _, err = run_cli(
             ["backtest", "--config", str(tmp_path / "nope.json")], capsys)

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from clmmlab import nets
+from clmmlab.dqn import DDQNConfig, train_ddqn
 from clmmlab.nets import (
     CheckpointError,
     NetworkParams,
@@ -20,6 +22,7 @@ from clmmlab.nets import (
     save_checkpoint,
     soft_update,
 )
+from clmmlab.toymdp import ToyPriceCycleEnv
 
 
 def zero_params(input_dim=2, hidden=(2, 2), n_out=3):
@@ -246,6 +249,40 @@ class TestCheckpoints:
             load_checkpoint(path)
         assert "w2" in str(ei.value)
 
+    @pytest.mark.parametrize("field", ["step", "learning_rate", "clip_norm", "m", "v"])
+    def test_missing_optimizer_field_rejected(self, tmp_path, field):
+        p = init_params(8, 3, seed=1)
+        path = str(tmp_path / "net.json")
+        save_checkpoint(path, p, OptimizerState.for_params(p))
+        doc = json.loads(open(path).read())
+        del doc["optimizer"][field]
+        open(path, "w").write(json.dumps(doc))
+        with pytest.raises(CheckpointError) as ei:
+            load_checkpoint(path)
+        assert field in str(ei.value)
+
+    def test_missing_optimizer_moment_rejected(self, tmp_path):
+        p = init_params(8, 3, seed=1)
+        path = str(tmp_path / "net.json")
+        save_checkpoint(path, p, OptimizerState.for_params(p))
+        doc = json.loads(open(path).read())
+        del doc["optimizer"]["v"]["wa"]
+        open(path, "w").write(json.dumps(doc))
+        with pytest.raises(CheckpointError) as ei:
+            load_checkpoint(path)
+        assert "optimizer.v" in str(ei.value) and "wa" in str(ei.value)
+
+    def test_optimizer_shape_mismatch_rejected(self, tmp_path):
+        p = init_params(3, 3, seed=1)
+        path = str(tmp_path / "net.json")
+        save_checkpoint(path, p, OptimizerState.for_params(p))
+        doc = json.loads(open(path).read())
+        doc["optimizer"]["m"]["w1"] = {"shape": [2, 2], "data": [0.0] * 4}
+        open(path, "w").write(json.dumps(doc))
+        with pytest.raises(CheckpointError) as ei:
+            load_checkpoint(path)
+        assert "optimizer.m" in str(ei.value) and "w1" in str(ei.value)
+
     def test_missing_field_rejected(self, tmp_path):
         p = init_params(8, 3, seed=1)
         path = str(tmp_path / "net.json")
@@ -270,3 +307,87 @@ class TestCheckpoints:
         with pytest.warns(UserWarning):
             p2, _, _ = load_checkpoint(path, expect_config_hash="bbb")
         assert np.array_equal(p2.w1, p.w1)
+
+
+def random_params(rng, scale, input_dim=5, hidden=(6, 4), n_out=3):
+    p = init_params(input_dim, n_out, hidden=hidden)
+    return NetworkParams(**{n: scale * rng.normal(size=a.shape)
+                            for n, a in p.arrays()})
+
+
+def same_bytes(a, b):
+    return a.flat.tobytes() == b.flat.tobytes()
+
+
+class TestFlatMatchesOracle:
+    """The whole-vector optimizer path equals the per-array oracle bit for bit."""
+
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e3, 1e150, 0.0])
+    def test_norm_clip_and_soft_update(self, scale):
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            g = random_params(rng, scale)
+            norm = global_norm(g)
+            assert norm == oracles.global_norm(g)
+            for limit in (0.7, norm, np.nextafter(norm, 0.0), np.nextafter(norm, np.inf)):
+                assert same_bytes(clip_by_global_norm(g, limit),
+                                  oracles.clip_by_global_norm(g, limit))
+            t, l = random_params(rng, 1.0), g
+            assert same_bytes(soft_update(t, l, 0.01), oracles.soft_update(t, l, 0.01))
+
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e3, 1e150, 0.0])
+    @pytest.mark.parametrize("where", ["below", "at", "above"])
+    def test_adam_steps(self, scale, where):
+        rng = np.random.default_rng(12)
+        p = q = random_params(rng, 1.0)
+        grads = [random_params(rng, scale) for _ in range(4)]
+        norm = global_norm(grads[0])
+        clip = {"below": np.nextafter(norm, 0.0), "at": norm,
+                "above": np.nextafter(norm, np.inf)}[where]
+        opt = OptimizerState.for_params(p, learning_rate=1e-2, clip_norm=clip)
+        ref = OptimizerState.for_params(q, learning_rate=1e-2, clip_norm=clip)
+        for g in grads:
+            p = apply_update(p, opt, g)
+            q = oracles.apply_update(q, ref, g)
+            assert same_bytes(p, q) and opt.step == ref.step
+            for n in nets.PARAM_NAMES:
+                assert opt.m[n].tobytes() == ref.m[n].tobytes()
+                assert opt.v[n].tobytes() == ref.v[n].tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_names_the_same_array(self, bad):
+        p = init_params(4, 3, seed=1)
+        for name in nets.PARAM_NAMES:
+            g = NetworkParams(**{n: np.zeros_like(a) for n, a in p.arrays()})
+            getattr(g, name).reshape(-1)[-1] = bad
+            messages = []
+            for update in (apply_update, oracles.apply_update):
+                with pytest.raises(TrainingDiverged) as ei:
+                    update(p, OptimizerState.for_params(p), g)
+                messages.append(str(ei.value))
+            assert messages[0] == messages[1] == f"non-finite gradient in {name}"
+
+    def test_soft_update_shape_mismatch_message(self):
+        t = init_params(4, 3, seed=1)
+        l = init_params(4, 5, seed=1)
+        messages = []
+        for update in (soft_update, oracles.soft_update):
+            with pytest.raises(CheckpointError) as ei:
+                update(t, l, 0.01)
+            messages.append(str(ei.value))
+        assert messages[0] == messages[1]
+
+    def test_training_run_matches_oracle(self, monkeypatch):
+        cfg = DDQNConfig(learning_rate=3e-3, batch_size=64, warm_start=200,
+                         eval_every_episodes=5, buffer_capacity=10_000)
+
+        def run():
+            return train_ddqn(ToyPriceCycleEnv(), ToyPriceCycleEnv(), cfg, 1500, seed=4)
+
+        flat = run()
+        for name in ("global_norm", "clip_by_global_norm", "apply_update", "soft_update"):
+            monkeypatch.setattr(nets, name, getattr(oracles, name))
+        ref = run()
+        assert flat.steps == ref.steps == 1500
+        assert same_bytes(flat.params, ref.params)
+        assert flat.log == ref.log
