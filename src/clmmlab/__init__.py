@@ -13,13 +13,6 @@ from .amm import (
     snap_tick,
     tick_to_price,
 )
-from .accounting import (
-    LedgerStep,
-    PeriodSummary,
-    hedge_pnl_over_path,
-    instantaneous_lvr_rate,
-    lvr_over_path,
-    summarize,
-)
+from .accounting import LedgerStep, lvr_over_path
 
 __version__ = "0.1.0"

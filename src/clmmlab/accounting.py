@@ -17,8 +17,6 @@ A hedged position's economics therefore reduce to fees earned minus gas
 minus |lvr|, with all directional exposure netted out.
 """
 
-import csv
-import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -35,17 +33,6 @@ class LedgerStep:
     lvr: float          # non-positive up to float noise
     hedge_pnl: float    # -x(p_before) * (p_after - p_before)
     value_change: float
-
-
-@dataclass(frozen=True)
-class PeriodSummary:
-    total_fee: float
-    total_lvr_magnitude: float  # positive, as reported
-    total_gas: float
-    total_hedge_pnl: float
-    total_value_change: float
-    pnl_hedged: float    # fee - gas - |lvr|
-    pnl_unhedged: float  # fee - gas + sum dV
 
 
 def lvr_over_path(
@@ -75,64 +62,3 @@ def lvr_over_path(
         r_prev = r_next
     return lvr_total, steps
 
-
-def hedge_pnl_over_path(position: LiquidityPosition, path: Sequence[float]) -> float:
-    """PnL of the short hedge leg: -sum x(p_t) * (p_{t+1} - p_t)."""
-    if len(path) == 0:
-        raise ValueError("price path is empty")
-    total = 0.0
-    for p_before, p_after in zip(path, path[1:]):
-        x = position.reserves(p_before).x
-        total += -x * (p_after - p_before)
-    return total
-
-
-def instantaneous_lvr_rate(position: LiquidityPosition, price: float, sigma: float) -> float:
-    """Quoted leak rate of a hedged in-range position per unit time.
-
-    Returns sigma^2 * p^2 * V''(p) with V''(p) = -L / (2 p^{3/2}) inside the
-    band, zero outside; both boundaries use the in-range branch.  Note the
-    quote follows the convention that drops Ito's one-half, so the expected
-    one-step LVR of the discrete ledger over a short dt is rate * dt / 2.
-    """
-    if price <= 0.0:
-        raise ValueError(f"price must be positive, got {price}")
-    if price < position.price_lower or price > position.price_upper:
-        return 0.0
-    return -0.5 * position.liquidity * sigma * sigma * math.sqrt(price)
-
-
-def summarize(
-    steps: Sequence[LedgerStep], gas_events: int, gas_unit_cost: float
-) -> PeriodSummary:
-    """Roll per-move ledger rows up into period totals."""
-    if gas_events < 0:
-        raise ValueError(f"gas_events must be >= 0, got {gas_events}")
-    if gas_unit_cost < 0.0:
-        raise ValueError(f"gas_unit_cost must be >= 0, got {gas_unit_cost}")
-    total_fee = sum(s.fee for s in steps)
-    lvr_signed = sum(s.lvr for s in steps)
-    total_gas = gas_events * gas_unit_cost
-    total_hedge = sum(s.hedge_pnl for s in steps)
-    total_dv = sum(s.value_change for s in steps)
-    return PeriodSummary(
-        total_fee=total_fee,
-        total_lvr_magnitude=-lvr_signed,
-        total_gas=total_gas,
-        total_hedge_pnl=total_hedge,
-        total_value_change=total_dv,
-        pnl_hedged=total_fee - total_gas + lvr_signed,
-        pnl_unhedged=total_fee - total_gas + total_dv,
-    )
-
-
-LEDGER_CSV_HEADER = ["t", "p_before", "p_after", "fee", "lvr", "hedge_pnl", "dv"]
-
-
-def write_ledger_csv(steps: Sequence[LedgerStep], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(LEDGER_CSV_HEADER)
-        for t, s in enumerate(steps):
-            w.writerow([t, repr(s.p_before), repr(s.p_after), repr(s.fee),
-                        repr(s.lvr), repr(s.hedge_pnl), repr(s.value_change)])

@@ -22,13 +22,10 @@ human-readable prices, not wei-exact chain state.
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 TICK_BASE = 1.0001
 LOG_TICK_BASE = math.log(TICK_BASE)
-
-# (fee tier, tick spacing) pairs deployed on the factory
-STANDARD_FEE_TIERS = {0.01: 200, 0.003: 60, 0.0005: 10}
 
 
 def tick_to_price(tick: float) -> float:
@@ -62,29 +59,17 @@ class PoolSpec:
     """Static pool parameters.
 
     fee_tier is the swap fee delta as a fraction, tick_spacing the coarseness
-    of usable ticks, decimal_shift the signed power of ten that turns the raw
-    token ratio into the human-readable price this module works in.
+    of usable ticks.
     """
 
     fee_tier: float = 0.003
     tick_spacing: int = 60
-    decimal_shift: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.fee_tier < 1.0:
             raise ValueError(f"fee_tier must be in (0, 1), got {self.fee_tier}")
         if self.tick_spacing < 1:
             raise ValueError(f"tick_spacing must be >= 1, got {self.tick_spacing}")
-
-    @classmethod
-    def for_fee_tier(cls, fee_tier: float, decimal_shift: int = 0) -> "PoolSpec":
-        """PoolSpec with the factory-standard spacing for a deployed fee tier."""
-        if fee_tier not in STANDARD_FEE_TIERS:
-            raise ValueError(
-                f"no standard tick spacing for fee tier {fee_tier}; "
-                f"known tiers: {sorted(STANDARD_FEE_TIERS)}"
-            )
-        return cls(fee_tier, STANDARD_FEE_TIERS[fee_tier], decimal_shift)
 
 
 @dataclass(frozen=True)
@@ -157,15 +142,6 @@ def position_value(liquidity: float, price_lower: float, price_upper: float, pri
     """Mark-to-market value p*x + y in quote units."""
     r = reserves(liquidity, price_lower, price_upper, price)
     return price * r.x + r.y
-
-
-def value_change(
-    liquidity: float, price_lower: float, price_upper: float, p_from: float, p_to: float
-) -> float:
-    """V(p_to) - V(p_from)."""
-    return position_value(liquidity, price_lower, price_upper, p_to) - position_value(
-        liquidity, price_lower, price_upper, p_from
-    )
 
 
 def fee_one_move(
@@ -241,20 +217,3 @@ def band_for_center(center_tick: int, width: int, spacing: int) -> Tuple[float, 
     half = width * spacing
     return tick_to_price(center_tick - half), tick_to_price(center_tick + half)
 
-
-def clip_path_to_band(
-    path: Sequence[float], price_lower: float, price_upper: float
-) -> List[Tuple[float, float]]:
-    """Clipped (from, to) segments of each move that lie inside the band."""
-    out = []
-    for p_from, p_to in zip(path, path[1:]):
-        lo, hi = (p_from, p_to) if p_from <= p_to else (p_to, p_from)
-        if hi <= price_lower or lo >= price_upper:
-            continue
-        c_lo = max(lo, price_lower)
-        c_hi = min(hi, price_upper)
-        if p_from <= p_to:
-            out.append((c_lo, c_hi))
-        else:
-            out.append((c_hi, c_lo))
-    return out

@@ -9,13 +9,16 @@ Two strategies:
   softmax(eta * cumulative per-width reward). Per-width rewards are
   measured on unit-budget reference positions of each width so weights
   are scale-free; gas is charged once per reallocation event, not per
-  width.
+  width. A position opened with budget b at a close holds b times the
+  liquidity of the unit reference opened there, and fee, LVR and value
+  are linear in liquidity, so positions = budgets x unit references:
+  one ledger walk per width and hour yields both the reward and the
+  position totals.
 
 Default hyperparameters for the benchmark pools, periods, and fund sizes
 ship in TAU_DEFAULTS / EWA_DEFAULTS.
 """
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -84,16 +87,13 @@ def ewa_weights(cumulative_rewards: Sequence[float], eta: float) -> np.ndarray:
     return w / w.sum()
 
 
-def _open_width_positions(
-    close: float,
-    budgets: Sequence[float],
-    pool: PoolSpec,
-) -> List[LiquidityPosition]:
+def _open_width_positions(close: float, n: int, pool: PoolSpec) -> List[LiquidityPosition]:
+    """Unit-budget positions of widths 1..n centered on the snapped close."""
     center = snap_tick(price_to_tick(close), pool.tick_spacing)
     out = []
-    for n, budget in enumerate(budgets, start=1):
-        pa, pb = band_for_center(center, n, pool.tick_spacing)
-        out.append(LiquidityPosition(pa, pb, liquidity_for_budget(budget, close, pa, pb)))
+    for width in range(1, n + 1):
+        pa, pb = band_for_center(center, width, pool.tick_spacing)
+        out.append(LiquidityPosition(pa, pb, liquidity_for_budget(1.0, close, pa, pb)))
     return out
 
 
@@ -121,12 +121,12 @@ def run_ewa(
         raise ValueError(
             f"need candles through index {offset + horizon}, have {len(candles)}"
         )
-    close0 = candles[offset].close
-    positions = _open_width_positions(close0, [l0 / n] * n, pool)
-    references = _open_width_positions(close0, [1.0] * n, pool)
+    references = _open_width_positions(candles[offset].close, n, pool)
+    budgets = np.full(n, l0 / n)
     cash = 0.0
     cum_rewards = np.zeros(n)
     weights = np.full(n, 1.0 / n)
+    ledger = np.empty((3, n))  # per-reference fee, lvr, dv of one hour
     infos: List[Dict] = []
 
     for t in range(1, horizon + 1):
@@ -136,29 +136,24 @@ def run_ewa(
         reallocated = False
         if t % config.t_re == 0:
             weights = ewa_weights(cum_rewards, config.eta)
-            wealth = cash + sum(p.value(prev_close) for p in positions)
-            positions = _open_width_positions(prev_close, wealth * weights, pool)
-            references = _open_width_positions(prev_close, [1.0] * n, pool)
+            wealth = cash + float(budgets @ [r.value(prev_close) for r in references])
+            references = _open_width_positions(prev_close, n, pool)
+            budgets = wealth * weights
             cash = 0.0
             gas_paid = gas
             reallocated = True
 
         path = hour_path(prev_close, candles[idx], path_model)
-        fee = 0.0
-        lvr = 0.0
-        dv = 0.0
-        for pos in positions:
-            lvr_n, steps = lvr_over_path(pos, path, fee_tier=pool.fee_tier)
-            fee += sum(s.fee for s in steps)
-            dv += sum(s.value_change for s in steps)
-            lvr += lvr_n
         for k, ref in enumerate(references):
-            lvr_r, steps_r = lvr_over_path(ref, path, fee_tier=pool.fee_tier)
-            cum_rewards[k] += sum(s.fee for s in steps_r) + lvr_r
+            lvr_k, steps = lvr_over_path(ref, path, fee_tier=pool.fee_tier)
+            fee_k = sum(s.fee for s in steps)
+            ledger[:, k] = fee_k, lvr_k, sum(s.value_change for s in steps)
+            cum_rewards[k] += fee_k + lvr_k
+        fee, lvr, dv = (float(x) for x in ledger @ budgets)
 
         cash += fee
         reward = fee + lvr - gas_paid
-        value = sum(p.value(candles[idx].close) for p in positions)
+        value = float(budgets @ [r.value(candles[idx].close) for r in references])
         infos.append({
             "t": t,
             "action": 1 if reallocated else 0,

@@ -10,7 +10,6 @@ Episode ends in both environments here are data truncations, not MDP
 terminals, so stored transitions always bootstrap (terminal flag False).
 """
 
-import csv
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -266,14 +265,3 @@ def loss_and_grads_checked(params, s, a, y, checkpoint_path, opt):
         raise TrainingDiverged(f"loss became {loss}")
     return loss, grads
 
-
-def write_training_log(rows: Sequence[Dict], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRAINING_LOG_HEADER)
-        for row in rows:
-            writer.writerow([
-                row["episode"], row["steps"], repr(row["epsilon"]),
-                repr(row["train_return"]), repr(row["val_return"]),
-                repr(row["loss"]),
-            ])

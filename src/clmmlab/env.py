@@ -21,11 +21,8 @@ Intra-hour path models:
     candle      close_t -> open -> low -> high -> close for an up candle
                 (close >= open), high before low for a down candle
     open-close  close_t -> open -> close
-    swap-replay close_t -> open -> (event prices) -> close, falling back
-                to open-close for hours with no recorded events
 """
 
-import csv
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -49,7 +46,7 @@ from .features import (
 )
 from .marketdata import Candle
 
-PATH_MODELS = ("candle", "open-close", "swap-replay")
+PATH_MODELS = ("candle", "open-close")
 REWARD_MODES = ("hedged", "unhedged")
 
 TRACE_CSV_HEADER = [
@@ -58,17 +55,11 @@ TRACE_CSV_HEADER = [
 ]
 
 
-def hour_path(
-    prev_close: float,
-    candle: Candle,
-    model: str = "candle",
-    events: Optional[Sequence[float]] = None,
-) -> List[float]:
+def hour_path(prev_close: float, candle: Candle, model: str = "candle") -> List[float]:
     """Price points visited while one candle elapses, starting at prev_close.
 
     The candle model walks open -> low -> high -> close for an up candle
-    and open -> high -> low -> close for a down candle; swap-replay splices
-    in recorded event prices and falls back to open-close without them.
+    and open -> high -> low -> close for a down candle.
     """
     if model == "candle":
         if candle.close >= candle.open:
@@ -76,8 +67,6 @@ def hour_path(
         else:
             mids = [candle.high, candle.low]
         return [prev_close, candle.open, mids[0], mids[1], candle.close]
-    if model == "swap-replay" and events:
-        return [prev_close, candle.open, *events, candle.close]
     return [prev_close, candle.open, candle.close]
 
 
@@ -124,7 +113,6 @@ class LPEnv:
         config: Optional[EnvConfig] = None,
         feature_matrix: Optional[np.ndarray] = None,
         scaler: Optional[FeatureScaler] = None,
-        swap_paths: Optional[Dict[int, Sequence[float]]] = None,
     ):
         self.config = config or EnvConfig()
         self.candles = list(candles)
@@ -134,7 +122,6 @@ class LPEnv:
                 f"got {len(self.candles)}"
             )
         self.scaler = scaler
-        self.swap_paths = swap_paths or {}
         if self.config.compute_features:
             if feature_matrix is None:
                 feature_matrix = compute_feature_matrix(self.candles)
@@ -228,10 +215,6 @@ class LPEnv:
 
     # -- dynamics ----------------------------------------------------------
 
-    def _hour_path(self, prev_close: float, candle: Candle, hour_index: int) -> List[float]:
-        return hour_path(prev_close, candle, self.config.path_model,
-                         self.swap_paths.get(hour_index))
-
     def step(self, action: int) -> Tuple[Optional[np.ndarray], float, bool, Dict]:
         if self.done:
             raise RuntimeError("episode is done; call reset() first")
@@ -250,7 +233,7 @@ class LPEnv:
             gas = self.config.gas
 
         nxt = self.candles[t + 1]
-        path = self._hour_path(close_t, nxt, t + 1)
+        path = hour_path(close_t, nxt, self.config.path_model)
         lvr, steps = lvr_over_path(self.position, path, fee_tier=self.config.pool.fee_tier)
         fee = sum(s.fee for s in steps)
         dv = sum(s.value_change for s in steps)
@@ -284,22 +267,3 @@ class LPEnv:
         }
         return self._observe(), reward, self.done, info
 
-
-def relative_pnl(rewards: Sequence[float], l0: float) -> float:
-    """Episode PnL as a fraction of the initial fund."""
-    if l0 <= 0.0:
-        raise ValueError(f"l0 must be positive, got {l0}")
-    return float(sum(rewards)) / l0
-
-
-def write_trace_csv(infos: Sequence[Dict], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_CSV_HEADER)
-        for info in infos:
-            writer.writerow([
-                info["t"], info["action"], repr(info["fee"]), repr(info["lvr"]),
-                repr(info["gas"]), repr(info["dv"]), repr(info["reward"]),
-                repr(info["cash"]), info["center_tick"], info["width"],
-                repr(info["value"]), repr(info["close"]),
-            ])

@@ -13,7 +13,7 @@ import math
 import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -48,24 +48,12 @@ class Candle:
             raise DataValidationError(f"volume_usd must be >= 0, got {self.volume_usd}")
 
 
-@dataclass(frozen=True)
-class SwapEvent:
-    """A single pool swap: the price right after it executed."""
-
-    timestamp: int
-    price_after: float
-
-    def __post_init__(self):
-        if self.price_after <= 0.0:
-            raise DataValidationError(f"price_after must be positive, got {self.price_after}")
-
-
-def validate_series(candles: Sequence[Candle]) -> None:
-    """Check hourly spacing and per-candle sanity; row numbers are 1-based."""
+def validate_series(candles: Sequence[Candle], first_row: int = 1) -> None:
+    """Check hourly spacing; the first candle is reported as row first_row."""
     for i, (a, b) in enumerate(zip(candles, candles[1:])):
         if b.timestamp - a.timestamp != HOUR:
             raise DataValidationError(
-                f"row {i + 2}: timestamp {b.timestamp} does not follow "
+                f"row {i + 1 + first_row}: timestamp {b.timestamp} does not follow "
                 f"{a.timestamp} by exactly {HOUR}s"
             )
 
@@ -125,18 +113,28 @@ def load_candles_csv(path: str) -> List[Candle]:
                 raise DataValidationError(f"row {i + 2}: {e}") from None
             except ValueError:
                 raise DataValidationError(f"row {i + 2}: unparseable value in {row!r}") from None
+    validate_series(out, first_row=2)  # file line numbers: the header is line 1
     return out
 
 
 def save_candles_csv(candles: Sequence[Candle], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(CANDLE_CSV_HEADER)
-        for c in candles:
-            w.writerow(
-                [c.timestamp, repr(c.open), repr(c.high), repr(c.low),
-                 repr(c.close), repr(c.volume_usd)]
-            )
+    """Write through a temp file in the same directory, then os.replace it,
+    so a crash mid-write never leaves a truncated file at `path`."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(CANDLE_CSV_HEADER)
+            for c in candles:
+                w.writerow(
+                    [c.timestamp, repr(c.open), repr(c.high), repr(c.low),
+                     repr(c.close), repr(c.volume_usd)]
+                )
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def candles_to_arrays(candles: Sequence[Candle]):

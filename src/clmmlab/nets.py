@@ -273,8 +273,17 @@ def _encode_array(arr: np.ndarray) -> Dict:
 def _decode_array(name: str, blob) -> np.ndarray:
     if not isinstance(blob, dict) or "shape" not in blob or "data" not in blob:
         raise CheckpointError(f"field {name} is not an array record")
-    shape = tuple(blob["shape"])
-    data = np.asarray(blob["data"], dtype=float)
+    shape = blob["shape"]
+    if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
+        raise CheckpointError(
+            f"field {name}: shape {shape!r} is not a list of non-negative ints")
+    shape = tuple(shape)
+    try:
+        data = np.asarray(blob["data"], dtype=float)
+    except (TypeError, ValueError):
+        data = None
+    if data is None or data.ndim != 1:
+        raise CheckpointError(f"field {name}: data is not a flat list of floats")
     expected = int(np.prod(shape)) if shape else 1
     if data.size != expected:
         raise CheckpointError(

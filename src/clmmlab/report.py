@@ -8,7 +8,6 @@ and seed of the run that produced it.
 
 import csv
 import importlib.resources
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
@@ -99,19 +98,6 @@ class Report:
                             for p in sorted(pools)))
         for row in self.rows:
             check_row_identity(row)
-
-    @classmethod
-    def from_results(cls, results: Sequence) -> "Report":
-        rows, hists = [], {}
-        for res in results:
-            row = res.to_row()
-            rows.append(row)
-            key = f"{row['method']}/{row['period']}/{row['config_hash']}"
-            hists[key] = [
-                {"method": row["method"], "label": row["label"],
-                 "period": row["period"], "action": a, "count": int(n)}
-                for a, n in enumerate(res.action_histogram())]
-        return cls(rows, hists)
 
     @classmethod
     def from_run_dirs(cls, run_dirs: Sequence[str]) -> "Report":

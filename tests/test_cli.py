@@ -6,7 +6,7 @@ import pytest
 
 from clmmlab.cli import main
 from clmmlab.marketdata import bundled_candles_path, save_candles_csv, synth_gbm
-from clmmlab.nets import load_checkpoint
+from clmmlab.nets import init_params, load_checkpoint, save_checkpoint
 from clmmlab.report import read_report_csv
 
 
@@ -58,6 +58,33 @@ class TestErrorContract:
              "--candles", candles_csv, "--out-dir", str(tmp_path)], capsys)
         assert code == 1
         assert err.strip().startswith("error: config: tau must be in 1..n_actions=10")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_bad_checkpoint_shape_is_run_error(self, candles_csv, capsys,
+                                               tmp_path):
+        ckpt = tmp_path / "net.json"
+        save_checkpoint(str(ckpt), init_params(32, 11, seed=0))
+        doc = json.loads(ckpt.read_text())
+        doc["params"]["bv"]["shape"] = [1.0]
+        ckpt.write_text(json.dumps(doc))
+        code, _, err = run_cli(
+            ["backtest", "--method", "ddqn", "--checkpoint", str(ckpt),
+             "--candles", candles_csv, "--out-dir", str(tmp_path / "out")], capsys)
+        assert code == 1
+        assert err.strip() == ("error: run: field bv: shape [1.0] is not a list "
+                               "of non-negative ints")
+
+    def test_candles_off_the_hourly_grid_are_run_error(self, capsys, tmp_path):
+        path = tmp_path / "holey.csv"
+        save_candles_csv(synth_gbm(2000.0, 0.0, 0.01, 300, seed=3), str(path))
+        lines = path.read_text().splitlines()
+        del lines[101]  # file line 102: the candle after it now follows a 2h hole
+        path.write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli(
+            ["backtest", "--method", "tau-reset", "--tau", "4",
+             "--candles", str(path), "--out-dir", str(tmp_path / "out")], capsys)
+        assert code == 1
+        assert err.strip().startswith("error: run: row 102: timestamp")
         assert len(err.strip().splitlines()) == 1
 
     def test_config_file_not_found(self, capsys, tmp_path):

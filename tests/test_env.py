@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from clmmlab import env as envmod
-from clmmlab.amm import PoolSpec, fee_over_path
-from clmmlab.env import EnvConfig, LPEnv, relative_pnl, write_trace_csv
+from clmmlab.amm import fee_over_path
+from clmmlab.backtest import BacktestResult, RunConfig, RunError, write_run_dir
+from clmmlab.cli import main
+from clmmlab.env import EnvConfig, LPEnv
 from clmmlab.marketdata import Candle, synth_gbm
 
 from oracles import lvr_vform_oracle, micro_fee_oracle
@@ -183,24 +185,21 @@ class TestEpisodeIdentities:
             LPEnv(candles, cfg(episode_length=50, path_model="open-close")), actions)
         assert ra == rb
 
-    def test_swap_replay_falls_back_to_open_close(self):
-        candles = synth_gbm(100.0, 0.0, 0.01, 300, seed=13)
-        actions = [0, 1, 0, 2, 0] * 4
-        ra, _ = self.run_episode(
-            LPEnv(candles, cfg(episode_length=20, path_model="swap-replay")), actions)
-        rb, _ = self.run_episode(
-            LPEnv(candles, cfg(episode_length=20, path_model="open-close")), actions)
-        assert ra == rb
-
-    def test_swap_replay_uses_events(self):
-        candles = flat_candles(260)
-        events = {211: [101.5, 99.0]}
-        env = LPEnv(candles, cfg(episode_length=2, path_model="swap-replay"),
-                    swap_paths=events)
-        env.reset(210)
-        _, r, _, info = env.step(0)
-        assert info["fee"] > 0.0
-        assert info["lvr"] < 0.0
+    def test_swap_replay_rejected(self, tmp_path, capsys):
+        # no swaps are ever ingested, so the model is gone rather than
+        # silently equal to open-close
+        assert envmod.PATH_MODELS == ("candle", "open-close")
+        with pytest.raises(ValueError, match="path_model must be one of"):
+            cfg(path_model="swap-replay")
+        with pytest.raises(RunError, match="path_model must be one of"):
+            RunConfig(method="tau-reset", path_model="swap-replay")
+        code = main(["backtest", "--method", "tau-reset", "--tau", "4",
+                     "--candles", "unused.csv", "--path-model", "swap-replay",
+                     "--out-dir", str(tmp_path)])
+        err = capsys.readouterr().err.strip()
+        assert code == 1
+        assert err.startswith("error: config: path_model must be one of")
+        assert len(err.splitlines()) == 1
 
 
 class TestRangeExitOracle:
@@ -256,23 +255,33 @@ class TestObservations:
         assert env.reset(210) is None
 
 
+def ledger_result(fees, gases, lvrs, l0=250.0):
+    """A hedged BacktestResult whose hourly ledger is given column by column."""
+    infos = [{"fee": f, "gas": g, "lvr": v, "dv": 0.0, "action": 0}
+             for f, g, v in zip(fees, gases, lvrs)]
+    return BacktestResult(RunConfig(method="tau-reset", tau=1, l0=l0), "", 1,
+                          len(infos), infos)
+
+
 class TestRelativePnl:
     def test_zero(self):
-        assert relative_pnl([0.0, 0.0], 250.0) == 0.0
+        assert ledger_result([0.0, 0.0], [0.0, 0.0], [0.0, 0.0]).relative_pnl() == 0.0
 
     def test_table_value(self):
         l0 = 250.0
-        rewards = [0.373 * l0 / 4] * 4
-        assert relative_pnl(rewards, l0) == pytest.approx(0.373)
+        fee = 0.373 * l0 / 4 + 1.5
+        res = ledger_result([fee] * 4, [1.0] * 4, [-0.5] * 4, l0)
+        assert res.relative_pnl() == pytest.approx(0.373)
 
     def test_linearity(self):
-        rewards = [1.0, -2.0, 3.5]
-        base = relative_pnl(rewards, 250.0)
-        assert relative_pnl([5 * r for r in rewards], 250.0) == pytest.approx(5 * base)
+        cols = ([1.0, 0.0, 3.5], [0.0, 2.0, 0.0], [-0.1, -0.2, 0.0])
+        base = ledger_result(*cols).relative_pnl()
+        scaled = ledger_result(*([5 * x for x in c] for c in cols)).relative_pnl()
+        assert scaled == pytest.approx(5 * base)
 
     def test_bad_l0(self):
-        with pytest.raises(ValueError):
-            relative_pnl([1.0], 0.0)
+        with pytest.raises(RunError):
+            RunConfig(method="tau-reset", tau=1, l0=0.0)
 
 
 def test_trace_csv(tmp_path):
@@ -282,11 +291,13 @@ def test_trace_csv(tmp_path):
     for a in [0, 2, 0, 0, 1, 0]:
         _, _, _, info = env.step(a)
         infos.append(info)
-    out = tmp_path / "trace.csv"
-    write_trace_csv(infos, str(out))
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == ",".join(envmod.TRACE_CSV_HEADER)
+    config = RunConfig(method="tau-reset", tau=1, seed=7)
+    paths = write_run_dir(BacktestResult(config, "", 210, 6, infos), str(tmp_path))
+    lines = open(paths["trace"]).read().strip().splitlines()
+    assert lines[0] == ",".join(envmod.TRACE_CSV_HEADER + ["config_hash", "seed"])
     assert len(lines) == 7
     row = lines[2].split(",")
     assert row[1] == "2"
+    assert row[2] == repr(infos[1]["fee"])
     assert float(row[2]) == infos[1]["fee"]
+    assert row[-1] == "7"

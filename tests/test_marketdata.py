@@ -86,6 +86,22 @@ class TestCsvRoundTrip:
             md.load_candles_csv(str(path))
         assert "row 3" in str(ei.value)  # file line number, header is line 1
 
+    def test_hole_rejected_with_row_number(self, tmp_path):
+        path = tmp_path / "hole.csv"
+        md.save_candles_csv([make_candle(0), make_candle(1), make_candle(3)], str(path))
+        with pytest.raises(md.DataValidationError, match="^row 4: timestamp"):
+            md.load_candles_csv(str(path))
+
+    def test_repeated_timestamp_rejected_with_row_number(self, tmp_path):
+        path = tmp_path / "repeat.csv"
+        md.save_candles_csv([make_candle(0), make_candle(1), make_candle(2),
+                             make_candle(2), make_candle(3)], str(path))
+        with pytest.raises(md.DataValidationError, match="^row 5: timestamp"):
+            md.load_candles_csv(str(path))
+
+    def test_bundled_fixture_loads(self):
+        assert len(md.load_candles_csv(md.bundled_candles_path())) == 1200
+
 
 class TestPartitions:
     def test_reference_period_dates(self):
@@ -248,6 +264,29 @@ class TestSubgraphClient:
         again = sg.fetch_pool_hours(client2, "0xabc", start, end, cache_dir=str(tmp_path))
         assert again == got
         assert client2.request_count == 0
+
+    def test_cache_write_is_atomic(self, tmp_path, monkeypatch):
+        rows = [hour_row(i) for i in range(48)]
+        start, end = 1609459200, 1609459200 + 48 * 3600
+
+        def crash(src, dst):
+            raise OSError("disk full")
+
+        client = sg.SubgraphClient(
+            "http://x", transport=StubTransport([{"data": {"poolHourDatas": rows}}]))
+        with monkeypatch.context() as m:
+            m.setattr(md.os, "replace", crash)
+            with pytest.raises(OSError, match="disk full"):
+                sg.fetch_pool_hours(client, "0xabc", start, end, cache_dir=str(tmp_path))
+        assert list(tmp_path.iterdir()) == []  # neither a cache file nor a temp file
+
+        client2 = sg.SubgraphClient(
+            "http://x", transport=StubTransport([{"data": {"poolHourDatas": rows}}]))
+        got = sg.fetch_pool_hours(client2, "0xabc", start, end, cache_dir=str(tmp_path))
+        assert client2.request_count == 1  # the failed write left nothing to trust
+        assert len(got) == 48
+        assert [p.name for p in tmp_path.iterdir()] == [
+            f"poolhours_abc_{start}_{end}.csv"]
 
     def test_gaps_filled_before_caching(self, tmp_path):
         rows = [hour_row(0), hour_row(1), hour_row(4)]

@@ -294,6 +294,28 @@ class TestCheckpoints:
             load_checkpoint(path)
         assert "ba" in str(ei.value)
 
+    @pytest.mark.parametrize("shape", [[1.0], 5, [-1], [True], None, "1"])
+    def test_bad_shape_rejected(self, tmp_path, shape):
+        p = init_params(8, 3, seed=1)
+        path = str(tmp_path / "net.json")
+        save_checkpoint(path, p)
+        doc = json.loads(open(path).read())
+        doc["params"]["bv"]["shape"] = shape
+        open(path, "w").write(json.dumps(doc))
+        with pytest.raises(CheckpointError, match="field bv: shape"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("data", [[[0.5]], "0.5", 0.5, [{"x": 1}], [[1.0], [2.0, 3.0]]])
+    def test_bad_data_rejected(self, tmp_path, data):
+        p = init_params(8, 3, seed=1)
+        path = str(tmp_path / "net.json")
+        save_checkpoint(path, p)
+        doc = json.loads(open(path).read())
+        doc["params"]["bv"]["data"] = data
+        open(path, "w").write(json.dumps(doc))
+        with pytest.raises(CheckpointError, match="field bv: data"):
+            load_checkpoint(path)
+
     def test_corrupt_json_rejected(self, tmp_path):
         path = str(tmp_path / "net.json")
         open(path, "w").write("{not json")
