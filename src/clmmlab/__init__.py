@@ -4,8 +4,6 @@ from .amm import (
     LiquidityPosition,
     PoolSpec,
     Reserves,
-    fee_one_move,
-    fee_over_path,
     liquidity_for_budget,
     position_value,
     price_to_tick,
@@ -13,6 +11,6 @@ from .amm import (
     snap_tick,
     tick_to_price,
 )
-from .accounting import LedgerStep, lvr_over_path
+from .accounting import lvr_over_path
 
 __version__ = "0.1.0"

@@ -15,50 +15,55 @@ path
 
 A hedged position's economics therefore reduce to fees earned minus gas
 minus |lvr|, with all directional exposure netted out.
+
+lvr_over_path is the one ledger kernel: one walk returns the totals
+(lvr, fee, dv, hedge) summed in walk order; a per-move ledger is the
+kernel applied to path[i:i+2].
 """
 
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from math import sqrt
+from typing import Sequence, Tuple
 
-from .amm import LiquidityPosition, fee_one_move
-
-
-@dataclass(frozen=True)
-class LedgerStep:
-    """Accounting for one price move p_before -> p_after."""
-
-    p_before: float
-    p_after: float
-    fee: float
-    lvr: float          # non-positive up to float noise
-    hedge_pnl: float    # -x(p_before) * (p_after - p_before)
-    value_change: float
+from .amm import LiquidityPosition, _check_price
 
 
 def lvr_over_path(
     position: LiquidityPosition, path: Sequence[float], fee_tier: float = 0.0
-) -> Tuple[float, List[LedgerStep]]:
-    """Per-move ledger over a sampled path.
+) -> Tuple[float, float, float, float]:
+    """Ledger totals (lvr, fee, dv, hedge) over a sampled path.
 
-    Returns (lvr_total, steps).  Fees are included per move when a fee tier
-    is given; fee_tier=0 leaves them at zero, so the same walk serves both
-    pure-LVR queries and full accrual.
+    fee is zero when fee_tier=0; hedge is the short leg's -sum x dp.  Each
+    price is validated once and the amm reserve formulas are inlined, so a
+    point costs one sqrt.  A move earns rate * L * |s1 - s0| on the sqrt
+    prices clamped to [sqrt(pa), sqrt(pb)]: only its part inside the band.
+    Keep the arithmetic order: the totals equal the per-move walk in
+    tests/oracles.py bit for bit, and run artifacts depend on that.
     """
     if len(path) == 0:
         raise ValueError("price path is empty")
     L = position.liquidity
     pa, pb = position.price_lower, position.price_upper
-    steps = []
-    lvr_total = 0.0
-    r_prev = position.reserves(path[0])
-    for p_before, p_after in zip(path, path[1:]):
-        r_next = position.reserves(p_after)
-        lvr = p_after * (r_next.x - r_prev.x) + (r_next.y - r_prev.y)
-        dv = (p_after * r_next.x + r_next.y) - (p_before * r_prev.x + r_prev.y)
-        hedge = -r_prev.x * (p_after - p_before)
-        fee = fee_one_move(L, pa, pb, p_before, p_after, fee_tier) if fee_tier else 0.0
-        steps.append(LedgerStep(p_before, p_after, fee, lvr, hedge, dv))
-        lvr_total += lvr
-        r_prev = r_next
-    return lvr_total, steps
+    sa, sb = sqrt(pa), sqrt(pb)
+    inv_sb = 1.0 / sb
+    x_below = L * (1.0 / sa - inv_sb)
+    y_above = L * (sb - sa)
+    rate_l = fee_tier / (1.0 - fee_tier) * L if fee_tier else 0.0
 
+    lvr = fee = dv = hedge = 0.0
+    for i, p1 in enumerate(path):
+        _check_price(p1)
+        if p1 <= pa:
+            x1, y1, s1 = x_below, 0.0, sa
+        elif p1 >= pb:
+            x1, y1, s1 = 0.0, y_above, sb
+        else:
+            s1 = sqrt(p1)
+            x1, y1 = L * (1.0 / s1 - inv_sb), L * (s1 - sa)
+        if i:
+            lvr += p1 * (x1 - x0) + (y1 - y0)
+            dv += (p1 * x1 + y1) - (p0 * x0 + y0)
+            hedge += -x0 * (p1 - p0)
+            if fee_tier:
+                fee += rate_l * abs(s1 - s0)
+        p0, x0, y0, s0 = p1, x1, y1, s1
+    return lvr, fee, dv, hedge

@@ -13,8 +13,9 @@ swapped amount, which in quote units works out to
 
     fee = delta/(1-delta) * L * |sqrt(p2) - sqrt(p1)|
 
-on the clipped segment.  This form telescopes over any refinement of the
-move, so fee accrual is independent of how finely a path is sampled.
+on the clipped segment (accounting.lvr_over_path accrues it).  This form
+telescopes over any refinement of the move, so fee accrual is independent of
+how finely a path is sampled.
 
 Everything here is 64-bit float; we are after research-grade accuracy on
 human-readable prices, not wei-exact chain state.
@@ -22,7 +23,7 @@ human-readable prices, not wei-exact chain state.
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 TICK_BASE = 1.0001
 LOG_TICK_BASE = math.log(TICK_BASE)
@@ -142,47 +143,6 @@ def position_value(liquidity: float, price_lower: float, price_upper: float, pri
     """Mark-to-market value p*x + y in quote units."""
     r = reserves(liquidity, price_lower, price_upper, price)
     return price * r.x + r.y
-
-
-def fee_one_move(
-    liquidity: float,
-    price_lower: float,
-    price_upper: float,
-    p_from: float,
-    p_to: float,
-    fee_tier: float,
-) -> float:
-    """Fee earned by the position while price moves p_from -> p_to.
-
-    Only the part of the move inside [price_lower, price_upper] earns.  Moves
-    entirely outside the band, or merely touching a boundary from outside,
-    earn zero.
-    """
-    _check_price(p_from)
-    _check_price(p_to)
-    lo, hi = (p_from, p_to) if p_from <= p_to else (p_to, p_from)
-    if hi <= price_lower or lo >= price_upper:
-        return 0.0
-    c_lo = max(lo, price_lower)
-    c_hi = min(hi, price_upper)
-    rate = fee_tier / (1.0 - fee_tier)
-    return rate * liquidity * (math.sqrt(c_hi) - math.sqrt(c_lo))
-
-
-def fee_over_path(
-    liquidity: float,
-    price_lower: float,
-    price_upper: float,
-    path: Sequence[float],
-    fee_tier: float,
-) -> float:
-    """Total fee over consecutive moves of a sampled price path."""
-    if len(path) == 0:
-        raise ValueError("price path is empty")
-    total = 0.0
-    for p_from, p_to in zip(path, path[1:]):
-        total += fee_one_move(liquidity, price_lower, price_upper, p_from, p_to, fee_tier)
-    return total
 
 
 def liquidity_for_budget(

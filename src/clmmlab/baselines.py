@@ -33,7 +33,7 @@ from .amm import (
     price_to_tick,
     snap_tick,
 )
-from .env import LPEnv, hour_path
+from .env import LPEnv, check_path_model, hour_path
 from .marketdata import Candle
 
 
@@ -117,6 +117,7 @@ def run_ewa(
     """
     pool = pool or PoolSpec()
     n = config.n_widths
+    check_path_model(path_model)
     if offset < 0 or offset + horizon >= len(candles):
         raise ValueError(
             f"need candles through index {offset + horizon}, have {len(candles)}"
@@ -145,9 +146,8 @@ def run_ewa(
 
         path = hour_path(prev_close, candles[idx], path_model)
         for k, ref in enumerate(references):
-            lvr_k, steps = lvr_over_path(ref, path, fee_tier=pool.fee_tier)
-            fee_k = sum(s.fee for s in steps)
-            ledger[:, k] = fee_k, lvr_k, sum(s.value_change for s in steps)
+            lvr_k, fee_k, dv_k, _ = lvr_over_path(ref, path, fee_tier=pool.fee_tier)
+            ledger[:, k] = fee_k, lvr_k, dv_k
             cum_rewards[k] += fee_k + lvr_k
         fee, lvr, dv = (float(x) for x in ledger @ budgets)
 

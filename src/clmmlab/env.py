@@ -55,12 +55,19 @@ TRACE_CSV_HEADER = [
 ]
 
 
+def check_path_model(model: str) -> None:
+    if model not in PATH_MODELS:
+        raise ValueError(f"path_model must be one of {PATH_MODELS}, got {model!r}")
+
+
 def hour_path(prev_close: float, candle: Candle, model: str = "candle") -> List[float]:
     """Price points visited while one candle elapses, starting at prev_close.
 
     The candle model walks open -> low -> high -> close for an up candle
-    and open -> high -> low -> close for a down candle.
+    and open -> high -> low -> close for a down candle; open-close walks
+    open -> close.  Any other model raises ValueError.
     """
+    check_path_model(model)
     if model == "candle":
         if candle.close >= candle.open:
             mids = [candle.low, candle.high]
@@ -92,8 +99,7 @@ class EnvConfig:
             raise ValueError(f"episode_length must be >= 1, got {self.episode_length}")
         if self.gas < 0.0:
             raise ValueError(f"gas must be >= 0, got {self.gas}")
-        if self.path_model not in PATH_MODELS:
-            raise ValueError(f"path_model must be one of {PATH_MODELS}, got {self.path_model!r}")
+        check_path_model(self.path_model)
         if self.reward_mode not in REWARD_MODES:
             raise ValueError(f"reward_mode must be one of {REWARD_MODES}, got {self.reward_mode!r}")
         if self.obs_mode not in ("scaled", "raw"):
@@ -234,10 +240,8 @@ class LPEnv:
 
         nxt = self.candles[t + 1]
         path = hour_path(close_t, nxt, self.config.path_model)
-        lvr, steps = lvr_over_path(self.position, path, fee_tier=self.config.pool.fee_tier)
-        fee = sum(s.fee for s in steps)
-        dv = sum(s.value_change for s in steps)
-        hedge = sum(s.hedge_pnl for s in steps)
+        lvr, fee, dv, hedge = lvr_over_path(
+            self.position, path, fee_tier=self.config.pool.fee_tier)
 
         if self.config.reward_mode == "hedged":
             reward = -gas + fee + lvr

@@ -81,8 +81,8 @@ def _move_reward(center: int, width: int, lvl_from: int, lvl_to: int,
                  config: ToyConfig) -> float:
     pos = _position(center, width, config)
     path = [level_price(lvl_from), level_price(lvl_to)]
-    lvr, steps = lvr_over_path(pos, path, fee_tier=config.fee_tier)
-    return sum(s.fee for s in steps) + lvr
+    lvr, fee, _, _ = lvr_over_path(pos, path, fee_tier=config.fee_tier)
+    return fee + lvr
 
 
 def build_tabular_mdp(config: Optional[ToyConfig] = None):

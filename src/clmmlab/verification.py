@@ -18,7 +18,7 @@ import numpy as np
 
 from . import nets, tabular, toymdp
 from .accounting import lvr_over_path
-from .amm import (LiquidityPosition, PoolSpec, band_for_center, fee_over_path,
+from .amm import (LiquidityPosition, PoolSpec, band_for_center,
                   liquidity_for_budget, tick_to_price)
 from .backtest import (RunConfig, drift_gap, drift_neutrality_study,
                        run_backtest, write_run_dir)
@@ -81,14 +81,15 @@ def check_accounting_identity(n_trials: int = 10_000, seed: int = 0
     for _ in range(n_trials):
         lo, hi, liq, path = _random_band_and_path(rng)
         pos = LiquidityPosition(lo, hi, liq)
-        _, steps = lvr_over_path(pos, path)
-        dv = sum(s.value_change for s in steps)
-        hedge = sum(s.hedge_pnl for s in steps)
-        lvr = sum(s.lvr for s in steps)
-        # hedge_pnl is the short leg -x dp, so dV = -hedge + lvr.
+        # one kernel call per move keeps the per-move LVR increments
+        moves = [lvr_over_path(pos, path[i:i + 2]) for i in range(len(path) - 1)]
+        lvr = sum(m[0] for m in moves)
+        dv = sum(m[2] for m in moves)
+        hedge = sum(m[3] for m in moves)
+        # hedge is the short leg -x dp, so dV = -hedge + lvr.
         rel = abs(dv + hedge - lvr) / max(1.0, abs(dv))
         worst_rel = max(worst_rel, rel)
-        worst_incr = max(worst_incr, max(s.lvr for s in steps))
+        worst_incr = max(worst_incr, max(m[0] for m in moves))
     passed = worst_rel <= 1e-9 and worst_incr <= 1e-12
     detail = (f"{n_trials} trials, worst identity residual {worst_rel:.2e} "
               f"(tol 1e-9), max LVR increment {worst_incr:.2e} (tol 1e-12)")
@@ -120,7 +121,7 @@ def check_fee_oracle(n_paths: int = 1_000, n_micro: int = 10_000,
     for _ in range(n_paths):
         lo, hi, liq, path = _random_band_and_path(rng)
         crossing += any(not lo <= p <= hi for p in path)
-        closed = fee_over_path(liq, lo, hi, path, fee_tier)
+        closed = lvr_over_path(LiquidityPosition(lo, hi, liq), path, fee_tier)[1]
         micro = _micro_fee(liq, lo, hi, path, fee_tier, n_micro)
         worst = max(worst, abs(closed - micro) / max(1e-12, abs(micro)))
     passed = worst <= 1e-6 and crossing > n_paths // 2

@@ -1,21 +1,23 @@
 """Independent brute-force oracles used by the test suite.
 
 Everything here is written directly from the defining formulas, on purpose
-without importing the implementation's fee/lvr walkers, so that agreement
-between the two is evidence rather than tautology. The learner oracles
-share only the parameter container, the Adam constants and the error types
-with clmmlab.nets. The one exception is the two-walk EWA replay at the end,
-which reuses the ledger on purpose: it pins down the budgets x references
-rewrite of run_ewa, not the ledger itself.
+without importing the implementation's fee/lvr kernel, so that agreement
+between the two is evidence rather than tautology. The per-move ledger
+walker (LedgerStep, lvr_over_path, fee_one_move, fee_over_path) is the
+scalar code the kernel replaced; it shares only the price check and the
+reserve formulas of clmmlab.amm. The learner oracles share only the
+parameter container, the Adam constants and the error types with
+clmmlab.nets. The two-walk EWA replay at the end runs on the oracle ledger
+and pins down the budgets x references rewrite of run_ewa.
 """
 
 import math
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from clmmlab.accounting import lvr_over_path
-from clmmlab.amm import (LiquidityPosition, PoolSpec, band_for_center,
+from clmmlab.amm import (LiquidityPosition, PoolSpec, _check_price, band_for_center,
                          liquidity_for_budget, price_to_tick, snap_tick)
 from clmmlab.baselines import EWAConfig, ewa_weights
 from clmmlab.env import hour_path
@@ -67,6 +69,105 @@ def lvr_vform_oracle(liquidity, price_lower, price_upper, path):
             - x0 * (p1 - p0)
         )
     return total
+
+
+# ---------------------------------------------------------- per-move ledger
+#
+# The ledger as it stood before the totals kernel: one LedgerStep per move,
+# reserves from amm.reserves, fees from fee_one_move. Callers summed the
+# steps with sum(), so ledger_totals reproduces their totals exactly.
+
+
+def fee_one_move(
+    liquidity: float,
+    price_lower: float,
+    price_upper: float,
+    p_from: float,
+    p_to: float,
+    fee_tier: float,
+) -> float:
+    """Fee earned by the position while price moves p_from -> p_to.
+
+    Only the part of the move inside [price_lower, price_upper] earns.  Moves
+    entirely outside the band, or merely touching a boundary from outside,
+    earn zero.
+    """
+    _check_price(p_from)
+    _check_price(p_to)
+    lo, hi = (p_from, p_to) if p_from <= p_to else (p_to, p_from)
+    if hi <= price_lower or lo >= price_upper:
+        return 0.0
+    c_lo = max(lo, price_lower)
+    c_hi = min(hi, price_upper)
+    rate = fee_tier / (1.0 - fee_tier)
+    return rate * liquidity * (math.sqrt(c_hi) - math.sqrt(c_lo))
+
+
+def fee_over_path(
+    liquidity: float,
+    price_lower: float,
+    price_upper: float,
+    path: Sequence[float],
+    fee_tier: float,
+) -> float:
+    """Total fee over consecutive moves of a sampled price path."""
+    if len(path) == 0:
+        raise ValueError("price path is empty")
+    total = 0.0
+    for p_from, p_to in zip(path, path[1:]):
+        total += fee_one_move(liquidity, price_lower, price_upper, p_from, p_to, fee_tier)
+    return total
+
+
+@dataclass(frozen=True)
+class LedgerStep:
+    """Accounting for one price move p_before -> p_after."""
+
+    p_before: float
+    p_after: float
+    fee: float
+    lvr: float          # non-positive up to float noise
+    hedge_pnl: float    # -x(p_before) * (p_after - p_before)
+    value_change: float
+
+
+def lvr_over_path(
+    position: LiquidityPosition, path: Sequence[float], fee_tier: float = 0.0
+) -> Tuple[float, List[LedgerStep]]:
+    """Per-move ledger over a sampled path.
+
+    Returns (lvr_total, steps).  Fees are included per move when a fee tier
+    is given; fee_tier=0 leaves them at zero, so the same walk serves both
+    pure-LVR queries and full accrual.
+    """
+    if len(path) == 0:
+        raise ValueError("price path is empty")
+    L = position.liquidity
+    pa, pb = position.price_lower, position.price_upper
+    steps = []
+    lvr_total = 0.0
+    r_prev = position.reserves(path[0])
+    for p_before, p_after in zip(path, path[1:]):
+        r_next = position.reserves(p_after)
+        lvr = p_after * (r_next.x - r_prev.x) + (r_next.y - r_prev.y)
+        dv = (p_after * r_next.x + r_next.y) - (p_before * r_prev.x + r_prev.y)
+        hedge = -r_prev.x * (p_after - p_before)
+        fee = fee_one_move(L, pa, pb, p_before, p_after, fee_tier) if fee_tier else 0.0
+        steps.append(LedgerStep(p_before, p_after, fee, lvr, hedge, dv))
+        lvr_total += lvr
+        r_prev = r_next
+    return lvr_total, steps
+
+
+def ledger_totals(position, path, fee_tier=0.0):
+    """The kernel's (lvr, fee, dv, hedge), summed from the per-move walk.
+
+    A drop-in for clmmlab.accounting.lvr_over_path: monkeypatched into a
+    caller's module, it replays that caller on the oracle ledger.
+    """
+    lvr, steps = lvr_over_path(position, path, fee_tier=fee_tier)
+    return (lvr, sum(s.fee for s in steps), sum(s.value_change for s in steps),
+            sum(s.hedge_pnl for s in steps))
 
 
 def hedge_pnl_over_path(position: LiquidityPosition, path: Sequence[float]) -> float:

@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
-from clmmlab import accounting
-from clmmlab.amm import LiquidityPosition
+import oracles
+from clmmlab import accounting, backtest, baselines, env, toymdp, verification
+from clmmlab.amm import LOG_TICK_BASE, LiquidityPosition, tick_to_price
+from clmmlab.marketdata import synth_gbm
 from oracles import (hedge_pnl_over_path, instantaneous_lvr_rate, lvr_vform_oracle,
                      random_band_and_path, refine_path)
 
@@ -13,19 +17,22 @@ def ref_position():
 
 def test_lvr_two_point_example():
     pos = ref_position()
-    total, steps = accounting.lvr_over_path(pos, [2.25, 1.0])
+    total, steps = oracles.lvr_over_path(pos, [2.25, 1.0])
     assert total == pytest.approx(-1.0 / 6.0, rel=1e-12)
     assert len(steps) == 1
     assert steps[0].lvr == total
     assert steps[0].value_change == pytest.approx(-0.375, rel=1e-12)
+    lvr, fee, dv, _ = accounting.lvr_over_path(pos, [2.25, 1.0])
+    assert (lvr, fee, dv) == (total, 0.0, steps[0].value_change)
 
 
 def test_lvr_round_trip_path():
     # down-then-back is not symmetric: the second leg starts from a larger
     # base-token inventory, so it loses more
     pos = ref_position()
-    total, steps = accounting.lvr_over_path(pos, [2.25, 1.0, 2.25])
+    total, steps = oracles.lvr_over_path(pos, [2.25, 1.0, 2.25])
     assert total == pytest.approx(-5.0 / 12.0, rel=1e-12)
+    assert accounting.lvr_over_path(pos, [2.25, 1.0, 2.25])[0] == total
     assert steps[0].lvr == pytest.approx(-1.0 / 6.0, rel=1e-12)
     assert steps[1].lvr == pytest.approx(-0.25, rel=1e-12)
 
@@ -35,10 +42,10 @@ def test_lvr_increments_nonpositive_randomized():
     for _ in range(500):
         L, pa, pb, path = random_band_and_path(rng, n_moves=10)
         pos = LiquidityPosition(pa, pb, L)
-        total, steps = accounting.lvr_over_path(pos, path)
+        _, steps = oracles.lvr_over_path(pos, path)
         for s in steps:
             assert s.lvr <= 1e-12 * max(1.0, abs(s.value_change))
-        assert total <= 1e-9
+        assert accounting.lvr_over_path(pos, path)[0] <= 1e-9
 
 
 def test_lvr_two_forms_agree():
@@ -46,7 +53,7 @@ def test_lvr_two_forms_agree():
     for _ in range(300):
         L, pa, pb, path = random_band_and_path(rng, n_moves=8)
         pos = LiquidityPosition(pa, pb, L)
-        total, _ = accounting.lvr_over_path(pos, path)
+        total = accounting.lvr_over_path(pos, path)[0]
         vform = lvr_vform_oracle(L, pa, pb, path)
         assert total == pytest.approx(vform, rel=1e-9, abs=1e-12)
 
@@ -59,8 +66,8 @@ def test_lvr_refinement_toward_zero():
     for _ in range(100):
         L, pa, pb, path = random_band_and_path(rng, n_moves=4)
         pos = LiquidityPosition(pa, pb, L)
-        coarse, _ = accounting.lvr_over_path(pos, path)
-        fine, _ = accounting.lvr_over_path(pos, refine_path(path, 16))
+        coarse = accounting.lvr_over_path(pos, path)[0]
+        fine = accounting.lvr_over_path(pos, refine_path(path, 16))[0]
         assert coarse - 1e-12 * max(1.0, abs(coarse)) <= fine <= 1e-12
 
 
@@ -73,13 +80,14 @@ def test_hedge_pnl_example_and_identity():
     for _ in range(300):
         L, pa, pb, path = random_band_and_path(rng, n_moves=8)
         pos = LiquidityPosition(pa, pb, L)
-        lvr_total, steps = accounting.lvr_over_path(pos, path)
+        lvr_total, _, dv, hedge_total = accounting.lvr_over_path(pos, path)
         hedge = hedge_pnl_over_path(pos, path)
-        dv = sum(s.value_change for s in steps)
+        assert hedge_total == hedge
         scale = max(1.0, abs(dv), abs(lvr_total))
         # sum dV = sum x*dp + lvr  <=>  hedge = lvr - sum dV
         assert abs(hedge - (lvr_total - dv)) <= 1e-9 * scale
         # per-step identity
+        _, steps = oracles.lvr_over_path(pos, path)
         for s in steps:
             assert abs(s.value_change - s.hedge_pnl * (-1.0) - s.lvr) <= 1e-9 * max(
                 1.0, abs(s.value_change)
@@ -92,8 +100,11 @@ def test_empty_path_rejected():
         accounting.lvr_over_path(pos, [])
     with pytest.raises(ValueError):
         hedge_pnl_over_path(pos, [])
-    total, steps = accounting.lvr_over_path(pos, [2.0])
+    with pytest.raises(ValueError):
+        oracles.lvr_over_path(pos, [])
+    total, steps = oracles.lvr_over_path(pos, [2.0])
     assert total == 0.0 and steps == []
+    assert accounting.lvr_over_path(pos, [2.0]) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_instantaneous_lvr_rate():
@@ -118,10 +129,161 @@ def test_instantaneous_rate_matches_short_horizon_simulation():
     p1 = p0 * np.exp(-0.5 * sigma * sigma * dt + sigma * np.sqrt(dt) * z)
     sims = []
     for q in p1:
-        total, _ = accounting.lvr_over_path(pos, [p0, float(q)])
-        sims.append(total)
+        sims.append(accounting.lvr_over_path(pos, [p0, float(q)])[0])
     mean = float(np.mean(sims))
     expected = 0.5 * instantaneous_lvr_rate(pos, p0, sigma) * dt
     se = float(np.std(sims)) / np.sqrt(n)
     assert abs(mean - expected) < 5 * se + 0.02 * abs(expected)
 
+
+
+# -- the totals kernel against the per-move oracle walk ---------------------
+
+ZERO = float.hex(0.0)
+
+
+def hexes(totals):
+    return [float.hex(v) for v in totals]
+
+
+def assert_kernel_matches_oracle(pos, path, fee_tier):
+    got = accounting.lvr_over_path(pos, path, fee_tier=fee_tier)
+    want = oracles.ledger_totals(pos, path, fee_tier=fee_tier)
+    assert hexes(got) == hexes(want), (pos, path, fee_tier)
+
+
+def random_case(rng, log_lo, log_hi):
+    """A band of random log-width in [1e-6, 10] inside exp([log_lo, log_hi]),
+    a 2-6 point path around it, some points exactly on pa or pb."""
+    width = math.exp(rng.uniform(math.log(1e-6), math.log(10.0)))
+    lo = rng.uniform(log_lo, log_hi - width)
+    pa, pb = math.exp(lo), math.exp(lo + width)
+    liquidity = math.exp(rng.uniform(-5.0, 10.0))
+    path = []
+    for _ in range(int(rng.integers(2, 7))):
+        u = rng.random()
+        if u < 0.15:
+            path.append(pa)
+        elif u < 0.3:
+            path.append(pb)
+        else:
+            path.append(math.exp(rng.uniform(lo - width, lo + 2.0 * width)))
+    return LiquidityPosition(pa, pb, liquidity), path
+
+
+@pytest.mark.parametrize("fee_tier", [0.0, 0.003])
+def test_kernel_bitwise_random_bands(fee_tier):
+    rng = np.random.default_rng(101)
+    log_lim = math.log(1e10)
+    for _ in range(10_000):
+        pos, path = random_case(rng, -log_lim, log_lim)
+        assert_kernel_matches_oracle(pos, path, fee_tier)
+
+
+@pytest.mark.parametrize("fee_tier", [0.0, 0.003])
+def test_kernel_bitwise_near_tick_limits(fee_tier):
+    rng = np.random.default_rng(103)
+    lim = 887_272 * LOG_TICK_BASE
+    for _ in range(2_000):
+        pos, path = random_case(rng, lim - 12.0, lim)
+        assert_kernel_matches_oracle(pos, path, fee_tier)
+        pos, path = random_case(rng, -lim, -lim + 12.0)
+        assert_kernel_matches_oracle(pos, path, fee_tier)
+    for lower, upper in [(887_212, 887_272), (-887_272, -887_212), (-887_272, 887_272)]:
+        pos = LiquidityPosition(tick_to_price(lower), tick_to_price(upper), 1e6)
+        pa, pb = pos.price_lower, pos.price_upper
+        for path in ([pa, pb], [pb, pa, math.sqrt(pa * pb), pb], [pa * 0.5, pb * 2.0]):
+            assert_kernel_matches_oracle(pos, path, fee_tier)
+
+
+@pytest.mark.parametrize("fee_tier", [0.0, 0.003])
+def test_kernel_bitwise_on_band_edges(fee_tier):
+    pos = ref_position()
+    edge_paths = [[1.0, 4.0], [4.0, 1.0], [1.0, 1.0, 4.0, 4.0], [0.5, 1.0, 2.0, 4.0, 9.0],
+                  [4.0, 2.25, 1.0, 0.25], [1.0, 2.25], [2.25, 4.0]]
+    for path in edge_paths:
+        assert_kernel_matches_oracle(pos, path, fee_tier)
+
+
+@pytest.mark.parametrize("fee_tier", [0.0, 0.003])
+def test_kernel_flat_and_one_point_paths_are_float_zero(fee_tier):
+    pos = ref_position()
+    for p in [0.25, 1.0, 2.25, 4.0, 9.0, 1e-10, 1e10]:
+        for path in ([p], [p, p], [p] * 5):
+            got = accounting.lvr_over_path(pos, path, fee_tier=fee_tier)
+            assert all(type(v) is float for v in got)
+            assert hexes(got) == [ZERO] * 4
+        # the old walker summed an empty step list to the int 0
+        assert oracles.ledger_totals(pos, [p], fee_tier=fee_tier)[1:] == (0, 0, 0)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, -0.0, float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("where", [0, 2, 4])
+def test_kernel_rejects_bad_price_like_the_oracle(bad, where):
+    pos = ref_position()
+    path = [2.0, 1.5, 3.0, 0.5, 5.0]
+    path[where] = bad
+    with pytest.raises(ValueError) as got:
+        accounting.lvr_over_path(pos, path, fee_tier=0.003)
+    with pytest.raises(ValueError) as want:
+        oracles.lvr_over_path(pos, path, fee_tier=0.003)
+    assert str(got.value) == str(want.value) == f"price must be positive and finite, got {bad}"
+    with pytest.raises(ValueError, match="^price path is empty$"):
+        accounting.lvr_over_path(pos, [], fee_tier=0.003)
+
+
+class TestCallersReplayBitwiseOnOracle:
+    """Every ledger caller gives identical output when the kernel is swapped
+    for the per-move oracle walk (summed with sum(), as callers once did)."""
+
+    def check(self, monkeypatch, fn):
+        """fn returns a list of records; compare their reprs one by one."""
+        got = fn()
+        with monkeypatch.context() as m:
+            for mod in (env, baselines, toymdp, verification):
+                m.setattr(mod, "lvr_over_path", oracles.ledger_totals)
+            want = fn()
+        assert len(got) == len(want) > 0
+        for g, w in zip(got, want):
+            assert repr(g) == repr(w)
+
+    @pytest.mark.parametrize("path_model", ["candle", "open-close"])
+    def test_tau_reset(self, monkeypatch, path_model):
+        candles = synth_gbm(2000.0, 0.0, 0.012, 520, seed=23)
+
+        def run():
+            lp = env.LPEnv(candles, env.EnvConfig(path_model=path_model, episode_length=300,
+                                                  compute_features=False, warmup=1))
+            out = []
+            for tau in (1, 3, 10):
+                rewards, infos = baselines.run_tau_reset(lp, tau, 1)
+                out += [rewards] + infos
+            return out
+
+        self.check(monkeypatch, run)
+
+    @pytest.mark.parametrize("path_model", ["candle", "open-close"])
+    def test_ewa(self, monkeypatch, path_model):
+        candles = synth_gbm(2000.0, 0.0, 0.012, 520, seed=29)
+
+        def run():
+            out = []
+            for n, eta, t_re in [(10, 1.0, 24), (4, 2.0, 1)]:
+                infos, w = baselines.run_ewa(candles, 210, 300, baselines.EWAConfig(n, eta, t_re),
+                                             l0=500.0, path_model=path_model)
+                out += infos + [w.tobytes()]
+            return out
+
+        self.check(monkeypatch, run)
+
+    def test_drift_study(self, monkeypatch):
+        self.check(monkeypatch, lambda: list(backtest.drift_neutrality_study(
+            n_seeds=3, horizon=60, tau=4).items()))
+
+    def test_tabular_rewards(self, monkeypatch):
+        self.check(monkeypatch, lambda: [toymdp.build_tabular_mdp()[1].tobytes()])
+
+    def test_identity_and_fee_criteria(self, monkeypatch):
+        self.check(monkeypatch, lambda: [
+            verification.check_accounting_identity(n_trials=300).detail,
+            verification.check_fee_oracle(n_paths=40, n_micro=500).detail])

@@ -327,6 +327,17 @@ class TestEwa:
                 assert abs(g[key] - o[key]) <= 1e-12 * max(1.0, abs(o[key])), key
         assert len(got) == len(want) == 300
 
+    def test_unknown_path_model_rejected_before_any_hour(self, monkeypatch):
+        def no_walk(*args, **kwargs):
+            raise AssertionError("an hour was replayed before path_model was checked")
+
+        monkeypatch.setattr("clmmlab.baselines.lvr_over_path", no_walk)
+        candles = synth_gbm(100.0, 0.0, 0.01, 300, seed=9)
+        with pytest.raises(ValueError,
+                           match=r"path_model must be one of \('candle', 'open-close'\), "
+                                 r"got 'bogus'"):
+            run_ewa(candles, 210, 10, EWAConfig(3, 1.0, 4), path_model="bogus")
+
     def test_default_tables(self):
         assert TAU_DEFAULTS[("usdt", 3, 250)] == 10
         assert TAU_DEFAULTS[("usdc", 1, 1000)] == 1

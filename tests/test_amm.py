@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from clmmlab import amm
+from clmmlab import accounting, amm
 from oracles import micro_fee_oracle, random_band_and_path, reserves_oracle, value_oracle
 
 
@@ -131,32 +131,42 @@ def test_value_reserve_consistency_exact():
             assert amm.position_value(L, pa, pb, p) == p * r.x + r.y
 
 
+# Fees are accrued by the ledger kernel; these two give its fee total the
+# (L, pa, pb, ...) signature the fee tests below are written against.
+def fee_over_path(L, pa, pb, path, fee_tier):
+    return accounting.lvr_over_path(amm.LiquidityPosition(pa, pb, L), path, fee_tier)[1]
+
+
+def fee_one_move(L, pa, pb, p0, p1, fee_tier):
+    return fee_over_path(L, pa, pb, [p0, p1], fee_tier)
+
+
 def test_fee_one_move_upward():
     L, pa, pb = band()
-    fee = amm.fee_one_move(L, pa, pb, 1.0, 1.21, 0.003)
+    fee = fee_one_move(L, pa, pb, 1.0, 1.21, 0.003)
     assert fee == pytest.approx(0.0003009027081243732, rel=1e-12)
 
 
 def test_fee_one_move_clips_to_band():
     L, pa, pb = band()
-    fee = amm.fee_one_move(L, pa, pb, 2.25, 9.0, 0.003)
+    fee = fee_one_move(L, pa, pb, 2.25, 9.0, 0.003)
     assert fee == pytest.approx(0.0015045135406218657, rel=1e-12)
     # fully outside, and touching from outside
-    assert amm.fee_one_move(L, pa, pb, 4.0, 9.0, 0.003) == 0.0
-    assert amm.fee_one_move(L, pa, pb, 9.0, 4.0, 0.003) == 0.0
-    assert amm.fee_one_move(L, pa, pb, 0.25, 1.0, 0.003) == 0.0
-    assert amm.fee_one_move(L, pa, pb, 2.0, 2.0, 0.003) == 0.0
+    assert fee_one_move(L, pa, pb, 4.0, 9.0, 0.003) == 0.0
+    assert fee_one_move(L, pa, pb, 9.0, 4.0, 0.003) == 0.0
+    assert fee_one_move(L, pa, pb, 0.25, 1.0, 0.003) == 0.0
+    assert fee_one_move(L, pa, pb, 2.0, 2.0, 0.003) == 0.0
 
 
 def test_fee_over_path_round_trip():
     # down leg earns the same as the up leg it retraces: fees depend on
     # |sqrt dp| of the clipped segment, not direction
     L, pa, pb = band()
-    total = amm.fee_over_path(L, pa, pb, [1.0, 1.21, 1.0], 0.003)
+    total = fee_over_path(L, pa, pb, [1.0, 1.21, 1.0], 0.003)
     assert total == pytest.approx(0.0006018054162487464, rel=1e-12)
     with pytest.raises(ValueError):
-        amm.fee_over_path(L, pa, pb, [], 0.003)
-    assert amm.fee_over_path(L, pa, pb, [2.0], 0.003) == 0.0
+        fee_over_path(L, pa, pb, [], 0.003)
+    assert fee_over_path(L, pa, pb, [2.0], 0.003) == 0.0
 
 
 def test_fee_additivity_on_monotone_moves():
@@ -166,14 +176,14 @@ def test_fee_additivity_on_monotone_moves():
         p0 = pa * 0.8
         p2 = pb * 1.2
         p1 = float(rng.uniform(p0, p2))
-        whole = amm.fee_one_move(L, pa, pb, p0, p2, 0.003)
-        split = amm.fee_one_move(L, pa, pb, p0, p1, 0.003) + amm.fee_one_move(
+        whole = fee_one_move(L, pa, pb, p0, p2, 0.003)
+        split = fee_one_move(L, pa, pb, p0, p1, 0.003) + fee_one_move(
             L, pa, pb, p1, p2, 0.003
         )
         assert split == pytest.approx(whole, rel=1e-12, abs=1e-15)
         # downward
-        whole_d = amm.fee_one_move(L, pa, pb, p2, p0, 0.003)
-        split_d = amm.fee_one_move(L, pa, pb, p2, p1, 0.003) + amm.fee_one_move(
+        whole_d = fee_one_move(L, pa, pb, p2, p0, 0.003)
+        split_d = fee_one_move(L, pa, pb, p2, p1, 0.003) + fee_one_move(
             L, pa, pb, p1, p0, 0.003
         )
         assert split_d == pytest.approx(whole_d, rel=1e-12, abs=1e-15)
@@ -184,15 +194,15 @@ def test_fee_nonnegative_and_zero_fee_tier():
     rng = np.random.default_rng(17)
     for _ in range(200):
         L, pa, pb, path = random_band_and_path(rng)
-        assert amm.fee_over_path(L, pa, pb, path, 0.003) >= 0.0
-    assert amm.fee_one_move(1.0, 1.0, 4.0, 1.0, 2.0, 0.0) == 0.0
+        assert fee_over_path(L, pa, pb, path, 0.003) >= 0.0
+    assert fee_one_move(1.0, 1.0, 4.0, 1.0, 2.0, 0.0) == 0.0
 
 
 def test_fee_matches_micro_step_oracle():
     rng = np.random.default_rng(19)
     for _ in range(50):
         L, pa, pb, path = random_band_and_path(rng)
-        closed = amm.fee_over_path(L, pa, pb, path, 0.003)
+        closed = fee_over_path(L, pa, pb, path, 0.003)
         brute = micro_fee_oracle(L, pa, pb, path, 0.003, n_micro=2000)
         assert closed == pytest.approx(brute, rel=1e-9, abs=1e-15)
 

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from clmmlab import env as envmod
-from clmmlab.amm import fee_over_path
 from clmmlab.backtest import BacktestResult, RunConfig, RunError, write_run_dir
 from clmmlab.cli import main
 from clmmlab.env import EnvConfig, LPEnv
 from clmmlab.marketdata import Candle, synth_gbm
 
-from oracles import lvr_vform_oracle, micro_fee_oracle
+from oracles import fee_over_path, lvr_vform_oracle, micro_fee_oracle
 
 T0 = 1609459200
 HOUR = 3600
@@ -200,6 +199,19 @@ class TestEpisodeIdentities:
         assert code == 1
         assert err.startswith("error: config: path_model must be one of")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("model", ["bogus", "swap-replay", "Candle", ""])
+    def test_hour_path_rejects_unknown_model(self, model):
+        c = Candle(T0, 100.0, 101.0, 99.0, 100.5, 1.0)
+        assert envmod.hour_path(99.0, c, "candle") == [99.0, 100.0, 99.0, 101.0, 100.5]
+        assert envmod.hour_path(99.0, c, "open-close") == [99.0, 100.0, 100.5]
+        with pytest.raises(ValueError) as exc:
+            envmod.hour_path(99.0, c, model)
+        with pytest.raises(ValueError) as cfg_exc:
+            cfg(path_model=model)
+        assert str(exc.value) == str(cfg_exc.value)
+        assert str(exc.value) == (
+            f"path_model must be one of ('candle', 'open-close'), got {model!r}")
 
 
 class TestRangeExitOracle:
