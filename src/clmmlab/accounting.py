@@ -18,11 +18,12 @@ minus |lvr|, with all directional exposure netted out.
 
 lvr_over_path is the one ledger kernel: one walk returns the totals
 (lvr, fee, dv, hedge) summed in walk order; a per-move ledger is the
-kernel applied to path[i:i+2].
+kernel applied to path[i:i+2].  ordered_sum is the one way to total a
+ledger column over hours.
 """
 
 from math import sqrt
-from typing import Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 from .amm import LiquidityPosition, _check_price
 
@@ -67,3 +68,12 @@ def lvr_over_path(
                 fee += rate_l * abs(s1 - s0)
         p0, x0, y0, s0 = p1, x1, y1, s1
     return lvr, fee, dv, hedge
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """Left-to-right float sum from 0.0: sum() up to Python 3.11, which
+    from 3.12 compensates and can change artifact totals in the last bit."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total

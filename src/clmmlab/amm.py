@@ -99,8 +99,10 @@ class LiquidityPosition:
             raise ValueError(
                 f"need price_lower < price_upper, got [{self.price_lower}, {self.price_upper}]"
             )
-        if self.liquidity < 0.0:
-            raise ValueError(f"liquidity must be >= 0, got {self.liquidity}")
+        if not math.isfinite(self.price_upper):
+            raise ValueError(f"price_upper must be finite, got {self.price_upper}")
+        if not 0.0 <= self.liquidity < math.inf:
+            raise ValueError(f"liquidity must be finite and >= 0, got {self.liquidity}")
 
     @classmethod
     def from_ticks(

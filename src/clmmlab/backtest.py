@@ -1,10 +1,11 @@
 """Backtest orchestration: run configs, method runners, drift studies.
 
 A backtest replays one strategy over one candle window and produces a
-result with the hour-by-hour trace plus the relative fee / gas / LVR /
-PnL decomposition. Strategies share the same accounting (the env for
-tau-reset and the greedy net, the standalone replay for EWA), so rows
-from different methods are directly comparable.
+result with one env.HourRecord per hour plus the relative fee / gas /
+LVR / PnL decomposition, totalled by accounting.ordered_sum. Strategies
+share the same accounting (the env for tau-reset and the greedy net, the
+standalone replay for EWA), so rows from different methods are directly
+comparable; the drift study replays through run_backtest too.
 """
 
 import dataclasses
@@ -12,19 +13,21 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .accounting import ordered_sum
 from .amm import PoolSpec
 from .baselines import (EWAConfig, EWA_DEFAULTS, TAU_DEFAULTS, ewa_config_for,
                         run_ewa, run_tau_reset)
 from .dqn import greedy_rollout
-from .env import (EnvConfig, LPEnv, PATH_MODELS, REWARD_MODES,
+from .env import (EnvConfig, HourRecord, LPEnv, PATH_MODELS, REWARD_MODES,
                   TRACE_CSV_HEADER)
-from .features import WARMUP_CANDLES, FeatureScaler, compute_feature_matrix
+from .features import WARMUP_CANDLES, FeatureScaler
 from .marketdata import Candle, synth_gbm
+from .report import REPORT_CSV_HEADER, in_header_order, write_csv_rows
 from . import nets
 
 METHODS = ("ddqn", "tau-reset", "ewa")
@@ -77,10 +80,12 @@ class RunConfig:
                            f"got {self.path_model!r}")
         if self.period is not None and self.period not in (1, 2, 3, 4):
             raise RunError(f"period must be 1..4, got {self.period}")
-        if self.l0 <= 0.0:
-            raise RunError(f"l0 must be positive, got {self.l0}")
-        if self.gas < 0.0:
-            raise RunError(f"gas must be >= 0, got {self.gas}")
+        if not 0.0 < self.l0 < math.inf:
+            raise RunError(f"l0 must be positive and finite, got {self.l0}")
+        if not 0.0 <= self.gas < math.inf:
+            raise RunError(f"gas must be finite and >= 0, got {self.gas}")
+        if self.ewa_eta is not None and not 0.0 < self.ewa_eta < math.inf:
+            raise RunError(f"ewa_eta must be positive and finite, got {self.ewa_eta}")
         if self.n_actions < 1:
             raise RunError(f"n_actions must be >= 1, got {self.n_actions}")
 
@@ -157,21 +162,23 @@ class BacktestResult:
     label: str
     offset: int
     horizon: int
-    infos: List[Dict]
+    records: List[HourRecord]
     weights: Optional[np.ndarray] = None
 
-    def total(self, key: str) -> float:
-        return float(sum(info[key] for info in self.infos))
+    def total(self, column: str) -> float:
+        return ordered_sum(getattr(r, column) for r in self.records)
 
-    def relative_pnl(self) -> float:
-        carry = self.total("lvr") if self.config.reward_mode == "hedged" \
-            else self.total("dv")
+    def relative_pnl(self, reward_mode: Optional[str] = None) -> float:
+        """(fee - gas + lvr) / l0, with dv for lvr when not hedged; the mode
+        defaults to the config's reward_mode."""
+        mode = reward_mode or self.config.reward_mode
+        carry = self.total("lvr") if mode == "hedged" else self.total("dv")
         return (self.total("fee") - self.total("gas") + carry) / self.config.l0
 
     def action_histogram(self) -> np.ndarray:
         counts = np.zeros(self.config.n_actions + 1, dtype=int)
-        for info in self.infos:
-            counts[info["action"]] += 1
+        for r in self.records:
+            counts[r.action] += 1
         return counts
 
     def to_row(self) -> Dict:
@@ -196,7 +203,7 @@ class BacktestResult:
             "relative_gas": self.total("gas") / l0,
             "relative_lvr": -self.total("lvr") / l0,
             "relative_pnl": self.relative_pnl(),
-            "reallocations": sum(1 for i in self.infos if i["action"] != 0),
+            "reallocations": sum(1 for r in self.records if r.action != 0),
         }
 
 
@@ -248,16 +255,16 @@ def run_backtest(
 
     if config.method == "tau-reset":
         env = _env_for(config, candles, offset, horizon, False, None, None)
-        _, infos = run_tau_reset(env, config.tau, offset)
-        return BacktestResult(config, label, offset, horizon, infos)
+        records = run_tau_reset(env, config.tau, offset)
+        return BacktestResult(config, label, offset, horizon, records)
 
     if config.method == "ewa":
         ewa = EWAConfig(n_widths=config.ewa_widths, eta=config.ewa_eta,
                         t_re=config.ewa_t_re)
-        infos, weights = run_ewa(
+        records, weights = run_ewa(
             candles, offset, horizon, ewa, pool=config.pool_spec(),
             l0=config.l0, gas=config.gas, path_model=config.path_model)
-        return BacktestResult(config, label, offset, horizon, infos,
+        return BacktestResult(config, label, offset, horizon, records,
                               weights=weights)
 
     # ddqn
@@ -277,8 +284,8 @@ def run_backtest(
             f"feature warmup")
     env = _env_for(config, candles, offset, horizon, True, feature_matrix,
                    scaler)
-    _, _, infos = greedy_rollout(env, params, offset)
-    return BacktestResult(config, label, offset, horizon, infos)
+    _, _, records = greedy_rollout(env, params, offset)
+    return BacktestResult(config, label, offset, horizon, records)
 
 
 def write_run_dir(result: BacktestResult, out_dir: str) -> Dict[str, str]:
@@ -287,8 +294,6 @@ def write_run_dir(result: BacktestResult, out_dir: str) -> Dict[str, str]:
     Every file embeds the config hash and seed so artifacts can be
     traced back to the exact run that produced them.
     """
-    from .report import write_csv_rows  # local import to avoid a cycle
-
     os.makedirs(out_dir, exist_ok=True)
     digest = config_hash(result.config)
     seed = result.config.seed
@@ -303,22 +308,17 @@ def write_run_dir(result: BacktestResult, out_dir: str) -> Dict[str, str]:
         fh.write("\n")
 
     paths["report"] = os.path.join(out_dir, "report.csv")
-    from .report import REPORT_CSV_HEADER
-    write_csv_rows(paths["report"], REPORT_CSV_HEADER, [result.to_row()])
+    write_csv_rows(paths["report"], REPORT_CSV_HEADER,
+                   in_header_order([result.to_row()], REPORT_CSV_HEADER))
 
-    trace_header = TRACE_CSV_HEADER + ["config_hash", "seed"]
-    trace_rows = [dict({k: info[k] for k in TRACE_CSV_HEADER},
-                       config_hash=digest, seed=seed)
-                  for info in result.infos]
     paths["trace"] = os.path.join(out_dir, "trace.csv")
-    write_csv_rows(paths["trace"], trace_header, trace_rows)
+    write_csv_rows(paths["trace"], TRACE_CSV_HEADER + ["config_hash", "seed"],
+                   [r + (digest, seed) for r in result.records])
 
-    hist = result.action_histogram()
-    action_rows = [{"action": a, "count": int(n), "config_hash": digest,
-                    "seed": seed} for a, n in enumerate(hist)]
     paths["actions"] = os.path.join(out_dir, "actions.csv")
     write_csv_rows(paths["actions"], ["action", "count", "config_hash", "seed"],
-                   action_rows)
+                   [(a, int(n), digest, seed)
+                    for a, n in enumerate(result.action_histogram())])
     return paths
 
 
@@ -335,47 +335,39 @@ def drift_neutrality_study(
     n_seeds: int = 100,
     horizon: int = 1000,
     tau: int = 12,
-    l0: float = 250.0,
-    gas: float = 0.0,
-    p0: float = 2000.0,
     seed0: int = 0,
-    pool: Optional[PoolSpec] = None,
-    path_model: str = "open-close",
 ) -> Dict[float, Dict[str, float]]:
     """Tau-reset on synthetic GBM across drifts, paired by seed.
 
     Seed k uses the same Gaussian draws under every drift, so the drift
-    effect is isolated from path noise. Each run is accounted both ways
-    from the same trace: hedged PnL uses the rebalancing residual, the
-    unhedged variant uses the raw position value change.
+    effect is isolated from path noise. Each run is one run_backtest
+    (l0 = 250, prices from 2000) accounted both ways from the same trace:
+    hedged PnL uses the rebalancing residual, unhedged the value change.
 
-    The defaults isolate the hedging mechanism itself. Hedged PnL is
-    drift-neutral only when the variance-driven net (fee - LVR - gas)
+    The fixed settings isolate the hedging mechanism itself. Hedged PnL
+    is drift-neutral only when the variance-driven net (fee - LVR - gas)
     is zero at every price level: a non-zero net is rescaled by the
     drifting level, and a flat gas cost can only balance a level-scaled
-    net at one price. Hence the defaults run gas-free on a pool whose
+    net at one price. Hence the study runs gas-free on a pool whose
     fee tier makes fees match LVR at the study's sigma
-    (EQUILIBRIUM_POOL), and use the wickless open-close hour path, since
+    (EQUILIBRIUM_POOL), and uses the wickless open-close hour path, since
     intra-hour zigzags add a buy-low-sell-high premium to the unhedged
     leg that masks its drift exposure.
     """
+    config = RunConfig(
+        method="tau-reset", fee_tier=EQUILIBRIUM_POOL.fee_tier,
+        tick_spacing=EQUILIBRIUM_POOL.tick_spacing, offset=1, horizon=horizon,
+        l0=250.0, gas=0.0, n_actions=max(10, tau), path_model="open-close",
+        tau=tau)
     out: Dict[float, Dict[str, float]] = {}
     for mu in mu_values:
         hedged = np.empty(n_seeds)
         unhedged = np.empty(n_seeds)
         for k in range(n_seeds):
-            candles = synth_gbm(p0, mu, sigma, horizon + 2, seed=seed0 + k)
-            env = LPEnv(candles, EnvConfig(
-                pool=pool or EQUILIBRIUM_POOL, l0=l0, gas=gas,
-                n_actions=max(10, tau), path_model=path_model,
-                episode_length=horizon, warmup=1, compute_features=False))
-            _, infos = run_tau_reset(env, tau, 1)
-            fee = sum(i["fee"] for i in infos)
-            paid = sum(i["gas"] for i in infos)
-            lvr = sum(i["lvr"] for i in infos)
-            dv = sum(i["dv"] for i in infos)
-            hedged[k] = (fee - paid + lvr) / l0
-            unhedged[k] = (fee - paid + dv) / l0
+            candles = synth_gbm(2000.0, mu, sigma, horizon + 2, seed=seed0 + k)
+            result = run_backtest(candles, config)
+            hedged[k] = result.relative_pnl("hedged")
+            unhedged[k] = result.relative_pnl("unhedged")
         out[mu] = {
             "hedged_mean": float(hedged.mean()),
             "hedged_se": float(hedged.std(ddof=1) / math.sqrt(n_seeds)),

@@ -13,12 +13,14 @@ Two strategies:
   liquidity of the unit reference opened there, and fee, LVR and value
   are linear in liquidity, so positions = budgets x unit references:
   one ledger walk per width and hour yields both the reward and the
-  position totals.
+  position totals. Its hours are env.HourRecords with center_tick and
+  width 0, since it holds several bands at once.
 
 Default hyperparameters for the benchmark pools, periods, and fund sizes
 ship in TAU_DEFAULTS / EWA_DEFAULTS.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -33,7 +35,7 @@ from .amm import (
     price_to_tick,
     snap_tick,
 )
-from .env import LPEnv, check_path_model, hour_path
+from .env import HourRecord, LPEnv, check_path_model, hour_path
 from .marketdata import Candle
 
 
@@ -49,19 +51,17 @@ def policy_tau_reset(tau: int, position: Optional[LiquidityPosition],
     return 0
 
 
-def run_tau_reset(env: LPEnv, tau: int, offset: int):
-    """Roll the tau-reset policy through one episode; returns (rewards, infos)."""
+def run_tau_reset(env: LPEnv, tau: int, offset: int) -> List[HourRecord]:
+    """Roll the tau-reset policy through one episode; returns its hours."""
     env.reset(offset)
-    rewards: List[float] = []
-    infos: List[Dict] = []
+    records: List[HourRecord] = []
     done = False
     while not done:
         close = env.candles[env.t].close
         a = policy_tau_reset(tau, env.position, close)
-        _, r, done, info = env.step(a)
-        rewards.append(r)
-        infos.append(info)
-    return rewards, infos
+        _, _, done, record = env.step(a)
+        records.append(record)
+    return records
 
 
 @dataclass(frozen=True)
@@ -73,8 +73,8 @@ class EWAConfig:
     def __post_init__(self):
         if self.n_widths < 1:
             raise ValueError(f"n_widths must be >= 1, got {self.n_widths}")
-        if self.eta <= 0.0:
-            raise ValueError(f"eta must be > 0, got {self.eta}")
+        if not 0.0 < self.eta < math.inf:
+            raise ValueError(f"eta must be positive and finite, got {self.eta}")
         if self.t_re < 1:
             raise ValueError(f"t_re must be >= 1, got {self.t_re}")
 
@@ -113,7 +113,8 @@ def run_ewa(
     t = 1..horizon; decisions use close prices and rewards observed so
     far. Hour 0 performs a gas-free uniform initial split.
 
-    Returns (per-hour info dicts, final weights).
+    Returns (per-hour records, final weights); a record's action is 1 on
+    reallocation hours and 0 otherwise.
     """
     pool = pool or PoolSpec()
     n = config.n_widths
@@ -128,13 +129,13 @@ def run_ewa(
     cum_rewards = np.zeros(n)
     weights = np.full(n, 1.0 / n)
     ledger = np.empty((3, n))  # per-reference fee, lvr, dv of one hour
-    infos: List[Dict] = []
+    records: List[HourRecord] = []
 
     for t in range(1, horizon + 1):
         idx = offset + t
         prev_close = candles[idx - 1].close
         gas_paid = 0.0
-        reallocated = False
+        action = 0
         if t % config.t_re == 0:
             weights = ewa_weights(cum_rewards, config.eta)
             wealth = cash + float(budgets @ [r.value(prev_close) for r in references])
@@ -142,7 +143,7 @@ def run_ewa(
             budgets = wealth * weights
             cash = 0.0
             gas_paid = gas
-            reallocated = True
+            action = 1
 
         path = hour_path(prev_close, candles[idx], path_model)
         for k, ref in enumerate(references):
@@ -152,25 +153,11 @@ def run_ewa(
         fee, lvr, dv = (float(x) for x in ledger @ budgets)
 
         cash += fee
-        reward = fee + lvr - gas_paid
-        value = float(budgets @ [r.value(candles[idx].close) for r in references])
-        infos.append({
-            "t": t,
-            "action": 1 if reallocated else 0,
-            "fee": fee,
-            "lvr": lvr,
-            "gas": gas_paid,
-            "dv": dv,
-            "hedge_pnl": lvr - dv,
-            "reallocated": reallocated,
-            "cash": cash,
-            "center_tick": 0,
-            "width": 0,
-            "value": value,
-            "close": candles[idx].close,
-            "reward": reward,
-        })
-    return infos, weights
+        close = candles[idx].close
+        value = float(budgets @ [r.value(close) for r in references])
+        records.append(HourRecord(t, action, fee, lvr, gas_paid, dv,
+                                  fee + lvr - gas_paid, cash, 0, 0, value, close))
+    return records, weights
 
 
 # Benchmark defaults, keyed by (pool, period, l0). Pools are the two

@@ -9,22 +9,20 @@ machine-parsable line: `error: <category>: <message>`.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
-from typing import Dict, List, Optional, Sequence
-
-import numpy as np
+from typing import Dict, Optional, Sequence
 
 from . import nets
-from .backtest import (BacktestResult, RunConfig, RunError, config_hash,
-                       dict_hash, run_backtest, write_run_dir)
+from .backtest import RunConfig, RunError, dict_hash, run_backtest, write_run_dir
 from .dqn import DDQNConfig, TRAINING_LOG_HEADER, train_ddqn
 from .env import EnvConfig, LPEnv
 from .features import (FeatureScaler, WARMUP_CANDLES, compute_feature_matrix,
                        write_features_csv)
 from .marketdata import (DataValidationError, _utc, load_candles_csv)
-from .report import Report, ReportError, write_csv_rows
+from .report import Report, ReportError, in_header_order, write_csv_rows
 from .amm import PoolSpec
 
 PROG = "clmmlab"
@@ -130,6 +128,10 @@ def _train_settings(args) -> Dict:
     merged = dict(TRAIN_DEFAULTS)
     merged.update({k: v for k, v in data.items() if v is not None})
     _require(merged, "candles")
+    for key in ("budget", "episodes", "train_hours", "val_hours"):
+        value = merged.get(key)
+        if value is not None and not (isinstance(value, int) and value > 0):
+            raise CliError("config", f"{key} must be a positive integer, got {value!r}")
     return merged
 
 
@@ -142,30 +144,33 @@ def cmd_train(args) -> int:
     usable = len(candles) - WARMUP_CANDLES - 1
     if usable < 20:
         raise CliError("data", f"series too short to train on: {len(candles)} candles")
-    train_hours = s.get("train_hours") or int(usable * 0.7)
-    val_hours = s.get("val_hours") or max(len(candles) - WARMUP_CANDLES - 1
-                                          - train_hours - 1, 10)
+    train_hours = s.get("train_hours", int(usable * 0.7))
+    val_hours = s.get("val_hours", max(len(candles) - WARMUP_CANDLES - 1
+                                       - train_hours - 1, 10))
     episode_length = int(s["episode_length"])
     if train_hours < episode_length + 1:
         raise CliError("config", "train_hours must exceed episode_length")
     val_start = WARMUP_CANDLES + train_hours
     if val_start + val_hours >= len(candles):
         raise CliError("config", "train_hours + val_hours exceed the series")
-    budget = s.get("budget") or int(s["episodes"]) * episode_length
+    budget = s.get("budget", int(s["episodes"]) * episode_length)
 
     pool = PoolSpec(fee_tier=float(s["fee_tier"]),
                     tick_spacing=int(s["tick_spacing"]))
     matrix = compute_feature_matrix(candles)
     scaler = FeatureScaler.fit(matrix[WARMUP_CANDLES:val_start])
-    base = dict(pool=pool, l0=float(s["l0"]), gas=float(s["gas"]),
-                n_actions=int(s["n_actions"]), path_model=str(s["path_model"]),
-                reward_mode=str(s["reward_mode"]))
+    try:
+        train_config = EnvConfig(
+            pool=pool, l0=float(s["l0"]), gas=float(s["gas"]),
+            n_actions=int(s["n_actions"]), path_model=str(s["path_model"]),
+            reward_mode=str(s["reward_mode"]), episode_length=episode_length)
+    except ValueError as e:
+        raise CliError("config", str(e))
     train_slice = slice(0, val_start + 1)
-    train_env = LPEnv(candles[train_slice],
-                      EnvConfig(episode_length=episode_length, **base),
+    train_env = LPEnv(candles[train_slice], train_config,
                       feature_matrix=matrix[train_slice], scaler=scaler)
     eval_env = LPEnv(candles[:val_start + val_hours + 1],
-                     EnvConfig(episode_length=val_hours, **base),
+                     dataclasses.replace(train_config, episode_length=val_hours),
                      feature_matrix=matrix[:val_start + val_hours + 1],
                      scaler=scaler)
     dconf = DDQNConfig(learning_rate=float(s["learning_rate"]),
@@ -186,9 +191,10 @@ def cmd_train(args) -> int:
                 "episodes": result.episodes, "steps": result.steps}
     ckpt = os.path.join(out_dir, "checkpoint.json")
     nets.save_checkpoint(ckpt, result.params, metadata=metadata)
-    log_rows = [dict(r, config_hash=digest, seed=seed) for r in result.log]
     write_csv_rows(os.path.join(out_dir, "training_log.csv"),
-                   TRAINING_LOG_HEADER + ["config_hash", "seed"], log_rows)
+                   TRAINING_LOG_HEADER + ["config_hash", "seed"],
+                   [values + [digest, seed] for values in
+                    in_header_order(result.log, TRAINING_LOG_HEADER)])
     with open(os.path.join(out_dir, "run.json"), "w") as fh:
         json.dump({"config": settings, "config_hash": digest, "seed": seed,
                    "steps": result.steps, "episodes": result.episodes,

@@ -133,20 +133,21 @@ def ddqn_target(
 
 
 def greedy_rollout(env, params: NetworkParams, offset: int):
-    """Run one episode acting greedily; returns (total reward, actions, infos)."""
+    """Run one episode acting greedily; returns (total reward, actions,
+    records), a record being env.step's fourth value (LPEnv: HourRecord)."""
     obs = env.reset(offset)
     total = 0.0
     actions: List[int] = []
-    infos: List[Dict] = []
+    records = []
     done = False
     while not done:
         q, _, _ = nets.forward(params, obs)
         a = int(q.argmax())
-        obs, r, done, info = env.step(a)
+        obs, r, done, record = env.step(a)
         total += r
         actions.append(a)
-        infos.append(info)
-    return total, actions, infos
+        records.append(record)
+    return total, actions, records
 
 
 @dataclass

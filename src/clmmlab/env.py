@@ -16,6 +16,7 @@ Cash never compounds into the position while holding: fees pile up in c
 and are reinvested only at the next reallocation. Gas is charged in the
 reward, not deducted from the invested budget, so the episode PnL
 decomposes exactly as sum(fee) - gas * n_realloc + sum(lvr or dv).
+Each step returns the hour as an HourRecord, a row of trace.csv.
 
 Intra-hour path models:
     candle      close_t -> open -> low -> high -> close for an up candle
@@ -23,8 +24,9 @@ Intra-hour path models:
     open-close  close_t -> open -> close
 """
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,10 +51,13 @@ from .marketdata import Candle
 PATH_MODELS = ("candle", "open-close")
 REWARD_MODES = ("hedged", "unhedged")
 
-TRACE_CSV_HEADER = [
-    "t", "action", "fee", "lvr", "gas", "dv", "reward",
-    "cash", "center_tick", "width", "value", "close",
-]
+# One hour of a replay, after it elapsed: t is the candle the hour ends on
+# (hours since the offset for EWA), where cash, value and close are marked.
+HourRecord = NamedTuple("HourRecord", [
+    ("t", int), ("action", int), ("fee", float), ("lvr", float), ("gas", float),
+    ("dv", float), ("reward", float), ("cash", float), ("center_tick", int),
+    ("width", int), ("value", float), ("close", float)])
+TRACE_CSV_HEADER = list(HourRecord._fields)
 
 
 def check_path_model(model: str) -> None:
@@ -91,14 +96,14 @@ class EnvConfig:
     obs_mode: str = "scaled"
 
     def __post_init__(self):
-        if self.l0 <= 0.0:
-            raise ValueError(f"l0 must be positive, got {self.l0}")
+        if not 0.0 < self.l0 < math.inf:
+            raise ValueError(f"l0 must be positive and finite, got {self.l0}")
         if self.n_actions < 1:
             raise ValueError(f"n_actions must be >= 1, got {self.n_actions}")
         if self.episode_length < 1:
             raise ValueError(f"episode_length must be >= 1, got {self.episode_length}")
-        if self.gas < 0.0:
-            raise ValueError(f"gas must be >= 0, got {self.gas}")
+        if not 0.0 <= self.gas < math.inf:
+            raise ValueError(f"gas must be finite and >= 0, got {self.gas}")
         check_path_model(self.path_model)
         if self.reward_mode not in REWARD_MODES:
             raise ValueError(f"reward_mode must be one of {REWARD_MODES}, got {self.reward_mode!r}")
@@ -137,7 +142,6 @@ class LPEnv:
                     f"{len(self.candles)} candles"
                 )
         self.features = feature_matrix
-        self._closes = np.array([c.close for c in self.candles])
         self._t = -1
         self._steps_taken = 0
         self.done = True
@@ -221,7 +225,7 @@ class LPEnv:
 
     # -- dynamics ----------------------------------------------------------
 
-    def step(self, action: int) -> Tuple[Optional[np.ndarray], float, bool, Dict]:
+    def step(self, action: int) -> Tuple[Optional[np.ndarray], float, bool, HourRecord]:
         if self.done:
             raise RuntimeError("episode is done; call reset() first")
         action = int(action)
@@ -240,7 +244,7 @@ class LPEnv:
 
         nxt = self.candles[t + 1]
         path = hour_path(close_t, nxt, self.config.path_model)
-        lvr, fee, dv, hedge = lvr_over_path(
+        lvr, fee, dv, _ = lvr_over_path(
             self.position, path, fee_tier=self.config.pool.fee_tier)
 
         if self.config.reward_mode == "hedged":
@@ -252,22 +256,8 @@ class LPEnv:
         self._t = t + 1
         self._steps_taken += 1
         self.done = self._steps_taken >= self.config.episode_length
-        value = self.position_value(nxt.close)
-        info = {
-            "t": self._t,
-            "action": action,
-            "fee": fee,
-            "lvr": lvr,
-            "gas": gas,
-            "dv": dv,
-            "hedge_pnl": hedge,
-            "reallocated": action >= 1,
-            "cash": self.cash,
-            "center_tick": self.center_tick,
-            "width": self.width,
-            "value": value,
-            "close": nxt.close,
-            "reward": reward,
-        }
-        return self._observe(), reward, self.done, info
-
+        # positional: keyword arguments double the cost of building a record
+        record = HourRecord(self._t, action, fee, lvr, gas, dv, reward, self.cash,
+                            self.center_tick, self.width,
+                            self.position_value(nxt.close), nxt.close)
+        return self._observe(), reward, self.done, record

@@ -19,8 +19,8 @@ on, and asking for features earlier raises WarmupError.
 
 import csv
 import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 

@@ -10,7 +10,7 @@ import csv
 import importlib.resources
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 REPORT_CSV_HEADER = [
     "pool", "fee_tier", "tick_spacing", "period", "method", "label", "l0",
@@ -40,12 +40,17 @@ class ReportError(ValueError):
 
 
 def write_csv_rows(path: str, header: Sequence[str],
-                   rows: Sequence[Dict]) -> None:
+                   rows: Iterable[Sequence]) -> None:
+    """The package's one CSV writer: a header, then rows of values in its order."""
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(header))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def in_header_order(rows: Iterable[Dict], header: Sequence[str]) -> List[List]:
+    """Mapping rows as value lists for write_csv_rows."""
+    return [[row[k] for k in header] for row in rows]
 
 
 def _parse_row(row: Dict) -> Dict:
@@ -138,15 +143,18 @@ class Report:
         return out
 
     def write_summary_csv(self, path: str) -> None:
-        write_csv_rows(path, REPORT_CSV_HEADER, self._ordered())
+        write_csv_rows(path, REPORT_CSV_HEADER,
+                       in_header_order(self._ordered(), REPORT_CSV_HEADER))
 
     def write_cumulative_csv(self, path: str) -> None:
-        write_csv_rows(path, CUMULATIVE_CSV_HEADER, self.cumulative_rows())
+        write_csv_rows(path, CUMULATIVE_CSV_HEADER,
+                       in_header_order(self.cumulative_rows(), CUMULATIVE_CSV_HEADER))
 
     def write_actions_csv(self, path: str) -> None:
         rows = [r for key in sorted(self.histograms)
                 for r in self.histograms[key]]
-        write_csv_rows(path, ACTIONS_CSV_HEADER, rows)
+        write_csv_rows(path, ACTIONS_CSV_HEADER,
+                       in_header_order(rows, ACTIONS_CSV_HEADER))
 
 
 # -- published detail table ----------------------------------------------

@@ -17,7 +17,7 @@ worse than the optimum by a wide margin.
 """
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 

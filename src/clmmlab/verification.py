@@ -17,9 +17,8 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from . import nets, tabular, toymdp
-from .accounting import lvr_over_path
-from .amm import (LiquidityPosition, PoolSpec, band_for_center,
-                  liquidity_for_budget, tick_to_price)
+from .accounting import lvr_over_path, ordered_sum
+from .amm import LiquidityPosition, band_for_center, liquidity_for_budget
 from .backtest import (RunConfig, drift_gap, drift_neutrality_study,
                        run_backtest, write_run_dir)
 from .baselines import ewa_weights
@@ -83,9 +82,9 @@ def check_accounting_identity(n_trials: int = 10_000, seed: int = 0
         pos = LiquidityPosition(lo, hi, liq)
         # one kernel call per move keeps the per-move LVR increments
         moves = [lvr_over_path(pos, path[i:i + 2]) for i in range(len(path) - 1)]
-        lvr = sum(m[0] for m in moves)
-        dv = sum(m[2] for m in moves)
-        hedge = sum(m[3] for m in moves)
+        lvr = ordered_sum(m[0] for m in moves)
+        dv = ordered_sum(m[2] for m in moves)
+        hedge = ordered_sum(m[3] for m in moves)
         # hedge is the short leg -x dp, so dV = -hedge + lvr.
         rel = abs(dv + hedge - lvr) / max(1.0, abs(dv))
         worst_rel = max(worst_rel, rel)

@@ -7,11 +7,18 @@ walker (LedgerStep, lvr_over_path, fee_one_move, fee_over_path) is the
 scalar code the kernel replaced; it shares only the price check and the
 reserve formulas of clmmlab.amm. The learner oracles share only the
 parameter container, the Adam constants and the error types with
-clmmlab.nets. The two-walk EWA replay at the end runs on the oracle ledger
-and pins down the budgets x references rewrite of run_ewa.
+clmmlab.nets. The two-walk EWA replay runs on the oracle ledger and pins
+down the budgets x references rewrite of run_ewa. The dict-row run-dir
+writer and the four-sum drift study at the end are the code that
+env.HourRecord, report.write_csv_rows and the run_backtest drift study
+replaced; they run on the package's env and ledger and check only the
+writing and the totals.
 """
 
+import csv
+import json
 import math
+import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -19,8 +26,11 @@ import numpy as np
 
 from clmmlab.amm import (LiquidityPosition, PoolSpec, _check_price, band_for_center,
                          liquidity_for_budget, price_to_tick, snap_tick)
-from clmmlab.baselines import EWAConfig, ewa_weights
-from clmmlab.env import hour_path
+from clmmlab.backtest import EQUILIBRIUM_POOL, config_hash
+from clmmlab.baselines import EWAConfig, ewa_weights, run_tau_reset
+from clmmlab.env import TRACE_CSV_HEADER, EnvConfig, LPEnv, hour_path
+from clmmlab.marketdata import synth_gbm
+from clmmlab.report import REPORT_CSV_HEADER
 from clmmlab.marketdata import Candle
 from clmmlab.nets import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, CheckpointError,
                           NetworkParams, TrainingDiverged)
@@ -375,3 +385,100 @@ def run_ewa(
             "reward": reward,
         })
     return infos, weights
+
+
+# -- the dict-row run-dir writer ------------------------------------------
+#
+# write_run_dir as it stood when every hour was an info dict: each trace
+# row is rebuilt as a second dict and written by csv.DictWriter.
+
+
+def write_csv_rows(path: str, header: Sequence[str],
+                   rows: Sequence[Dict]) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(header))
+        writer.writeheader()
+        for row in rows:
+            writer.writerow(row)
+
+
+def write_run_dir(result, out_dir: str) -> Dict[str, str]:
+    """Write run.json, report.csv, trace.csv, actions.csv for one run."""
+    infos = [r._asdict() for r in result.records]
+    os.makedirs(out_dir, exist_ok=True)
+    digest = config_hash(result.config)
+    seed = result.config.seed
+    paths = {}
+
+    run_doc = {"config": result.config.to_dict(), "config_hash": digest,
+               "seed": seed, "label": result.label,
+               "offset": result.offset, "horizon": result.horizon}
+    paths["run"] = os.path.join(out_dir, "run.json")
+    with open(paths["run"], "w") as fh:
+        json.dump(run_doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+    paths["report"] = os.path.join(out_dir, "report.csv")
+    write_csv_rows(paths["report"], REPORT_CSV_HEADER, [result.to_row()])
+
+    trace_header = TRACE_CSV_HEADER + ["config_hash", "seed"]
+    trace_rows = [dict({k: info[k] for k in TRACE_CSV_HEADER},
+                       config_hash=digest, seed=seed)
+                  for info in infos]
+    paths["trace"] = os.path.join(out_dir, "trace.csv")
+    write_csv_rows(paths["trace"], trace_header, trace_rows)
+
+    hist = result.action_histogram()
+    action_rows = [{"action": a, "count": int(n), "config_hash": digest,
+                    "seed": seed} for a, n in enumerate(hist)]
+    paths["actions"] = os.path.join(out_dir, "actions.csv")
+    write_csv_rows(paths["actions"], ["action", "count", "config_hash", "seed"],
+                   action_rows)
+    return paths
+
+
+# -- the four-sum drift study ------------------------------------------------
+#
+# drift_neutrality_study as it stood before it replayed through
+# run_backtest: its own env, and its own sum() per ledger column. sum()
+# adds left to right from 0 up to Python 3.11 only.
+
+
+def drift_neutrality_study(
+    mu_values: Sequence[float] = (0.0005, -0.0005),
+    sigma: float = 0.01,
+    n_seeds: int = 100,
+    horizon: int = 1000,
+    tau: int = 12,
+    l0: float = 250.0,
+    gas: float = 0.0,
+    p0: float = 2000.0,
+    seed0: int = 0,
+    pool: Optional[PoolSpec] = None,
+    path_model: str = "open-close",
+) -> Dict[float, Dict[str, float]]:
+    out: Dict[float, Dict[str, float]] = {}
+    for mu in mu_values:
+        hedged = np.empty(n_seeds)
+        unhedged = np.empty(n_seeds)
+        for k in range(n_seeds):
+            candles = synth_gbm(p0, mu, sigma, horizon + 2, seed=seed0 + k)
+            env = LPEnv(candles, EnvConfig(
+                pool=pool or EQUILIBRIUM_POOL, l0=l0, gas=gas,
+                n_actions=max(10, tau), path_model=path_model,
+                episode_length=horizon, warmup=1, compute_features=False))
+            infos = [r._asdict() for r in run_tau_reset(env, tau, 1)]
+            fee = sum(i["fee"] for i in infos)
+            paid = sum(i["gas"] for i in infos)
+            lvr = sum(i["lvr"] for i in infos)
+            dv = sum(i["dv"] for i in infos)
+            hedged[k] = (fee - paid + lvr) / l0
+            unhedged[k] = (fee - paid + dv) / l0
+        out[mu] = {
+            "hedged_mean": float(hedged.mean()),
+            "hedged_se": float(hedged.std(ddof=1) / math.sqrt(n_seeds)),
+            "unhedged_mean": float(unhedged.mean()),
+            "unhedged_se": float(unhedged.std(ddof=1) / math.sqrt(n_seeds)),
+            "n_seeds": n_seeds,
+        }
+    return out

@@ -1,4 +1,6 @@
 import math
+import struct
+import sys
 
 import numpy as np
 import pytest
@@ -256,8 +258,7 @@ class TestCallersReplayBitwiseOnOracle:
                                                   compute_features=False, warmup=1))
             out = []
             for tau in (1, 3, 10):
-                rewards, infos = baselines.run_tau_reset(lp, tau, 1)
-                out += [rewards] + infos
+                out += baselines.run_tau_reset(lp, tau, 1)
             return out
 
         self.check(monkeypatch, run)
@@ -269,9 +270,9 @@ class TestCallersReplayBitwiseOnOracle:
         def run():
             out = []
             for n, eta, t_re in [(10, 1.0, 24), (4, 2.0, 1)]:
-                infos, w = baselines.run_ewa(candles, 210, 300, baselines.EWAConfig(n, eta, t_re),
-                                             l0=500.0, path_model=path_model)
-                out += infos + [w.tobytes()]
+                records, w = baselines.run_ewa(candles, 210, 300, baselines.EWAConfig(n, eta, t_re),
+                                               l0=500.0, path_model=path_model)
+                out += records + [w.tobytes()]
             return out
 
         self.check(monkeypatch, run)
@@ -287,3 +288,45 @@ class TestCallersReplayBitwiseOnOracle:
         self.check(monkeypatch, lambda: [
             verification.check_accounting_identity(n_trials=300).detail,
             verification.check_fee_oracle(n_paths=40, n_micro=500).detail])
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+def _adversarial_sums(rng, n_cases=300):
+    """Sequences built to expose summation order: cancellation, +-0.0, subnormals."""
+    tiny = 5e-324
+    yield []
+    yield [-0.0]
+    yield [-0.0, -0.0]
+    yield [0.0, -0.0]
+    yield [tiny, -tiny, tiny]
+    yield [1e16, 1.0, -1e16]
+    yield [1.0, 1e100, 1.0, -1e100]
+    for _ in range(n_cases):
+        n = int(rng.integers(1, 40))
+        big = 10.0 ** rng.integers(-320, 300, size=n)
+        xs = list(rng.choice([-1.0, 1.0], size=n) * big * rng.uniform(0.5, 2.0, size=n))
+        for i in rng.integers(0, n, size=n // 3):
+            xs.insert(int(i), -xs[int(i)])  # exact cancellation partners
+        for i in rng.integers(0, len(xs), size=n // 4):
+            xs[int(i)] = float(rng.choice([0.0, -0.0, tiny, -tiny]))
+        yield [float(x) for x in xs]
+
+
+def test_ordered_sum_is_the_left_to_right_sum():
+    rng = np.random.default_rng(41)
+    for xs in _adversarial_sums(rng):
+        want = 0.0
+        for x in xs:
+            want += x
+        got = accounting.ordered_sum(xs)
+        assert type(got) is float
+        assert _bits(got) == _bits(want), xs
+        assert _bits(accounting.ordered_sum(iter(xs))) == _bits(want)
+        if sys.version_info < (3, 12):
+            assert _bits(got) == _bits(float(sum(xs))), xs
+    assert accounting.ordered_sum([1e16, 1.0, -1e16]) == 0.0
+    assert _bits(accounting.ordered_sum([-0.0])) == _bits(0.0)
+    assert _bits(accounting.ordered_sum([])) == _bits(0.0)

@@ -246,15 +246,15 @@ class TestTauReset:
     def test_run_resets_only_when_out_of_range(self):
         candles = synth_gbm(100.0, 0.0, 0.015, 400, seed=4)
         env = LPEnv(candles, EnvConfig(episode_length=150, compute_features=False))
-        rewards, infos = run_tau_reset(env, 3, 210)
-        assert len(rewards) == 150
-        assert any(i["reallocated"] for i in infos)  # vol is high enough to exit
-        for prev, cur in zip(infos, infos[1:]):
-            if cur["reallocated"]:
-                assert cur["action"] == 3
+        records = run_tau_reset(env, 3, 210)
+        assert len(records) == 150
+        assert any(r.action != 0 for r in records)  # vol is high enough to exit
+        for prev, cur in zip(records, records[1:]):
+            if cur.action != 0:
+                assert cur.action == 3
         # after a reset the new width is tau
-        first = next(i for i in infos if i["reallocated"])
-        assert first["width"] == 3
+        first = next(r for r in records if r.action != 0)
+        assert first.width == 3
 
 
 class TestEwa:
@@ -289,26 +289,26 @@ class TestEwa:
     def test_trigger_cadence_and_gas(self):
         candles = synth_gbm(100.0, 0.0, 0.008, 300, seed=6)
         config = EWAConfig(n_widths=4, eta=1.0, t_re=3)
-        infos, weights = run_ewa(candles, 210, 8, config, l0=250.0, gas=1.0)
-        gas_hours = [i["t"] for i in infos if i["gas"] > 0]
+        records, weights = run_ewa(candles, 210, 8, config, l0=250.0, gas=1.0)
+        gas_hours = [r.t for r in records if r.gas > 0]
         assert gas_hours == [3, 6]
-        assert all(i["gas"] in (0.0, 1.0) for i in infos)  # one charge per event
+        assert all(r.gas in (0.0, 1.0) for r in records)  # one charge per event
         assert abs(weights.sum() - 1.0) < 1e-12
 
     def test_wealth_conservation(self):
         candles = synth_gbm(100.0, 0.0, 0.01, 300, seed=8)
         config = EWAConfig(n_widths=3, eta=2.0, t_re=5)
-        infos, _ = run_ewa(candles, 210, 40, config, l0=250.0, gas=1.0)
-        final = infos[-1]
-        wealth = final["cash"] + final["value"]
-        expected = 250.0 + sum(i["fee"] + i["dv"] for i in infos)
+        records, _ = run_ewa(candles, 210, 40, config, l0=250.0, gas=1.0)
+        final = records[-1]
+        wealth = final.cash + final.value
+        expected = 250.0 + sum(r.fee + r.dv for r in records)
         assert wealth == pytest.approx(expected, abs=1e-9)
 
     def test_reward_is_hedged_net_of_gas(self):
         candles = synth_gbm(100.0, 0.0, 0.01, 300, seed=9)
-        infos, _ = run_ewa(candles, 210, 10, EWAConfig(3, 1.0, 4), l0=250.0, gas=1.0)
-        for i in infos:
-            assert i["reward"] == pytest.approx(i["fee"] + i["lvr"] - i["gas"], abs=1e-12)
+        records, _ = run_ewa(candles, 210, 10, EWAConfig(3, 1.0, 4), l0=250.0, gas=1.0)
+        for r in records:
+            assert r.reward == pytest.approx(r.fee + r.lvr - r.gas, abs=1e-12)
 
     @pytest.mark.parametrize("path_model", ["candle", "open-close"])
     @pytest.mark.parametrize("n_widths,eta,t_re",
@@ -321,10 +321,11 @@ class TestEwa:
         want, w_want = oracles.run_ewa(candles, 210, 300, config, l0=500.0,
                                        gas=1.0, path_model=path_model)
         assert w_got.tobytes() == w_want.tobytes()
-        assert [i["action"] for i in got] == [i["action"] for i in want]
+        assert [r.action for r in got] == [i["action"] for i in want]
         for g, o in zip(got, want):
             for key in ("fee", "lvr", "dv", "cash", "value", "reward", "hedge_pnl"):
-                assert abs(g[key] - o[key]) <= 1e-12 * max(1.0, abs(o[key])), key
+                value = g.lvr - g.dv if key == "hedge_pnl" else getattr(g, key)
+                assert abs(value - o[key]) <= 1e-12 * max(1.0, abs(o[key])), key
         assert len(got) == len(want) == 300
 
     def test_unknown_path_model_rejected_before_any_hour(self, monkeypatch):

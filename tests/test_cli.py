@@ -141,6 +141,24 @@ class TestBacktestCommand:
         assert doc["config"]["seed"] == 9
         assert doc["config"]["tau"] == 4
 
+    @pytest.mark.parametrize("flags,field", [
+        (["--method", "tau-reset", "--tau", "4", "--l0", "nan"], "l0"),
+        (["--method", "tau-reset", "--tau", "4", "--l0", "inf"], "l0"),
+        (["--method", "tau-reset", "--tau", "4", "--gas", "inf"], "gas"),
+        (["--method", "tau-reset", "--tau", "4", "--gas=-inf"], "gas"),
+        (["--method", "ewa", "--ewa-widths", "5", "--ewa-eta", "nan",
+          "--ewa-t-re", "24"], "ewa_eta"),
+    ], ids=["l0-nan", "l0-inf", "gas-inf", "gas--inf", "ewa_eta-nan"])
+    def test_non_finite_option_is_config_error(self, candles_csv, capsys,
+                                               tmp_path, flags, field):
+        out = tmp_path / "run"
+        code, _, err = run_cli(["backtest", *flags, "--candles", candles_csv,
+                                "--out-dir", str(out)], capsys)
+        assert code == 1
+        assert err.strip().startswith(f"error: config: {field} must be")
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
     def test_oracle_tuned_label_lands_in_report(self, candles_csv, capsys,
                                                 tmp_path):
         out = tmp_path / "run"
@@ -184,6 +202,33 @@ class TestTrainCommand:
         assert set(meta["scaler"]) == {"columns", "mean", "std"}
         assert (out / "training_log.csv").exists()
         assert (out / "run.json").exists()
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--budget", "0"), ("--budget", "-5"), ("--episodes", "0"),
+        ("--train-hours", "0"), ("--val-hours", "0"), ("--l0", "nan"),
+        ("--gas", "inf"),
+    ])
+    def test_rejects_values_that_used_to_fall_back(self, candles_csv, capsys,
+                                                   tmp_path, flag, value):
+        out = tmp_path / "t"
+        code, _, err = run_cli(
+            ["train", "--candles", candles_csv, "--episode-length", "40",
+             flag, value, "--out-dir", str(out)], capsys)
+        assert code == 1
+        field = flag[2:].replace("-", "_")
+        assert err.strip().startswith(f"error: config: {field} must be")
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    def test_rejects_non_integer_budget_from_config_file(self, candles_csv,
+                                                         capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"budget": "400"}))
+        code, _, err = run_cli(
+            ["train", "--config", str(cfg), "--candles", candles_csv,
+             "--out-dir", str(tmp_path / "t")], capsys)
+        assert code == 1
+        assert err.strip() == "error: config: budget must be a positive integer, got '400'"
 
     def test_rejects_oversized_split(self, candles_csv, capsys, tmp_path):
         code, _, err = run_cli(

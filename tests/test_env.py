@@ -68,9 +68,9 @@ class TestStep:
         env = LPEnv(flat_candles(260), cfg())
         env.reset(210)
         c0, pos0 = env.cash, env.position
-        obs, r, done, info = env.step(0)
+        obs, r, done, record = env.step(0)
         assert r == 0.0
-        assert info["fee"] == 0.0 and info["lvr"] == 0.0 and info["gas"] == 0.0
+        assert record.fee == 0.0 and record.lvr == 0.0 and record.gas == 0.0
         assert env.cash == c0
         assert env.position == pos0
         assert env.t == 211
@@ -94,26 +94,26 @@ class TestStep:
     def test_reward_formula_on_reallocation(self):
         env = make_env(sigma=0.01)
         env.reset(210)
-        _, r, _, info = env.step(3)
-        assert info["gas"] == env.config.gas == 1.0
-        assert r == pytest.approx(-1.0 + info["fee"] + info["lvr"], abs=1e-15)
+        _, r, _, record = env.step(3)
+        assert record.gas == env.config.gas == 1.0
+        assert r == pytest.approx(-1.0 + record.fee + record.lvr, abs=1e-15)
         assert env.width == 3
 
     def test_unhedged_reward_uses_value_change(self):
         env = make_env(sigma=0.01, reward_mode="unhedged")
         env.reset(210)
-        _, r, _, info = env.step(2)
-        assert r == pytest.approx(-1.0 + info["fee"] + info["dv"], abs=1e-15)
+        _, r, _, record = env.step(2)
+        assert r == pytest.approx(-1.0 + record.fee + record.dv, abs=1e-15)
 
     def test_cash_rule(self):
         env = make_env(sigma=0.01)
         env.reset(210)
         _, _, _, i1 = env.step(0)
-        assert env.cash == pytest.approx(i1["fee"])
+        assert env.cash == pytest.approx(i1.fee)
         _, _, _, i2 = env.step(0)
-        assert env.cash == pytest.approx(i1["fee"] + i2["fee"])
+        assert env.cash == pytest.approx(i1.fee + i2.fee)
         _, _, _, i3 = env.step(2)
-        assert env.cash == pytest.approx(i3["fee"])
+        assert env.cash == pytest.approx(i3.fee)
 
     def test_wealth_invested_at_reallocation(self):
         env = make_env(sigma=0.01)
@@ -128,23 +128,23 @@ class TestStep:
 class TestEpisodeIdentities:
     def run_episode(self, env, actions, offset=210):
         env.reset(offset)
-        infos, rewards = [], []
+        records, rewards = [], []
         for a in actions:
-            _, r, done, info = env.step(a)
+            _, r, done, record = env.step(a)
             rewards.append(r)
-            infos.append(info)
+            records.append(record)
             if done:
                 break
-        return rewards, infos
+        return rewards, records
 
     def test_reward_decomposition_hedged(self):
         env = make_env(sigma=0.012, episode_length=60)
         rng = np.random.default_rng(7)
         actions = rng.integers(0, 4, size=60)
-        rewards, infos = self.run_episode(env, actions)
-        total_fee = sum(i["fee"] for i in infos)
-        total_lvr = sum(i["lvr"] for i in infos)
-        n_re = sum(i["reallocated"] for i in infos)
+        rewards, records = self.run_episode(env, actions)
+        total_fee = sum(r.fee for r in records)
+        total_lvr = sum(r.lvr for r in records)
+        n_re = sum(r.action != 0 for r in records)
         assert sum(rewards) == pytest.approx(total_fee - env.config.gas * n_re + total_lvr,
                                              abs=1e-9)
 
@@ -152,18 +152,18 @@ class TestEpisodeIdentities:
         env = make_env(sigma=0.012, episode_length=60, reward_mode="unhedged")
         rng = np.random.default_rng(8)
         actions = rng.integers(0, 4, size=60)
-        rewards, infos = self.run_episode(env, actions)
-        total = sum(i["fee"] for i in infos) + sum(i["dv"] for i in infos)
-        total -= env.config.gas * sum(i["reallocated"] for i in infos)
+        rewards, records = self.run_episode(env, actions)
+        total = sum(r.fee for r in records) + sum(r.dv for r in records)
+        total -= env.config.gas * sum(r.action != 0 for r in records)
         assert sum(rewards) == pytest.approx(total, abs=1e-9)
 
     def test_wealth_conservation(self):
         env = make_env(sigma=0.012, episode_length=80)
         rng = np.random.default_rng(9)
         actions = rng.integers(0, 3, size=80)
-        _, infos = self.run_episode(env, actions)
+        _, records = self.run_episode(env, actions)
         wealth = env.cash + env.position_value()
-        expected = env.config.l0 + sum(i["fee"] + i["dv"] for i in infos)
+        expected = env.config.l0 + sum(r.fee + r.dv for r in records)
         assert wealth == pytest.approx(expected, abs=1e-9)
 
     def test_determinism(self):
@@ -224,21 +224,21 @@ class TestRangeExitOracle:
         env.reset(210)
         pos = env.position
         assert candles[211].close > pos.price_upper  # the path really exits
-        _, _, _, info = env.step(0)
+        _, _, _, record = env.step(0)
         path = [100.0, 100.0, 100.0, 103.0, 102.5]
         oracle_fee = micro_fee_oracle(
             pos.liquidity, pos.price_lower, pos.price_upper, path,
             env.config.pool.fee_tier)
-        assert info["fee"] == pytest.approx(oracle_fee, rel=1e-6)
-        assert info["lvr"] < 0.0
-        assert info["lvr"] == pytest.approx(
+        assert record.fee == pytest.approx(oracle_fee, rel=1e-6)
+        assert record.lvr < 0.0
+        assert record.lvr == pytest.approx(
             lvr_vform_oracle(pos.liquidity, pos.price_lower, pos.price_upper, path),
             abs=1e-9)
         # out-of-range segment earns nothing: unclipped fee would be larger
         unclipped = fee_over_path(
             pos.liquidity, pos.price_lower * 0.5, pos.price_upper * 2.0,
             path, env.config.pool.fee_tier)
-        assert info["fee"] < unclipped
+        assert record.fee < unclipped
 
 
 class TestObservations:
@@ -269,10 +269,12 @@ class TestObservations:
 
 def ledger_result(fees, gases, lvrs, l0=250.0):
     """A hedged BacktestResult whose hourly ledger is given column by column."""
-    infos = [{"fee": f, "gas": g, "lvr": v, "dv": 0.0, "action": 0}
-             for f, g, v in zip(fees, gases, lvrs)]
+    records = [envmod.HourRecord(t=t, action=0, fee=f, lvr=v, gas=g, dv=0.0,
+                                 reward=0.0, cash=0.0, center_tick=0, width=0,
+                                 value=0.0, close=0.0)
+               for t, (f, g, v) in enumerate(zip(fees, gases, lvrs), 1)]
     return BacktestResult(RunConfig(method="tau-reset", tau=1, l0=l0), "", 1,
-                          len(infos), infos)
+                          len(records), records)
 
 
 class TestRelativePnl:
@@ -299,17 +301,17 @@ class TestRelativePnl:
 def test_trace_csv(tmp_path):
     env = make_env(sigma=0.01, episode_length=6)
     env.reset(210)
-    infos = []
+    records = []
     for a in [0, 2, 0, 0, 1, 0]:
-        _, _, _, info = env.step(a)
-        infos.append(info)
+        _, _, _, record = env.step(a)
+        records.append(record)
     config = RunConfig(method="tau-reset", tau=1, seed=7)
-    paths = write_run_dir(BacktestResult(config, "", 210, 6, infos), str(tmp_path))
+    paths = write_run_dir(BacktestResult(config, "", 210, 6, records), str(tmp_path))
     lines = open(paths["trace"]).read().strip().splitlines()
     assert lines[0] == ",".join(envmod.TRACE_CSV_HEADER + ["config_hash", "seed"])
     assert len(lines) == 7
     row = lines[2].split(",")
     assert row[1] == "2"
-    assert row[2] == repr(infos[1]["fee"])
-    assert float(row[2]) == infos[1]["fee"]
+    assert row[2] == repr(records[1].fee)
+    assert float(row[2]) == records[1].fee
     assert row[-1] == "7"

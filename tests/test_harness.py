@@ -1,10 +1,13 @@
 import json
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
 
+import oracles
+from clmmlab.amm import LiquidityPosition
 from clmmlab.backtest import (
     EQUILIBRIUM_POOL,
     ORACLE_TUNED_LABEL,
@@ -18,8 +21,11 @@ from clmmlab.backtest import (
     run_backtest,
     write_run_dir,
 )
-from clmmlab.features import WARMUP_CANDLES
+from clmmlab.baselines import EWAConfig
+from clmmlab.env import EnvConfig
+from clmmlab.features import OBSERVATION_DIM, WARMUP_CANDLES, compute_feature_matrix
 from clmmlab.marketdata import bundled_candles_path, load_candles_csv, synth_gbm
+from clmmlab.nets import init_params
 from clmmlab.report import (
     REPORT_CSV_HEADER,
     Report,
@@ -123,10 +129,10 @@ class TestRunBacktest:
         result = run_backtest(candles, config)
         row = result.to_row()
         assert row["hours"] == 200
-        assert len(result.infos) == 200
+        assert len(result.records) == 200
         assert check_row_identity(row) <= 1e-9
         assert row["reallocations"] == sum(
-            1 for i in result.infos if i["action"] != 0)
+            1 for r in result.records if r.action != 0)
 
     def test_unhedged_mode_reports_dv(self, candles):
         hedged = run_backtest(candles, RunConfig(
@@ -194,6 +200,29 @@ class TestWriteRunDir:
         b = write_run_dir(run_backtest(candles, config), str(tmp_path / "b"))
         for key in ("run", "report", "trace", "actions"):
             assert open(a[key], "rb").read() == open(b[key], "rb").read()
+
+
+    @pytest.mark.parametrize("reward_mode", ["hedged", "unhedged"])
+    @pytest.mark.parametrize("path_model", ["candle", "open-close"])
+    @pytest.mark.parametrize("method", [
+        dict(method="tau-reset", tau=4),
+        dict(method="ewa", ewa_widths=10, ewa_eta=1.0, ewa_t_re=24),
+        dict(method="ewa", ewa_widths=5, ewa_eta=10.0, ewa_t_re=1),
+        dict(method="ddqn"),
+    ], ids=["tau-reset", "ewa-10-1-24", "ewa-5-10-1", "ddqn"])
+    def test_bytes_match_dict_row_oracle(self, candles, tmp_path, method,
+                                         path_model, reward_mode):
+        config = RunConfig(offset=WARMUP_CANDLES, horizon=150, seed=4,
+                           path_model=path_model, reward_mode=reward_mode,
+                           **method)
+        params = init_params(OBSERVATION_DIM, config.n_actions + 1, seed=4)
+        result = run_backtest(candles, config, params=params,
+                              feature_matrix=compute_feature_matrix(candles))
+        got = write_run_dir(result, str(tmp_path / "got"))
+        want = oracles.write_run_dir(result, str(tmp_path / "want"))
+        assert list(got) == list(want)
+        for key in got:
+            assert open(got[key], "rb").read() == open(want[key], "rb").read(), key
 
 
 class TestReport:
@@ -302,6 +331,12 @@ class TestDriftStudy:
             assert stats["hedged_se"] > 0.0
             assert stats["unhedged_se"] > 0.0
 
+    @pytest.mark.skipif(sys.version_info >= (3, 12),
+                        reason="the oracle's sum() is compensated from Python 3.12")
+    def test_matches_four_sum_oracle(self):
+        got = drift_neutrality_study(n_seeds=3, horizon=60)
+        assert repr(got) == repr(oracles.drift_neutrality_study(n_seeds=3, horizon=60))
+
     def test_equilibrium_pool_tier(self):
         assert 0.0 < EQUILIBRIUM_POOL.fee_tier < 0.01
         assert EQUILIBRIUM_POOL.tick_spacing == 60
@@ -309,3 +344,24 @@ class TestDriftStudy:
     def test_bundled_fixture_loads(self):
         series = load_candles_csv(bundled_candles_path())
         assert len(series) == 1200
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("build,name", [
+    (lambda x: RunConfig(method="tau-reset", l0=x), "l0"),
+    (lambda x: RunConfig(method="tau-reset", gas=x), "gas"),
+    (lambda x: RunConfig(method="ewa", ewa_eta=x), "ewa_eta"),
+    (lambda x: EnvConfig(l0=x), "l0"),
+    (lambda x: EnvConfig(gas=x), "gas"),
+    (lambda x: EWAConfig(eta=x), "eta"),
+    (lambda x: LiquidityPosition(1.0, 4.0, x), "liquidity"),
+    (lambda x: LiquidityPosition(1.0, x, 1.0), "price_upper"),
+], ids=["RunConfig.l0", "RunConfig.gas", "RunConfig.ewa_eta", "EnvConfig.l0",
+        "EnvConfig.gas", "EWAConfig.eta", "LiquidityPosition.liquidity",
+        "LiquidityPosition.price_upper"])
+def test_non_finite_values_rejected(build, name, bad):
+    with pytest.raises(ValueError, match=rf"\b{name} must be|< {name}, got"):
+        build(bad)
