@@ -83,9 +83,8 @@ class Reserves:
 class LiquidityPosition:
     """Liquidity L active on the price band [price_lower, price_upper].
 
-    Positions minted through the env are always tick-aligned (built via
-    from_ticks); the raw constructor exists so the math can be exercised on
-    arbitrary bands.
+    The env and the baselines mint tick-aligned bands (band_for_center);
+    the math itself holds on any band.
     """
 
     price_lower: float
@@ -103,18 +102,6 @@ class LiquidityPosition:
             raise ValueError(f"price_upper must be finite, got {self.price_upper}")
         if not 0.0 <= self.liquidity < math.inf:
             raise ValueError(f"liquidity must be finite and >= 0, got {self.liquidity}")
-
-    @classmethod
-    def from_ticks(
-        cls, tick_lower: int, tick_upper: int, liquidity: float, spacing: int = 1
-    ) -> "LiquidityPosition":
-        if tick_lower % spacing or tick_upper % spacing:
-            raise ValueError(
-                f"ticks ({tick_lower}, {tick_upper}) not multiples of spacing {spacing}"
-            )
-        if tick_lower >= tick_upper:
-            raise ValueError(f"need tick_lower < tick_upper, got {tick_lower} >= {tick_upper}")
-        return cls(tick_to_price(tick_lower), tick_to_price(tick_upper), liquidity)
 
     def reserves(self, price: float) -> Reserves:
         return reserves(self.liquidity, self.price_lower, self.price_upper, price)

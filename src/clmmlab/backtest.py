@@ -88,6 +88,10 @@ class RunConfig:
             raise RunError(f"ewa_eta must be positive and finite, got {self.ewa_eta}")
         if self.n_actions < 1:
             raise RunError(f"n_actions must be >= 1, got {self.n_actions}")
+        try:
+            self.pool_spec()
+        except ValueError as e:
+            raise RunError(str(e)) from None
 
     def pool_spec(self) -> PoolSpec:
         return PoolSpec(fee_tier=self.fee_tier, tick_spacing=self.tick_spacing)
@@ -225,36 +229,28 @@ def _default_window(config: RunConfig, n_candles: int) -> Tuple[int, int]:
 
 def _env_for(config: RunConfig, candles: Sequence[Candle], offset: int,
              horizon: int, compute_features: bool,
-             feature_matrix: Optional[np.ndarray],
              scaler: Optional[FeatureScaler]) -> LPEnv:
     env_config = EnvConfig(
         pool=config.pool_spec(), l0=config.l0, n_actions=config.n_actions,
         gas=config.gas, path_model=config.path_model,
         reward_mode=config.reward_mode, episode_length=horizon,
         warmup=offset, compute_features=compute_features)
-    return LPEnv(candles, env_config, feature_matrix=feature_matrix,
-                 scaler=scaler)
+    return LPEnv(candles, env_config, scaler=scaler)
 
 
-def run_backtest(
-    candles: Sequence[Candle],
-    config: RunConfig,
-    params: Optional[nets.NetworkParams] = None,
-    feature_matrix: Optional[np.ndarray] = None,
-    scaler: Optional[FeatureScaler] = None,
-) -> BacktestResult:
+def run_backtest(candles: Sequence[Candle], config: RunConfig) -> BacktestResult:
     """Replay config.method over one window of the candle series.
 
-    For ddqn the greedy policy of `params` (or of config.checkpoint) is
-    used; the checkpoint metadata supplies the feature scaler unless one
-    is passed in. EWA always weighs widths by its own hedged per-width
-    rewards; reward_mode only changes how the result row reports PnL.
+    For ddqn the greedy policy of the network in config.checkpoint is
+    used, with the feature scaler from the checkpoint's metadata. EWA
+    always weighs widths by its own hedged per-width rewards; reward_mode
+    only changes how the result row reports PnL.
     """
     config, label = resolve_hyperparameters(config)
     offset, horizon = _default_window(config, len(candles))
 
     if config.method == "tau-reset":
-        env = _env_for(config, candles, offset, horizon, False, None, None)
+        env = _env_for(config, candles, offset, horizon, False, None)
         records = run_tau_reset(env, config.tau, offset)
         return BacktestResult(config, label, offset, horizon, records)
 
@@ -268,12 +264,12 @@ def run_backtest(
                               weights=weights)
 
     # ddqn
-    if params is None:
-        if config.checkpoint is None:
-            raise RunError("ddqn backtests need params or a checkpoint path")
-        params, _, meta = nets.load_checkpoint(config.checkpoint)
-        if scaler is None and isinstance(meta, dict) and "scaler" in meta:
-            scaler = FeatureScaler.from_json(json.dumps(meta["scaler"]))
+    if config.checkpoint is None:
+        raise RunError("ddqn backtests need a checkpoint path")
+    params, _, meta = nets.load_checkpoint(config.checkpoint)
+    scaler = None
+    if isinstance(meta, dict) and "scaler" in meta:
+        scaler = FeatureScaler.from_json(json.dumps(meta["scaler"]))
     if params.n_outputs != config.n_actions + 1:
         raise RunError(
             f"checkpoint has {params.n_outputs} actions, run needs "
@@ -282,8 +278,7 @@ def run_backtest(
         raise RunError(
             f"ddqn offset {offset} is inside the {WARMUP_CANDLES}-candle "
             f"feature warmup")
-    env = _env_for(config, candles, offset, horizon, True, feature_matrix,
-                   scaler)
+    env = _env_for(config, candles, offset, horizon, True, scaler)
     _, _, records = greedy_rollout(env, params, offset)
     return BacktestResult(config, label, offset, horizon, records)
 
@@ -334,10 +329,9 @@ def drift_neutrality_study(
     sigma: float = 0.01,
     n_seeds: int = 100,
     horizon: int = 1000,
-    tau: int = 12,
     seed0: int = 0,
 ) -> Dict[float, Dict[str, float]]:
-    """Tau-reset on synthetic GBM across drifts, paired by seed.
+    """Tau-reset (tau = 12) on synthetic GBM across drifts, paired by seed.
 
     Seed k uses the same Gaussian draws under every drift, so the drift
     effect is isolated from path noise. Each run is one run_backtest
@@ -357,8 +351,7 @@ def drift_neutrality_study(
     config = RunConfig(
         method="tau-reset", fee_tier=EQUILIBRIUM_POOL.fee_tier,
         tick_spacing=EQUILIBRIUM_POOL.tick_spacing, offset=1, horizon=horizon,
-        l0=250.0, gas=0.0, n_actions=max(10, tau), path_model="open-close",
-        tau=tau)
+        l0=250.0, gas=0.0, n_actions=12, path_model="open-close", tau=12)
     out: Dict[float, Dict[str, float]] = {}
     for mu in mu_values:
         hedged = np.empty(n_seeds)

@@ -19,8 +19,8 @@ from . import nets
 from .backtest import RunConfig, RunError, dict_hash, run_backtest, write_run_dir
 from .dqn import DDQNConfig, TRAINING_LOG_HEADER, train_ddqn
 from .env import EnvConfig, LPEnv
-from .features import (FeatureScaler, WARMUP_CANDLES, compute_feature_matrix,
-                       write_features_csv)
+from .features import (FEATURE_NAMES, FeatureScaler, WARMUP_CANDLES,
+                       compute_feature_matrix)
 from .marketdata import (DataValidationError, _utc, load_candles_csv)
 from .report import Report, ReportError, in_header_order, write_csv_rows
 from .amm import PoolSpec
@@ -98,7 +98,8 @@ def cmd_features(args) -> int:
     candles = load_candles_csv(str(_require(data, "candles")))
     out = str(_require(data, "out"))
     matrix = compute_feature_matrix(candles)
-    write_features_csv(matrix, [c.timestamp for c in candles], out)
+    write_csv_rows(out, ["timestamp"] + FEATURE_NAMES,
+                   [[c.timestamp] + row.tolist() for c, row in zip(candles, matrix)])
     print(f"wrote {len(matrix)} feature rows to {out}")
     if data.get("scaler_out"):
         scaler = FeatureScaler.fit(matrix[WARMUP_CANDLES:])
@@ -155,17 +156,20 @@ def cmd_train(args) -> int:
         raise CliError("config", "train_hours + val_hours exceed the series")
     budget = s.get("budget", int(s["episodes"]) * episode_length)
 
-    pool = PoolSpec(fee_tier=float(s["fee_tier"]),
-                    tick_spacing=int(s["tick_spacing"]))
-    matrix = compute_feature_matrix(candles)
-    scaler = FeatureScaler.fit(matrix[WARMUP_CANDLES:val_start])
     try:
+        pool = PoolSpec(fee_tier=float(s["fee_tier"]),
+                        tick_spacing=int(s["tick_spacing"]))
         train_config = EnvConfig(
             pool=pool, l0=float(s["l0"]), gas=float(s["gas"]),
             n_actions=int(s["n_actions"]), path_model=str(s["path_model"]),
             reward_mode=str(s["reward_mode"]), episode_length=episode_length)
+        dconf = DDQNConfig(learning_rate=float(s["learning_rate"]),
+                           batch_size=int(s["batch_size"]),
+                           buffer_capacity=int(s["buffer"]))
     except ValueError as e:
         raise CliError("config", str(e))
+    matrix = compute_feature_matrix(candles)
+    scaler = FeatureScaler.fit(matrix[WARMUP_CANDLES:val_start])
     train_slice = slice(0, val_start + 1)
     train_env = LPEnv(candles[train_slice], train_config,
                       feature_matrix=matrix[train_slice], scaler=scaler)
@@ -173,9 +177,6 @@ def cmd_train(args) -> int:
                      dataclasses.replace(train_config, episode_length=val_hours),
                      feature_matrix=matrix[:val_start + val_hours + 1],
                      scaler=scaler)
-    dconf = DDQNConfig(learning_rate=float(s["learning_rate"]),
-                       batch_size=int(s["batch_size"]),
-                       buffer_capacity=int(s["buffer"]))
     result = train_ddqn(train_env, eval_env, dconf, budget,
                         seed=int(s["seed"]), eval_offsets=[val_start])
 

@@ -10,8 +10,9 @@ Episode ends in both environments here are data truncations, not MDP
 terminals, so stored transitions always bootstrap (terminal flag False).
 """
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -83,18 +84,21 @@ class DDQNConfig:
     eps_end: float = 0.05
     eps_fraction: float = 0.5
     warm_start: int = 1000
-    learn_every: int = 1
     eval_every_episodes: int = 20
     patience: int = 15
 
     def __post_init__(self):
         if not (0.0 < self.gamma < 1.0):
             raise ValueError(f"gamma must be in (0, 1), got {self.gamma}")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}")
         for eps in (self.eps_start, self.eps_end):
             if not (0.0 <= eps <= 1.0):
                 raise ValueError(f"epsilon must be in [0, 1], got {eps}")
         if self.batch_size < 1 or self.buffer_capacity < self.batch_size:
-            raise ValueError("batch_size must fit in the buffer")
+            raise ValueError(f"batch_size must be >= 1 and fit in the buffer, "
+                             f"got {self.batch_size}")
 
     def epsilon_at(self, step: int, budget: int) -> float:
         """Linear decay from eps_start to eps_end over eps_fraction of budget."""
@@ -104,32 +108,19 @@ class DDQNConfig:
 
 
 def ddqn_target(
-    r,
-    s2,
-    done,
+    r: np.ndarray,
+    s2: np.ndarray,
+    done: np.ndarray,
     local: NetworkParams,
     target: NetworkParams,
     gamma: float,
-):
-    """Double-DQN target: bootstrap with the target net at the local argmax.
-
-    Accepts scalars or batches; numpy argmax breaks ties toward the lowest
-    action index.
-    """
-    r = np.asarray(r, dtype=float)
-    done = np.asarray(done, dtype=bool)
-    single = np.asarray(s2).ndim == 1
-    s2b = np.asarray(s2, dtype=float)
-    if single:
-        s2b = s2b[None, :]
-    q_local = nets._forward_all(local, s2b)[0]
-    q_target = nets._forward_all(target, s2b)[0]
-    best = q_local.argmax(axis=1)
-    boot = q_target[np.arange(len(s2b)), best]
-    y = r + gamma * np.where(done, 0.0, boot)
-    if single:
-        return float(y.reshape(-1)[0])
-    return y
+) -> np.ndarray:
+    """Double-DQN targets for a batch: bootstrap with the target net at the
+    local argmax (numpy's argmax breaks ties toward the lowest action)."""
+    q_local = nets._forward_all(local, s2)[0]
+    q_target = nets._forward_all(target, s2)[0]
+    boot = q_target[np.arange(len(s2)), q_local.argmax(axis=1)]
+    return r + gamma * np.where(done, 0.0, boot)
 
 
 def greedy_rollout(env, params: NetworkParams, offset: int):
@@ -157,7 +148,6 @@ class TrainingResult:
     steps: int = 0
     episodes: int = 0
     best_val_return: float = float("-inf")
-    stopped_early: bool = False
 
 
 def train_ddqn(
@@ -168,7 +158,6 @@ def train_ddqn(
     seed: int = 0,
     eval_offsets: Optional[Sequence[int]] = None,
     diverged_checkpoint_path: Optional[str] = None,
-    progress: Optional[Callable[[Dict], None]] = None,
 ) -> TrainingResult:
     """Train on random-offset episodes; keep the best validation snapshot.
 
@@ -216,7 +205,7 @@ def train_ddqn(
             obs = next_obs
             ep_return += r
             steps += 1
-            if len(buffer) >= config.warm_start and steps % config.learn_every == 0:
+            if len(buffer) >= config.warm_start:
                 s, a_b, r_b, s2, term = buffer.sample(config.batch_size, rng)
                 y = ddqn_target(r_b, s2, term, local, target, config.gamma)
                 loss, grads = loss_and_grads_checked(
@@ -237,8 +226,6 @@ def train_ddqn(
                 "loss": last_loss,
             }
             result.log.append(row)
-            if progress is not None:
-                progress(row)
             if val_return > result.best_val_return:
                 result.best_val_return = val_return
                 result.params = local.copy()
@@ -246,7 +233,6 @@ def train_ddqn(
             else:
                 evals_since_best += 1
                 if evals_since_best >= config.patience:
-                    result.stopped_early = True
                     break
 
     result.steps = steps

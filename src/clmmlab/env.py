@@ -93,7 +93,6 @@ class EnvConfig:
     episode_length: int = 1000
     warmup: int = WARMUP_CANDLES
     compute_features: bool = True
-    obs_mode: str = "scaled"
 
     def __post_init__(self):
         if not 0.0 < self.l0 < math.inf:
@@ -107,8 +106,6 @@ class EnvConfig:
         check_path_model(self.path_model)
         if self.reward_mode not in REWARD_MODES:
             raise ValueError(f"reward_mode must be one of {REWARD_MODES}, got {self.reward_mode!r}")
-        if self.obs_mode not in ("scaled", "raw"):
-            raise ValueError(f"obs_mode must be 'scaled' or 'raw', got {self.obs_mode!r}")
 
 
 class LPEnv:
@@ -215,7 +212,6 @@ class LPEnv:
             center_tick=self.center_tick,
             width=self.width,
             value=self.position_value(close),
-            mode=self.config.obs_mode,
             l0=self.config.l0,
             close=close,
             tick_spacing=self.config.pool.tick_spacing,

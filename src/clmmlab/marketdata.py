@@ -17,6 +17,8 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from .report import write_csv_rows
+
 HOUR = 3600
 CANDLE_CSV_HEADER = ["timestamp", "open", "high", "low", "close", "volume_usd"]
 
@@ -122,14 +124,9 @@ def save_candles_csv(candles: Sequence[Candle], path: str) -> None:
     so a crash mid-write never leaves a truncated file at `path`."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(CANDLE_CSV_HEADER)
-            for c in candles:
-                w.writerow(
-                    [c.timestamp, repr(c.open), repr(c.high), repr(c.low),
-                     repr(c.close), repr(c.volume_usd)]
-                )
+        write_csv_rows(tmp, CANDLE_CSV_HEADER, (
+            [c.timestamp, c.open, c.high, c.low, c.close, c.volume_usd]
+            for c in candles))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -205,21 +202,6 @@ REFERENCE_PERIODS = {
     3: _part("2021-10-24", "2022-09-22", "2022-09-22", "2022-11-03", "2022-11-03", "2022-12-14"),
     4: _part("2021-12-05", "2022-11-03", "2022-11-03", "2022-12-14", "2022-12-15", "2023-01-25"),
 }
-
-
-def make_partition(
-    start: int, train_hours: int = 8000, val_hours: int = 1000, test_hours: int = 1000
-) -> DatasetPartition:
-    """Contiguous partition of default study sizes starting at `start`."""
-    a = start
-    b = a + train_hours * HOUR
-    c = b + val_hours * HOUR
-    d = c + test_hours * HOUR
-    return DatasetPartition(TimeRange(a, b), TimeRange(b, c), TimeRange(c, d))
-
-
-def slice_candles(candles: Sequence[Candle], rng: TimeRange) -> List[Candle]:
-    return [c for c in candles if rng.contains(c.timestamp)]
 
 
 def partition_indices(candles: Sequence[Candle], rng: TimeRange) -> Tuple[int, int]:

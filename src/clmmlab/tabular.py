@@ -60,13 +60,6 @@ def value_iteration(
     return q, policy
 
 
-def bellman_residual(
-    q: np.ndarray, transitions: np.ndarray, rewards: np.ndarray, gamma: float
-) -> float:
-    v = q.max(axis=1)
-    return float(np.max(np.abs(rewards + gamma * transitions @ v - q)))
-
-
 def policy_value(
     policy: np.ndarray,
     transitions: np.ndarray,

@@ -244,9 +244,7 @@ TOY_DDQN = DDQNConfig(learning_rate=3e-3, batch_size=64, warm_start=500,
 TOY_BUDGET = 24_000
 
 
-def check_toy_convergence(n_seeds: int = 10, seed0: int = 0,
-                          progress: Optional[Callable[[str], None]] = None
-                          ) -> CheckResult:
+def check_toy_convergence(n_seeds: int = 10, seed0: int = 0) -> CheckResult:
     """DDQN reaches >= 95% of the value-iteration optimum on >= 8/10 seeds."""
     t0 = time.perf_counter()
     config = toymdp.ToyConfig()
@@ -264,8 +262,6 @@ def check_toy_convergence(n_seeds: int = 10, seed0: int = 0,
         v_pi = tabular.policy_value(policy, transitions, rewards,
                                     config.gamma)[s0]
         ratios.append(float(v_pi) / v_star)
-        if progress:
-            progress(f"  toy seed {seed0 + k}: ratio {ratios[-1]:.4f}")
     wins = sum(r >= 0.95 for r in ratios)
     passed = wins >= 8
     detail = (f"{wins}/{n_seeds} seeds >= 95% of oracle return "

@@ -279,7 +279,7 @@ class TestCallersReplayBitwiseOnOracle:
 
     def test_drift_study(self, monkeypatch):
         self.check(monkeypatch, lambda: list(backtest.drift_neutrality_study(
-            n_seeds=3, horizon=60, tau=4).items()))
+            n_seeds=3, horizon=60).items()))
 
     def test_tabular_rewards(self, monkeypatch):
         self.check(monkeypatch, lambda: [toymdp.build_tabular_mdp()[1].tobytes()])

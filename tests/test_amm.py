@@ -49,11 +49,6 @@ def test_position_validation():
         amm.LiquidityPosition(-1.0, 4.0, 1.0)
     with pytest.raises(ValueError):
         amm.LiquidityPosition(1.0, 4.0, -0.5)
-    with pytest.raises(ValueError):
-        amm.LiquidityPosition.from_ticks(30, 120, 1.0, spacing=60)
-    pos = amm.LiquidityPosition.from_ticks(-60, 60, 2.0, spacing=60)
-    assert pos.price_lower == pytest.approx(1.0 / 1.0001**60, rel=1e-15)
-    assert pos.price_upper == pytest.approx(1.0001**60, rel=1e-15)
 
 
 # reference band used throughout: L = 1 on [1, 4]

@@ -148,7 +148,11 @@ class TestBacktestCommand:
         (["--method", "tau-reset", "--tau", "4", "--gas=-inf"], "gas"),
         (["--method", "ewa", "--ewa-widths", "5", "--ewa-eta", "nan",
           "--ewa-t-re", "24"], "ewa_eta"),
-    ], ids=["l0-nan", "l0-inf", "gas-inf", "gas--inf", "ewa_eta-nan"])
+        (["--method", "tau-reset", "--tau", "4", "--fee-tier", "nan"], "fee_tier"),
+        (["--method", "tau-reset", "--tau", "4", "--tick-spacing", "0"],
+         "tick_spacing"),
+    ], ids=["l0-nan", "l0-inf", "gas-inf", "gas--inf", "ewa_eta-nan",
+            "fee_tier-nan", "tick_spacing-0"])
     def test_non_finite_option_is_config_error(self, candles_csv, capsys,
                                                tmp_path, flags, field):
         out = tmp_path / "run"
@@ -206,7 +210,8 @@ class TestTrainCommand:
     @pytest.mark.parametrize("flag,value", [
         ("--budget", "0"), ("--budget", "-5"), ("--episodes", "0"),
         ("--train-hours", "0"), ("--val-hours", "0"), ("--l0", "nan"),
-        ("--gas", "inf"),
+        ("--gas", "inf"), ("--learning-rate", "nan"), ("--learning-rate", "inf"),
+        ("--learning-rate", "0"), ("--batch-size", "0"), ("--fee-tier", "nan"),
     ])
     def test_rejects_values_that_used_to_fall_back(self, candles_csv, capsys,
                                                    tmp_path, flag, value):

@@ -253,14 +253,6 @@ class TestObservations:
         obs2, _, _, _ = env.step(0)
         assert obs2.shape == (32,)
 
-    def test_raw_mode_account_slots(self):
-        candles = synth_gbm(100.0, 0.0, 0.005, 260, seed=21)
-        env = LPEnv(candles, EnvConfig(episode_length=5, obs_mode="raw"))
-        obs = env.reset(210)
-        assert obs[29] == env.center_tick
-        assert obs[30] == 1.0
-        assert obs[31] == pytest.approx(env.config.l0)
-
     def test_no_features_means_no_observation(self):
         env = make_env()
         assert env.features is None

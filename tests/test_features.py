@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from clmmlab import features as ft
-from clmmlab.marketdata import Candle, synth_gbm
+from clmmlab.cli import main
+from clmmlab.marketdata import Candle, save_candles_csv, synth_gbm
 
 
 def make_series(n=400, seed=1, sigma=0.01):
@@ -28,27 +29,16 @@ def test_features_finite_after_warmup():
     assert np.all(np.isfinite(mat[ft.WARMUP_CANDLES :]))
 
 
-def test_compute_features_warmup_guard():
-    candles = make_series(260)
-    with pytest.raises(ft.WarmupError):
-        ft.compute_features(candles, 150)
-    row = ft.compute_features(candles, 210)
-    assert row.shape == (28,)
-    assert np.all(np.isfinite(row))
-    with pytest.raises(IndexError):
-        ft.compute_features(candles, 400)
-
-
 def test_causality_future_edits_do_not_leak():
     candles = make_series(320)
     t = 250
-    row_before = ft.compute_features(candles, t)
+    row_before = ft.compute_feature_matrix(candles[:t + 1])[t]
     tampered = list(candles)
     for i in range(t + 1, len(tampered)):
         c = tampered[i]
         tampered[i] = Candle(c.timestamp, c.open * 3, c.high * 3, c.low * 3, c.close * 3,
                              c.volume_usd * 7)
-    row_after = ft.compute_features(tampered, t)
+    row_after = ft.compute_feature_matrix(tampered[:t + 1])[t]
     assert np.array_equal(row_before, row_after)
 
 
@@ -56,13 +46,14 @@ def test_matrix_rows_match_prefix_computation():
     candles = make_series(300)
     mat = ft.compute_feature_matrix(candles)
     for t in (205, 240, 299):
-        assert np.allclose(mat[t], ft.compute_features(candles, t), equal_nan=True)
+        prefix = ft.compute_feature_matrix(candles[:t + 1])[t]
+        assert np.allclose(mat[t], prefix, equal_nan=True)
 
 
 def test_constant_series_feature_values():
     p = 100.0
     candles = [Candle(1609459200 + 3600 * i, p, p, p, p, 5.0) for i in range(300)]
-    row = ft.compute_features(candles, 250)
+    row = ft.compute_feature_matrix(candles[:251])[250]
     names = ft.FEATURE_NAMES
     idx = {n: i for i, n in enumerate(names)}
     assert row[idx["high_over_open"]] == 1.0
@@ -97,17 +88,14 @@ def test_scaler_freeze_and_roundtrip():
 
 def test_assemble_observation_modes():
     candles = make_series(300, seed=4)
-    row = ft.compute_features(candles, 250)
+    row = ft.compute_feature_matrix(candles[:251])[250]
     close = candles[250].close
     center = 46080
-    obs_raw = ft.assemble_observation(row, cash=2.0, center_tick=center, width=3,
-                                      value=5.0, mode="raw")
-    assert obs_raw.shape == (32,)
-    assert obs_raw[28] == 2.0 and obs_raw[29] == center and obs_raw[30] == 3.0
     obs = ft.assemble_observation(
-        row, cash=250.0, center_tick=center, width=3, value=0.0, mode="scaled",
+        row, cash=250.0, center_tick=center, width=3, value=0.0,
         l0=250.0, close=close, tick_spacing=60, n_actions=10,
     )
+    assert obs.shape == (32,)
     assert obs[28] == pytest.approx(1.0)
     assert obs[31] == 0.0
     assert obs[30] == pytest.approx(0.3)
@@ -115,27 +103,28 @@ def test_assemble_observation_modes():
     from clmmlab.amm import tick_to_price
 
     obs_centered = ft.assemble_observation(
-        row, cash=0.0, center_tick=center, width=2, value=1.0, mode="scaled",
+        row, cash=0.0, center_tick=center, width=2, value=1.0,
         l0=1.0, close=tick_to_price(center), tick_spacing=60, n_actions=10,
     )
     assert obs_centered[29] == pytest.approx(0.0, abs=1e-9)
+    with pytest.raises(TypeError):
+        ft.assemble_observation(row, 0, 0, 1, 0)  # account scales are required
     with pytest.raises(ValueError):
-        ft.assemble_observation(row, 0, 0, 1, 0, mode="scaled")  # close missing
-    with pytest.raises(ValueError):
-        ft.assemble_observation(row, 0, 0, 1, 0, mode="nope")
-    with pytest.raises(ValueError):
-        ft.assemble_observation(row[:5], 0, 0, 1, 0, mode="raw")
+        ft.assemble_observation(row[:5], 0, 0, 1, 0, l0=1.0, close=close,
+                                tick_spacing=60, n_actions=10)
 
 
 def test_features_csv_export(tmp_path):
     candles = make_series(260, seed=2)
     mat = ft.compute_feature_matrix(candles)
-    ts = [c.timestamp for c in candles]
+    path = tmp_path / "candles.csv"
+    save_candles_csv(candles, str(path))
     out = tmp_path / "features.csv"
-    ft.write_features_csv(mat[200:], ts[200:], str(out))
+    assert main(["features", "--candles", str(path), "--out", str(out)]) == 0
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "timestamp," + ",".join(ft.FEATURE_NAMES)
-    assert len(lines) == 61
-    first = lines[1].split(",")
-    assert int(first[0]) == ts[200]
-    assert float(first[1]) == mat[200, 0]
+    assert len(lines) == 261
+    row = lines[201].split(",")
+    assert int(row[0]) == candles[200].timestamp
+    assert [float(x) for x in row[1:]] == mat[200].tolist()
+    assert lines[1].split(",")[6] == "nan"  # dema before its warm-up

@@ -23,9 +23,9 @@ from clmmlab.backtest import (
 )
 from clmmlab.baselines import EWAConfig
 from clmmlab.env import EnvConfig
-from clmmlab.features import OBSERVATION_DIM, WARMUP_CANDLES, compute_feature_matrix
+from clmmlab.features import OBSERVATION_DIM, WARMUP_CANDLES
 from clmmlab.marketdata import bundled_candles_path, load_candles_csv, synth_gbm
-from clmmlab.nets import init_params
+from clmmlab.nets import init_params, save_checkpoint
 from clmmlab.report import (
     REPORT_CSV_HEADER,
     Report,
@@ -212,12 +212,14 @@ class TestWriteRunDir:
     ], ids=["tau-reset", "ewa-10-1-24", "ewa-5-10-1", "ddqn"])
     def test_bytes_match_dict_row_oracle(self, candles, tmp_path, method,
                                          path_model, reward_mode):
+        if method["method"] == "ddqn":
+            checkpoint = str(tmp_path / "checkpoint.json")
+            save_checkpoint(checkpoint, init_params(OBSERVATION_DIM, 11, seed=4))
+            method = dict(method, checkpoint=checkpoint)
         config = RunConfig(offset=WARMUP_CANDLES, horizon=150, seed=4,
                            path_model=path_model, reward_mode=reward_mode,
                            **method)
-        params = init_params(OBSERVATION_DIM, config.n_actions + 1, seed=4)
-        result = run_backtest(candles, config, params=params,
-                              feature_matrix=compute_feature_matrix(candles))
+        result = run_backtest(candles, config)
         got = write_run_dir(result, str(tmp_path / "got"))
         want = oracles.write_run_dir(result, str(tmp_path / "want"))
         assert list(got) == list(want)

@@ -132,20 +132,10 @@ class TestPartitions:
                 test=md.TimeRange(t0 + 150, t0 + 200),
             )
 
-    def test_make_partition_sizes(self):
-        t0 = 1609459200
-        part = md.make_partition(t0)
-        assert part.train.end - part.train.start == 8000 * md.HOUR
-        assert part.validation.end - part.validation.start == 1000 * md.HOUR
-        assert part.test.end - part.test.start == 1000 * md.HOUR
-
     def test_slice_and_indices(self):
         candles = md.synth_gbm(100.0, 0.0, 0.01, 100, seed=3)
         t0 = candles[0].timestamp
         rng = md.TimeRange(t0 + 10 * md.HOUR, t0 + 20 * md.HOUR)
-        sliced = md.slice_candles(candles, rng)
-        assert len(sliced) == 10
-        assert sliced[0].timestamp == t0 + 10 * md.HOUR
         lo, hi = md.partition_indices(candles, rng)
         assert (lo, hi) == (10, 20)
 
