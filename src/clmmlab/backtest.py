@@ -23,8 +23,7 @@ from .amm import PoolSpec
 from .baselines import (EWAConfig, EWA_DEFAULTS, TAU_DEFAULTS, ewa_config_for,
                         run_ewa, run_tau_reset)
 from .dqn import greedy_rollout
-from .env import (EnvConfig, HourRecord, LPEnv, PATH_MODELS, REWARD_MODES,
-                  TRACE_CSV_HEADER)
+from .env import EnvConfig, HourRecord, LPEnv, TRACE_CSV_HEADER
 from .features import WARMUP_CANDLES, FeatureScaler
 from .marketdata import Candle, synth_gbm
 from .report import REPORT_CSV_HEADER, in_header_order, write_csv_rows
@@ -49,11 +48,11 @@ class RunConfig:
     """
 
     method: str
+    candles: Optional[str] = None
     pool: str = "synth"
     fee_tier: float = 0.003
     tick_spacing: int = 60
     period: Optional[int] = None
-    candles: Optional[str] = None
     offset: Optional[int] = None
     horizon: Optional[int] = None
     l0: float = 250.0
@@ -72,29 +71,24 @@ class RunConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise RunError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.reward_mode not in REWARD_MODES:
-            raise RunError(f"reward_mode must be one of {REWARD_MODES}, "
-                           f"got {self.reward_mode!r}")
-        if self.path_model not in PATH_MODELS:
-            raise RunError(f"path_model must be one of {PATH_MODELS}, "
-                           f"got {self.path_model!r}")
         if self.period is not None and self.period not in (1, 2, 3, 4):
             raise RunError(f"period must be 1..4, got {self.period}")
-        if not 0.0 < self.l0 < math.inf:
-            raise RunError(f"l0 must be positive and finite, got {self.l0}")
-        if not 0.0 <= self.gas < math.inf:
-            raise RunError(f"gas must be finite and >= 0, got {self.gas}")
         if self.ewa_eta is not None and not 0.0 < self.ewa_eta < math.inf:
             raise RunError(f"ewa_eta must be positive and finite, got {self.ewa_eta}")
-        if self.n_actions < 1:
-            raise RunError(f"n_actions must be >= 1, got {self.n_actions}")
         try:
-            self.pool_spec()
+            self.env_config()
         except ValueError as e:
             raise RunError(str(e)) from None
 
     def pool_spec(self) -> PoolSpec:
         return PoolSpec(fee_tier=self.fee_tier, tick_spacing=self.tick_spacing)
+
+    def env_config(self, **window) -> EnvConfig:
+        """The env these settings describe; window sets the rest of
+        EnvConfig (episode_length, warmup, compute_features)."""
+        return EnvConfig(pool=self.pool_spec(), l0=self.l0, n_actions=self.n_actions,
+                         gas=self.gas, path_model=self.path_model,
+                         reward_mode=self.reward_mode, **window)
 
     def to_dict(self) -> Dict:
         return dataclasses.asdict(self)
@@ -230,11 +224,8 @@ def _default_window(config: RunConfig, n_candles: int) -> Tuple[int, int]:
 def _env_for(config: RunConfig, candles: Sequence[Candle], offset: int,
              horizon: int, compute_features: bool,
              scaler: Optional[FeatureScaler]) -> LPEnv:
-    env_config = EnvConfig(
-        pool=config.pool_spec(), l0=config.l0, n_actions=config.n_actions,
-        gas=config.gas, path_model=config.path_model,
-        reward_mode=config.reward_mode, episode_length=horizon,
-        warmup=offset, compute_features=compute_features)
+    env_config = config.env_config(episode_length=horizon, warmup=offset,
+                                   compute_features=compute_features)
     return LPEnv(candles, env_config, scaler=scaler)
 
 

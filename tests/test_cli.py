@@ -1,10 +1,11 @@
+import argparse
 import csv
 import json
 import os
 
 import pytest
 
-from clmmlab.cli import main
+from clmmlab.cli import build_parser, main
 from clmmlab.marketdata import bundled_candles_path, save_candles_csv, synth_gbm
 from clmmlab.nets import init_params, load_checkpoint, save_checkpoint
 from clmmlab.report import read_report_csv
@@ -279,6 +280,178 @@ class TestVerifyCommand:
         code, _, err = run_cli(["verify", "--criteria", "99"], capsys)
         assert code == 1
         assert err.strip().startswith("error: run:")
+
+
+DEAD_ENDPOINT = "http://127.0.0.1:9/subgraph"
+
+
+def _write_json(path, doc):
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _same_tree(a, b):
+    names = sorted(os.listdir(a))
+    return names == sorted(os.listdir(b)) and all(
+        (a / n).read_bytes() == (b / n).read_bytes() for n in names)
+
+
+class TestConfigFile:
+    """A config file's values are checked like the flags' values."""
+
+    @pytest.mark.parametrize("command,doc,message", [
+        ("train", {"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ("train", {"n_actions": 10.7}, "n_actions must be an integer, got 10.7"),
+        ("train", {"episode_length": 40.9},
+         "episode_length must be an integer, got 40.9"),
+        ("train", {"l0": "250"}, "l0 must be a number, got '250'"),
+        ("backtest", {"method": "tau-reset", "tau": 4, "fee_tier": "0.003"},
+         "fee_tier must be a number, got '0.003'"),
+        ("backtest", {"method": "tau-reset", "tau": 4.0},
+         "tau must be an integer, got 4.0"),
+        ("backtest", {"method": "tau-reset", "tau": 4, "seed": True},
+         "seed must be an integer, got True"),
+        ("features", {"window": 30}, "unknown config field 'window'"),
+        ("ingest", {"retries": 3}, "unknown config field 'retries'"),
+    ], ids=["train-seed", "train-n_actions", "train-episode_length",
+            "train-l0", "backtest-fee_tier", "backtest-tau", "backtest-seed",
+            "features-unknown", "ingest-unknown"])
+    def test_wrong_value_is_one_config_error(self, candles_csv, capsys,
+                                             tmp_path, command, doc, message):
+        cfg = _write_json(tmp_path / "cfg.json", doc)
+        out = tmp_path / "out"
+        flags = {
+            "train": ["--candles", candles_csv, "--budget", "400",
+                      "--train-hours", "150", "--val-hours", "50",
+                      "--out-dir", str(out)],
+            "backtest": ["--candles", candles_csv, "--out-dir", str(out)],
+            "features": ["--candles", candles_csv, "--out", str(out)],
+            "ingest": ["--endpoint", DEAD_ENDPOINT, "--pool-id", "0xabc",
+                       "--start", "2022-01-01", "--end", "2022-01-02",
+                       "--cache-dir", str(out)],
+        }[command]
+        code, _, err = run_cli([command, "--config", cfg, *flags], capsys)
+        assert code == 1
+        assert err.strip() == f"error: config: {message}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,flags", [
+        ("backtest", ["--method", "tau-reset", "--tau", "4", "--offset", "10",
+                      "--horizon", "100"]),
+        ("train", ["--seed", "1", "--episode-length", "40", "--budget", "200",
+                   "--train-hours", "150", "--val-hours", "50"]),
+    ])
+    def test_integer_float_setting_equals_its_flag(self, candles_csv, capsys,
+                                                   tmp_path, command, flags):
+        cfg = _write_json(tmp_path / "cfg.json", {"l0": 250})
+        base = [command, *flags, "--candles", candles_csv]
+        code, _, _ = run_cli(base + ["--config", cfg, "--out-dir",
+                                     str(tmp_path / "file")], capsys)
+        assert code == 0
+        code, _, _ = run_cli(base + ["--l0", "250", "--out-dir",
+                                     str(tmp_path / "flag")], capsys)
+        assert code == 0
+        assert _same_tree(tmp_path / "file", tmp_path / "flag")
+
+    def test_run_json_config_reruns_identically(self, candles_csv, capsys,
+                                                tmp_path):
+        code, _, _ = run_cli(
+            ["backtest", "--method", "ewa", "--ewa-widths", "5", "--ewa-eta",
+             "1.0", "--ewa-t-re", "24", "--candles", candles_csv, "--offset",
+             "10", "--horizon", "100", "--out-dir", str(tmp_path / "a")], capsys)
+        assert code == 0
+        config = json.loads((tmp_path / "a" / "run.json").read_text())["config"]
+        assert config["period"] is None  # null reads as unset
+        cfg = _write_json(tmp_path / "cfg.json", config)
+        code, _, _ = run_cli(["backtest", "--config", cfg, "--out-dir",
+                              str(tmp_path / "b")], capsys)
+        assert code == 0
+        assert _same_tree(tmp_path / "a", tmp_path / "b")
+
+    @pytest.mark.parametrize("command", ["report", "verify"])
+    def test_commands_without_settings_take_no_config(self, capsys, tmp_path,
+                                                      command):
+        code, _, err = run_cli([command, "--config", str(tmp_path / "x.json")],
+                               capsys)
+        assert code == 2
+        assert err.strip().startswith("error: usage: unrecognized arguments")
+
+
+class TestIngestCommand:
+    @pytest.mark.parametrize("start,end,message", [
+        ("2022-13-01", "2022-12-02",
+         "start must be a YYYY-MM-DD date, got '2022-13-01'"),
+        ("2022-01-01", "01/02/2022",
+         "end must be a YYYY-MM-DD date, got '01/02/2022'"),
+        ("2022-01-02", "2022-01-02",
+         "end 2022-01-02 must be after start 2022-01-02"),
+        ("2022-01-03", "2022-01-02",
+         "end 2022-01-02 must be after start 2022-01-03"),
+    ])
+    def test_bad_dates_are_config_errors_before_any_request(
+            self, capsys, tmp_path, start, end, message):
+        cache = tmp_path / "cache"
+        code, _, err = run_cli(
+            ["ingest", "--endpoint", DEAD_ENDPOINT, "--pool-id", "0xabc",
+             "--start", start, "--end", end, "--cache-dir", str(cache)], capsys)
+        assert code == 1
+        assert err.strip() == f"error: config: {message}"
+        assert not cache.exists()
+
+
+# (option, dest, type) of every flag: scripts name these, so generating the
+# flags from SETTING_KINDS must keep them. report and verify take no --config.
+PARSER_FLAGS = {
+    "ingest": [
+        ("--config", "config", None), ("--endpoint", "endpoint", None),
+        ("--pool-id", "pool_id", None), ("--start", "start", None),
+        ("--end", "end", None), ("--cache-dir", "cache_dir", None)],
+    "features": [
+        ("--config", "config", None), ("--candles", "candles", None),
+        ("--out", "out", None), ("--scaler-out", "scaler_out", None)],
+    "train": [
+        ("--config", "config", None), ("--out-dir", "out_dir", None),
+        ("--candles", "candles", None), ("--seed", "seed", int),
+        ("--l0", "l0", float), ("--gas", "gas", float),
+        ("--n-actions", "n_actions", int), ("--fee-tier", "fee_tier", float),
+        ("--tick-spacing", "tick_spacing", int), ("--pool", "pool", None),
+        ("--reward-mode", "reward_mode", None),
+        ("--path-model", "path_model", None),
+        ("--episode-length", "episode_length", int),
+        ("--episodes", "episodes", int), ("--budget", "budget", int),
+        ("--train-hours", "train_hours", int),
+        ("--val-hours", "val_hours", int),
+        ("--learning-rate", "learning_rate", float),
+        ("--batch-size", "batch_size", int), ("--buffer", "buffer", int)],
+    "backtest": [
+        ("--config", "config", None), ("--out-dir", "out_dir", None),
+        ("--method", "method", None), ("--candles", "candles", None),
+        ("--pool", "pool", None), ("--fee-tier", "fee_tier", float),
+        ("--tick-spacing", "tick_spacing", int), ("--period", "period", int),
+        ("--offset", "offset", int), ("--horizon", "horizon", int),
+        ("--l0", "l0", float), ("--gas", "gas", float),
+        ("--n-actions", "n_actions", int),
+        ("--reward-mode", "reward_mode", None),
+        ("--path-model", "path_model", None), ("--seed", "seed", int),
+        ("--tau", "tau", int), ("--ewa-widths", "ewa_widths", int),
+        ("--ewa-eta", "ewa_eta", float), ("--ewa-t-re", "ewa_t_re", int),
+        ("--checkpoint", "checkpoint", None), ("--label", "label", None)],
+    "report": [("--runs", "runs", None), ("--out-dir", "out_dir", None)],
+    "verify": [("--criteria", "criteria", None),
+               ("--work-dir", "work_dir", None)],
+}
+
+
+def test_parser_flags_keep_their_names_dests_and_types():
+    parser = build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {name: [(a.option_strings[0], a.dest, a.type) for a in p._actions
+                  if a.dest != "help"]
+           for name, p in sub.choices.items()}
+    assert got == PARSER_FLAGS
+    runs = next(a for a in sub.choices["report"]._actions if a.dest == "runs")
+    assert runs.nargs == "+"
 
 
 def test_bundled_fixture_is_packaged():
