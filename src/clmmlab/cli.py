@@ -93,7 +93,8 @@ def _checked(name: str, value):
 
 def _merge(args: argparse.Namespace, fields: Sequence[str]) -> Dict:
     """Config-file values overridden by explicitly passed flags, each
-    checked against its kind; a null file value counts as unset."""
+    checked against its kind, in `fields` order whatever the file's key
+    order; a null file value counts as unset."""
     data = _load_config(args.config)
     unknown = sorted(set(data) - set(fields))
     if unknown:
@@ -101,8 +102,8 @@ def _merge(args: argparse.Namespace, fields: Sequence[str]) -> Dict:
     for name in fields:
         if getattr(args, name) is not None:
             data[name] = getattr(args, name)
-    return {name: _checked(name, value) for name, value in data.items()
-            if value is not None}
+    return {name: _checked(name, data[name]) for name in fields
+            if data.get(name) is not None}
 
 
 def _require(data: Dict, key: str) -> object:

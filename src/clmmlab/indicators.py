@@ -11,11 +11,20 @@ range, CCI returns 0 on zero mean deviation, DX returns 0 when both DIs
 vanish, the ultimate oscillator returns 0 on zero true-range sum, and the
 Hilbert dominant-cycle period holds its previous value when the homodyne
 discriminator degenerates.
+
+Windowed sums, means and extremes reduce over sliding-window views, and the
+elementwise steps are array expressions.  The true recurrences (EMA, Wilder
+sums, ADX, NATR, parabolic SAR and the Hilbert pass) stay sequential but run
+over Python floats, which round exactly like numpy float64 scalars.  The
+per-element loops these passes replaced are kept in tests/oracles.py, and
+the tests hold every column bit-equal to them.
 """
 
 import math
+from itertools import accumulate
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def _validate(*arrays):
@@ -24,6 +33,11 @@ def _validate(*arrays):
         if len(a) != n:
             raise ValueError("input arrays differ in length")
     return n
+
+
+def _windows(x: np.ndarray, p: int) -> np.ndarray:
+    """(n - p + 1, p) view of x's length-p windows, one row per end index."""
+    return sliding_window_view(x, p) if len(x) >= p else np.empty((0, p))
 
 
 def sma(x: np.ndarray, period: int) -> np.ndarray:
@@ -46,11 +60,9 @@ def ema(x: np.ndarray, period: int) -> np.ndarray:
     if n < period:
         return out
     alpha = 2.0 / (period + 1.0)
-    prev = float(np.mean(x[:period]))
-    out[period - 1] = prev
-    for i in range(period, n):
-        prev = alpha * x[i] + (1.0 - alpha) * prev
-        out[i] = prev
+    out[period - 1:] = list(accumulate(
+        x[period:].tolist(), lambda prev, v: alpha * v + (1.0 - alpha) * prev,
+        initial=float(np.mean(x[:period]))))
     return out
 
 
@@ -66,10 +78,11 @@ def dema(x: np.ndarray, period: int) -> np.ndarray:
 def true_range(high: np.ndarray, low: np.ndarray, close: np.ndarray) -> np.ndarray:
     n = _validate(high, low, close)
     out = np.full(n, np.nan)
-    if n == 0:
-        return out
-    for i in range(1, n):
-        out[i] = max(high[i] - low[i], abs(high[i] - close[i - 1]), abs(low[i] - close[i - 1]))
+    rng = high[1:] - low[1:]
+    up, down = np.abs(high[1:] - close[:-1]), np.abs(low[1:] - close[:-1])
+    # built-in max(rng, up, down): ties keep the earlier argument
+    first = np.where(up > rng, up, rng)
+    out[1:] = np.where(down > first, down, first)
     return out
 
 
@@ -84,25 +97,20 @@ def _wilder_sum(values: np.ndarray, period: int, first_index: int) -> np.ndarray
     start = first_index + period - 1
     if start >= n:
         return out
-    s = float(np.sum(values[first_index : first_index + period]))
-    out[start] = s
-    for i in range(start + 1, n):
-        s = s - s / period + values[i]
-        out[i] = s
+    out[start:] = list(accumulate(
+        values[start + 1:].tolist(), lambda s, v: s - s / period + v,
+        initial=float(np.sum(values[first_index : first_index + period]))))
     return out
 
 
 def _directional_movement(high: np.ndarray, low: np.ndarray):
     n = _validate(high, low)
+    up = high[1:] - high[:-1]
+    down = low[:-1] - low[1:]
     plus = np.zeros(n)
     minus = np.zeros(n)
-    for i in range(1, n):
-        up = high[i] - high[i - 1]
-        down = low[i - 1] - low[i]
-        if up > down and up > 0.0:
-            plus[i] = up
-        if down > up and down > 0.0:
-            minus[i] = down
+    plus[1:] = np.where((up > down) & (up > 0.0), up, 0.0)
+    minus[1:] = np.where((down > up) & (down > 0.0), down, 0.0)
     return plus, minus
 
 
@@ -119,7 +127,7 @@ def minus_dm(high: np.ndarray, low: np.ndarray, period: int = 14) -> np.ndarray:
 def _di(high, low, close, period):
     p, m = _directional_movement(high, low)
     tr = true_range(high, low, close)
-    tr[0] = 0.0
+    tr[:1] = 0.0
     ps = _wilder_sum(p, period, 1)
     ms = _wilder_sum(m, period, 1)
     trs = _wilder_sum(np.nan_to_num(tr), period, 1)
@@ -150,11 +158,9 @@ def adx(high: np.ndarray, low: np.ndarray, close: np.ndarray, period: int = 14) 
     start = first + period - 1
     if start >= n:
         return out
-    prev = float(np.mean(d[first : first + period]))
-    out[start] = prev
-    for i in range(start + 1, n):
-        prev = (prev * (period - 1) + d[i]) / period
-        out[i] = prev
+    out[start:] = list(accumulate(
+        d[start + 1:].tolist(), lambda prev, v: (prev * (period - 1) + v) / period,
+        initial=float(np.mean(d[first : first + period]))))
     return out
 
 
@@ -172,15 +178,13 @@ def aroon_osc(high: np.ndarray, low: np.ndarray, period: int = 14) -> np.ndarray
     """
     n = _validate(high, low)
     out = np.full(n, np.nan)
-    for i in range(period, n):
-        hw = high[i - period : i + 1]
-        lw = low[i - period : i + 1]
-        # distance back to the most recent max/min
-        back_hi = period - int(np.flatnonzero(hw >= np.max(hw))[-1])
-        back_lo = period - int(np.flatnonzero(lw <= np.min(lw))[-1])
-        up = 100.0 * (period - back_hi) / period
-        down = 100.0 * (period - back_lo) / period
-        out[i] = up - down
+    hw, lw = _windows(high, period + 1)[:, ::-1], _windows(low, period + 1)[:, ::-1]
+    # distance back to the most recent max/min: the first in the reversed window
+    back_hi = (hw >= hw.max(axis=1)[:, None]).argmax(axis=1)
+    back_lo = (lw <= lw.min(axis=1)[:, None]).argmax(axis=1)
+    up = 100.0 * (period - back_hi) / period
+    down = 100.0 * (period - back_lo) / period
+    out[period:] = up - down
     return out
 
 
@@ -196,11 +200,12 @@ def cci(high: np.ndarray, low: np.ndarray, close: np.ndarray, period: int = 14) 
     n = _validate(high, low, close)
     tp = (high + low + close) / 3.0
     out = np.full(n, np.nan)
-    for i in range(period - 1, n):
-        w = tp[i - period + 1 : i + 1]
-        m = float(np.mean(w))
-        dev = float(np.mean(np.abs(w - m)))
-        out[i] = (tp[i] - m) / (0.015 * dev) if dev > 0.0 else 0.0
+    w = _windows(tp, period)
+    m = w.sum(axis=1) / period
+    dev = w - m[:, None]
+    dev = np.abs(dev, out=dev).sum(axis=1) / period
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out[period - 1:] = np.where(dev > 0.0, (tp[period - 1:] - m) / (0.015 * dev), 0.0)
     return out
 
 
@@ -215,10 +220,10 @@ def cmo(close: np.ndarray, period: int = 14) -> np.ndarray:
     diff = np.diff(close)
     gains = np.where(diff > 0.0, diff, 0.0)
     losses = np.where(diff < 0.0, -diff, 0.0)
-    for i in range(period, n):
-        g = float(np.sum(gains[i - period : i]))
-        l = float(np.sum(losses[i - period : i]))
-        out[i] = 100.0 * (g - l) / (g + l) if g + l > 0.0 else 0.0
+    g = _windows(gains, period).sum(axis=1)
+    l = _windows(losses, period).sum(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out[period:] = np.where(g + l > 0.0, 100.0 * (g - l) / (g + l), 0.0)
     return out
 
 
@@ -239,12 +244,9 @@ def trix(close: np.ndarray, period: int = 30) -> np.ndarray:
     start3 = 3 * (period - 1)
     full_e3[start3:] = e3[period - 1 :]
     out = np.full(n, np.nan)
-    for i in range(start3 + 1, n):
-        prev = full_e3[i - 1]
-        if prev != 0.0:
-            out[i] = 100.0 * (full_e3[i] / prev - 1.0)
-        else:
-            out[i] = 0.0
+    prev = full_e3[start3:-1]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out[start3 + 1:] = np.where(prev != 0.0, 100.0 * (full_e3[start3 + 1:] / prev - 1.0), 0.0)
     return out
 
 
@@ -257,32 +259,33 @@ def ultimate_oscillator(
     p3: int = 28,
 ) -> np.ndarray:
     n = _validate(high, low, close)
+    # built-in min(low, prev close) and max(high, prev close)
+    lo = np.where(close[:-1] < low[1:], close[:-1], low[1:])
+    hi = np.where(close[:-1] > high[1:], close[:-1], high[1:])
     bp = np.zeros(n)
     tr = np.zeros(n)
-    for i in range(1, n):
-        lo = min(low[i], close[i - 1])
-        hi = max(high[i], close[i - 1])
-        bp[i] = close[i] - lo
-        tr[i] = hi - lo
+    bp[1:] = close[1:] - lo
+    tr[1:] = hi - lo
     out = np.full(n, np.nan)
 
-    def avg(i, p):
-        t = float(np.sum(tr[i - p + 1 : i + 1]))
-        b = float(np.sum(bp[i - p + 1 : i + 1]))
-        return b / t if t > 0.0 else 0.0
+    def avg(p):
+        # sums over the windows ending at p3 .. n - 1
+        t = _windows(tr, p).sum(axis=1)[p3 - p + 1:]
+        b = _windows(bp, p).sum(axis=1)[p3 - p + 1:]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return np.where(t > 0.0, b / t, 0.0)
 
-    for i in range(p3, n):
-        out[i] = 100.0 * (4.0 * avg(i, p1) + 2.0 * avg(i, p2) + avg(i, p3)) / 7.0
+    out[p3:] = 100.0 * (4.0 * avg(p1) + 2.0 * avg(p2) + avg(p3)) / 7.0
     return out
 
 
 def _raw_stochastic(high, low, close, period):
     n = _validate(high, low, close)
     out = np.full(n, np.nan)
-    for i in range(period - 1, n):
-        hh = float(np.max(high[i - period + 1 : i + 1]))
-        ll = float(np.min(low[i - period + 1 : i + 1]))
-        out[i] = 100.0 * (close[i] - ll) / (hh - ll) if hh > ll else 0.0
+    hh = _windows(high, period).max(axis=1)
+    ll = _windows(low, period).min(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out[period - 1:] = np.where(hh > ll, 100.0 * (close[period - 1:] - ll) / (hh - ll), 0.0)
     return out
 
 
@@ -326,11 +329,10 @@ def natr(high: np.ndarray, low: np.ndarray, close: np.ndarray, period: int = 14)
     out = np.full(n, np.nan)
     if n <= period:
         return out
-    atr = float(np.mean(tr[1 : period + 1]))
-    out[period] = 100.0 * atr / close[period]
-    for i in range(period + 1, n):
-        atr = (atr * (period - 1) + tr[i]) / period
-        out[i] = 100.0 * atr / close[i]
+    atr = list(accumulate(
+        tr[period + 1:].tolist(), lambda prev, v: (prev * (period - 1) + v) / period,
+        initial=float(np.mean(tr[1 : period + 1]))))
+    out[period:] = 100.0 * np.array(atr) / close[period:]
     return out
 
 
@@ -347,34 +349,29 @@ def parabolic_sar(
     out = np.full(n, np.nan)
     if n < 2:
         return out
-    up_move = high[1] - high[0]
-    down_move = low[0] - low[1]
-    long = up_move >= down_move
-    if long:
-        sar, ep = float(low[0]), float(high[1])
-    else:
-        sar, ep = float(high[0]), float(low[1])
+    high, low = high.tolist(), low.tolist()
+    long = high[1] - high[0] >= low[0] - low[1]
+    sar, ep = (low[0], high[1]) if long else (high[0], low[1])
     af = accel
-    out[1] = sar
+    sars = [sar]
     for i in range(2, n):
         sar = sar + af * (ep - sar)
         if long:
             sar = min(sar, low[i - 1], low[i - 2])
             if low[i] < sar:
                 long = False
-                sar, ep, af = ep, float(low[i]), accel
-            else:
-                if high[i] > ep:
-                    ep, af = float(high[i]), min(af + accel, max_accel)
+                sar, ep, af = ep, low[i], accel
+            elif high[i] > ep:
+                ep, af = high[i], min(af + accel, max_accel)
         else:
             sar = max(sar, high[i - 1], high[i - 2])
             if high[i] > sar:
                 long = True
-                sar, ep, af = ep, float(high[i]), accel
-            else:
-                if low[i] < ep:
-                    ep, af = float(low[i]), min(af + accel, max_accel)
-        out[i] = sar
+                sar, ep, af = ep, high[i], accel
+            elif low[i] < ep:
+                ep, af = low[i], min(af + accel, max_accel)
+        sars.append(sar)
+    out[1:] = sars
     return out
 
 
@@ -384,9 +381,7 @@ _HT_LOOKBACK = 63
 def _hilbert_components(x: np.ndarray):
     """Shared homodyne-discriminator pass: smoothed price, period estimate."""
     n = len(x)
-    smooth = np.full(n, np.nan)
-    period = np.full(n, np.nan)
-    smooth_period = np.full(n, np.nan)
+    smooth, period, smooth_period = (np.full(n, np.nan) for _ in range(3))
     if n < 7:
         return smooth, period, smooth_period
 
@@ -398,17 +393,14 @@ def _hilbert_components(x: np.ndarray):
             - 0.0962 * series[i - 6]
         ) * (0.075 * per + 0.54)
 
-    detrender = np.zeros(n)
-    q1 = np.zeros(n)
-    i1 = np.zeros(n)
-    i2 = q2 = 0.0
-    re = im = 0.0
-    per = 6.0
-    sper = 6.0
-    for i in range(3, n):
-        smooth[i] = (4.0 * x[i] + 3.0 * x[i - 1] + 2.0 * x[i - 2] + x[i - 3]) / 10.0
+    smooth[3:] = (4.0 * x[3:] + 3.0 * x[2:-1] + 2.0 * x[1:-2] + x[:-3]) / 10.0
+    sm = smooth.tolist()
+    detrender, q1, i1 = [0.0] * n, [0.0] * n, [0.0] * n
+    pers, spers = [], []
+    i2 = q2 = re = im = 0.0
+    per = sper = 6.0
     for i in range(9, n):
-        detrender[i] = filt(smooth, i, per)
+        detrender[i] = filt(sm, i, per)
         if i < 15:
             continue
         q1[i] = filt(detrender, i, per)
@@ -430,8 +422,10 @@ def _hilbert_components(x: np.ndarray):
                 p_new = min(max(p_new, 6.0), 50.0)
                 per = 0.2 * p_new + 0.8 * per
         sper = 0.33 * per + 0.67 * sper
-        period[i] = per
-        smooth_period[i] = sper
+        pers.append(per)
+        spers.append(sper)
+    period[15:] = pers
+    smooth_period[15:] = spers
     return smooth, period, smooth_period
 
 
@@ -449,22 +443,24 @@ def ht_dc_phase(x: np.ndarray) -> np.ndarray:
     smooth, _, sper = _hilbert_components(x)
     n = len(x)
     out = np.full(n, np.nan)
+    src = [s if math.isfinite(s) else v for s, v in zip(smooth.tolist(), x.tolist())]
+    sper = sper.tolist()
+    weights = {}  # dc -> [(sin, cos) of 2*pi*k/dc for k < dc]
     for i in range(_HT_LOOKBACK, n):
         sp = sper[i]
-        if not np.isfinite(sp):
+        if not math.isfinite(sp):
             continue
-        dc = int(sp + 0.5)
-        dc = max(dc, 1)
+        dc = max(int(sp + 0.5), 1)
         real = imag = 0.0
         if i - dc + 1 < 0:
             continue
-        for k in range(dc):
-            w = 2.0 * math.pi * k / dc
-            s = smooth[i - k]
-            if not np.isfinite(s):
-                s = x[i - k]
-            real += math.sin(w) * s
-            imag += math.cos(w) * s
+        if dc not in weights:
+            weights[dc] = [(math.sin(w), math.cos(w))
+                           for w in (2.0 * math.pi * k / dc for k in range(dc))]
+        # k = 0 .. dc - 1 pairs with bars i, i - 1, ..., i - dc + 1
+        for (sin_w, cos_w), s in zip(weights[dc], reversed(src[i - dc + 1 : i + 1])):
+            real += sin_w * s
+            imag += cos_w * s
         if abs(imag) > 0.001:
             phase = math.degrees(math.atan(real / imag))
         else:

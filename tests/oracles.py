@@ -12,7 +12,9 @@ down the budgets x references rewrite of run_ewa. The dict-row run-dir
 writer and the four-sum drift study at the end are the code that
 env.HourRecord, report.write_csv_rows and the run_backtest drift study
 replaced; they run on the package's env and ledger and check only the
-writing and the totals.
+writing and the totals. The loop indicators at the very end are the
+per-element code that clmmlab.indicators' array passes replaced; they share
+only sma with the package.
 """
 
 import csv
@@ -29,6 +31,7 @@ from clmmlab.amm import (LiquidityPosition, PoolSpec, _check_price, band_for_cen
 from clmmlab.backtest import EQUILIBRIUM_POOL, config_hash
 from clmmlab.baselines import EWAConfig, ewa_weights, run_tau_reset
 from clmmlab.env import TRACE_CSV_HEADER, EnvConfig, LPEnv, hour_path
+from clmmlab.indicators import sma
 from clmmlab.marketdata import synth_gbm
 from clmmlab.report import REPORT_CSV_HEADER
 from clmmlab.marketdata import Candle
@@ -481,4 +484,444 @@ def drift_neutrality_study(
             "unhedged_se": float(unhedged.std(ddof=1) / math.sqrt(n_seeds)),
             "n_seeds": n_seeds,
         }
+    return out
+
+
+# -- loop indicators -------------------------------------------------------
+# The per-element indicator loops that clmmlab.indicators' array passes
+# replaced, kept verbatim as the bitwise oracle. sma, apo, bop and momentum
+# were array code already and come from the package unchanged.
+
+LOOP_INDICATORS = (
+    "ema", "dema", "true_range", "plus_dm", "minus_dm", "dx", "adx",
+    "aroon_osc", "cci", "cmo", "trix", "ultimate_oscillator", "stochastic",
+    "stochastic_fast", "natr", "parabolic_sar", "ht_dc_period", "ht_dc_phase",
+)
+
+
+def _validate(*arrays):
+    n = len(arrays[0])
+    for a in arrays:
+        if len(a) != n:
+            raise ValueError("input arrays differ in length")
+    return n
+
+
+def ema(x: np.ndarray, period: int) -> np.ndarray:
+    """Exponential MA seeded with the SMA of the first `period` values."""
+    if period < 1:
+        raise ValueError(f"period must be >= 1, got {period}")
+    n = len(x)
+    out = np.full(n, np.nan)
+    if n < period:
+        return out
+    alpha = 2.0 / (period + 1.0)
+    prev = float(np.mean(x[:period]))
+    out[period - 1] = prev
+    for i in range(period, n):
+        prev = alpha * x[i] + (1.0 - alpha) * prev
+        out[i] = prev
+    return out
+
+
+def dema(x: np.ndarray, period: int) -> np.ndarray:
+    e1 = ema(x, period)
+    start = period - 1
+    e2_tail = ema(e1[start:], period)
+    out = np.full(len(x), np.nan)
+    out[start:] = 2.0 * e1[start:] - e2_tail
+    return out
+
+
+def true_range(high: np.ndarray, low: np.ndarray, close: np.ndarray) -> np.ndarray:
+    n = _validate(high, low, close)
+    out = np.full(n, np.nan)
+    if n == 0:
+        return out
+    for i in range(1, n):
+        out[i] = max(high[i] - low[i], abs(high[i] - close[i - 1]), abs(low[i] - close[i - 1]))
+    return out
+
+
+def _wilder_sum(values: np.ndarray, period: int, first_index: int) -> np.ndarray:
+    """Wilder smoothed running sum: s_i = s_{i-1} - s_{i-1}/n + v_i.
+
+    values[first_index:] must be defined; the first output lands at
+    first_index + period - 1 as the plain sum of the first `period` values.
+    """
+    n = len(values)
+    out = np.full(n, np.nan)
+    start = first_index + period - 1
+    if start >= n:
+        return out
+    s = float(np.sum(values[first_index : first_index + period]))
+    out[start] = s
+    for i in range(start + 1, n):
+        s = s - s / period + values[i]
+        out[i] = s
+    return out
+
+
+def _directional_movement(high: np.ndarray, low: np.ndarray):
+    n = _validate(high, low)
+    plus = np.zeros(n)
+    minus = np.zeros(n)
+    for i in range(1, n):
+        up = high[i] - high[i - 1]
+        down = low[i - 1] - low[i]
+        if up > down and up > 0.0:
+            plus[i] = up
+        if down > up and down > 0.0:
+            minus[i] = down
+    return plus, minus
+
+
+def plus_dm(high: np.ndarray, low: np.ndarray, period: int = 14) -> np.ndarray:
+    p, _ = _directional_movement(high, low)
+    return _wilder_sum(p, period, 1)
+
+
+def minus_dm(high: np.ndarray, low: np.ndarray, period: int = 14) -> np.ndarray:
+    _, m = _directional_movement(high, low)
+    return _wilder_sum(m, period, 1)
+
+
+def _di(high, low, close, period):
+    p, m = _directional_movement(high, low)
+    tr = true_range(high, low, close)
+    tr[0] = 0.0
+    ps = _wilder_sum(p, period, 1)
+    ms = _wilder_sum(m, period, 1)
+    trs = _wilder_sum(np.nan_to_num(tr), period, 1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        pdi = np.where(trs > 0.0, 100.0 * ps / trs, 0.0)
+        mdi = np.where(trs > 0.0, 100.0 * ms / trs, 0.0)
+    pdi[np.isnan(ps)] = np.nan
+    mdi[np.isnan(ms)] = np.nan
+    return pdi, mdi
+
+
+def dx(high: np.ndarray, low: np.ndarray, close: np.ndarray, period: int = 14) -> np.ndarray:
+    pdi, mdi = _di(high, low, close, period)
+    out = np.full(len(close), np.nan)
+    valid = ~np.isnan(pdi)
+    tot = pdi[valid] + mdi[valid]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        vals = np.where(tot > 0.0, 100.0 * np.abs(pdi[valid] - mdi[valid]) / tot, 0.0)
+    out[valid] = vals
+    return out
+
+
+def adx(high: np.ndarray, low: np.ndarray, close: np.ndarray, period: int = 14) -> np.ndarray:
+    d = dx(high, low, close, period)
+    n = len(close)
+    out = np.full(n, np.nan)
+    first = period  # dx starts here
+    start = first + period - 1
+    if start >= n:
+        return out
+    prev = float(np.mean(d[first : first + period]))
+    out[start] = prev
+    for i in range(start + 1, n):
+        prev = (prev * (period - 1) + d[i]) / period
+        out[i] = prev
+    return out
+
+
+def aroon_osc(high: np.ndarray, low: np.ndarray, period: int = 14) -> np.ndarray:
+    """Aroon up minus Aroon down over a period+1 bar window.
+
+    Ties go to the most recent extreme, matching the reference behaviour.
+    """
+    n = _validate(high, low)
+    out = np.full(n, np.nan)
+    for i in range(period, n):
+        hw = high[i - period : i + 1]
+        lw = low[i - period : i + 1]
+        # distance back to the most recent max/min
+        back_hi = period - int(np.flatnonzero(hw >= np.max(hw))[-1])
+        back_lo = period - int(np.flatnonzero(lw <= np.min(lw))[-1])
+        up = 100.0 * (period - back_hi) / period
+        down = 100.0 * (period - back_lo) / period
+        out[i] = up - down
+    return out
+
+
+def cci(high: np.ndarray, low: np.ndarray, close: np.ndarray, period: int = 14) -> np.ndarray:
+    n = _validate(high, low, close)
+    tp = (high + low + close) / 3.0
+    out = np.full(n, np.nan)
+    for i in range(period - 1, n):
+        w = tp[i - period + 1 : i + 1]
+        m = float(np.mean(w))
+        dev = float(np.mean(np.abs(w - m)))
+        out[i] = (tp[i] - m) / (0.015 * dev) if dev > 0.0 else 0.0
+    return out
+
+
+def cmo(close: np.ndarray, period: int = 14) -> np.ndarray:
+    """Chande momentum: 100 * (sum gains - sum losses)/(sum gains + sum losses).
+
+    Plain sums over the lookback (the classic definition), not the
+    Wilder-smoothed variant.
+    """
+    n = len(close)
+    out = np.full(n, np.nan)
+    diff = np.diff(close)
+    gains = np.where(diff > 0.0, diff, 0.0)
+    losses = np.where(diff < 0.0, -diff, 0.0)
+    for i in range(period, n):
+        g = float(np.sum(gains[i - period : i]))
+        l = float(np.sum(losses[i - period : i]))
+        out[i] = 100.0 * (g - l) / (g + l) if g + l > 0.0 else 0.0
+    return out
+
+
+def trix(close: np.ndarray, period: int = 30) -> np.ndarray:
+    """One-bar percent rate of change of a triple EMA."""
+    e1 = ema(close, period)
+    e2 = ema(e1[period - 1 :], period)
+    e3 = ema(e2[period - 1 :], period)
+    n = len(close)
+    full_e3 = np.full(n, np.nan)
+    start3 = 3 * (period - 1)
+    full_e3[start3:] = e3[period - 1 :]
+    out = np.full(n, np.nan)
+    for i in range(start3 + 1, n):
+        prev = full_e3[i - 1]
+        if prev != 0.0:
+            out[i] = 100.0 * (full_e3[i] / prev - 1.0)
+        else:
+            out[i] = 0.0
+    return out
+
+
+def ultimate_oscillator(
+    high: np.ndarray,
+    low: np.ndarray,
+    close: np.ndarray,
+    p1: int = 7,
+    p2: int = 14,
+    p3: int = 28,
+) -> np.ndarray:
+    n = _validate(high, low, close)
+    bp = np.zeros(n)
+    tr = np.zeros(n)
+    for i in range(1, n):
+        lo = min(low[i], close[i - 1])
+        hi = max(high[i], close[i - 1])
+        bp[i] = close[i] - lo
+        tr[i] = hi - lo
+    out = np.full(n, np.nan)
+
+    def avg(i, p):
+        t = float(np.sum(tr[i - p + 1 : i + 1]))
+        b = float(np.sum(bp[i - p + 1 : i + 1]))
+        return b / t if t > 0.0 else 0.0
+
+    for i in range(p3, n):
+        out[i] = 100.0 * (4.0 * avg(i, p1) + 2.0 * avg(i, p2) + avg(i, p3)) / 7.0
+    return out
+
+
+def _raw_stochastic(high, low, close, period):
+    n = _validate(high, low, close)
+    out = np.full(n, np.nan)
+    for i in range(period - 1, n):
+        hh = float(np.max(high[i - period + 1 : i + 1]))
+        ll = float(np.min(low[i - period + 1 : i + 1]))
+        out[i] = 100.0 * (close[i] - ll) / (hh - ll) if hh > ll else 0.0
+    return out
+
+
+def stochastic(
+    high: np.ndarray,
+    low: np.ndarray,
+    close: np.ndarray,
+    k_period: int = 5,
+    slow_period: int = 3,
+    d_period: int = 3,
+):
+    """Slow stochastic: returns (slowK, slowD)."""
+    fastk = _raw_stochastic(high, low, close, k_period)
+    start = k_period - 1
+    slowk = np.full(len(close), np.nan)
+    slowk[start:] = sma(fastk[start:], slow_period)
+    start2 = start + slow_period - 1
+    slowd = np.full(len(close), np.nan)
+    slowd[start2:] = sma(slowk[start2:], d_period)
+    return slowk, slowd
+
+
+def stochastic_fast(
+    high: np.ndarray,
+    low: np.ndarray,
+    close: np.ndarray,
+    k_period: int = 5,
+    d_period: int = 3,
+):
+    """Fast stochastic: returns (fastK, fastD)."""
+    fastk = _raw_stochastic(high, low, close, k_period)
+    start = k_period - 1
+    fastd = np.full(len(close), np.nan)
+    fastd[start:] = sma(fastk[start:], d_period)
+    return fastk, fastd
+
+
+def natr(high: np.ndarray, low: np.ndarray, close: np.ndarray, period: int = 14) -> np.ndarray:
+    n = _validate(high, low, close)
+    tr = true_range(high, low, close)
+    out = np.full(n, np.nan)
+    if n <= period:
+        return out
+    atr = float(np.mean(tr[1 : period + 1]))
+    out[period] = 100.0 * atr / close[period]
+    for i in range(period + 1, n):
+        atr = (atr * (period - 1) + tr[i]) / period
+        out[i] = 100.0 * atr / close[i]
+    return out
+
+
+def parabolic_sar(
+    high: np.ndarray, low: np.ndarray, accel: float = 0.02, max_accel: float = 0.2
+) -> np.ndarray:
+    """Wilder's parabolic stop-and-reverse.
+
+    The initial trend comes from the first bar-to-bar directional move; the
+    stop trails at sar + af*(ep - sar), clamped to the prior two bars'
+    extremes, reversing when price crosses it.
+    """
+    n = _validate(high, low)
+    out = np.full(n, np.nan)
+    if n < 2:
+        return out
+    up_move = high[1] - high[0]
+    down_move = low[0] - low[1]
+    long = up_move >= down_move
+    if long:
+        sar, ep = float(low[0]), float(high[1])
+    else:
+        sar, ep = float(high[0]), float(low[1])
+    af = accel
+    out[1] = sar
+    for i in range(2, n):
+        sar = sar + af * (ep - sar)
+        if long:
+            sar = min(sar, low[i - 1], low[i - 2])
+            if low[i] < sar:
+                long = False
+                sar, ep, af = ep, float(low[i]), accel
+            else:
+                if high[i] > ep:
+                    ep, af = float(high[i]), min(af + accel, max_accel)
+        else:
+            sar = max(sar, high[i - 1], high[i - 2])
+            if high[i] > sar:
+                long = True
+                sar, ep, af = ep, float(high[i]), accel
+            else:
+                if low[i] < ep:
+                    ep, af = float(low[i]), min(af + accel, max_accel)
+        out[i] = sar
+    return out
+
+
+_HT_LOOKBACK = 63
+
+
+def _hilbert_components(x: np.ndarray):
+    """Shared homodyne-discriminator pass: smoothed price, period estimate."""
+    n = len(x)
+    smooth = np.full(n, np.nan)
+    period = np.full(n, np.nan)
+    smooth_period = np.full(n, np.nan)
+    if n < 7:
+        return smooth, period, smooth_period
+
+    def filt(series, i, per):
+        return (
+            0.0962 * series[i]
+            + 0.5769 * series[i - 2]
+            - 0.5769 * series[i - 4]
+            - 0.0962 * series[i - 6]
+        ) * (0.075 * per + 0.54)
+
+    detrender = np.zeros(n)
+    q1 = np.zeros(n)
+    i1 = np.zeros(n)
+    i2 = q2 = 0.0
+    re = im = 0.0
+    per = 6.0
+    sper = 6.0
+    for i in range(3, n):
+        smooth[i] = (4.0 * x[i] + 3.0 * x[i - 1] + 2.0 * x[i - 2] + x[i - 3]) / 10.0
+    for i in range(9, n):
+        detrender[i] = filt(smooth, i, per)
+        if i < 15:
+            continue
+        q1[i] = filt(detrender, i, per)
+        i1[i] = detrender[i - 3]
+        ji = filt(i1, i, per)
+        jq = filt(q1, i, per)
+        i2_new = i1[i] - jq
+        q2_new = q1[i] + ji
+        i2_new = 0.2 * i2_new + 0.8 * i2
+        q2_new = 0.2 * q2_new + 0.8 * q2
+        re_new = 0.2 * (i2_new * i2 + q2_new * q2) + 0.8 * re
+        im_new = 0.2 * (i2_new * q2 - q2_new * i2) + 0.8 * im
+        i2, q2, re, im = i2_new, q2_new, re_new, im_new
+        if im != 0.0 and re != 0.0:
+            angle = math.atan2(im, re)
+            if angle != 0.0:
+                p_new = 2.0 * math.pi / angle
+                p_new = min(max(p_new, 0.67 * per), 1.5 * per)
+                p_new = min(max(p_new, 6.0), 50.0)
+                per = 0.2 * p_new + 0.8 * per
+        sper = 0.33 * per + 0.67 * sper
+        period[i] = per
+        smooth_period[i] = sper
+    return smooth, period, smooth_period
+
+
+def ht_dc_period(x: np.ndarray) -> np.ndarray:
+    """Hilbert-transform dominant cycle period, clamped to [6, 50] bars."""
+    _, _, sper = _hilbert_components(x)
+    out = np.full(len(x), np.nan)
+    valid = slice(_HT_LOOKBACK, len(x))
+    out[valid] = sper[valid]
+    return out
+
+
+def ht_dc_phase(x: np.ndarray) -> np.ndarray:
+    """Phase within the dominant cycle, in degrees."""
+    smooth, _, sper = _hilbert_components(x)
+    n = len(x)
+    out = np.full(n, np.nan)
+    for i in range(_HT_LOOKBACK, n):
+        sp = sper[i]
+        if not np.isfinite(sp):
+            continue
+        dc = int(sp + 0.5)
+        dc = max(dc, 1)
+        real = imag = 0.0
+        if i - dc + 1 < 0:
+            continue
+        for k in range(dc):
+            w = 2.0 * math.pi * k / dc
+            s = smooth[i - k]
+            if not np.isfinite(s):
+                s = x[i - k]
+            real += math.sin(w) * s
+            imag += math.cos(w) * s
+        if abs(imag) > 0.001:
+            phase = math.degrees(math.atan(real / imag))
+        else:
+            phase = 90.0 * (1.0 if real > 0.0 else (-1.0 if real < 0.0 else 0.0))
+        phase += 90.0
+        phase += 360.0 / sp  # one-bar lag of the weighted smoother
+        if imag < 0.0:
+            phase += 180.0
+        if phase > 315.0:
+            phase -= 360.0
+        out[i] = phase
     return out

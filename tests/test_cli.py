@@ -190,6 +190,33 @@ class TestFeaturesCommand:
         doc = json.loads(scaler.read_text())
         assert set(doc) == {"columns", "mean", "std"}
 
+    @pytest.fixture
+    def empty_csv(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("timestamp,open,high,low,close,volume_usd\n")
+        return str(path)
+
+    def test_header_only_candles_write_header_only_matrix(self, empty_csv,
+                                                          capsys, tmp_path):
+        out = tmp_path / "features.csv"
+        code, stdout, err = run_cli(
+            ["features", "--candles", empty_csv, "--out", str(out)], capsys)
+        assert code == 0, err
+        with open(out) as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == 1 and rows[0][0] == "timestamp"
+        assert "wrote 0 feature rows" in stdout
+
+    def test_header_only_candles_cannot_fit_a_scaler(self, empty_csv, capsys,
+                                                     tmp_path):
+        code, _, err = run_cli(
+            ["features", "--candles", empty_csv, "--out",
+             str(tmp_path / "features.csv"), "--scaler-out",
+             str(tmp_path / "scaler.json")], capsys)
+        assert code == 1
+        assert err.strip() == "error: run: no finite feature rows to fit scaler on"
+        assert not (tmp_path / "scaler.json").exists()
+
 
 class TestTrainCommand:
     def test_short_train_writes_artifacts(self, candles_csv, capsys, tmp_path):
@@ -352,6 +379,18 @@ class TestConfigFile:
                                      str(tmp_path / "flag")], capsys)
         assert code == 0
         assert _same_tree(tmp_path / "file", tmp_path / "flag")
+
+    def test_config_key_order_does_not_change_checkpoint(self, candles_csv,
+                                                          capsys, tmp_path):
+        settings = [("candles", candles_csv), ("seed", 2), ("episode_length", 40),
+                    ("budget", 200), ("train_hours", 150), ("val_hours", 50)]
+        for name, items in (("fwd", settings), ("rev", settings[::-1])):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps(dict(items)))
+            code, _, err = run_cli(["train", "--config", str(cfg), "--out-dir",
+                                    str(tmp_path / name)], capsys)
+            assert code == 0, err
+        assert _same_tree(tmp_path / "fwd", tmp_path / "rev")
 
     def test_run_json_config_reruns_identically(self, candles_csv, capsys,
                                                 tmp_path):

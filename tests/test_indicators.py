@@ -1,7 +1,13 @@
+import types
+
 import numpy as np
 import pytest
 
+import oracles
+from clmmlab import features
 from clmmlab import indicators as ind
+from clmmlab.marketdata import (bundled_candles_path, candles_to_arrays,
+                                load_candles_csv, synth_gbm)
 
 
 def constant_bars(n=300, price=100.0):
@@ -197,3 +203,115 @@ def test_length_mismatch_rejected():
         ind.apo(np.ones(50), 26, 12)
     with pytest.raises(ValueError):
         ind.sma(np.ones(5), 0)
+
+
+# -- bitwise agreement with the loop oracles -------------------------------
+
+# every indicator the loop oracles cover, at the feature layer's periods and
+# one shorter one; each call maps (module, o, h, l, c) to a tuple of arrays
+ORACLE_CALLS = {
+    "ema_30": lambda m, o, h, l, c: (m.ema(c, 30),),
+    "ema_5": lambda m, o, h, l, c: (m.ema(c, 5),),
+    "dema": lambda m, o, h, l, c: (m.dema(c, 30),),
+    "true_range": lambda m, o, h, l, c: (m.true_range(h, l, c),),
+    "plus_dm": lambda m, o, h, l, c: (m.plus_dm(h, l),),
+    "minus_dm": lambda m, o, h, l, c: (m.minus_dm(h, l),),
+    "dx": lambda m, o, h, l, c: (m.dx(h, l, c),),
+    "adx": lambda m, o, h, l, c: (m.adx(h, l, c),),
+    "aroon_osc": lambda m, o, h, l, c: (m.aroon_osc(h, l),),
+    "cci_14": lambda m, o, h, l, c: (m.cci(h, l, c),),
+    "cci_30": lambda m, o, h, l, c: (m.cci(h, l, c, 30),),
+    "cmo": lambda m, o, h, l, c: (m.cmo(c),),
+    "trix": lambda m, o, h, l, c: (m.trix(c),),
+    "ultimate_oscillator": lambda m, o, h, l, c: (m.ultimate_oscillator(h, l, c),),
+    "stochastic": lambda m, o, h, l, c: m.stochastic(h, l, c),
+    "stochastic_fast": lambda m, o, h, l, c: m.stochastic_fast(h, l, c),
+    "natr": lambda m, o, h, l, c: (m.natr(h, l, c),),
+    "parabolic_sar": lambda m, o, h, l, c: (m.parabolic_sar(h, l),),
+    "ht_dc_period": lambda m, o, h, l, c: (m.ht_dc_period(c),),
+    "ht_dc_phase": lambda m, o, h, l, c: (m.ht_dc_phase(c),),
+}
+
+
+def assert_bit_equal(got, want):
+    """Equal float64 bit patterns: NaN positions and signed zeros count."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype == np.float64
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def walk_bars(n, scale, seed, flat_runs=()):
+    """Random-walk OHLC bars around `scale`; each (start, stop) in
+    flat_runs repeats the previous close as a zero-range bar, like a gap
+    filled with the last price."""
+    o, h, l, c, _ = random_bars(n, seed)
+    o, h, l, c = (a * (scale / 100.0) for a in (o, h, l, c))
+    for start, stop in flat_runs:
+        for i in range(max(start, 1), min(stop, n)):
+            o[i] = h[i] = l[i] = c[i] = c[i - 1]
+    return o, h, l, c
+
+
+GAPS = ((10, 26), (40, 45), (60, 61), (300, 380), (1500, 1510))
+
+
+def oracle_series():
+    """(label, o, h, l, c): every length 1..70 and 3,201 of a walk, a
+    gap-filled walk and flat bars at three price scales, plus the fixture."""
+    out = []
+    for scale in (1e-10, 1.0, 1e10):
+        series = {"walk": walk_bars(3201, scale, seed=21),
+                  "gaps": walk_bars(3201, scale, seed=22, flat_runs=GAPS),
+                  "flat": tuple(np.full(3201, scale) for _ in range(4))}
+        for kind, bars in series.items():
+            for n in list(range(1, 71)) + [3201]:
+                out.append((f"{kind}-{scale:g}-{n}", *(a[:n].copy() for a in bars)))
+    _, o, h, l, c, _ = candles_to_arrays(load_candles_csv(bundled_candles_path()))
+    out.append(("fixture", o, h, l, c))
+    return out
+
+
+@pytest.fixture(scope="module")
+def series_for_oracles():
+    return oracle_series()
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CALLS))
+def test_array_passes_match_loop_oracle_bit_for_bit(name, series_for_oracles):
+    call = ORACLE_CALLS[name]
+    for label, o, h, l, c in series_for_oracles:
+        got = call(ind, o, h, l, c)
+        want = call(oracles, o, h, l, c)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            try:
+                assert_bit_equal(g, w)
+            except AssertionError as e:
+                raise AssertionError(f"{name} differs on {label}") from e
+
+
+def test_oracle_table_covers_every_loop_indicator():
+    covered = {call.__code__.co_names[0] for call in ORACLE_CALLS.values()}
+    assert covered == set(oracles.LOOP_INDICATORS)
+
+
+def test_empty_series_give_empty_outputs():
+    empty = np.array([])
+    outs = [out for call in ORACLE_CALLS.values()
+            for out in call(ind, empty, empty, empty, empty)]
+    outs += [ind.sma(empty, 3), ind.apo(empty), ind.bop(empty, empty, empty, empty),
+             ind.momentum(empty)]
+    assert [out.shape for out in outs] == [(0,)] * len(outs)
+
+
+@pytest.mark.parametrize("candles", [
+    load_candles_csv(bundled_candles_path()),
+    synth_gbm(2000.0, 0.0, 0.01, 3201, seed=9001),
+], ids=["fixture", "gbm-3201"])
+def test_feature_matrix_equals_oracle_matrix(candles, monkeypatch):
+    got = features.compute_feature_matrix(candles)
+    loops = {name: getattr(oracles, name) for name in oracles.LOOP_INDICATORS}
+    monkeypatch.setattr(features, "ind", types.SimpleNamespace(**dict(vars(ind), **loops)))
+    want = features.compute_feature_matrix(candles)
+    assert_bit_equal(got, want)
