@@ -24,7 +24,7 @@ from .baselines import (EWAConfig, EWA_DEFAULTS, TAU_DEFAULTS, ewa_config_for,
                         run_ewa, run_tau_reset)
 from .dqn import greedy_rollout
 from .env import EnvConfig, HourRecord, LPEnv, TRACE_CSV_HEADER
-from .features import WARMUP_CANDLES, FeatureScaler
+from .features import WARMUP_CANDLES, FeatureScaler, compute_feature_matrix
 from .marketdata import Candle, synth_gbm
 from .report import REPORT_CSV_HEADER, in_header_order, write_csv_rows
 from . import nets
@@ -32,6 +32,13 @@ from . import nets
 METHODS = ("ddqn", "tau-reset", "ewa")
 
 ORACLE_TUNED_LABEL = "oracle-tuned"
+
+# settings that one method alone reads
+METHOD_SETTINGS = {"tau": "tau-reset", "ewa_widths": "ewa", "ewa_eta": "ewa",
+                   "ewa_t_re": "ewa", "checkpoint": "ddqn"}
+
+# the EWAConfig field each ewa_* setting fills
+EWA_SETTINGS = {"n_widths": "ewa_widths", "eta": "ewa_eta", "t_re": "ewa_t_re"}
 
 
 class RunError(ValueError):
@@ -73,19 +80,28 @@ class RunConfig:
             raise RunError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.period is not None and self.period not in (1, 2, 3, 4):
             raise RunError(f"period must be 1..4, got {self.period}")
-        if self.ewa_eta is not None and not 0.0 < self.ewa_eta < math.inf:
-            raise RunError(f"ewa_eta must be positive and finite, got {self.ewa_eta}")
+        for name, method in METHOD_SETTINGS.items():
+            if getattr(self, name) is not None and self.method != method:
+                raise RunError(f"{name} applies only to method {method}, "
+                               f"got method {self.method}")
         try:
             self.env_config()
         except ValueError as e:
             raise RunError(str(e)) from None
+        try:
+            EWAConfig(**{f: getattr(self, name) for f, name in EWA_SETTINGS.items()
+                         if getattr(self, name) is not None})
+        except ValueError as e:
+            # EWAConfig's messages open with its own field name
+            field, rest = str(e).split(" ", 1)
+            raise RunError(f"{EWA_SETTINGS[field]} {rest}") from None
 
     def pool_spec(self) -> PoolSpec:
         return PoolSpec(fee_tier=self.fee_tier, tick_spacing=self.tick_spacing)
 
     def env_config(self, **window) -> EnvConfig:
         """The env these settings describe; window sets the rest of
-        EnvConfig (episode_length, warmup, compute_features)."""
+        EnvConfig (episode_length, warmup)."""
         return EnvConfig(pool=self.pool_spec(), l0=self.l0, n_actions=self.n_actions,
                          gas=self.gas, path_model=self.path_model,
                          reward_mode=self.reward_mode, **window)
@@ -221,28 +237,21 @@ def _default_window(config: RunConfig, n_candles: int) -> Tuple[int, int]:
     return offset, horizon
 
 
-def _env_for(config: RunConfig, candles: Sequence[Candle], offset: int,
-             horizon: int, compute_features: bool,
-             scaler: Optional[FeatureScaler]) -> LPEnv:
-    env_config = config.env_config(episode_length=horizon, warmup=offset,
-                                   compute_features=compute_features)
-    return LPEnv(candles, env_config, scaler=scaler)
-
-
 def run_backtest(candles: Sequence[Candle], config: RunConfig) -> BacktestResult:
     """Replay config.method over one window of the candle series.
 
     For ddqn the greedy policy of the network in config.checkpoint is
-    used, with the feature scaler from the checkpoint's metadata. EWA
+    used; it observes the feature matrix scaled once by the scaler in the
+    checkpoint's metadata, or unscaled when there is none. EWA
     always weighs widths by its own hedged per-width rewards; reward_mode
     only changes how the result row reports PnL.
     """
     config, label = resolve_hyperparameters(config)
     offset, horizon = _default_window(config, len(candles))
+    env_config = config.env_config(episode_length=horizon, warmup=offset)
 
     if config.method == "tau-reset":
-        env = _env_for(config, candles, offset, horizon, False, None)
-        records = run_tau_reset(env, config.tau, offset)
+        records = run_tau_reset(LPEnv(candles, env_config), config.tau, offset)
         return BacktestResult(config, label, offset, horizon, records)
 
     if config.method == "ewa":
@@ -258,9 +267,6 @@ def run_backtest(candles: Sequence[Candle], config: RunConfig) -> BacktestResult
     if config.checkpoint is None:
         raise RunError("ddqn backtests need a checkpoint path")
     params, _, meta = nets.load_checkpoint(config.checkpoint)
-    scaler = None
-    if isinstance(meta, dict) and "scaler" in meta:
-        scaler = FeatureScaler.from_json(json.dumps(meta["scaler"]))
     if params.n_outputs != config.n_actions + 1:
         raise RunError(
             f"checkpoint has {params.n_outputs} actions, run needs "
@@ -269,8 +275,10 @@ def run_backtest(candles: Sequence[Candle], config: RunConfig) -> BacktestResult
         raise RunError(
             f"ddqn offset {offset} is inside the {WARMUP_CANDLES}-candle "
             f"feature warmup")
-    env = _env_for(config, candles, offset, horizon, True, scaler)
-    _, _, records = greedy_rollout(env, params, offset)
+    matrix = compute_feature_matrix(candles)
+    if isinstance(meta, dict) and "scaler" in meta:
+        matrix = FeatureScaler.from_json(json.dumps(meta["scaler"])).apply(matrix)
+    _, _, records = greedy_rollout(LPEnv(candles, env_config, matrix), params, offset)
     return BacktestResult(config, label, offset, horizon, records)
 
 

@@ -203,14 +203,13 @@ def cmd_train(args) -> int:
         raise CliError("config", str(e))
     matrix = compute_feature_matrix(candles)
     scaler = FeatureScaler.fit(matrix[WARMUP_CANDLES:val_start])
-    train_slice = slice(0, val_start + 1)
-    train_env = LPEnv(candles[train_slice],
+    matrix = scaler.apply(matrix)
+    train_env = LPEnv(candles[:val_start + 1],
                       run.env_config(episode_length=episode_length),
-                      feature_matrix=matrix[train_slice], scaler=scaler)
-    eval_env = LPEnv(candles[:val_start + val_hours + 1],
-                     run.env_config(episode_length=val_hours),
-                     feature_matrix=matrix[:val_start + val_hours + 1],
-                     scaler=scaler)
+                      matrix[:val_start + 1])
+    eval_end = val_start + val_hours + 1
+    eval_env = LPEnv(candles[:eval_end], run.env_config(episode_length=val_hours),
+                     matrix[:eval_end])
     result = train_ddqn(train_env, eval_env, dconf, budget,
                         seed=run.seed, eval_offsets=[val_start])
 

@@ -7,7 +7,8 @@ evaluation on a held-out environment every few episodes with
 best-so-far parameter retention and early stopping.
 
 Episode ends in both environments here are data truncations, not MDP
-terminals, so stored transitions always bootstrap (terminal flag False).
+terminals, so every stored transition bootstraps: the replay buffer keeps
+no terminal flag and the target has no done mask.
 """
 
 import math
@@ -39,24 +40,23 @@ class ReplayBuffer:
         self.next_obs = np.zeros((capacity, obs_dim), dtype=np.float32)
         self.actions = np.zeros(capacity, dtype=np.int64)
         self.rewards = np.zeros(capacity, dtype=np.float64)
-        self.terminal = np.zeros(capacity, dtype=bool)
         self._next = 0
         self._size = 0
 
     def __len__(self) -> int:
         return self._size
 
-    def add(self, s, a, r, s2, terminal: bool) -> None:
+    def add(self, s, a, r, s2) -> None:
         i = self._next
         self.obs[i] = s
         self.actions[i] = a
         self.rewards[i] = r
         self.next_obs[i] = s2
-        self.terminal[i] = terminal
         self._next = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
     def sample(self, batch_size: int, rng: np.random.Generator):
+        """(s, a, r, s2) for batch_size distinct stored transitions."""
         if batch_size > self._size:
             raise ValueError(
                 f"cannot sample {batch_size} from buffer of size {self._size}"
@@ -67,7 +67,6 @@ class ReplayBuffer:
             self.actions[idx],
             self.rewards[idx],
             self.next_obs[idx].astype(np.float64),
-            self.terminal[idx],
         )
 
 
@@ -110,7 +109,6 @@ class DDQNConfig:
 def ddqn_target(
     r: np.ndarray,
     s2: np.ndarray,
-    done: np.ndarray,
     local: NetworkParams,
     target: NetworkParams,
     gamma: float,
@@ -120,7 +118,7 @@ def ddqn_target(
     q_local = nets._forward_all(local, s2)[0]
     q_target = nets._forward_all(target, s2)[0]
     boot = q_target[np.arange(len(s2)), q_local.argmax(axis=1)]
-    return r + gamma * np.where(done, 0.0, boot)
+    return r + gamma * boot
 
 
 def greedy_rollout(env, params: NetworkParams, offset: int):
@@ -200,14 +198,13 @@ def train_ddqn(
                 q, _, _ = nets.forward(local, obs)
                 a = int(q.argmax())
             next_obs, r, done, _ = train_env.step(a)
-            # episode ends are truncations of a continuing task: bootstrap
-            buffer.add(obs, a, r, next_obs, terminal=False)
+            buffer.add(obs, a, r, next_obs)
             obs = next_obs
             ep_return += r
             steps += 1
             if len(buffer) >= config.warm_start:
-                s, a_b, r_b, s2, term = buffer.sample(config.batch_size, rng)
-                y = ddqn_target(r_b, s2, term, local, target, config.gamma)
+                s, a_b, r_b, s2 = buffer.sample(config.batch_size, rng)
+                y = ddqn_target(r_b, s2, local, target, config.gamma)
                 loss, grads = loss_and_grads_checked(
                     local, s, a_b, y, diverged_checkpoint_path, opt)
                 local = nets.apply_update(local, opt, grads)
@@ -237,7 +234,8 @@ def train_ddqn(
 
     result.steps = steps
     if result.best_val_return == float("-inf"):
-        # no evaluation ever ran (tiny budgets): fall back to last params
+        # the last episode always evaluates, so only a budget < 1 or
+        # evaluations that all returned NaN or -inf get here: keep the last params
         result.params = local.copy()
         result.best_val_return = evaluate(local)
     return result

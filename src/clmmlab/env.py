@@ -1,12 +1,13 @@
 """Hourly liquidity-provision environment.
 
-One step = one hour. The agent observes market features plus its account
-(cash c, center tick m, width w, position value l) and picks an action in
-{0..n_actions}: 0 holds the current interval, a >= 1 reallocates the whole
-budget c + l into a fresh interval of half-width a tick-spacings centered
-on the snapped current tick. The hour then elapses along an intra-hour
-price path; fees, LVR and value changes accrue on the (possibly new)
-position.
+One step = one hour. The agent observes a row of the feature matrix it was
+given plus its account (cash c, center tick m, width w, position value l);
+without a matrix the env observes nothing (None) and only keeps the ledger,
+as the baselines need. It picks an action in {0..n_actions}: 0 holds the
+current interval, a >= 1 reallocates the whole budget c + l into a fresh
+interval of half-width a tick-spacings centered on the snapped current
+tick. The hour then elapses along an intra-hour price path; fees, LVR and
+value changes accrue on the (possibly new) position.
 
 Rewards:
     hedged    r = -gas * [a != 0] + fee + lvr        (lvr <= 0)
@@ -39,13 +40,7 @@ from .amm import (
     price_to_tick,
     snap_tick,
 )
-from .features import (
-    OBSERVATION_DIM,
-    WARMUP_CANDLES,
-    FeatureScaler,
-    assemble_observation,
-    compute_feature_matrix,
-)
+from .features import N_FEATURES, WARMUP_CANDLES, assemble_observation
 from .marketdata import Candle
 
 PATH_MODELS = ("candle", "open-close")
@@ -92,7 +87,6 @@ class EnvConfig:
     reward_mode: str = "hedged"
     episode_length: int = 1000
     warmup: int = WARMUP_CANDLES
-    compute_features: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.l0 < math.inf:
@@ -113,14 +107,15 @@ class LPEnv:
 
     The candle array is shared and never mutated; every episode is a
     deterministic function of (config, offset, action sequence).
+    `features` holds one row per candle, already scaled: observations are
+    its rows plus the account block, and None without it.
     """
 
     def __init__(
         self,
         candles: Sequence[Candle],
         config: Optional[EnvConfig] = None,
-        feature_matrix: Optional[np.ndarray] = None,
-        scaler: Optional[FeatureScaler] = None,
+        features: Optional[np.ndarray] = None,
     ):
         self.config = config or EnvConfig()
         self.candles = list(candles)
@@ -129,16 +124,12 @@ class LPEnv:
                 f"need at least warmup + 2 = {self.config.warmup + 2} candles, "
                 f"got {len(self.candles)}"
             )
-        self.scaler = scaler
-        if self.config.compute_features:
-            if feature_matrix is None:
-                feature_matrix = compute_feature_matrix(self.candles)
-            if feature_matrix.shape != (len(self.candles), OBSERVATION_DIM - 4):
-                raise ValueError(
-                    f"feature matrix shape {feature_matrix.shape} does not match "
-                    f"{len(self.candles)} candles"
-                )
-        self.features = feature_matrix
+        if features is not None and features.shape != (len(self.candles), N_FEATURES):
+            raise ValueError(
+                f"feature matrix shape {features.shape} does not match "
+                f"{len(self.candles)} candles"
+            )
+        self.features = features
         self._t = -1
         self._steps_taken = 0
         self.done = True
@@ -203,7 +194,7 @@ class LPEnv:
         return self.position.value(price)
 
     def _observe(self) -> Optional[np.ndarray]:
-        if not self.config.compute_features:
+        if self.features is None:
             return None
         close = self.candles[self._t].close
         return assemble_observation(
@@ -216,7 +207,6 @@ class LPEnv:
             close=close,
             tick_spacing=self.config.pool.tick_spacing,
             n_actions=self.config.n_actions,
-            scaler=self.scaler,
         )
 
     # -- dynamics ----------------------------------------------------------

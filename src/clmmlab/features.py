@@ -3,10 +3,12 @@
 Each decision hour t gets 28 market features computed causally from candles
 up to and including t, in a fixed column order (see FEATURE_NAMES).  The
 observation appends the account block [cash, center_tick, width, position
-value] for a 32-dim state, normalized one way: price/volume-scale columns
-z-scored with statistics frozen from a training window; cash and value
-divided by the initial fund; the center-tick slot becomes the price's offset
-from the interval center in half-widths; width divided by the action count.
+value] for a 32-dim state. Price/volume-scale columns are z-scored once, over
+the whole matrix, with statistics frozen from a training window
+(FeatureScaler.apply); assemble_observation takes a row as given and
+normalizes the account block: cash and value divided by the initial fund,
+the center-tick slot as the price's offset from the interval center in
+half-widths, width divided by the action count.
 
 The first 200 candles are warm-up: every indicator here is finite from then
 on, and rows of the feature matrix before that may hold NaN.
@@ -14,7 +16,7 @@ on, and rows of the feature matrix before that may hold NaN.
 
 import json
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -119,11 +121,13 @@ class FeatureScaler:
             raise ValueError("no finite feature rows to fit scaler on")
         return cls(mean=rows.mean(axis=0), std=rows.std(axis=0))
 
-    def apply(self, row: np.ndarray) -> np.ndarray:
-        out = row.astype(float).copy()
+    def apply(self, matrix: np.ndarray) -> np.ndarray:
+        """A scaled float copy of `matrix`, one feature row per line; a
+        zero-variance column becomes 0 and NaN warm-up rows stay NaN."""
+        out = np.array(matrix, dtype=float)
         for j in self.columns:
             s = self.std[j]
-            out[j] = (row[j] - self.mean[j]) / s if s > 1e-12 else 0.0
+            out[:, j] = (out[:, j] - self.mean[j]) / s if s > 1e-12 else 0.0
         return out
 
     def to_json(self) -> str:
@@ -159,12 +163,11 @@ def assemble_observation(
     close: float,
     tick_spacing: int,
     n_actions: int,
-    scaler: Optional[FeatureScaler] = None,
 ) -> np.ndarray:
-    """Flat 32-vector [f(28), cash, center, width, value], scaled as above."""
+    """Flat 32-vector [f(28), cash, center, width, value]: the feature row as
+    given (already scaled, if at all), the account block normalized as above."""
     if len(features) != N_FEATURES:
         raise ValueError(f"expected {N_FEATURES} features, got {len(features)}")
-    f = scaler.apply(features) if scaler is not None else features.astype(float).copy()
     center_offset = (price_to_tick(close) - center_tick) / (tick_spacing * width)
     account = [cash / l0, center_offset, width / n_actions, value / l0]
-    return np.concatenate([f, account])
+    return np.concatenate([features, account])

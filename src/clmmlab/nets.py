@@ -9,15 +9,15 @@ so mean_a q(s, a) = V(s) identically. Gradients of the squared TD loss are
 derived analytically and checked against central finite differences in the
 test suite. Everything is float64 numpy; training is deterministic given
 the init seed and data order. All weights live in one float64 vector,
-`NetworkParams.flat`, that the named arrays view; gradients, Adam moments and
-the target net share its layout, and checkpoints (`dueling-mlp-v1`) still
-store one named array per parameter.
+`NetworkParams.flat`, that the named arrays view. Gradients, the Adam moments
+(OptimizerState.m and .v) and the target net are NetworkParams in the same
+layout; checkpoints (`dueling-mlp-v1`) store one named array per parameter
+for the weights and for each moment, decoded by one helper.
 """
 
 import itertools
 import json
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -211,25 +211,20 @@ def clip_by_global_norm(grads: NetworkParams, max_norm: float) -> NetworkParams:
 
 @dataclass
 class OptimizerState:
-    """Adam accumulators plus the fixed hyperparameters; `m`/`v` view `m_flat`/`v_flat`."""
+    """Adam moments `m`, `v` in the params' layout, plus the fixed hyperparameters."""
 
-    m: Dict[str, np.ndarray]
-    v: Dict[str, np.ndarray]
+    m: NetworkParams
+    v: NetworkParams
     step: int = 0
     learning_rate: float = 1e-4
     clip_norm: float = 0.7
 
-    def __post_init__(self):
-        m, v = NetworkParams(**self.m), NetworkParams(**self.v)
-        self.m_flat, self.v_flat = m.flat, v.flat
-        self.m, self.v = dict(m.arrays()), dict(v.arrays())
-
     @classmethod
     def for_params(cls, params: NetworkParams, learning_rate: float = 1e-4,
                    clip_norm: float = 0.7) -> "OptimizerState":
-        zeros = {n: np.zeros_like(a) for n, a in params.arrays()}
-        return cls(m=zeros, v=zeros, step=0, learning_rate=learning_rate,
-                   clip_norm=clip_norm)
+        return cls(m=NetworkParams.from_flat(np.zeros_like(params.flat), params.layout),
+                   v=NetworkParams.from_flat(np.zeros_like(params.flat), params.layout),
+                   learning_rate=learning_rate, clip_norm=clip_norm)
 
 
 def apply_update(
@@ -244,7 +239,7 @@ def apply_update(
     g = clip_by_global_norm(grads, opt.clip_norm).flat
     opt.step += 1
     t = opt.step
-    m, v = opt.m_flat, opt.v_flat
+    m, v = opt.m.flat, opt.v.flat
     m *= ADAM_BETA1
     m += (1.0 - ADAM_BETA1) * g
     v *= ADAM_BETA2
@@ -317,18 +312,21 @@ def save_checkpoint(
             "step": opt.step,
             "learning_rate": opt.learning_rate,
             "clip_norm": opt.clip_norm,
-            "m": {n: _encode_array(a) for n, a in opt.m.items()},
-            "v": {n: _encode_array(a) for n, a in opt.v.items()},
+            "m": {n: _encode_array(a) for n, a in opt.m.arrays()},
+            "v": {n: _encode_array(a) for n, a in opt.v.arrays()},
         }
     with open(path, "w") as fh:
         json.dump(doc, fh)
 
 
-def load_checkpoint(
-    path: str,
-    expect_config_hash: Optional[str] = None,
-) -> Tuple[NetworkParams, Optional[OptimizerState], Dict]:
-    """Read a checkpoint; a metadata hash mismatch warns but still loads."""
+def _decode_params(blob, section: str, prefix: str) -> NetworkParams:
+    """The named arrays of one checkpoint section; field names get `prefix`."""
+    raw = _section(blob, section, PARAM_NAMES)
+    return NetworkParams(**{n: _decode_array(prefix + n, raw[n]) for n in PARAM_NAMES})
+
+
+def load_checkpoint(path: str) -> Tuple[NetworkParams, Optional[OptimizerState], Dict]:
+    """Read a checkpoint: (params, optimizer state or None, metadata)."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -336,8 +334,7 @@ def load_checkpoint(
             raise CheckpointError(f"not valid JSON: {e}") from None
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"unknown checkpoint format {doc.get('format')!r}")
-    raw = _section(doc.get("params"), "params", PARAM_NAMES)
-    params = NetworkParams(**{n: _decode_array(n, raw[n]) for n in PARAM_NAMES})
+    params = _decode_params(doc.get("params"), "params", "")
     params.validate()
     opt = None
     if "optimizer" in doc:
@@ -345,10 +342,10 @@ def load_checkpoint(
                         ("step", "learning_rate", "clip_norm", "m", "v"))
         moments = {}
         for key in ("m", "v"):
-            arrays = _section(blob[key], f"optimizer.{key}", PARAM_NAMES)
-            moments[key] = {n: _decode_array(f"optimizer.{key}.{n}", arrays[n])
-                            for n in PARAM_NAMES}
-            bad = [n for n, a in params.arrays() if moments[key][n].shape != a.shape]
+            moments[key] = _decode_params(blob[key], f"optimizer.{key}",
+                                          f"optimizer.{key}.")
+            bad = [n for n, a in params.arrays()
+                   if getattr(moments[key], n).shape != a.shape]
             if bad:
                 raise CheckpointError(
                     f"optimizer.{key} shapes do not match the params in {bad}")
@@ -358,13 +355,4 @@ def load_checkpoint(
             learning_rate=float(blob["learning_rate"]),
             clip_norm=float(blob["clip_norm"]),
         )
-    metadata = doc.get("metadata", {})
-    if expect_config_hash is not None:
-        found = metadata.get("config_hash")
-        if found != expect_config_hash:
-            warnings.warn(
-                f"checkpoint config hash {found!r} does not match expected "
-                f"{expect_config_hash!r}; loading anyway",
-                stacklevel=2,
-            )
-    return params, opt, metadata
+    return params, opt, doc.get("metadata", {})

@@ -112,8 +112,9 @@ class ToyPriceCycleEnv:
     """Environment wrapper over the tabular task, for the DQN training loop.
 
     Matches the trading env protocol (reset/step/sample_offset/min_offset)
-    with one-hot observations. Rewards are precomputed from the tabular
-    tensors so episodes are cheap.
+    with one-hot observations; step's fourth value is None, and
+    state_index() names the state reached. Rewards are precomputed from the
+    tabular tensors so episodes are cheap.
     """
 
     def __init__(self, config: Optional[ToyConfig] = None):
@@ -159,8 +160,7 @@ class ToyPriceCycleEnv:
         self._phase, self._center, self._width = state_tuple(s2)
         self._steps += 1
         self.done = self._steps >= self.config.episode_length
-        info = {"state": s2, "action": action, "reward": r}
-        return observation_for(self._phase, self._center, self._width), r, self.done, info
+        return observation_for(self._phase, self._center, self._width), r, self.done, None
 
 
 def greedy_policy_from_net(params, config: Optional[ToyConfig] = None) -> np.ndarray:

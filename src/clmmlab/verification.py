@@ -224,7 +224,8 @@ def check_network(n_inputs: int = 1_000, seed: int = 3) -> CheckResult:
         bitexact = all(np.array_equal(a, getattr(loaded, n))
                        for n, a in params.arrays())
         bitexact &= meta == {"seed": seed}
-        bitexact &= all(np.array_equal(opt.m[n], opt2.m[n]) for n in opt.m)
+        bitexact &= (opt.m.flat.tobytes() == opt2.m.flat.tobytes()
+                     and opt.v.flat.tobytes() == opt2.v.flat.tobytes())
     finally:
         shutil.rmtree(tmp)
 

@@ -7,7 +7,8 @@ walker (LedgerStep, lvr_over_path, fee_one_move, fee_over_path) is the
 scalar code the kernel replaced; it shares only the price check and the
 reserve formulas of clmmlab.amm. The learner oracles share only the
 parameter container, the Adam constants and the error types with
-clmmlab.nets. The two-walk EWA replay runs on the oracle ledger and pins
+clmmlab.nets; the per-row feature scaler shares only the FeatureScaler
+fields. The two-walk EWA replay runs on the oracle ledger and pins
 down the budgets x references rewrite of run_ewa. The dict-row run-dir
 writer and the four-sum drift study at the end are the code that
 env.HourRecord, report.write_csv_rows and the run_backtest drift study
@@ -268,10 +269,11 @@ def apply_update(params, opt, grads):
     out = {}
     for name, p in params.arrays():
         g = getattr(grads, name)
-        opt.m[name] = ADAM_BETA1 * opt.m[name] + (1.0 - ADAM_BETA1) * g
-        opt.v[name] = ADAM_BETA2 * opt.v[name] + (1.0 - ADAM_BETA2) * (g * g)
-        m_hat = opt.m[name] / (1.0 - ADAM_BETA1 ** t)
-        v_hat = opt.v[name] / (1.0 - ADAM_BETA2 ** t)
+        m, v = getattr(opt.m, name), getattr(opt.v, name)
+        m[...] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+        v[...] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
+        m_hat = m / (1.0 - ADAM_BETA1 ** t)
+        v_hat = v / (1.0 - ADAM_BETA2 ** t)
         out[name] = p - opt.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return NetworkParams(**out)
 
@@ -287,6 +289,19 @@ def soft_update(target, local, rate=0.01):
             )
         out[name] = rate * loc + (1.0 - rate) * tgt
     return NetworkParams(**out)
+
+
+# -- per-row feature scaling -------------------------------------------------
+# FeatureScaler.apply as it stood when the env scaled one observation row per
+# step; the whole-matrix apply must agree with it row by row, bit for bit.
+
+
+def scale_feature_row(scaler, row):
+    out = row.astype(float).copy()
+    for j in scaler.columns:
+        s = scaler.std[j]
+        out[j] = (row[j] - scaler.mean[j]) / s if s > 1e-12 else 0.0
+    return out
 
 
 # ------------------------------------------------------------------ EWA
@@ -469,7 +484,7 @@ def drift_neutrality_study(
             env = LPEnv(candles, EnvConfig(
                 pool=pool or EQUILIBRIUM_POOL, l0=l0, gas=gas,
                 n_actions=max(10, tau), path_model=path_model,
-                episode_length=horizon, warmup=1, compute_features=False))
+                episode_length=horizon, warmup=1))
             infos = [r._asdict() for r in run_tau_reset(env, tau, 1)]
             fee = sum(i["fee"] for i in infos)
             paid = sum(i["gas"] for i in infos)

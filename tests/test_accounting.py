@@ -255,7 +255,7 @@ class TestCallersReplayBitwiseOnOracle:
 
         def run():
             lp = env.LPEnv(candles, env.EnvConfig(path_model=path_model, episode_length=300,
-                                                  compute_features=False, warmup=1))
+                                                  warmup=1))
             out = []
             for tau in (1, 3, 10):
                 out += baselines.run_tau_reset(lp, tau, 1)

@@ -103,63 +103,56 @@ class TestReplayBuffer:
     def test_fifo_eviction(self):
         buf = ReplayBuffer(5, 2)
         for i in range(8):
-            buf.add(np.full(2, i), i, float(i), np.full(2, i + 1), False)
+            buf.add(np.full(2, i), i, float(i), np.full(2, i + 1))
         assert len(buf) == 5
         assert set(buf.actions.tolist()) == {3, 4, 5, 6, 7}
 
     def test_sample_without_replacement(self):
         buf = ReplayBuffer(10, 1)
         for i in range(10):
-            buf.add([i], i, 0.0, [i], False)
+            buf.add([i], i, 0.0, [i])
         rng = np.random.default_rng(0)
-        _, actions, _, _, _ = buf.sample(10, rng)
+        _, actions, _, _ = buf.sample(10, rng)
         assert sorted(actions.tolist()) == list(range(10))
 
     def test_sample_too_large(self):
         buf = ReplayBuffer(10, 1)
-        buf.add([0], 0, 0.0, [0], False)
+        buf.add([0], 0, 0.0, [0])
         with pytest.raises(ValueError):
             buf.sample(2, np.random.default_rng(0))
 
 
-def one_target(r, done, local, target):
+def one_target(r, local, target):
     """ddqn_target on a batch of one transition from the zero state."""
-    y = ddqn_target(np.array([r]), np.zeros((1, 3)), np.array([done]),
-                    local, target, 0.9)
+    y = ddqn_target(np.array([r]), np.zeros((1, 3)), local, target, 0.9)
     assert y.shape == (1,)
     return y[0]
 
 
 class TestDdqnTarget:
-    def test_done_returns_reward(self):
-        local = const_q_net([0.2, 0.8])
-        target = const_q_net([0.5, 0.5])
-        assert one_target(3.0, True, local, target) == 3.0
-
     def test_formula(self):
         local = const_q_net([0.2, 0.8])
         target = const_q_net([0.0, 0.5])
-        assert one_target(1.0, False, local, target) == pytest.approx(1.45)
+        assert one_target(1.0, local, target) == pytest.approx(1.45)
 
     def test_tie_breaks_to_lowest_action(self):
         local = const_q_net([0.5, 0.5])
         target = const_q_net([2.0, 7.0])
-        assert one_target(0.0, False, local, target) == pytest.approx(0.9 * 2.0)
+        assert one_target(0.0, local, target) == pytest.approx(0.9 * 2.0)
 
     def test_reward_shift_moves_target_exactly(self):
         local = const_q_net([0.1, 0.9])
         target = const_q_net([0.4, 0.6])
-        base = one_target(1.0, False, local, target)
-        shifted = one_target(1.0 + 0.625, False, local, target)
+        base = one_target(1.0, local, target)
+        shifted = one_target(1.0 + 0.625, local, target)
         assert shifted - base == pytest.approx(0.625, abs=1e-12)
 
     def test_batched(self):
         local = const_q_net([0.2, 0.8])
         target = const_q_net([0.0, 0.5])
-        y = ddqn_target(np.array([1.0, 1.0]), np.zeros((2, 3)),
-                        np.array([False, True]), local, target, 0.9)
+        y = ddqn_target(np.array([1.0, 2.0]), np.zeros((2, 3)), local, target, 0.9)
         assert y[0] == pytest.approx(1.45)
-        assert y[1] == 1.0
+        assert y[1] == pytest.approx(2.45)
 
 
 class RecordingEnv(ToyPriceCycleEnv):
@@ -237,7 +230,7 @@ class TestTrainDdqn:
 class TestTauReset:
     def test_policy_rules(self):
         env = LPEnv(synth_gbm(100.0, 0.0, 0.01, 260, seed=2),
-                    EnvConfig(episode_length=5, compute_features=False))
+                    EnvConfig(episode_length=5))
         env.reset(210)
         pos = env.position
         inside = (pos.price_lower + pos.price_upper) / 2
@@ -250,7 +243,7 @@ class TestTauReset:
 
     def test_run_resets_only_when_out_of_range(self):
         candles = synth_gbm(100.0, 0.0, 0.015, 400, seed=4)
-        env = LPEnv(candles, EnvConfig(episode_length=150, compute_features=False))
+        env = LPEnv(candles, EnvConfig(episode_length=150))
         records = run_tau_reset(env, 3, 210)
         assert len(records) == 150
         assert any(r.action != 0 for r in records)  # vol is high enough to exit
@@ -372,9 +365,9 @@ class TestToyMdp:
         for _ in range(50):
             s = env.state_index()
             a = int(rng.integers(0, 3))
-            _, reward, done, info = env.step(a)
+            _, reward, done, _ = env.step(a)
             assert reward == r[s, a]
-            assert info["state"] == t[s, a].argmax()
+            assert env.state_index() == t[s, a].argmax()
             if done:
                 env.reset(int(rng.integers(0, 8)))
 

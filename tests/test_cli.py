@@ -61,6 +61,47 @@ class TestErrorContract:
         assert err.strip().startswith("error: config: tau must be in 1..n_actions=10")
         assert len(err.strip().splitlines()) == 1
 
+    # The candles path below does not exist: each setting is rejected before
+    # any candle loads, and no run directory is written.
+    def _config_error(self, argv, capsys, tmp_path):
+        code, _, err = run_cli(
+            ["backtest", *argv, "--candles", str(tmp_path / "missing.csv"),
+             "--out-dir", str(tmp_path / "out")], capsys)
+        assert code == 1
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+        return err.strip()
+
+    def test_tau_outside_tau_reset_is_config_error(self, capsys, tmp_path):
+        err = self._config_error(["--method", "ewa", "--tau", "6"], capsys, tmp_path)
+        assert err == "error: config: tau applies only to method tau-reset, got method ewa"
+
+    @pytest.mark.parametrize("flag,value", [("--ewa-widths", "10"),
+                                            ("--ewa-eta", "5"), ("--ewa-t-re", "24")])
+    def test_ewa_setting_outside_ewa_is_config_error(self, capsys, tmp_path,
+                                                     flag, value):
+        err = self._config_error(["--method", "tau-reset", "--tau", "6", flag, value,
+                                  "--checkpoint", "nonexist.json"], capsys, tmp_path)
+        name = flag[2:].replace("-", "_")
+        assert err == (f"error: config: {name} applies only to method ewa, "
+                       f"got method tau-reset")
+
+    def test_checkpoint_outside_ddqn_is_config_error(self, capsys, tmp_path):
+        err = self._config_error(["--method", "tau-reset", "--tau", "6",
+                                  "--checkpoint", "nonexist.json"], capsys, tmp_path)
+        assert err == ("error: config: checkpoint applies only to method ddqn, "
+                       "got method tau-reset")
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--ewa-widths", "0", "ewa_widths must be >= 1, got 0"),
+        ("--ewa-t-re", "0", "ewa_t_re must be >= 1, got 0"),
+        ("--ewa-eta", "-1", "ewa_eta must be positive and finite, got -1.0"),
+    ])
+    def test_bad_ewa_value_is_config_error_before_candles_load(
+            self, capsys, tmp_path, flag, value, message):
+        err = self._config_error(["--method", "ewa", flag, value], capsys, tmp_path)
+        assert err == f"error: config: {message}"
+
     def test_bad_checkpoint_shape_is_run_error(self, candles_csv, capsys,
                                                tmp_path):
         ckpt = tmp_path / "net.json"

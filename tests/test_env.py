@@ -5,6 +5,7 @@ from clmmlab import env as envmod
 from clmmlab.backtest import BacktestResult, RunConfig, RunError, write_run_dir
 from clmmlab.cli import main
 from clmmlab.env import EnvConfig, LPEnv
+from clmmlab.features import compute_feature_matrix
 from clmmlab.marketdata import Candle, synth_gbm
 
 from oracles import fee_over_path, lvr_vform_oracle, micro_fee_oracle
@@ -19,7 +20,6 @@ def flat_candles(n, p=100.0):
 
 def cfg(**kw):
     kw.setdefault("episode_length", 5)
-    kw.setdefault("compute_features", False)
     return EnvConfig(**kw)
 
 
@@ -244,7 +244,8 @@ class TestRangeExitOracle:
 class TestObservations:
     def test_observation_shape_and_account_slots(self):
         candles = synth_gbm(100.0, 0.0, 0.005, 260, seed=21)
-        env = LPEnv(candles, EnvConfig(episode_length=5))
+        env = LPEnv(candles, EnvConfig(episode_length=5),
+                    compute_feature_matrix(candles))
         obs = env.reset(210)
         assert obs.shape == (32,)
         assert obs[28] == 0.0  # no cash yet

@@ -5,6 +5,8 @@ from clmmlab import features as ft
 from clmmlab.cli import main
 from clmmlab.marketdata import Candle, save_candles_csv, synth_gbm
 
+import oracles
+
 
 def make_series(n=400, seed=1, sigma=0.01):
     return synth_gbm(100.0, 0.0, sigma, n, seed=seed)
@@ -71,7 +73,7 @@ def test_scaler_freeze_and_roundtrip():
     mat = ft.compute_feature_matrix(candles)
     scaler = ft.FeatureScaler.fit(mat[200:400])
     row = mat[450]
-    scaled = scaler.apply(row)
+    scaled = scaler.apply(mat)[450]
     for j in range(28):
         if j in scaler.columns:
             assert scaled[j] == pytest.approx((row[j] - scaler.mean[j]) / scaler.std[j])
@@ -83,7 +85,25 @@ def test_scaler_freeze_and_roundtrip():
     assert back.columns == scaler.columns
     # zero-variance column guard
     degenerate = ft.FeatureScaler(mean=np.zeros(28), std=np.zeros(28), columns=(0,))
-    assert degenerate.apply(row)[0] == 0.0
+    assert degenerate.apply(mat)[450, 0] == 0.0
+
+
+def test_scaler_matrix_equals_row_oracle_bit_for_bit():
+    candles = make_series(500, seed=9)
+    mat = ft.compute_feature_matrix(candles)
+    before = mat.copy()
+    assert np.isnan(mat[: ft.WARMUP_CANDLES]).any()  # NaN warm-up rows
+    fitted = ft.FeatureScaler.fit(mat[200:400])
+    std = fitted.std.copy()
+    std[4] = 0.0  # a zero-std column
+    std[0] = 1e-13  # below the zero-variance guard
+    for scaler in (fitted, ft.FeatureScaler(mean=fitted.mean, std=std)):
+        got = scaler.apply(mat)
+        want = np.stack([oracles.scale_feature_row(scaler, row) for row in mat])
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert mat.tobytes() == before.tobytes()  # the input is not scaled in place
+    assert np.all(got[:, [0, 4]] == 0.0)
 
 
 def test_assemble_observation_modes():

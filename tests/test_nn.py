@@ -233,9 +233,9 @@ class TestCheckpoints:
         for n, a in p.arrays():
             assert np.array_equal(getattr(p2, n), a)
         assert opt2.step == opt.step
-        for n in opt.m:
-            assert np.array_equal(opt2.m[n], opt.m[n])
-            assert np.array_equal(opt2.v[n], opt.v[n])
+        assert opt2.m.layout == opt2.v.layout == p.layout
+        assert opt2.m.flat.tobytes() == opt.m.flat.tobytes()
+        assert opt2.v.flat.tobytes() == opt.v.flat.tobytes()
         assert meta["seed"] == 9
 
     def test_shape_tamper_rejected(self, tmp_path):
@@ -322,14 +322,6 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
-    def test_hash_mismatch_warns_but_loads(self, tmp_path):
-        p = init_params(8, 3, seed=1)
-        path = str(tmp_path / "net.json")
-        save_checkpoint(path, p, metadata={"config_hash": "aaa"})
-        with pytest.warns(UserWarning):
-            p2, _, _ = load_checkpoint(path, expect_config_hash="bbb")
-        assert np.array_equal(p2.w1, p.w1)
-
 
 def random_params(rng, scale, input_dim=5, hidden=(6, 4), n_out=3):
     p = init_params(input_dim, n_out, hidden=hidden)
@@ -372,9 +364,7 @@ class TestFlatMatchesOracle:
             p = apply_update(p, opt, g)
             q = oracles.apply_update(q, ref, g)
             assert same_bytes(p, q) and opt.step == ref.step
-            for n in nets.PARAM_NAMES:
-                assert opt.m[n].tobytes() == ref.m[n].tobytes()
-                assert opt.v[n].tobytes() == ref.v[n].tobytes()
+            assert same_bytes(opt.m, ref.m) and same_bytes(opt.v, ref.v)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_names_the_same_array(self, bad):
