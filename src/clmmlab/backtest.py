@@ -25,7 +25,7 @@ from .baselines import (EWAConfig, EWA_DEFAULTS, TAU_DEFAULTS, ewa_config_for,
 from .dqn import greedy_rollout
 from .env import EnvConfig, HourRecord, LPEnv, TRACE_CSV_HEADER
 from .features import WARMUP_CANDLES, FeatureScaler, compute_feature_matrix
-from .marketdata import Candle, synth_gbm
+from .marketdata import Candle, candles_to_arrays, synth_gbm
 from .report import REPORT_CSV_HEADER, in_header_order, write_csv_rows
 from . import nets
 
@@ -40,6 +40,10 @@ METHOD_SETTINGS = {"tau": "tau-reset", "ewa_widths": "ewa", "ewa_eta": "ewa",
 # the EWAConfig field each ewa_* setting fills
 EWA_SETTINGS = {"n_widths": "ewa_widths", "eta": "ewa_eta", "t_re": "ewa_t_re"}
 
+# settings that name an input file: a run's digest covers the file's
+# contents instead, and the path itself appears only in run.json
+PATH_SETTINGS = ("candles", "checkpoint")
+
 
 class RunError(ValueError):
     """A run configuration that cannot be executed as given."""
@@ -47,11 +51,11 @@ class RunError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything that identifies a backtest or training run.
+    """The settings of a backtest, or of a training run's env.
 
-    The output directory is deliberately not part of the config (or its
-    hash): two runs of the same config into different directories must
-    produce byte-identical artifacts.
+    The output directory is deliberately not part of the config (or of
+    run_digest): two runs of the same config into different directories
+    must produce byte-identical artifacts.
     """
 
     method: str
@@ -95,6 +99,27 @@ class RunConfig:
             # EWAConfig's messages open with its own field name
             field, rest = str(e).split(" ", 1)
             raise RunError(f"{EWA_SETTINGS[field]} {rest}") from None
+        # the settings together, now that each one is valid on its own
+        key = self.table_key()
+        if self.method == "tau-reset":
+            tau = TAU_DEFAULTS.get(key) if self.tau is None else self.tau
+            if tau is None:
+                raise RunError(f"no default tau for pool={self.pool!r} period={self.period} "
+                               f"l0={self.l0:g}; pass tau explicitly")
+            if not 1 <= tau <= self.n_actions:
+                raise RunError(f"tau must be in 1..n_actions={self.n_actions}, got {tau}")
+        if self.method == "ewa":
+            unset = [getattr(self, name) is None for name in EWA_SETTINGS.values()]
+            if any(unset) and not all(unset):
+                raise RunError("set all of ewa_widths/ewa_eta/ewa_t_re or none")
+            if all(unset) and key not in EWA_DEFAULTS:
+                raise RunError(
+                    f"no default EWA parameters for pool={self.pool!r} "
+                    f"period={self.period} l0={self.l0:g}; pass them explicitly")
+
+    def table_key(self) -> Tuple[str, Optional[int], int]:
+        """The key of the default hyperparameter tables."""
+        return self.pool, self.period, int(self.l0)
 
     def pool_spec(self) -> PoolSpec:
         return PoolSpec(fee_tier=self.fee_tier, tick_spacing=self.tick_spacing)
@@ -120,52 +145,54 @@ class RunConfig:
         return cls(**data)
 
 
-def dict_hash(data: Dict) -> str:
-    """Short stable digest of a JSON-serializable mapping."""
-    text = json.dumps(data, sort_keys=True, separators=(",", ":"))
+def run_digest(settings: Dict, candles: Sequence[Candle]) -> str:
+    """The run's identity, embedded in every artifact it writes.
+
+    A 12-hex sha256 of the resolved settings without their path fields,
+    of the candle series the run received and of the bytes of the
+    checkpoint file the settings name, if any. The same inputs read from
+    any path give the same digest; any edited input gives another.
+    """
+    doc = {k: v for k, v in settings.items() if k not in PATH_SETTINGS}
+    series = hashlib.sha256()
+    for column in candles_to_arrays(candles):
+        series.update(column.tobytes())
+    doc["candles_sha256"] = series.hexdigest()
+    if settings.get("checkpoint") is not None:
+        with open(settings["checkpoint"], "rb") as fh:
+            doc["checkpoint_sha256"] = hashlib.sha256(fh.read()).hexdigest()
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
-def config_hash(config: RunConfig) -> str:
-    """Digest of a run config; embedded in every artifact it produces."""
-    return dict_hash(config.to_dict())
+def write_run_json(out_dir: str, config: Dict, digest: str, **fields) -> str:
+    """Write run.json: the config (paths included, so that it reruns the
+    run through --config), its digest, the seed and the run's `fields`."""
+    path = os.path.join(out_dir, "run.json")
+    with open(path, "w") as fh:
+        json.dump(dict(fields, config=config, config_hash=digest,
+                       seed=config["seed"]), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return path
 
 
 def resolve_hyperparameters(config: RunConfig) -> Tuple[RunConfig, str]:
-    """Fill method hyperparameters, from the default tables if unset.
+    """Fill unset method hyperparameters from the default tables.
 
-    Returns the completed config and a report label. Table defaults were
-    selected for best test-set performance, so runs that fall back on
-    them are labeled "oracle-tuned" to keep that caveat visible.
+    Returns the completed config and a report label. RunConfig has
+    checked that the tables hold its key. Table defaults were selected
+    for best test-set performance, so runs that fall back on them are
+    labeled "oracle-tuned" to keep that caveat visible.
     """
-    label = config.label
     if config.method == "tau-reset" and config.tau is None:
-        key = (config.pool, config.period, int(config.l0))
-        if key not in TAU_DEFAULTS:
-            raise RunError(
-                f"no default tau for pool={config.pool!r} period={config.period} "
-                f"l0={config.l0:g}; pass tau explicitly")
-        config = dataclasses.replace(config, tau=TAU_DEFAULTS[key])
-        label = label or ORACLE_TUNED_LABEL
-    if config.method == "ewa" and None in (config.ewa_widths, config.ewa_eta,
-                                           config.ewa_t_re):
-        if not (config.ewa_widths is None and config.ewa_eta is None
-                and config.ewa_t_re is None):
-            raise RunError("set all of ewa_widths/ewa_eta/ewa_t_re or none")
-        key = (config.pool, config.period, int(config.l0))
-        if key not in EWA_DEFAULTS:
-            raise RunError(
-                f"no default EWA parameters for pool={config.pool!r} "
-                f"period={config.period} l0={config.l0:g}; pass them explicitly")
-        ewa = ewa_config_for(*key)
+        config = dataclasses.replace(config, tau=TAU_DEFAULTS[config.table_key()])
+    elif config.method == "ewa" and config.ewa_widths is None:
+        ewa = ewa_config_for(*config.table_key())
         config = dataclasses.replace(config, ewa_widths=ewa.n_widths,
                                      ewa_eta=ewa.eta, ewa_t_re=ewa.t_re)
-        label = label or ORACLE_TUNED_LABEL
-    # a tau-reset config always has a tau here: the table filled it or raised
-    if config.method == "tau-reset" and not 1 <= config.tau <= config.n_actions:
-        raise RunError(f"tau must be in 1..n_actions={config.n_actions}, "
-                       f"got {config.tau}")
-    return config, label
+    else:
+        return config, config.label
+    return config, config.label or ORACLE_TUNED_LABEL
 
 
 @dataclass
@@ -173,6 +200,7 @@ class BacktestResult:
     """One strategy replayed over one window, with its hourly trace."""
 
     config: RunConfig
+    config_hash: str  # run_digest of the config and the inputs it read
     label: str
     offset: int
     horizon: int
@@ -208,7 +236,7 @@ class BacktestResult:
             "l0": l0,
             "gas": c.gas,
             "seed": c.seed,
-            "config_hash": config_hash(c),
+            "config_hash": self.config_hash,
             "reward_mode": c.reward_mode,
             "path_model": c.path_model,
             "offset": self.offset,
@@ -249,10 +277,11 @@ def run_backtest(candles: Sequence[Candle], config: RunConfig) -> BacktestResult
     config, label = resolve_hyperparameters(config)
     offset, horizon = _default_window(config, len(candles))
     env_config = config.env_config(episode_length=horizon, warmup=offset)
+    digest = run_digest(config.to_dict(), candles)
 
     if config.method == "tau-reset":
         records = run_tau_reset(LPEnv(candles, env_config), config.tau, offset)
-        return BacktestResult(config, label, offset, horizon, records)
+        return BacktestResult(config, digest, label, offset, horizon, records)
 
     if config.method == "ewa":
         ewa = EWAConfig(n_widths=config.ewa_widths, eta=config.ewa_eta,
@@ -260,7 +289,7 @@ def run_backtest(candles: Sequence[Candle], config: RunConfig) -> BacktestResult
         records, weights = run_ewa(
             candles, offset, horizon, ewa, pool=config.pool_spec(),
             l0=config.l0, gas=config.gas, path_model=config.path_model)
-        return BacktestResult(config, label, offset, horizon, records,
+        return BacktestResult(config, digest, label, offset, horizon, records,
                               weights=weights)
 
     # ddqn
@@ -279,27 +308,21 @@ def run_backtest(candles: Sequence[Candle], config: RunConfig) -> BacktestResult
     if isinstance(meta, dict) and "scaler" in meta:
         matrix = FeatureScaler.from_json(json.dumps(meta["scaler"])).apply(matrix)
     _, _, records = greedy_rollout(LPEnv(candles, env_config, matrix), params, offset)
-    return BacktestResult(config, label, offset, horizon, records)
+    return BacktestResult(config, digest, label, offset, horizon, records)
 
 
 def write_run_dir(result: BacktestResult, out_dir: str) -> Dict[str, str]:
     """Write run.json, report.csv, trace.csv, actions.csv for one run.
 
-    Every file embeds the config hash and seed so artifacts can be
+    Every file embeds the run's digest and seed so artifacts can be
     traced back to the exact run that produced them.
     """
     os.makedirs(out_dir, exist_ok=True)
-    digest = config_hash(result.config)
+    digest = result.config_hash
     seed = result.config.seed
-    paths = {}
-
-    run_doc = {"config": result.config.to_dict(), "config_hash": digest,
-               "seed": seed, "label": result.label,
-               "offset": result.offset, "horizon": result.horizon}
-    paths["run"] = os.path.join(out_dir, "run.json")
-    with open(paths["run"], "w") as fh:
-        json.dump(run_doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    paths = {"run": write_run_json(out_dir, result.config.to_dict(), digest,
+                                   label=result.label, offset=result.offset,
+                                   horizon=result.horizon)}
 
     paths["report"] = os.path.join(out_dir, "report.csv")
     write_csv_rows(paths["report"], REPORT_CSV_HEADER,

@@ -16,7 +16,8 @@ import sys
 from typing import Dict, Optional, Sequence
 
 from . import nets
-from .backtest import RunConfig, RunError, dict_hash, run_backtest, write_run_dir
+from .backtest import (RunConfig, RunError, run_backtest, run_digest,
+                       write_run_dir, write_run_json)
 from .dqn import DDQNConfig, TRAINING_LOG_HEADER, train_ddqn
 from .env import LPEnv
 from .features import (FEATURE_NAMES, FeatureScaler, WARMUP_CANDLES,
@@ -167,40 +168,41 @@ TRAIN_FIELDS = ("candles", "seed", "l0", "gas", "n_actions", "fee_tier",
                 "episode_length", "episodes", "budget", "train_hours",
                 "val_hours", "learning_rate", "batch_size", "buffer")
 
-# train's settings that RunConfig also has take its defaults, in this key
-# order: checkpoint.json stores the settings unsorted
-_RUN_DEFAULTS = RunConfig(method="ddqn").to_dict()
-TRAIN_DEFAULTS = dict(
-    {k: _RUN_DEFAULTS[k] for k in TRAIN_FIELDS if _RUN_DEFAULTS.get(k) is not None},
-    episode_length=100, episodes=50, learning_rate=1e-4, batch_size=256,
-    buffer=1_000_000)
+# train's own defaults: RunConfig and DDQNConfig default the rest
+TRAIN_DEFAULTS = {"episode_length": 100, "episodes": 50}
+
+# the DDQNConfig field each of train's learner settings fills
+DDQN_SETTINGS = {"learning_rate": "learning_rate", "batch_size": "batch_size",
+                 "buffer": "buffer_capacity"}
 
 
 def cmd_train(args) -> int:
     s = dict(TRAIN_DEFAULTS, **_merge(args, TRAIN_FIELDS))
     _require(s, "candles")
     out_dir = _require(vars(args), "out_dir")
+    try:
+        run = RunConfig(method="ddqn", **{k: s[k] for k in s if k in BACKTEST_FIELDS})
+        dconf = DDQNConfig(**{f: s[n] for n, f in DDQN_SETTINGS.items() if n in s})
+    except ValueError as e:
+        raise CliError("config", str(e))
     candles = load_candles_csv(s["candles"])
     usable = len(candles) - WARMUP_CANDLES - 1
     if usable < 20:
         raise CliError("data", f"series too short to train on: {len(candles)} candles")
-    train_hours = s.get("train_hours", int(usable * 0.7))
-    val_hours = s.get("val_hours", max(usable - train_hours - 1, 10))
+    train_hours = s.setdefault("train_hours", int(usable * 0.7))
+    val_hours = s.setdefault("val_hours", max(usable - train_hours - 1, 10))
     episode_length = s["episode_length"]
     if train_hours < episode_length + 1:
         raise CliError("config", "train_hours must exceed episode_length")
     val_start = WARMUP_CANDLES + train_hours
     if val_start + val_hours >= len(candles):
         raise CliError("config", "train_hours + val_hours exceed the series")
-    budget = s.get("budget", s["episodes"] * episode_length)
+    budget = s.setdefault("budget", s["episodes"] * episode_length)
+    # every setting resolved, so run.json's config reruns this run via --config
+    s.update(run.to_dict(), **{n: getattr(dconf, f) for n, f in DDQN_SETTINGS.items()})
+    config = {k: s[k] for k in TRAIN_FIELDS}
+    digest = run_digest(config, candles)
 
-    try:
-        run = RunConfig(method="ddqn", **{k: s[k] for k in TRAIN_FIELDS
-                                          if k in BACKTEST_FIELDS})
-        dconf = DDQNConfig(learning_rate=s["learning_rate"],
-                           batch_size=s["batch_size"], buffer_capacity=s["buffer"])
-    except ValueError as e:
-        raise CliError("config", str(e))
     matrix = compute_feature_matrix(candles)
     scaler = FeatureScaler.fit(matrix[WARMUP_CANDLES:val_start])
     matrix = scaler.apply(matrix)
@@ -214,25 +216,16 @@ def cmd_train(args) -> int:
                         seed=run.seed, eval_offsets=[val_start])
 
     os.makedirs(out_dir, exist_ok=True)
-    settings = dict(s, train_hours=train_hours, val_hours=val_hours,
-                    budget=budget, method="ddqn")
-    digest = dict_hash(settings)
-    metadata = {"config_hash": digest, "seed": run.seed,
-                "scaler": json.loads(scaler.to_json()), "settings": settings,
-                "best_val_return": result.best_val_return,
-                "episodes": result.episodes, "steps": result.steps}
     ckpt = os.path.join(out_dir, "checkpoint.json")
-    nets.save_checkpoint(ckpt, result.params, metadata=metadata)
+    nets.save_checkpoint(ckpt, result.params, metadata={
+        "config_hash": digest, "seed": run.seed,
+        "scaler": json.loads(scaler.to_json())})
     write_csv_rows(os.path.join(out_dir, "training_log.csv"),
                    TRAINING_LOG_HEADER + ["config_hash", "seed"],
                    [values + [digest, run.seed] for values in
                     in_header_order(result.log, TRAINING_LOG_HEADER)])
-    with open(os.path.join(out_dir, "run.json"), "w") as fh:
-        json.dump({"config": settings, "config_hash": digest, "seed": run.seed,
-                   "steps": result.steps, "episodes": result.episodes,
-                   "best_val_return": result.best_val_return},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_run_json(out_dir, config, digest, steps=result.steps,
+                   episodes=result.episodes, best_val_return=result.best_val_return)
     print(f"trained {result.episodes} episodes ({result.steps} steps), "
           f"best val return {result.best_val_return:.4f}, wrote {ckpt}")
     return 0

@@ -10,7 +10,7 @@ import csv
 import importlib.resources
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 REPORT_CSV_HEADER = [
     "pool", "fee_tier", "tick_spacing", "period", "method", "label", "l0",
@@ -168,27 +168,15 @@ PUBLISHED_CSV_HEADER = ["pool", "period", "method", "l0", "relative_fee",
 PUBLISHED_ULP = 1e-3
 
 
-def load_published_table(path: Optional[str] = None) -> List[Dict]:
+def load_published_table() -> List[Dict]:
     """Published per-period fee/gas/LVR/PnL rows bundled with the package."""
-    if path is None:
-        ref = importlib.resources.files("clmmlab").joinpath("data/published_results.csv")
-        text = ref.read_text()
-    else:
-        with open(path) as fh:
-            text = fh.read()
-    reader = csv.DictReader(text.splitlines())
+    ref = importlib.resources.files("clmmlab").joinpath("data/published_results.csv")
+    reader = csv.DictReader(ref.read_text().splitlines())
     if reader.fieldnames != PUBLISHED_CSV_HEADER:
         raise ReportError(f"bad detail-table header: {reader.fieldnames!r}")
-    rows = []
-    for row in reader:
-        rows.append({
-            "pool": row["pool"], "period": int(row["period"]),
-            "method": row["method"], "l0": float(row["l0"]),
-            "relative_fee": float(row["relative_fee"]),
-            "relative_gas": float(row["relative_gas"]),
-            "relative_lvr": float(row["relative_lvr"]),
-            "relative_pnl": float(row["relative_pnl"]),
-        })
+    rows = [dict(row, period=int(row["period"]),
+                 **{k: float(row[k]) for k in PUBLISHED_CSV_HEADER[3:]})
+            for row in reader]
     if len(rows) != 32:
         raise ReportError(f"detail table must have 32 rows, got {len(rows)}")
     return rows
@@ -206,7 +194,7 @@ class PublishedTableCheck:
         return self.max_abs_error <= PUBLISHED_ULP + 1e-9
 
 
-def verify_published_table(rows: Optional[List[Dict]] = None) -> PublishedTableCheck:
+def verify_published_table() -> PublishedTableCheck:
     """Recompute PnL = fee - gas - LVR over the published rows.
 
     25 of the 32 published rows reproduce the printed PnL exactly; the
@@ -214,8 +202,7 @@ def verify_published_table(rows: Optional[List[Dict]] = None) -> PublishedTableC
     the rounding slack of three independently rounded operands. The
     check records per-row residuals and whether each row is exact.
     """
-    if rows is None:
-        rows = load_published_table()
+    rows = load_published_table()
     checked = []
     n_exact = 0
     max_err = 0.0

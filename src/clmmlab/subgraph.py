@@ -6,12 +6,13 @@ stop on a short page.  Transient transport failures back off exponentially;
 malformed payloads fail fast since retrying cannot fix a schema drift.
 """
 
+import http.client
 import json
 import os
 import time
+import urllib.error
+import urllib.request
 from typing import Callable, Dict, List, Optional
-
-import requests
 
 from .marketdata import Candle, fill_gaps, load_candles_csv, save_candles_csv
 
@@ -44,21 +45,23 @@ class SchemaError(ValueError):
     """Fatal: the payload does not look like pool-hour data."""
 
 
-def _requests_transport(endpoint: str, timeout: float) -> Callable[[str, Dict], Dict]:
+def _urllib_transport(endpoint: str, timeout: float) -> Callable[[str, Dict], Dict]:
     def transport(query: str, variables: Dict) -> Dict:
+        request = urllib.request.Request(
+            endpoint, method="POST", headers={"Content-Type": "application/json"},
+            data=json.dumps({"query": query, "variables": variables}).encode())
         try:
-            resp = requests.post(
-                endpoint, json={"query": query, "variables": variables}, timeout=timeout
-            )
-        except requests.RequestException as e:
+            with urllib.request.urlopen(request, timeout=timeout) as resp:
+                body = resp.read()  # urlopen returns on a 2xx status only
+        except urllib.error.HTTPError as e:
+            error = TransportError if e.code >= 500 else SchemaError
+            text = e.read()[:200].decode("utf-8", "replace")
+            raise error(f"indexer returned {e.code}: {text}") from None
+        except (OSError, http.client.HTTPException) as e:
             raise TransportError(str(e)) from e
-        if resp.status_code >= 500:
-            raise TransportError(f"indexer returned {resp.status_code}")
-        if resp.status_code != 200:
-            raise SchemaError(f"indexer returned {resp.status_code}: {resp.text[:200]}")
         try:
-            return resp.json()
-        except json.JSONDecodeError as e:
+            return json.loads(body)
+        except ValueError as e:
             raise SchemaError(f"non-JSON response: {e}") from e
 
     return transport
@@ -78,7 +81,7 @@ class SubgraphClient:
         sleep: Callable[[float], None] = time.sleep,
     ):
         self.endpoint = endpoint
-        self.transport = transport or _requests_transport(endpoint, timeout)
+        self.transport = transport or _urllib_transport(endpoint, timeout)
         self.max_retries = max_retries
         self.backoff = backoff
         self.sleep = sleep

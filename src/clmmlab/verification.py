@@ -8,7 +8,6 @@ cannot drift apart. Checks are numbered; see run_checks.
 import contextlib
 import math
 import os
-import shutil
 import tempfile
 import time
 from dataclasses import dataclass
@@ -179,7 +178,6 @@ def check_network(n_inputs: int = 1_000, seed: int = 3) -> CheckResult:
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     params = nets.init_params(6, 4, hidden=(16, 16), seed=seed)
-    worst_mean = 0.0
     states = rng.normal(size=(n_inputs, 6))
     q, v, _ = nets.forward(params, states)
     worst_mean = float(np.abs(q.mean(axis=1) - v).max())
@@ -215,8 +213,7 @@ def check_network(n_inputs: int = 1_000, seed: int = 3) -> CheckResult:
             denom = max(abs(fd), abs(g[idx]), 1e-8)
             worst_grad = max(worst_grad, abs(fd - g[idx]) / denom)
 
-    tmp = tempfile.mkdtemp(prefix="clmmlab-net-")
-    try:
+    with tempfile.TemporaryDirectory(prefix="clmmlab-net-") as tmp:
         path = os.path.join(tmp, "ckpt.json")
         opt = nets.OptimizerState.for_params(params)
         nets.save_checkpoint(path, params, opt=opt, metadata={"seed": seed})
@@ -226,8 +223,6 @@ def check_network(n_inputs: int = 1_000, seed: int = 3) -> CheckResult:
         bitexact &= meta == {"seed": seed}
         bitexact &= (opt.m.flat.tobytes() == opt2.m.flat.tobytes()
                      and opt.v.flat.tobytes() == opt2.v.flat.tobytes())
-    finally:
-        shutil.rmtree(tmp)
 
     passed = worst_mean <= 1e-6 and worst_grad <= 1e-4 and bitexact
     detail = (f"mean identity {worst_mean:.2e} over {n_inputs} inputs "
@@ -310,6 +305,13 @@ def check_ewa_weights(seed: int = 4) -> CheckResult:
     return _finish(8, "ewa-weights", t0, passed, detail)
 
 
+def _work_dir(work_dir: Optional[str], prefix: str):
+    """work_dir as given, or a temporary directory removed on exit."""
+    if work_dir is not None:
+        return contextlib.nullcontext(work_dir)
+    return tempfile.TemporaryDirectory(prefix=prefix)
+
+
 def _bytes(path: str) -> bytes:
     with open(path, "rb") as fh:
         return fh.read()
@@ -318,9 +320,7 @@ def _bytes(path: str) -> bytes:
 def check_determinism(work_dir: Optional[str] = None) -> CheckResult:
     """Identical config + seed give bit-identical artifacts."""
     t0 = time.perf_counter()
-    tmp = work_dir or tempfile.mkdtemp(prefix="clmmlab-det-")
-    made_tmp = work_dir is None
-    try:
+    with _work_dir(work_dir, "clmmlab-det-") as tmp:
         candles = load_candles_csv(bundled_candles_path())
         config = RunConfig(method="tau-reset", tau=6, candles="fixture",
                            horizon=300, seed=7)
@@ -345,9 +345,6 @@ def check_determinism(work_dir: Optional[str] = None) -> CheckResult:
             _bytes(os.path.join(train_dirs[0], f))
             == _bytes(os.path.join(train_dirs[1], f))
             for f in ("checkpoint.json", "training_log.csv", "run.json"))
-    finally:
-        if made_tmp:
-            shutil.rmtree(tmp)
     passed = backtest_same and train_same
     detail = (f"backtest artifacts bit-identical: {backtest_same}, training "
               f"artifacts bit-identical: {train_same}")
@@ -358,10 +355,8 @@ def check_smoke(work_dir: Optional[str] = None) -> CheckResult:
     """CLI backtests, a 50-episode train, and a report on the fixture."""
     t0 = time.perf_counter()
     from .cli import main as cli_main
-    tmp = work_dir or tempfile.mkdtemp(prefix="clmmlab-smoke-")
-    made_tmp = work_dir is None
     fixture = bundled_candles_path()
-    try:
+    with _work_dir(work_dir, "clmmlab-smoke-") as tmp:
         tau_dir = os.path.join(tmp, "tau")
         ewa_dir = os.path.join(tmp, "ewa")
         with open(os.devnull, "w") as sink:
@@ -394,9 +389,6 @@ def check_smoke(work_dir: Optional[str] = None) -> CheckResult:
         artifacts_ok = all(os.path.exists(os.path.join(tmp, *parts)) for parts in (
             ("report", "cumulative_pnl.csv"), ("report", "actions.csv"),
             ("train", "checkpoint.json"), ("train", "training_log.csv")))
-    finally:
-        if made_tmp:
-            shutil.rmtree(tmp)
     passed = clean and schema_ok and identity_ok and artifacts_ok
     detail = (f"exit codes {codes}, schema valid: {schema_ok}, report "
               f"identity within 1e-9: {identity_ok}, artifacts present: "

@@ -29,7 +29,7 @@ import numpy as np
 
 from clmmlab.amm import (LiquidityPosition, PoolSpec, _check_price, band_for_center,
                          liquidity_for_budget, price_to_tick, snap_tick)
-from clmmlab.backtest import EQUILIBRIUM_POOL, config_hash
+from clmmlab.backtest import EQUILIBRIUM_POOL
 from clmmlab.baselines import EWAConfig, ewa_weights, run_tau_reset
 from clmmlab.env import TRACE_CSV_HEADER, EnvConfig, LPEnv, hour_path
 from clmmlab.indicators import sma
@@ -424,7 +424,7 @@ def write_run_dir(result, out_dir: str) -> Dict[str, str]:
     """Write run.json, report.csv, trace.csv, actions.csv for one run."""
     infos = [r._asdict() for r in result.records]
     os.makedirs(out_dir, exist_ok=True)
-    digest = config_hash(result.config)
+    digest = result.config_hash
     seed = result.config.seed
     paths = {}
 

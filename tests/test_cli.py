@@ -1,11 +1,14 @@
 import argparse
 import csv
+import dataclasses
 import json
 import os
+import shutil
 
 import pytest
 
 from clmmlab.cli import build_parser, main
+from clmmlab.features import OBSERVATION_DIM, WARMUP_CANDLES
 from clmmlab.marketdata import bundled_candles_path, save_candles_csv, synth_gbm
 from clmmlab.nets import init_params, load_checkpoint, save_checkpoint
 from clmmlab.report import read_report_csv
@@ -100,6 +103,19 @@ class TestErrorContract:
     def test_bad_ewa_value_is_config_error_before_candles_load(
             self, capsys, tmp_path, flag, value, message):
         err = self._config_error(["--method", "ewa", flag, value], capsys, tmp_path)
+        assert err == f"error: config: {message}"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--method", "tau-reset", "--tau", "0"],
+         "tau must be in 1..n_actions=10, got 0"),
+        (["--method", "ewa", "--ewa-widths", "3"],
+         "set all of ewa_widths/ewa_eta/ewa_t_re or none"),
+        (["--method", "tau-reset", "--pool", "usdc", "--period", "1", "--l0", "300"],
+         "no default tau for pool='usdc' period=1 l0=300; pass tau explicitly"),
+    ], ids=["tau-range", "partial-ewa", "no-default-tau"])
+    def test_settings_that_clash_are_config_error_before_candles_load(
+            self, capsys, tmp_path, argv, message):
+        err = self._config_error(argv, capsys, tmp_path)
         assert err == f"error: config: {message}"
 
     def test_bad_checkpoint_shape_is_run_error(self, candles_csv, capsys,
@@ -433,19 +449,24 @@ class TestConfigFile:
             assert code == 0, err
         assert _same_tree(tmp_path / "fwd", tmp_path / "rev")
 
+    @pytest.mark.parametrize("command,flags", [
+        ("backtest", ["--method", "ewa", "--ewa-widths", "5", "--ewa-eta", "1.0",
+                      "--ewa-t-re", "24", "--offset", "10", "--horizon", "100"]),
+        ("train", ["--seed", "2", "--episode-length", "40", "--budget", "200",
+                   "--train-hours", "150", "--val-hours", "50"]),
+    ], ids=["backtest", "train"])
     def test_run_json_config_reruns_identically(self, candles_csv, capsys,
-                                                tmp_path):
-        code, _, _ = run_cli(
-            ["backtest", "--method", "ewa", "--ewa-widths", "5", "--ewa-eta",
-             "1.0", "--ewa-t-re", "24", "--candles", candles_csv, "--offset",
-             "10", "--horizon", "100", "--out-dir", str(tmp_path / "a")], capsys)
+                                                tmp_path, command, flags):
+        code, _, _ = run_cli([command, *flags, "--candles", candles_csv,
+                              "--out-dir", str(tmp_path / "a")], capsys)
         assert code == 0
         config = json.loads((tmp_path / "a" / "run.json").read_text())["config"]
-        assert config["period"] is None  # null reads as unset
+        if command == "backtest":
+            assert config["period"] is None  # null reads as unset
         cfg = _write_json(tmp_path / "cfg.json", config)
-        code, _, _ = run_cli(["backtest", "--config", cfg, "--out-dir",
-                              str(tmp_path / "b")], capsys)
-        assert code == 0
+        code, _, err = run_cli([command, "--config", cfg, "--out-dir",
+                                str(tmp_path / "b")], capsys)
+        assert code == 0, err
         assert _same_tree(tmp_path / "a", tmp_path / "b")
 
     @pytest.mark.parametrize("command", ["report", "verify"])
@@ -455,6 +476,82 @@ class TestConfigFile:
                                capsys)
         assert code == 2
         assert err.strip().startswith("error: usage: unrecognized arguments")
+
+
+class TestRunIdentity:
+    """A run's digest names the bytes it read, not the paths it read them
+    from: the same inputs copied to two directories give the same
+    artifacts, and run.json alone records where they were."""
+
+    def _copies(self, candles_csv, tmp_path):
+        ckpt = str(tmp_path / "net.json")
+        save_checkpoint(ckpt, init_params(OBSERVATION_DIM, 11, seed=5))
+        dirs = []
+        for name in ("x", "y"):
+            d = tmp_path / name
+            d.mkdir()
+            shutil.copyfile(candles_csv, d / "candles.csv")
+            shutil.copyfile(ckpt, d / "net.json")
+            dirs.append(d)
+        return dirs
+
+    def _only_paths_differ(self, a, b):
+        doc_a, doc_b = (json.loads((d / "run.json").read_text()) for d in (a, b))
+        assert doc_a != doc_b
+        for key in ("candles", "checkpoint"):
+            if doc_a["config"].get(key) is not None:
+                assert doc_a["config"][key].startswith(str(a.parent))
+                doc_a["config"][key] = doc_b["config"][key]
+        assert doc_a == doc_b
+
+    @pytest.mark.parametrize("method", [
+        ["--method", "tau-reset", "--tau", "4"],
+        ["--method", "ewa", "--ewa-widths", "5", "--ewa-eta", "1.0",
+         "--ewa-t-re", "24"],
+        ["--method", "ddqn", "--checkpoint", "{}/net.json"],
+    ], ids=["tau-reset", "ewa", "ddqn"])
+    def test_backtest_inputs_at_two_paths(self, candles_csv, capsys, tmp_path,
+                                          method):
+        for d in self._copies(candles_csv, tmp_path):
+            argv = ["backtest", *(f.format(d) for f in method), "--candles",
+                    str(d / "candles.csv"), "--offset", str(WARMUP_CANDLES),
+                    "--horizon", "100", "--out-dir", str(d / "run")]
+            code, _, err = run_cli(argv, capsys)
+            assert code == 0, err
+        a, b = tmp_path / "x" / "run", tmp_path / "y" / "run"
+        for name in ("report.csv", "trace.csv", "actions.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+        self._only_paths_differ(a, b)
+
+    def test_train_inputs_at_two_paths(self, candles_csv, capsys, tmp_path):
+        for d in self._copies(candles_csv, tmp_path):
+            code, _, err = run_cli(
+                ["train", "--candles", str(d / "candles.csv"), "--seed", "2",
+                 "--episode-length", "40", "--budget", "200", "--train-hours",
+                 "150", "--val-hours", "50", "--out-dir", str(d / "run")], capsys)
+            assert code == 0, err
+        a, b = tmp_path / "x" / "run", tmp_path / "y" / "run"
+        for name in ("checkpoint.json", "training_log.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+        self._only_paths_differ(a, b)
+
+    def test_candle_edited_in_place_changes_hash(self, capsys, tmp_path):
+        path = str(tmp_path / "candles.csv")
+        candles = synth_gbm(2000.0, 0.0, 0.01, 300, seed=8)
+        save_candles_csv(candles, path)
+
+        def config_hash(name):
+            code, _, err = run_cli(
+                ["backtest", "--method", "tau-reset", "--tau", "4", "--candles",
+                 path, "--out-dir", str(tmp_path / name)], capsys)
+            assert code == 0, err
+            return read_report_csv(str(tmp_path / name / "report.csv"))[0]["config_hash"]
+
+        before = config_hash("before")
+        assert candles[250].close != candles[250].low
+        candles[250] = dataclasses.replace(candles[250], close=candles[250].low)
+        save_candles_csv(candles, path)
+        assert config_hash("after") != before
 
 
 class TestIngestCommand:

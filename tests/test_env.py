@@ -266,8 +266,8 @@ def ledger_result(fees, gases, lvrs, l0=250.0):
                                  reward=0.0, cash=0.0, center_tick=0, width=0,
                                  value=0.0, close=0.0)
                for t, (f, g, v) in enumerate(zip(fees, gases, lvrs), 1)]
-    return BacktestResult(RunConfig(method="tau-reset", tau=1, l0=l0), "", 1,
-                          len(records), records)
+    return BacktestResult(RunConfig(method="tau-reset", tau=1, l0=l0),
+                          "0" * 12, "", 1, len(records), records)
 
 
 class TestRelativePnl:
@@ -299,7 +299,8 @@ def test_trace_csv(tmp_path):
         _, _, _, record = env.step(a)
         records.append(record)
     config = RunConfig(method="tau-reset", tau=1, seed=7)
-    paths = write_run_dir(BacktestResult(config, "", 210, 6, records), str(tmp_path))
+    paths = write_run_dir(BacktestResult(config, "0" * 12, "", 210, 6, records),
+                          str(tmp_path))
     lines = open(paths["trace"]).read().strip().splitlines()
     assert lines[0] == ",".join(envmod.TRACE_CSV_HEADER + ["config_hash", "seed"])
     assert len(lines) == 7

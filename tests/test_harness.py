@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -13,12 +14,11 @@ from clmmlab.backtest import (
     ORACLE_TUNED_LABEL,
     RunConfig,
     RunError,
-    config_hash,
-    dict_hash,
     drift_gap,
     drift_neutrality_study,
     resolve_hyperparameters,
     run_backtest,
+    run_digest,
     write_run_dir,
 )
 from clmmlab.baselines import EWAConfig
@@ -76,18 +76,33 @@ class TestRunConfig:
         with pytest.raises(RunError, match="method"):
             RunConfig.from_dict({"tau": 6})
 
-    def test_hash_ignores_dict_order(self):
+    def test_hash_ignores_dict_order(self, candles):
         a = {"x": 1, "y": [1, 2]}
         b = {"y": [1, 2], "x": 1}
-        assert dict_hash(a) == dict_hash(b)
-        assert len(dict_hash(a)) == 12
+        assert run_digest(a, candles) == run_digest(b, candles)
+        assert len(run_digest(a, candles)) == 12
 
-    def test_hash_tracks_every_field(self):
-        base = RunConfig(method="tau-reset", tau=6)
-        assert config_hash(base) == config_hash(RunConfig(method="tau-reset", tau=6))
-        assert config_hash(base) != config_hash(RunConfig(method="tau-reset", tau=7))
-        assert config_hash(base) != config_hash(
-            RunConfig(method="tau-reset", tau=6, seed=1))
+    def test_hash_tracks_every_field(self, candles, tmp_path):
+        def digest(series=candles, **settings):
+            return run_digest(RunConfig(**settings).to_dict(), series)
+
+        base = digest(method="tau-reset", tau=6)
+        assert base == digest(method="tau-reset", tau=6)
+        assert base != digest(method="tau-reset", tau=7)
+        assert base != digest(method="tau-reset", tau=6, seed=1)
+        # an edited candle is another input
+        edited = list(candles)
+        assert edited[100].close != edited[100].high
+        edited[100] = dataclasses.replace(edited[100], close=edited[100].high)
+        assert base != digest(edited, method="tau-reset", tau=6)
+        # the checkpoint counts by its bytes, not by its path
+        paths = [str(tmp_path / name) for name in ("a.json", "b.json", "c.json")]
+        for path, seed in zip(paths, (4, 4, 5)):
+            save_checkpoint(path, init_params(OBSERVATION_DIM, 11, seed=seed))
+        a, b, c = (digest(method="ddqn", checkpoint=path) for path in paths)
+        assert a == b != c
+        # a path-only change leaves the digest alone
+        assert base == digest(method="tau-reset", tau=6, candles="elsewhere.csv")
 
 
 class TestHyperparameterResolution:
@@ -104,9 +119,8 @@ class TestHyperparameterResolution:
         assert label == "mine"
 
     def test_unknown_key_asks_for_explicit_tau(self):
-        config = RunConfig(method="tau-reset", pool="synth", period=None)
         with pytest.raises(RunError, match="pass tau explicitly"):
-            resolve_hyperparameters(config)
+            RunConfig(method="tau-reset", pool="synth", period=None)
 
     def test_ewa_defaults_get_labeled(self):
         config = RunConfig(method="ewa", pool="usdc", period=2)
@@ -117,10 +131,8 @@ class TestHyperparameterResolution:
         assert label == ORACLE_TUNED_LABEL
 
     def test_partial_ewa_params_rejected(self):
-        config = RunConfig(method="ewa", ewa_widths=10, ewa_eta=None,
-                           ewa_t_re=24)
         with pytest.raises(RunError, match="all of ewa_widths"):
-            resolve_hyperparameters(config)
+            RunConfig(method="ewa", ewa_widths=10, ewa_eta=None, ewa_t_re=24)
 
 
 class TestRunBacktest:
@@ -187,7 +199,8 @@ class TestWriteRunDir:
         doc = json.loads(open(paths["run"]).read())
         rows = read_report_csv(paths["report"])
         assert len(rows) == 1
-        assert rows[0]["config_hash"] == doc["config_hash"] == config_hash(config)
+        assert rows[0]["config_hash"] == doc["config_hash"] == result.config_hash
+        assert result.config_hash == run_digest(config.to_dict(), candles)
         with open(paths["trace"]) as fh:
             trace_lines = fh.read().strip().splitlines()
         assert len(trace_lines) == 81  # header + one row per hour

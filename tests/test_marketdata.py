@@ -1,4 +1,8 @@
+import http.client
+import io
+import json
 import math
+import urllib.error
 
 import numpy as np
 import pytest
@@ -286,3 +290,70 @@ class TestSubgraphClient:
                                   1609459200 + 5 * 3600, cache_dir=str(tmp_path))
         assert len(got) == 5
         md.validate_series(got)
+
+
+class TestUrllibTransport:
+    """The default transport, with urlopen replaced: no request leaves."""
+
+    ENDPOINT = "http://indexer.invalid/subgraph"
+
+    def _client(self, monkeypatch, *outcomes):
+        """A client whose urlopen plays back outcomes, each an exception
+        to raise or a (status, body) response; it records what was sent."""
+        script, sent = list(outcomes), []
+
+        def urlopen(request, timeout):
+            sent.append((request, timeout))
+            outcome = script.pop(0)
+            if isinstance(outcome, Exception):
+                raise outcome
+            resp = io.BytesIO(outcome[1])
+            resp.status = outcome[0]
+            return resp
+
+        monkeypatch.setattr(sg.urllib.request, "urlopen", urlopen)
+        return sg.SubgraphClient(self.ENDPOINT, timeout=7.0,
+                                 sleep=lambda s: None), sent
+
+    def _http_error(self, code, body=b""):
+        return urllib.error.HTTPError(self.ENDPOINT, code, "status", {},
+                                      io.BytesIO(body))
+
+    def test_posts_the_query_as_json(self, monkeypatch):
+        payload = {"data": {"poolHourDatas": [hour_row(0)]}}
+        client, sent = self._client(monkeypatch, (200, json.dumps(payload).encode()))
+        assert client.transport("query Q", {"pool": "0xabc"}) == payload
+        (request, timeout), = sent
+        assert timeout == 7.0
+        assert request.get_method() == "POST"
+        assert request.full_url == self.ENDPOINT
+        assert request.get_header("Content-type") == "application/json"
+        assert json.loads(request.data) == {"query": "query Q",
+                                            "variables": {"pool": "0xabc"}}
+
+    @pytest.mark.parametrize("outcome", [
+        None, urllib.error.URLError("connection refused"),
+        TimeoutError("timed out"), http.client.RemoteDisconnected("closed"),
+    ], ids=["5xx", "url-error", "timeout", "disconnect"])
+    def test_server_and_network_errors_are_retryable(self, monkeypatch, outcome):
+        client, _ = self._client(monkeypatch, outcome or self._http_error(503))
+        with pytest.raises(sg.TransportError):
+            client.transport("query Q", {})
+
+    def test_other_status_is_schema_error(self, monkeypatch):
+        client, _ = self._client(monkeypatch, self._http_error(404, b"no such subgraph"))
+        with pytest.raises(sg.SchemaError, match="404: no such subgraph"):
+            client.transport("query Q", {})
+
+    @pytest.mark.parametrize("body", [b"<html>busy</html>", b"\xff\xfe{"],
+                             ids=["html", "not-utf8"])
+    def test_non_json_body_is_schema_error(self, monkeypatch, body):
+        client, _ = self._client(monkeypatch, (200, body))
+        with pytest.raises(sg.SchemaError, match="non-JSON"):
+            client.transport("query Q", {})
+
+    def test_client_retries_a_5xx_then_reads_the_page(self, monkeypatch):
+        page = json.dumps({"data": {"poolHourDatas": [hour_row(0)]}}).encode()
+        client, sent = self._client(monkeypatch, self._http_error(502), (200, page))
+        assert len(client.fetch_hours("0xabc", 1609459200, 1609459200 + 3600)) == 1
+        assert client.request_count == len(sent) == 2
