@@ -5,7 +5,9 @@ result with one env.HourRecord per hour plus the relative fee / gas /
 LVR / PnL decomposition, totalled by accounting.ordered_sum. Strategies
 share the same accounting (the env for tau-reset and the greedy net, the
 standalone replay for EWA), so rows from different methods are directly
-comparable; the drift study replays through run_backtest too.
+comparable; the drift study replays through run_backtest too. A run's
+settings are resolved once, when its RunConfig is built (table defaults
+and their label included); the env, EWA and run.json read that config.
 """
 
 import dataclasses
@@ -20,8 +22,8 @@ import numpy as np
 
 from .accounting import ordered_sum
 from .amm import PoolSpec
-from .baselines import (EWAConfig, EWA_DEFAULTS, TAU_DEFAULTS, ewa_config_for,
-                        run_ewa, run_tau_reset)
+from .baselines import (EWAConfig, EWA_DEFAULTS, TAU_DEFAULTS, run_ewa,
+                        run_tau_reset)
 from .dqn import greedy_rollout
 from .env import EnvConfig, HourRecord, LPEnv, TRACE_CSV_HEADER
 from .features import WARMUP_CANDLES, FeatureScaler, compute_feature_matrix
@@ -52,6 +54,11 @@ class RunError(ValueError):
 @dataclass(frozen=True)
 class RunConfig:
     """The settings of a backtest, or of a training run's env.
+
+    Complete once built: a method hyperparameter left unset is filled
+    from the tuned tables, and such a run is labeled "oracle-tuned"
+    unless it names its own label, since the table defaults were
+    selected for best test-set performance.
 
     The output directory is deliberately not part of the config (or of
     run_digest): two runs of the same config into different directories
@@ -93,8 +100,7 @@ class RunConfig:
         except ValueError as e:
             raise RunError(str(e)) from None
         try:
-            EWAConfig(**{f: getattr(self, name) for f, name in EWA_SETTINGS.items()
-                         if getattr(self, name) is not None})
+            self.ewa_config()
         except ValueError as e:
             # EWAConfig's messages open with its own field name
             field, rest = str(e).split(" ", 1)
@@ -102,20 +108,30 @@ class RunConfig:
         # the settings together, now that each one is valid on its own
         key = self.table_key()
         if self.method == "tau-reset":
-            tau = TAU_DEFAULTS.get(key) if self.tau is None else self.tau
-            if tau is None:
-                raise RunError(f"no default tau for pool={self.pool!r} period={self.period} "
-                               f"l0={self.l0:g}; pass tau explicitly")
-            if not 1 <= tau <= self.n_actions:
-                raise RunError(f"tau must be in 1..n_actions={self.n_actions}, got {tau}")
+            if self.tau is None:
+                if key not in TAU_DEFAULTS:
+                    raise RunError(f"no default tau for pool={self.pool!r} "
+                                   f"period={self.period} l0={self.l0:g}; "
+                                   f"pass tau explicitly")
+                self._fill_from_table(tau=TAU_DEFAULTS[key])
+            if not 1 <= self.tau <= self.n_actions:
+                raise RunError(f"tau must be in 1..n_actions={self.n_actions}, "
+                               f"got {self.tau}")
         if self.method == "ewa":
             unset = [getattr(self, name) is None for name in EWA_SETTINGS.values()]
             if any(unset) and not all(unset):
                 raise RunError("set all of ewa_widths/ewa_eta/ewa_t_re or none")
-            if all(unset) and key not in EWA_DEFAULTS:
-                raise RunError(
-                    f"no default EWA parameters for pool={self.pool!r} "
-                    f"period={self.period} l0={self.l0:g}; pass them explicitly")
+            if all(unset):
+                if key not in EWA_DEFAULTS:
+                    raise RunError(
+                        f"no default EWA parameters for pool={self.pool!r} "
+                        f"period={self.period} l0={self.l0:g}; pass them explicitly")
+                self._fill_from_table(**dict(zip(EWA_SETTINGS.values(),
+                                                 EWA_DEFAULTS[key])))
+
+    def _fill_from_table(self, **settings) -> None:
+        for name, value in dict(settings, label=self.label or ORACLE_TUNED_LABEL).items():
+            object.__setattr__(self, name, value)
 
     def table_key(self) -> Tuple[str, Optional[int], int]:
         """The key of the default hyperparameter tables."""
@@ -126,23 +142,36 @@ class RunConfig:
 
     def env_config(self, **window) -> EnvConfig:
         """The env these settings describe; window sets the rest of
-        EnvConfig (episode_length, warmup)."""
+        EnvConfig (episode_length)."""
         return EnvConfig(pool=self.pool_spec(), l0=self.l0, n_actions=self.n_actions,
                          gas=self.gas, path_model=self.path_model,
                          reward_mode=self.reward_mode, **window)
+
+    def ewa_config(self) -> EWAConfig:
+        """The EWA rule these settings describe; EWAConfig defaults the
+        ewa_* settings left unset."""
+        return EWAConfig(**{f: getattr(self, name) for f, name in EWA_SETTINGS.items()
+                            if getattr(self, name) is not None})
 
     def to_dict(self) -> Dict:
         return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: Dict) -> "RunConfig":
+        """The config of a run to execute (flags, a config file or
+        run.json's config): it must also name the checkpoint a ddqn
+        backtest replays. RunConfig(method="ddqn") alone stays valid, as
+        the env settings of a training run."""
         known = {f.name for f in dataclasses.fields(cls)}
         for key in data:
             if key not in known:
                 raise RunError(f"unknown config field {key!r}")
         if "method" not in data:
             raise RunError("missing config field 'method'")
-        return cls(**data)
+        config = cls(**data)
+        if config.method == "ddqn" and config.checkpoint is None:
+            raise RunError("ddqn backtests need a checkpoint path")
+        return config
 
 
 def run_digest(settings: Dict, candles: Sequence[Candle]) -> str:
@@ -176,32 +205,12 @@ def write_run_json(out_dir: str, config: Dict, digest: str, **fields) -> str:
     return path
 
 
-def resolve_hyperparameters(config: RunConfig) -> Tuple[RunConfig, str]:
-    """Fill unset method hyperparameters from the default tables.
-
-    Returns the completed config and a report label. RunConfig has
-    checked that the tables hold its key. Table defaults were selected
-    for best test-set performance, so runs that fall back on them are
-    labeled "oracle-tuned" to keep that caveat visible.
-    """
-    if config.method == "tau-reset" and config.tau is None:
-        config = dataclasses.replace(config, tau=TAU_DEFAULTS[config.table_key()])
-    elif config.method == "ewa" and config.ewa_widths is None:
-        ewa = ewa_config_for(*config.table_key())
-        config = dataclasses.replace(config, ewa_widths=ewa.n_widths,
-                                     ewa_eta=ewa.eta, ewa_t_re=ewa.t_re)
-    else:
-        return config, config.label
-    return config, config.label or ORACLE_TUNED_LABEL
-
-
 @dataclass
 class BacktestResult:
     """One strategy replayed over one window, with its hourly trace."""
 
     config: RunConfig
     config_hash: str  # run_digest of the config and the inputs it read
-    label: str
     offset: int
     horizon: int
     records: List[HourRecord]
@@ -232,7 +241,7 @@ class BacktestResult:
             "tick_spacing": c.tick_spacing,
             "period": "" if c.period is None else c.period,
             "method": c.method,
-            "label": self.label,
+            "label": c.label,
             "l0": l0,
             "gas": c.gas,
             "seed": c.seed,
@@ -262,53 +271,52 @@ def _default_window(config: RunConfig, n_candles: int) -> Tuple[int, int]:
         raise RunError(
             f"window needs candles through index {offset + horizon}, "
             f"series has {n_candles}")
+    if config.method == "ddqn" and offset < WARMUP_CANDLES:
+        raise RunError(
+            f"ddqn offset {offset} is inside the {WARMUP_CANDLES}-candle "
+            f"feature warmup")
     return offset, horizon
 
 
 def run_backtest(candles: Sequence[Candle], config: RunConfig) -> BacktestResult:
     """Replay config.method over one window of the candle series.
 
-    For ddqn the greedy policy of the network in config.checkpoint is
-    used; it observes the feature matrix scaled once by the scaler in the
-    checkpoint's metadata, or unscaled when there is none. EWA
+    For ddqn the greedy policy of the network in config.checkpoint (which
+    from_dict requires) is used; it observes the feature matrix scaled
+    once by the scaler in the checkpoint's metadata, or unscaled when
+    there is none. EWA
     always weighs widths by its own hedged per-width rewards; reward_mode
     only changes how the result row reports PnL.
     """
-    config, label = resolve_hyperparameters(config)
     offset, horizon = _default_window(config, len(candles))
-    env_config = config.env_config(episode_length=horizon, warmup=offset)
+    env_config = config.env_config(episode_length=horizon)
     digest = run_digest(config.to_dict(), candles)
 
     if config.method == "tau-reset":
         records = run_tau_reset(LPEnv(candles, env_config), config.tau, offset)
-        return BacktestResult(config, digest, label, offset, horizon, records)
+        return BacktestResult(config, digest, offset, horizon, records)
 
     if config.method == "ewa":
-        ewa = EWAConfig(n_widths=config.ewa_widths, eta=config.ewa_eta,
-                        t_re=config.ewa_t_re)
-        records, weights = run_ewa(
-            candles, offset, horizon, ewa, pool=config.pool_spec(),
-            l0=config.l0, gas=config.gas, path_model=config.path_model)
-        return BacktestResult(config, digest, label, offset, horizon, records,
+        records, weights = run_ewa(candles, offset, horizon, config.ewa_config(),
+                                   env_config)
+        return BacktestResult(config, digest, offset, horizon, records,
                               weights=weights)
 
     # ddqn
-    if config.checkpoint is None:
-        raise RunError("ddqn backtests need a checkpoint path")
     params, _, meta = nets.load_checkpoint(config.checkpoint)
     if params.n_outputs != config.n_actions + 1:
         raise RunError(
             f"checkpoint has {params.n_outputs} actions, run needs "
             f"{config.n_actions + 1}")
-    if offset < WARMUP_CANDLES:
-        raise RunError(
-            f"ddqn offset {offset} is inside the {WARMUP_CANDLES}-candle "
-            f"feature warmup")
     matrix = compute_feature_matrix(candles)
     if isinstance(meta, dict) and "scaler" in meta:
-        matrix = FeatureScaler.from_json(json.dumps(meta["scaler"])).apply(matrix)
+        try:
+            scaler = FeatureScaler.from_dict(meta["scaler"])
+        except ValueError as e:
+            raise nets.CheckpointError(f"metadata {e}") from None
+        matrix = scaler.apply(matrix)
     _, _, records = greedy_rollout(LPEnv(candles, env_config, matrix), params, offset)
-    return BacktestResult(config, digest, label, offset, horizon, records)
+    return BacktestResult(config, digest, offset, horizon, records)
 
 
 def write_run_dir(result: BacktestResult, out_dir: str) -> Dict[str, str]:
@@ -321,7 +329,7 @@ def write_run_dir(result: BacktestResult, out_dir: str) -> Dict[str, str]:
     digest = result.config_hash
     seed = result.config.seed
     paths = {"run": write_run_json(out_dir, result.config.to_dict(), digest,
-                                   label=result.label, offset=result.offset,
+                                   label=result.config.label, offset=result.offset,
                                    horizon=result.horizon)}
 
     paths["report"] = os.path.join(out_dir, "report.csv")

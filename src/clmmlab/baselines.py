@@ -35,7 +35,7 @@ from .amm import (
     price_to_tick,
     snap_tick,
 )
-from .env import HourRecord, LPEnv, check_path_model, hour_path
+from .env import EnvConfig, HourRecord, LPEnv, hour_path
 from .marketdata import Candle
 
 
@@ -97,34 +97,27 @@ def _open_width_positions(close: float, n: int, pool: PoolSpec) -> List[Liquidit
     return out
 
 
-def run_ewa(
-    candles: Sequence[Candle],
-    offset: int,
-    horizon: int,
-    config: EWAConfig,
-    pool: Optional[PoolSpec] = None,
-    l0: float = 250.0,
-    gas: float = 1.0,
-    path_model: str = "candle",
-):
+def run_ewa(candles: Sequence[Candle], offset: int, horizon: int,
+            config: EWAConfig, env: EnvConfig):
     """Replay the exponential-weights strategy over candles[offset:offset+horizon].
 
     The trigger is the literal periodic rule mod(t, t_re) == 0 for hours
     t = 1..horizon; decisions use close prices and rewards observed so
-    far. Hour 0 performs a gas-free uniform initial split.
+    far. Hour 0 performs a gas-free uniform initial split. The pool,
+    fund size l0, gas per reallocation and intra-hour path model are the
+    run's EnvConfig (its episode_length and reward_mode are not read).
 
     Returns (per-hour records, final weights); a record's action is 1 on
     reallocation hours and 0 otherwise.
     """
-    pool = pool or PoolSpec()
+    fee_tier = env.pool.fee_tier
     n = config.n_widths
-    check_path_model(path_model)
     if offset < 0 or offset + horizon >= len(candles):
         raise ValueError(
             f"need candles through index {offset + horizon}, have {len(candles)}"
         )
-    references = _open_width_positions(candles[offset].close, n, pool)
-    budgets = np.full(n, l0 / n)
+    references = _open_width_positions(candles[offset].close, n, env.pool)
+    budgets = np.full(n, env.l0 / n)
     cash = 0.0
     cum_rewards = np.zeros(n)
     weights = np.full(n, 1.0 / n)
@@ -139,15 +132,15 @@ def run_ewa(
         if t % config.t_re == 0:
             weights = ewa_weights(cum_rewards, config.eta)
             wealth = cash + float(budgets @ [r.value(prev_close) for r in references])
-            references = _open_width_positions(prev_close, n, pool)
+            references = _open_width_positions(prev_close, n, env.pool)
             budgets = wealth * weights
             cash = 0.0
-            gas_paid = gas
+            gas_paid = env.gas
             action = 1
 
-        path = hour_path(prev_close, candles[idx], path_model)
+        path = hour_path(prev_close, candles[idx], env.path_model)
         for k, ref in enumerate(references):
-            lvr_k, fee_k, dv_k, _ = lvr_over_path(ref, path, fee_tier=pool.fee_tier)
+            lvr_k, fee_k, dv_k, _ = lvr_over_path(ref, path, fee_tier=fee_tier)
             ledger[:, k] = fee_k, lvr_k, dv_k
             cum_rewards[k] += fee_k + lvr_k
         fee, lvr, dv = (float(x) for x in ledger @ budgets)
@@ -191,8 +184,3 @@ EWA_DEFAULTS: Dict[Tuple[str, int, int], Tuple[int, float, int]] = {
     ("usdt", 4, 250): (10, 7.0, 21), ("usdt", 4, 500): (10, 1.0, 21),
     ("usdt", 4, 1000): (10, 1.0, 21),
 }
-
-
-def ewa_config_for(pool: str, period: int, l0: int) -> EWAConfig:
-    n, eta, t_re = EWA_DEFAULTS[(pool, period, l0)]
-    return EWAConfig(n_widths=n, eta=eta, t_re=t_re)

@@ -156,7 +156,7 @@ def cmd_features(args) -> int:
     if data.get("scaler_out"):
         scaler = FeatureScaler.fit(matrix[WARMUP_CANDLES:])
         with open(data["scaler_out"], "w") as fh:
-            fh.write(scaler.to_json())
+            json.dump(scaler.to_dict(), fh)
         print(f"wrote scaler to {data['scaler_out']}")
     return 0
 
@@ -219,7 +219,7 @@ def cmd_train(args) -> int:
     ckpt = os.path.join(out_dir, "checkpoint.json")
     nets.save_checkpoint(ckpt, result.params, metadata={
         "config_hash": digest, "seed": run.seed,
-        "scaler": json.loads(scaler.to_json())})
+        "scaler": scaler.to_dict()})
     write_csv_rows(os.path.join(out_dir, "training_log.csv"),
                    TRAINING_LOG_HEADER + ["config_hash", "seed"],
                    [values + [digest, run.seed] for values in

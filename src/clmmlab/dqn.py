@@ -155,13 +155,13 @@ def train_ddqn(
     budget: int,
     seed: int = 0,
     eval_offsets: Optional[Sequence[int]] = None,
-    diverged_checkpoint_path: Optional[str] = None,
 ) -> TrainingResult:
     """Train on random-offset episodes; keep the best validation snapshot.
 
     budget is the total environment-step allowance. Evaluation runs
     greedily on eval_env every eval_every_episodes episodes; training
-    stops early after `patience` evaluations without a new best.
+    stops early after `patience` evaluations without a new best. A
+    non-finite loss raises TrainingDiverged.
     """
     rng = np.random.default_rng(seed)
     n_actions = train_env.config.n_actions
@@ -205,8 +205,9 @@ def train_ddqn(
             if len(buffer) >= config.warm_start:
                 s, a_b, r_b, s2 = buffer.sample(config.batch_size, rng)
                 y = ddqn_target(r_b, s2, local, target, config.gamma)
-                loss, grads = loss_and_grads_checked(
-                    local, s, a_b, y, diverged_checkpoint_path, opt)
+                loss, grads = nets.loss_and_gradients(local, s, a_b, y)
+                if not np.isfinite(loss):
+                    raise TrainingDiverged(f"loss became {loss}")
                 local = nets.apply_update(local, opt, grads)
                 target = nets.soft_update(target, local, config.soft_update_rate)
                 last_loss = loss
@@ -239,14 +240,4 @@ def train_ddqn(
         result.params = local.copy()
         result.best_val_return = evaluate(local)
     return result
-
-
-def loss_and_grads_checked(params, s, a, y, checkpoint_path, opt):
-    loss, grads = nets.loss_and_gradients(params, s, a, y)
-    if not np.isfinite(loss):
-        if checkpoint_path is not None:
-            nets.save_checkpoint(checkpoint_path, params, opt,
-                                 metadata={"reason": "divergence"})
-        raise TrainingDiverged(f"loss became {loss}")
-    return loss, grads
 

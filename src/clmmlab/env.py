@@ -86,7 +86,6 @@ class EnvConfig:
     path_model: str = "candle"
     reward_mode: str = "hedged"
     episode_length: int = 1000
-    warmup: int = WARMUP_CANDLES
 
     def __post_init__(self):
         if not 0.0 < self.l0 < math.inf:
@@ -108,7 +107,9 @@ class LPEnv:
     The candle array is shared and never mutated; every episode is a
     deterministic function of (config, offset, action sequence).
     `features` holds one row per candle, already scaled: observations are
-    its rows plus the account block, and None without it.
+    its rows plus the account block, and None without it. The first
+    offset follows from that: an episode that observes features starts
+    after their WARMUP_CANDLES-candle warm-up, one without them at 0.
     """
 
     def __init__(
@@ -119,9 +120,10 @@ class LPEnv:
     ):
         self.config = config or EnvConfig()
         self.candles = list(candles)
-        if len(self.candles) < self.config.warmup + 2:
+        self.features = features
+        if len(self.candles) < self.min_offset() + 2:
             raise ValueError(
-                f"need at least warmup + 2 = {self.config.warmup + 2} candles, "
+                f"need at least warmup + 2 = {self.min_offset() + 2} candles, "
                 f"got {len(self.candles)}"
             )
         if features is not None and features.shape != (len(self.candles), N_FEATURES):
@@ -129,7 +131,6 @@ class LPEnv:
                 f"feature matrix shape {features.shape} does not match "
                 f"{len(self.candles)} candles"
             )
-        self.features = features
         self._t = -1
         self._steps_taken = 0
         self.done = True
@@ -141,7 +142,7 @@ class LPEnv:
     # -- episode plumbing ------------------------------------------------
 
     def min_offset(self) -> int:
-        return self.config.warmup
+        return 0 if self.features is None else WARMUP_CANDLES
 
     def max_offset(self) -> int:
         """Largest reset offset with a full episode of data after it."""
@@ -156,7 +157,7 @@ class LPEnv:
     def reset(self, offset: int) -> Optional[np.ndarray]:
         if offset < self.min_offset():
             raise ValueError(
-                f"offset {offset} is inside the {self.config.warmup}-candle warmup"
+                f"offset {offset} is before the first offset {self.min_offset()}"
             )
         if offset > self.max_offset():
             raise ValueError(

@@ -14,9 +14,8 @@ The first 200 candles are warm-up: every indicator here is finite from then
 on, and rows of the feature matrix before that may hold NaN.
 """
 
-import json
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -130,23 +129,34 @@ class FeatureScaler:
             out[:, j] = (out[:, j] - self.mean[j]) / s if s > 1e-12 else 0.0
         return out
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "mean": [repr(x) for x in self.mean.tolist()],
-                "std": [repr(x) for x in self.std.tolist()],
-                "columns": list(self.columns),
-            }
-        )
+    def to_dict(self) -> Dict:
+        """The JSON form: floats as repr strings, so they round-trip exactly."""
+        return {
+            "mean": [repr(x) for x in self.mean.tolist()],
+            "std": [repr(x) for x in self.std.tolist()],
+            "columns": list(self.columns),
+        }
 
     @classmethod
-    def from_json(cls, text: str) -> "FeatureScaler":
-        d = json.loads(text)
-        return cls(
-            mean=np.array([float(x) for x in d["mean"]]),
-            std=np.array([float(x) for x in d["std"]]),
-            columns=tuple(d["columns"]),
-        )
+    def from_dict(cls, d) -> "FeatureScaler":
+        """Inverse of to_dict; ValueError names the first malformed field."""
+        fields = {}
+        for name in ("mean", "std", "columns"):
+            fields[name] = d.get(name) if isinstance(d, dict) else None
+            if not isinstance(fields[name], list):
+                raise ValueError(f"scaler {name} must be a list, got {fields[name]!r}")
+        for name in ("mean", "std"):
+            try:
+                fields[name] = np.array([float(x) for x in fields[name]])
+            except (TypeError, ValueError):
+                raise ValueError(f"scaler {name} must hold numbers") from None
+            if len(fields[name]) != N_FEATURES:
+                raise ValueError(f"scaler {name} has {len(fields[name])} values, "
+                                 f"expected {N_FEATURES}")
+        if not all(type(j) is int and 0 <= j < N_FEATURES for j in fields["columns"]):
+            raise ValueError(f"scaler columns must be indices 0..{N_FEATURES - 1}, "
+                             f"got {fields['columns']!r}")
+        return cls(fields["mean"], fields["std"], tuple(fields["columns"]))
 
 
 OBSERVATION_DIM = N_FEATURES + 4  # 32

@@ -429,7 +429,7 @@ def write_run_dir(result, out_dir: str) -> Dict[str, str]:
     paths = {}
 
     run_doc = {"config": result.config.to_dict(), "config_hash": digest,
-               "seed": seed, "label": result.label,
+               "seed": seed, "label": result.config.label,
                "offset": result.offset, "horizon": result.horizon}
     paths["run"] = os.path.join(out_dir, "run.json")
     with open(paths["run"], "w") as fh:
@@ -484,7 +484,7 @@ def drift_neutrality_study(
             env = LPEnv(candles, EnvConfig(
                 pool=pool or EQUILIBRIUM_POOL, l0=l0, gas=gas,
                 n_actions=max(10, tau), path_model=path_model,
-                episode_length=horizon, warmup=1))
+                episode_length=horizon))
             infos = [r._asdict() for r in run_tau_reset(env, tau, 1)]
             fee = sum(i["fee"] for i in infos)
             paid = sum(i["gas"] for i in infos)

@@ -254,8 +254,7 @@ class TestCallersReplayBitwiseOnOracle:
         candles = synth_gbm(2000.0, 0.0, 0.012, 520, seed=23)
 
         def run():
-            lp = env.LPEnv(candles, env.EnvConfig(path_model=path_model, episode_length=300,
-                                                  warmup=1))
+            lp = env.LPEnv(candles, env.EnvConfig(path_model=path_model, episode_length=300))
             out = []
             for tau in (1, 3, 10):
                 out += baselines.run_tau_reset(lp, tau, 1)
@@ -270,8 +269,9 @@ class TestCallersReplayBitwiseOnOracle:
         def run():
             out = []
             for n, eta, t_re in [(10, 1.0, 24), (4, 2.0, 1)]:
-                records, w = baselines.run_ewa(candles, 210, 300, baselines.EWAConfig(n, eta, t_re),
-                                               l0=500.0, path_model=path_model)
+                records, w = baselines.run_ewa(
+                    candles, 210, 300, baselines.EWAConfig(n, eta, t_re),
+                    env.EnvConfig(l0=500.0, path_model=path_model))
                 out += records + [w.tobytes()]
             return out
 

@@ -7,11 +7,11 @@ import pytest
 
 import oracles
 from clmmlab import cli, nets
+from clmmlab.backtest import RunConfig
 from clmmlab.baselines import (
     EWA_DEFAULTS,
     EWAConfig,
     TAU_DEFAULTS,
-    ewa_config_for,
     ewa_weights,
     policy_tau_reset,
     run_ewa,
@@ -24,7 +24,6 @@ from clmmlab.dqn import (
     TrainingDiverged,
     ddqn_target,
     greedy_rollout,
-    loss_and_grads_checked,
     train_ddqn,
 )
 from clmmlab.env import EnvConfig, LPEnv
@@ -195,17 +194,15 @@ class TestTrainDdqn:
             assert np.array_equal(getattr(r2.params, n), a)
         assert r1.log == r2.log
 
-    def test_divergence_raises_and_checkpoints(self, tmp_path):
-        p = nets.init_params(3, 2, seed=0)
-        opt = nets.OptimizerState.for_params(p)
-        path = str(tmp_path / "diverged.json")
-        bad_targets = np.array([math.nan, 0.0])
-        with pytest.raises(TrainingDiverged):
-            loss_and_grads_checked(p, np.ones((2, 3)), np.array([0, 1]),
-                                   bad_targets, path, opt)
-        loaded, _, meta = nets.load_checkpoint(path)  # last finite params
-        assert meta["reason"] == "divergence"
-        assert np.array_equal(loaded.w1, p.w1)
+    def test_nan_reward_raises_training_diverged(self):
+        class NanRewardEnv(ToyPriceCycleEnv):
+            def step(self, action):
+                obs, _, done, record = super().step(action)
+                return obs, math.nan, done, record
+
+        cfg = DDQNConfig(batch_size=8, warm_start=8, buffer_capacity=100)
+        with pytest.raises(TrainingDiverged, match="loss became nan"):
+            train_ddqn(NanRewardEnv(), ToyPriceCycleEnv(), cfg, budget=50, seed=0)
 
     def test_training_log_csv(self, tmp_path, capsys):
         candles = str(tmp_path / "candles.csv")
@@ -287,7 +284,7 @@ class TestEwa:
     def test_trigger_cadence_and_gas(self):
         candles = synth_gbm(100.0, 0.0, 0.008, 300, seed=6)
         config = EWAConfig(n_widths=4, eta=1.0, t_re=3)
-        records, weights = run_ewa(candles, 210, 8, config, l0=250.0, gas=1.0)
+        records, weights = run_ewa(candles, 210, 8, config, EnvConfig(l0=250.0, gas=1.0))
         gas_hours = [r.t for r in records if r.gas > 0]
         assert gas_hours == [3, 6]
         assert all(r.gas in (0.0, 1.0) for r in records)  # one charge per event
@@ -296,7 +293,7 @@ class TestEwa:
     def test_wealth_conservation(self):
         candles = synth_gbm(100.0, 0.0, 0.01, 300, seed=8)
         config = EWAConfig(n_widths=3, eta=2.0, t_re=5)
-        records, _ = run_ewa(candles, 210, 40, config, l0=250.0, gas=1.0)
+        records, _ = run_ewa(candles, 210, 40, config, EnvConfig(l0=250.0, gas=1.0))
         final = records[-1]
         wealth = final.cash + final.value
         expected = 250.0 + sum(r.fee + r.dv for r in records)
@@ -304,7 +301,8 @@ class TestEwa:
 
     def test_reward_is_hedged_net_of_gas(self):
         candles = synth_gbm(100.0, 0.0, 0.01, 300, seed=9)
-        records, _ = run_ewa(candles, 210, 10, EWAConfig(3, 1.0, 4), l0=250.0, gas=1.0)
+        records, _ = run_ewa(candles, 210, 10, EWAConfig(3, 1.0, 4),
+                             EnvConfig(l0=250.0, gas=1.0))
         for r in records:
             assert r.reward == pytest.approx(r.fee + r.lvr - r.gas, abs=1e-12)
 
@@ -314,8 +312,8 @@ class TestEwa:
     def test_matches_two_walk_oracle(self, path_model, n_widths, eta, t_re):
         candles = synth_gbm(2000.0, 0.0, 0.012, 520, seed=17)
         config = EWAConfig(n_widths, eta, t_re)
-        got, w_got = run_ewa(candles, 210, 300, config, l0=500.0, gas=1.0,
-                             path_model=path_model)
+        got, w_got = run_ewa(candles, 210, 300, config,
+                             EnvConfig(l0=500.0, gas=1.0, path_model=path_model))
         want, w_want = oracles.run_ewa(candles, 210, 300, config, l0=500.0,
                                        gas=1.0, path_model=path_model)
         assert w_got.tobytes() == w_want.tobytes()
@@ -335,13 +333,14 @@ class TestEwa:
         with pytest.raises(ValueError,
                            match=r"path_model must be one of \('candle', 'open-close'\), "
                                  r"got 'bogus'"):
-            run_ewa(candles, 210, 10, EWAConfig(3, 1.0, 4), path_model="bogus")
+            run_ewa(candles, 210, 10, EWAConfig(3, 1.0, 4),
+                    EnvConfig(path_model="bogus"))
 
     def test_default_tables(self):
         assert TAU_DEFAULTS[("usdt", 3, 250)] == 10
         assert TAU_DEFAULTS[("usdc", 1, 1000)] == 1
         assert EWA_DEFAULTS[("usdc", 2, 500)] == (10, 10.0, 24)
-        c = ewa_config_for("usdt", 4, 250)
+        c = RunConfig(method="ewa", pool="usdt", period=4).ewa_config()
         assert (c.n_widths, c.eta, c.t_re) == (10, 7.0, 21)
         assert len(TAU_DEFAULTS) == len(EWA_DEFAULTS) == 24
 

@@ -112,7 +112,8 @@ class TestErrorContract:
          "set all of ewa_widths/ewa_eta/ewa_t_re or none"),
         (["--method", "tau-reset", "--pool", "usdc", "--period", "1", "--l0", "300"],
          "no default tau for pool='usdc' period=1 l0=300; pass tau explicitly"),
-    ], ids=["tau-range", "partial-ewa", "no-default-tau"])
+        (["--method", "ddqn"], "ddqn backtests need a checkpoint path"),
+    ], ids=["tau-range", "partial-ewa", "no-default-tau", "ddqn-no-checkpoint"])
     def test_settings_that_clash_are_config_error_before_candles_load(
             self, capsys, tmp_path, argv, message):
         err = self._config_error(argv, capsys, tmp_path)
@@ -131,6 +132,26 @@ class TestErrorContract:
         assert code == 1
         assert err.strip() == ("error: run: field bv: shape [1.0] is not a list "
                                "of non-negative ints")
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda s: s.update(columns=[0, 99]),
+         "scaler columns must be indices 0..27, got [0, 99]"),
+        (lambda s: s.pop("std"), "scaler std must be a list, got None"),
+        (lambda s: s.update(mean=s["mean"][:3]), "scaler mean has 3 values, expected 28"),
+        (lambda s: s.update(mean=["x"] * 28), "scaler mean must hold numbers"),
+    ], ids=["column-out-of-range", "missing-std", "short-mean", "non-number"])
+    def test_bad_checkpoint_scaler_is_run_error(self, candles_csv, capsys,
+                                                tmp_path, edit, message):
+        scaler = {"mean": ["0.0"] * 28, "std": ["1.0"] * 28, "columns": [0, 1]}
+        edit(scaler)
+        ckpt = str(tmp_path / "net.json")
+        save_checkpoint(ckpt, init_params(OBSERVATION_DIM, 11, seed=0),
+                        metadata={"scaler": scaler})
+        code, _, err = run_cli(
+            ["backtest", "--method", "ddqn", "--checkpoint", ckpt,
+             "--candles", candles_csv, "--out-dir", str(tmp_path / "out")], capsys)
+        assert code == 1
+        assert err.strip() == f"error: run: metadata {message}"
 
     def test_candles_off_the_hourly_grid_are_run_error(self, capsys, tmp_path):
         path = tmp_path / "holey.csv"
@@ -452,16 +473,18 @@ class TestConfigFile:
     @pytest.mark.parametrize("command,flags", [
         ("backtest", ["--method", "ewa", "--ewa-widths", "5", "--ewa-eta", "1.0",
                       "--ewa-t-re", "24", "--offset", "10", "--horizon", "100"]),
+        ("backtest", ["--method", "tau-reset", "--pool", "usdc", "--period", "1"]),
+        ("backtest", ["--method", "ewa", "--pool", "usdc", "--period", "2"]),
         ("train", ["--seed", "2", "--episode-length", "40", "--budget", "200",
                    "--train-hours", "150", "--val-hours", "50"]),
-    ], ids=["backtest", "train"])
+    ], ids=["backtest", "backtest-tau-table", "backtest-ewa-table", "train"])
     def test_run_json_config_reruns_identically(self, candles_csv, capsys,
                                                 tmp_path, command, flags):
         code, _, _ = run_cli([command, *flags, "--candles", candles_csv,
                               "--out-dir", str(tmp_path / "a")], capsys)
         assert code == 0
         config = json.loads((tmp_path / "a" / "run.json").read_text())["config"]
-        if command == "backtest":
+        if command == "backtest" and "--period" not in flags:
             assert config["period"] is None  # null reads as unset
         cfg = _write_json(tmp_path / "cfg.json", config)
         code, _, err = run_cli([command, "--config", cfg, "--out-dir",

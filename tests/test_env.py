@@ -45,7 +45,8 @@ class TestReset:
         assert env.center_tick == c1
 
     def test_offset_inside_warmup_rejected(self):
-        env = make_env()
+        candles = synth_gbm(100.0, 0.0, 0.004, 300, seed=3)
+        env = LPEnv(candles, cfg(), compute_feature_matrix(candles))
         with pytest.raises(ValueError):
             env.reset(150)
 
@@ -267,7 +268,7 @@ def ledger_result(fees, gases, lvrs, l0=250.0):
                                  value=0.0, close=0.0)
                for t, (f, g, v) in enumerate(zip(fees, gases, lvrs), 1)]
     return BacktestResult(RunConfig(method="tau-reset", tau=1, l0=l0),
-                          "0" * 12, "", 1, len(records), records)
+                          "0" * 12, 1, len(records), records)
 
 
 class TestRelativePnl:
@@ -299,7 +300,7 @@ def test_trace_csv(tmp_path):
         _, _, _, record = env.step(a)
         records.append(record)
     config = RunConfig(method="tau-reset", tau=1, seed=7)
-    paths = write_run_dir(BacktestResult(config, "0" * 12, "", 210, 6, records),
+    paths = write_run_dir(BacktestResult(config, "0" * 12, 210, 6, records),
                           str(tmp_path))
     lines = open(paths["trace"]).read().strip().splitlines()
     assert lines[0] == ",".join(envmod.TRACE_CSV_HEADER + ["config_hash", "seed"])

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -79,7 +81,7 @@ def test_scaler_freeze_and_roundtrip():
             assert scaled[j] == pytest.approx((row[j] - scaler.mean[j]) / scaler.std[j])
         else:
             assert scaled[j] == row[j]
-    back = ft.FeatureScaler.from_json(scaler.to_json())
+    back = ft.FeatureScaler.from_dict(json.loads(json.dumps(scaler.to_dict())))
     assert np.array_equal(back.mean, scaler.mean)
     assert np.array_equal(back.std, scaler.std)
     assert back.columns == scaler.columns

@@ -16,7 +16,6 @@ from clmmlab.backtest import (
     RunError,
     drift_gap,
     drift_neutrality_study,
-    resolve_hyperparameters,
     run_backtest,
     run_digest,
     write_run_dir,
@@ -108,15 +107,20 @@ class TestRunConfig:
 class TestHyperparameterResolution:
     def test_tau_from_default_table_gets_labeled(self):
         config = RunConfig(method="tau-reset", pool="usdc", period=1)
-        resolved, label = resolve_hyperparameters(config)
-        assert resolved.tau == 6
-        assert label == ORACLE_TUNED_LABEL
+        assert config.tau == 6
+        assert config.label == ORACLE_TUNED_LABEL
+        assert RunConfig.from_dict(config.to_dict()) == config
 
     def test_explicit_tau_keeps_label(self):
         config = RunConfig(method="tau-reset", tau=4, label="mine")
-        resolved, label = resolve_hyperparameters(config)
-        assert resolved.tau == 4
-        assert label == "mine"
+        assert config.tau == 4
+        assert config.label == "mine"
+        assert RunConfig(method="tau-reset", pool="usdc", period=1, tau=6).label == ""
+
+    def test_table_default_keeps_given_label(self):
+        config = RunConfig(method="tau-reset", pool="usdc", period=1, label="mine")
+        assert config.tau == 6
+        assert config.label == "mine"
 
     def test_unknown_key_asks_for_explicit_tau(self):
         with pytest.raises(RunError, match="pass tau explicitly"):
@@ -124,11 +128,10 @@ class TestHyperparameterResolution:
 
     def test_ewa_defaults_get_labeled(self):
         config = RunConfig(method="ewa", pool="usdc", period=2)
-        resolved, label = resolve_hyperparameters(config)
-        assert resolved.ewa_widths is not None
-        assert resolved.ewa_eta is not None
-        assert resolved.ewa_t_re is not None
-        assert label == ORACLE_TUNED_LABEL
+        assert (config.ewa_widths, config.ewa_eta, config.ewa_t_re) == (10, 10.0, 24)
+        assert config.ewa_config() == EWAConfig(n_widths=10, eta=10.0, t_re=24)
+        assert config.label == ORACLE_TUNED_LABEL
+        assert RunConfig.from_dict(config.to_dict()) == config
 
     def test_partial_ewa_params_rejected(self):
         with pytest.raises(RunError, match="all of ewa_widths"):
@@ -176,9 +179,17 @@ class TestRunBacktest:
         assert result.offset == WARMUP_CANDLES
         assert result.horizon == len(candles) - 1 - WARMUP_CANDLES
 
-    def test_ddqn_needs_params_or_checkpoint(self, candles):
-        with pytest.raises(RunError, match="checkpoint"):
-            run_backtest(candles, RunConfig(method="ddqn"))
+    def test_ddqn_needs_params_or_checkpoint(self):
+        with pytest.raises(RunError, match="ddqn backtests need a checkpoint path"):
+            RunConfig.from_dict({"method": "ddqn"})
+
+    def test_ddqn_offset_in_feature_warmup_rejected_before_checkpoint_loads(
+            self, candles, tmp_path):
+        config = RunConfig(method="ddqn", checkpoint=str(tmp_path / "absent.json"),
+                           offset=10, horizon=50)
+        with pytest.raises(RunError, match=f"ddqn offset 10 is inside the "
+                                           f"{WARMUP_CANDLES}-candle feature warmup"):
+            run_backtest(candles, config)
 
     def test_action_histogram_counts_every_hour(self, candles):
         config = RunConfig(method="tau-reset", tau=4, offset=10, horizon=120)
