@@ -83,8 +83,8 @@ class Reserves:
 class LiquidityPosition:
     """Liquidity L active on the price band [price_lower, price_upper].
 
-    The env and the baselines mint tick-aligned bands (band_for_center);
-    the math itself holds on any band.
+    The env, the baselines and the toy task mint tick-aligned bands
+    (mint_band); the math itself holds on any band.
     """
 
     price_lower: float
@@ -166,3 +166,11 @@ def band_for_center(center_tick: int, width: int, spacing: int) -> Tuple[float, 
     half = width * spacing
     return tick_to_price(center_tick - half), tick_to_price(center_tick + half)
 
+
+def mint_band(price: float, width: int, spacing: int, budget: float
+              ) -> Tuple[int, LiquidityPosition]:
+    """(center tick, position) of the width-w band around price's snapped
+    tick, holding the liquidity that `budget` quote units buy at `price`."""
+    center = snap_tick(price_to_tick(price), spacing)
+    pa, pb = band_for_center(center, width, spacing)
+    return center, LiquidityPosition(pa, pb, liquidity_for_budget(budget, price, pa, pb))

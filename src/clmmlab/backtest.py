@@ -347,26 +347,30 @@ def write_run_dir(result: BacktestResult, out_dir: str) -> Dict[str, str]:
     return paths
 
 
-# Fee tier at which tau-reset fees exactly cover LVR at the study's
-# default sigma = 0.01/sqrt(hour), calibrated on drift-free paths (seeds
-# 10000-10099) disjoint from the study's default seeds. Close to the
-# closed-form break-even delta/(1-delta) = sigma * E[z^2] / (2 E|z|).
+# The drift study's two drifts (per hour, opposite signs) and volatility
+# (per sqrt(hour)).
+DRIFT_MUS = (0.0005, -0.0005)
+DRIFT_SIGMA = 0.01
+
+# Fee tier at which tau-reset fees exactly cover LVR at DRIFT_SIGMA,
+# calibrated on drift-free paths (seeds 10000-10099) disjoint from the
+# study's default seeds. Close to the closed-form break-even
+# delta/(1-delta) = sigma * E[z^2] / (2 E|z|).
 EQUILIBRIUM_POOL = PoolSpec(fee_tier=0.00625, tick_spacing=60)
 
 
 def drift_neutrality_study(
-    mu_values: Sequence[float] = (0.0005, -0.0005),
-    sigma: float = 0.01,
     n_seeds: int = 100,
     horizon: int = 1000,
     seed0: int = 0,
 ) -> Dict[float, Dict[str, float]]:
-    """Tau-reset (tau = 12) on synthetic GBM across drifts, paired by seed.
+    """Tau-reset (tau = 12) on synthetic GBM at each of DRIFT_MUS, paired by seed.
 
     Seed k uses the same Gaussian draws under every drift, so the drift
     effect is isolated from path noise. Each run is one run_backtest
-    (l0 = 250, prices from 2000) accounted both ways from the same trace:
-    hedged PnL uses the rebalancing residual, unhedged the value change.
+    (l0 = 250, prices from 2000, volatility DRIFT_SIGMA) accounted both
+    ways from the same trace: hedged PnL uses the rebalancing residual,
+    unhedged the value change.
 
     The fixed settings isolate the hedging mechanism itself. Hedged PnL
     is drift-neutral only when the variance-driven net (fee - LVR - gas)
@@ -383,11 +387,11 @@ def drift_neutrality_study(
         tick_spacing=EQUILIBRIUM_POOL.tick_spacing, offset=1, horizon=horizon,
         l0=250.0, gas=0.0, n_actions=12, path_model="open-close", tau=12)
     out: Dict[float, Dict[str, float]] = {}
-    for mu in mu_values:
+    for mu in DRIFT_MUS:
         hedged = np.empty(n_seeds)
         unhedged = np.empty(n_seeds)
         for k in range(n_seeds):
-            candles = synth_gbm(2000.0, mu, sigma, horizon + 2, seed=seed0 + k)
+            candles = synth_gbm(2000.0, mu, DRIFT_SIGMA, horizon + 2, seed=seed0 + k)
             result = run_backtest(candles, config)
             hedged[k] = result.relative_pnl("hedged")
             unhedged[k] = result.relative_pnl("unhedged")

@@ -27,14 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .accounting import lvr_over_path
-from .amm import (
-    LiquidityPosition,
-    PoolSpec,
-    band_for_center,
-    liquidity_for_budget,
-    price_to_tick,
-    snap_tick,
-)
+from .amm import LiquidityPosition, mint_band
 from .env import EnvConfig, HourRecord, LPEnv, hour_path
 from .marketdata import Candle
 
@@ -87,16 +80,6 @@ def ewa_weights(cumulative_rewards: Sequence[float], eta: float) -> np.ndarray:
     return w / w.sum()
 
 
-def _open_width_positions(close: float, n: int, pool: PoolSpec) -> List[LiquidityPosition]:
-    """Unit-budget positions of widths 1..n centered on the snapped close."""
-    center = snap_tick(price_to_tick(close), pool.tick_spacing)
-    out = []
-    for width in range(1, n + 1):
-        pa, pb = band_for_center(center, width, pool.tick_spacing)
-        out.append(LiquidityPosition(pa, pb, liquidity_for_budget(1.0, close, pa, pb)))
-    return out
-
-
 def run_ewa(candles: Sequence[Candle], offset: int, horizon: int,
             config: EWAConfig, env: EnvConfig):
     """Replay the exponential-weights strategy over candles[offset:offset+horizon].
@@ -116,7 +99,9 @@ def run_ewa(candles: Sequence[Candle], offset: int, horizon: int,
         raise ValueError(
             f"need candles through index {offset + horizon}, have {len(candles)}"
         )
-    references = _open_width_positions(candles[offset].close, n, env.pool)
+    spacing = env.pool.tick_spacing
+    references = [mint_band(candles[offset].close, w, spacing, 1.0)[1]
+                  for w in range(1, n + 1)]
     budgets = np.full(n, env.l0 / n)
     cash = 0.0
     cum_rewards = np.zeros(n)
@@ -132,7 +117,8 @@ def run_ewa(candles: Sequence[Candle], offset: int, horizon: int,
         if t % config.t_re == 0:
             weights = ewa_weights(cum_rewards, config.eta)
             wealth = cash + float(budgets @ [r.value(prev_close) for r in references])
-            references = _open_width_positions(prev_close, n, env.pool)
+            references = [mint_band(prev_close, w, spacing, 1.0)[1]
+                          for w in range(1, n + 1)]
             budgets = wealth * weights
             cash = 0.0
             gas_paid = env.gas

@@ -6,6 +6,11 @@ once the warm-start threshold is reached, soft target updates, and greedy
 evaluation on a held-out environment every few episodes with
 best-so-far parameter retention and early stopping.
 
+The discount and the epsilon schedule are this module's constants
+(GAMMA, EPS_*); the gradient clip norm (nets.CLIP_NORM), the soft-update
+rate (nets.soft_update's default) and the hidden sizes (nets.init_params'
+default) are nets'. DDQNConfig holds only the settings a caller varies.
+
 Episode ends in both environments here are data truncations, not MDP
 terminals, so every stored transition bootstraps: the replay buffer keeps
 no terminal flag and the target has no done mask.
@@ -13,7 +18,7 @@ no terminal flag and the target has no done mask.
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -70,40 +75,40 @@ class ReplayBuffer:
         )
 
 
+# The fixed learner schedule: discount GAMMA, and epsilon decaying linearly
+# from EPS_START to EPS_END over the first EPS_FRACTION of the step budget.
+GAMMA = 0.9
+EPS_START = 1.0
+EPS_END = 0.05
+EPS_FRACTION = 0.5
+
+
+def epsilon_at(step: int, budget: int) -> float:
+    """Linear decay from EPS_START to EPS_END over EPS_FRACTION of budget."""
+    horizon = max(1, int(EPS_FRACTION * budget))
+    frac = min(1.0, step / horizon)
+    return EPS_START + frac * (EPS_END - EPS_START)
+
+
 @dataclass(frozen=True)
 class DDQNConfig:
-    gamma: float = 0.9
+    """The learner settings callers vary; the fixed values are constants
+    (see the module docstring)."""
+
     batch_size: int = 256
     buffer_capacity: int = 1_000_000
     learning_rate: float = 1e-4
-    clip_norm: float = 0.7
-    soft_update_rate: float = 0.01
-    hidden: Tuple[int, int] = (64, 64)
-    eps_start: float = 1.0
-    eps_end: float = 0.05
-    eps_fraction: float = 0.5
     warm_start: int = 1000
     eval_every_episodes: int = 20
     patience: int = 15
 
     def __post_init__(self):
-        if not (0.0 < self.gamma < 1.0):
-            raise ValueError(f"gamma must be in (0, 1), got {self.gamma}")
         if not 0.0 < self.learning_rate < math.inf:
             raise ValueError(
                 f"learning_rate must be positive and finite, got {self.learning_rate}")
-        for eps in (self.eps_start, self.eps_end):
-            if not (0.0 <= eps <= 1.0):
-                raise ValueError(f"epsilon must be in [0, 1], got {eps}")
         if self.batch_size < 1 or self.buffer_capacity < self.batch_size:
             raise ValueError(f"batch_size must be >= 1 and fit in the buffer, "
                              f"got {self.batch_size}")
-
-    def epsilon_at(self, step: int, budget: int) -> float:
-        """Linear decay from eps_start to eps_end over eps_fraction of budget."""
-        horizon = max(1, int(self.eps_fraction * budget))
-        frac = min(1.0, step / horizon)
-        return self.eps_start + frac * (self.eps_end - self.eps_start)
 
 
 def ddqn_target(
@@ -167,10 +172,9 @@ def train_ddqn(
     n_actions = train_env.config.n_actions
     probe = train_env.reset(train_env.min_offset())
     obs_dim = len(probe)
-    local = nets.init_params(obs_dim, n_actions + 1, hidden=config.hidden, seed=seed)
+    local = nets.init_params(obs_dim, n_actions + 1, seed=seed)
     target = local.copy()
-    opt = OptimizerState.for_params(local, learning_rate=config.learning_rate,
-                                    clip_norm=config.clip_norm)
+    opt = OptimizerState.for_params(local, learning_rate=config.learning_rate)
     buffer = ReplayBuffer(config.buffer_capacity, obs_dim)
     if eval_offsets is None:
         eval_offsets = [eval_env.min_offset()]
@@ -191,7 +195,7 @@ def train_ddqn(
         done = False
         ep_return = 0.0
         while not done and steps < budget:
-            eps = config.epsilon_at(steps, budget)
+            eps = epsilon_at(steps, budget)
             if rng.random() < eps:
                 a = int(rng.integers(0, n_actions + 1))
             else:
@@ -204,12 +208,12 @@ def train_ddqn(
             steps += 1
             if len(buffer) >= config.warm_start:
                 s, a_b, r_b, s2 = buffer.sample(config.batch_size, rng)
-                y = ddqn_target(r_b, s2, local, target, config.gamma)
+                y = ddqn_target(r_b, s2, local, target, GAMMA)
                 loss, grads = nets.loss_and_gradients(local, s, a_b, y)
                 if not np.isfinite(loss):
                     raise TrainingDiverged(f"loss became {loss}")
                 local = nets.apply_update(local, opt, grads)
-                target = nets.soft_update(target, local, config.soft_update_rate)
+                target = nets.soft_update(target, local)
                 last_loss = loss
         result.episodes += 1
 
@@ -218,7 +222,7 @@ def train_ddqn(
             row = {
                 "episode": result.episodes,
                 "steps": steps,
-                "epsilon": config.epsilon_at(steps, budget),
+                "epsilon": epsilon_at(steps, budget),
                 "train_return": ep_return,
                 "val_return": val_return,
                 "loss": last_loss,

@@ -32,14 +32,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .accounting import lvr_over_path
-from .amm import (
-    LiquidityPosition,
-    PoolSpec,
-    band_for_center,
-    liquidity_for_budget,
-    price_to_tick,
-    snap_tick,
-)
+from .amm import LiquidityPosition, PoolSpec, mint_band
 from .features import N_FEATURES, WARMUP_CANDLES, assemble_observation
 from .marketdata import Candle
 
@@ -60,7 +53,7 @@ def check_path_model(model: str) -> None:
         raise ValueError(f"path_model must be one of {PATH_MODELS}, got {model!r}")
 
 
-def hour_path(prev_close: float, candle: Candle, model: str = "candle") -> List[float]:
+def hour_path(prev_close: float, candle: Candle, model: str) -> List[float]:
     """Price points visited while one candle elapses, starting at prev_close.
 
     The candle model walks open -> low -> high -> close for an up candle
@@ -173,12 +166,8 @@ class LPEnv:
         return self._observe()
 
     def _open_position(self, price: float, width: int, budget: float) -> None:
-        spacing = self.config.pool.tick_spacing
-        center = snap_tick(price_to_tick(price), spacing)
-        pa, pb = band_for_center(center, width, spacing)
-        liq = liquidity_for_budget(budget, price, pa, pb)
-        self.position = LiquidityPosition(pa, pb, liq)
-        self.center_tick = center
+        self.center_tick, self.position = mint_band(
+            price, width, self.config.pool.tick_spacing, budget)
         self.width = width
 
     # -- state access ----------------------------------------------------
@@ -187,11 +176,7 @@ class LPEnv:
     def t(self) -> int:
         return self._t
 
-    def position_value(self, price: Optional[float] = None) -> float:
-        if self.position is None:
-            return 0.0
-        if price is None:
-            price = self.candles[self._t].close
+    def position_value(self, price: float) -> float:
         return self.position.value(price)
 
     def _observe(self) -> Optional[np.ndarray]:

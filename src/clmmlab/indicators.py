@@ -379,11 +379,11 @@ _HT_LOOKBACK = 63
 
 
 def _hilbert_components(x: np.ndarray):
-    """Shared homodyne-discriminator pass: smoothed price, period estimate."""
+    """Shared homodyne-discriminator pass: smoothed price, smoothed period."""
     n = len(x)
-    smooth, period, smooth_period = (np.full(n, np.nan) for _ in range(3))
+    smooth, smooth_period = np.full(n, np.nan), np.full(n, np.nan)
     if n < 7:
-        return smooth, period, smooth_period
+        return smooth, smooth_period
 
     def filt(series, i, per):
         return (
@@ -396,7 +396,7 @@ def _hilbert_components(x: np.ndarray):
     smooth[3:] = (4.0 * x[3:] + 3.0 * x[2:-1] + 2.0 * x[1:-2] + x[:-3]) / 10.0
     sm = smooth.tolist()
     detrender, q1, i1 = [0.0] * n, [0.0] * n, [0.0] * n
-    pers, spers = [], []
+    spers = []
     i2 = q2 = re = im = 0.0
     per = sper = 6.0
     for i in range(9, n):
@@ -422,16 +422,14 @@ def _hilbert_components(x: np.ndarray):
                 p_new = min(max(p_new, 6.0), 50.0)
                 per = 0.2 * p_new + 0.8 * per
         sper = 0.33 * per + 0.67 * sper
-        pers.append(per)
         spers.append(sper)
-    period[15:] = pers
     smooth_period[15:] = spers
-    return smooth, period, smooth_period
+    return smooth, smooth_period
 
 
 def ht_dc_period(x: np.ndarray) -> np.ndarray:
     """Hilbert-transform dominant cycle period, clamped to [6, 50] bars."""
-    _, _, sper = _hilbert_components(x)
+    _, sper = _hilbert_components(x)
     out = np.full(len(x), np.nan)
     valid = slice(_HT_LOOKBACK, len(x))
     out[valid] = sper[valid]
@@ -440,7 +438,7 @@ def ht_dc_period(x: np.ndarray) -> np.ndarray:
 
 def ht_dc_phase(x: np.ndarray) -> np.ndarray:
     """Phase within the dominant cycle, in degrees."""
-    smooth, _, sper = _hilbert_components(x)
+    smooth, sper = _hilbert_components(x)
     n = len(x)
     out = np.full(n, np.nan)
     src = [s if math.isfinite(s) else v for s, v in zip(smooth.tolist(), x.tolist())]

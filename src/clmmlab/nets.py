@@ -28,6 +28,7 @@ CHECKPOINT_FORMAT = "dueling-mlp-v1"
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+CLIP_NORM = 0.7  # global gradient-norm clip
 
 
 class CheckpointError(ValueError):
@@ -217,11 +218,11 @@ class OptimizerState:
     v: NetworkParams
     step: int = 0
     learning_rate: float = 1e-4
-    clip_norm: float = 0.7
+    clip_norm: float = CLIP_NORM
 
     @classmethod
     def for_params(cls, params: NetworkParams, learning_rate: float = 1e-4,
-                   clip_norm: float = 0.7) -> "OptimizerState":
+                   clip_norm: float = CLIP_NORM) -> "OptimizerState":
         return cls(m=NetworkParams.from_flat(np.zeros_like(params.flat), params.layout),
                    v=NetworkParams.from_flat(np.zeros_like(params.flat), params.layout),
                    learning_rate=learning_rate, clip_norm=clip_norm)

@@ -113,15 +113,13 @@ class Report:
                 raise ReportError(f"{d}/report.csv must hold exactly one row")
             row = got[0]
             rows.append(row)
-            actions_path = os.path.join(d, "actions.csv")
-            if os.path.exists(actions_path):
-                with open(actions_path, newline="") as fh:
-                    key = f"{row['method']}/{row['period']}/{row['config_hash']}"
-                    hists[key] = [
-                        {"method": row["method"], "label": row["label"],
-                         "period": row["period"],
-                         "action": int(r["action"]), "count": int(r["count"])}
-                        for r in csv.DictReader(fh)]
+            with open(os.path.join(d, "actions.csv"), newline="") as fh:
+                key = f"{row['method']}/{row['period']}/{row['config_hash']}"
+                hists[key] = [
+                    {"method": row["method"], "label": row["label"],
+                     "period": row["period"],
+                     "action": int(r["action"]), "count": int(r["count"])}
+                    for r in csv.DictReader(fh)]
         return cls(rows, hists)
 
     def _ordered(self) -> List[Dict]:

@@ -9,6 +9,10 @@ with a fixed reinvestment budget, so the task is a finite MDP with
 8 phases x 5 centers x 2 widths = 80 states and known optimal values via
 value iteration.
 
+ToyConfig's n_actions (N_WIDTHS) and gamma (dqn.GAMMA, the learner's own
+discount) are class constants: the state encoding fixes the first, and the
+optimum the learner is scored against must use the discount it trains with.
+
 The fee tier is deliberately mismatched to the tick spacing (1% fee on
 60-tick moves) so in-range moves net a clear positive reward; gas 0.3 is
 tuned so the optimal policy must both hold and re-center: holding any
@@ -17,17 +21,13 @@ worse than the optimum by a wide margin.
 """
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import ClassVar, Optional, Tuple
 
 import numpy as np
 
 from .accounting import lvr_over_path
-from .amm import (
-    LiquidityPosition,
-    band_for_center,
-    liquidity_for_budget,
-    tick_to_price,
-)
+from .amm import mint_band, tick_to_price
+from .dqn import GAMMA
 
 BASE_TICK = 46080
 TICK_SPACING = 60
@@ -41,12 +41,13 @@ OBS_DIM = N_PHASES + N_LEVELS + N_WIDTHS
 
 @dataclass(frozen=True)
 class ToyConfig:
-    n_actions: int = N_WIDTHS
     episode_length: int = 64
     gas: float = 0.3
     budget: float = 250.0
     fee_tier: float = 0.01
-    gamma: float = 0.9
+    # fixed by the state encoding and by the learner the task checks
+    n_actions: ClassVar[int] = N_WIDTHS
+    gamma: ClassVar[float] = GAMMA
 
 
 def level_price(level: int) -> float:
@@ -71,15 +72,10 @@ def observation_for(phase: int, center: int, width: int) -> np.ndarray:
     return obs
 
 
-def _position(center: int, width: int, config: ToyConfig) -> LiquidityPosition:
-    pa, pb = band_for_center(BASE_TICK + TICK_SPACING * center, width, TICK_SPACING)
-    liq = liquidity_for_budget(config.budget, level_price(center), pa, pb)
-    return LiquidityPosition(pa, pb, liq)
-
-
 def _move_reward(center: int, width: int, lvl_from: int, lvl_to: int,
                  config: ToyConfig) -> float:
-    pos = _position(center, width, config)
+    # a level's price snaps back to its own tick, BASE_TICK + TICK_SPACING * level
+    _, pos = mint_band(level_price(center), width, TICK_SPACING, config.budget)
     path = [level_price(lvl_from), level_price(lvl_to)]
     lvr, fee, _, _ = lvr_over_path(pos, path, fee_tier=config.fee_tier)
     return fee + lvr
@@ -129,9 +125,6 @@ class ToyPriceCycleEnv:
 
     def min_offset(self) -> int:
         return 0
-
-    def max_offset(self) -> int:
-        return N_PHASES - 1
 
     def sample_offset(self, rng: np.random.Generator) -> int:
         return int(rng.integers(0, N_PHASES))

@@ -18,7 +18,7 @@ import numpy as np
 from . import nets, tabular, toymdp
 from .accounting import lvr_over_path, ordered_sum
 from .amm import LiquidityPosition, band_for_center, liquidity_for_budget
-from .backtest import (RunConfig, drift_gap, drift_neutrality_study,
+from .backtest import (DRIFT_MUS, RunConfig, drift_gap, drift_neutrality_study,
                        run_backtest, write_run_dir)
 from .baselines import ewa_weights
 from .dqn import DDQNConfig, train_ddqn
@@ -269,12 +269,11 @@ def check_toy_convergence(n_seeds: int = 10, seed0: int = 0) -> CheckResult:
 def check_drift_neutrality() -> CheckResult:
     """Hedged PnL ignores drift sign; unhedged PnL follows it."""
     t0 = time.perf_counter()
-    study = drift_neutrality_study(mu_values=(0.0005, -0.0005), sigma=0.01,
-                                   n_seeds=100, horizon=1000)
+    study = drift_neutrality_study()
     h_diff, h_se = drift_gap(study, "hedged")
     u_diff, u_se = drift_gap(study, "unhedged")
-    up_mean = study[0.0005]["unhedged_mean"]
-    dn_mean = study[-0.0005]["unhedged_mean"]
+    up_mean = study[max(DRIFT_MUS)]["unhedged_mean"]
+    dn_mean = study[min(DRIFT_MUS)]["unhedged_mean"]
     hedged_ok = abs(h_diff) < 2.0 * h_se
     unhedged_ok = abs(u_diff) > 2.0 * u_se and up_mean > 0.0 and dn_mean < 0.0
     passed = hedged_ok and unhedged_ok

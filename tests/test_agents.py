@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from clmmlab import cli, nets
+from clmmlab import amm, backtest, cli, dqn, nets
 from clmmlab.backtest import RunConfig
 from clmmlab.baselines import (
     EWA_DEFAULTS,
@@ -178,12 +178,18 @@ class TestTrainDdqn:
             assert np.array_equal(getattr(res.params, n), a)
         assert res.steps == 100
 
-    def test_zero_epsilon_matches_greedy_rollout(self):
-        cfg = DDQNConfig(eps_start=0.0, eps_end=0.0, warm_start=10 ** 9)
+    def test_zero_epsilon_matches_greedy_rollout(self, monkeypatch):
+        monkeypatch.setattr(dqn, "EPS_START", 0.0)
+        monkeypatch.setattr(dqn, "EPS_END", 0.0)
+        cfg = DDQNConfig(warm_start=10 ** 9)
         env = RecordingEnv(fixed_offset=2)
         res = train_ddqn(env, ToyPriceCycleEnv(), cfg, budget=64, seed=7)
         _, greedy_actions, _ = greedy_rollout(ToyPriceCycleEnv(), res.params, 2)
         assert env.recorded == greedy_actions
+
+    def test_fixed_values_are_not_settings(self):
+        with pytest.raises(TypeError):
+            DDQNConfig(gamma=0.5)
 
     def test_determinism(self):
         cfg = DDQNConfig(learning_rate=1e-3, batch_size=32, warm_start=200,
@@ -346,6 +352,18 @@ class TestEwa:
 
 
 class TestToyMdp:
+    def test_action_count_and_discount_are_not_settings(self):
+        with pytest.raises(TypeError):
+            ToyConfig(n_actions=3)
+        assert ToyConfig.n_actions == toymdp.N_WIDTHS
+        assert ToyConfig.gamma == dqn.GAMMA
+
+    def test_level_prices_snap_to_their_own_ticks(self):
+        for level in range(toymdp.N_LEVELS):
+            center, _ = amm.mint_band(toymdp.level_price(level), 1,
+                                      toymdp.TICK_SPACING, 1.0)
+            assert center == toymdp.BASE_TICK + toymdp.TICK_SPACING * level
+
     def test_state_index_round_trip(self):
         for s in range(N_STATES):
             assert state_index(*state_tuple(s)) == s

@@ -372,6 +372,22 @@ class TestReportCommand:
         assert (report_dir / "cumulative_pnl.csv").exists()
         assert (report_dir / "actions.csv").exists()
 
+    def test_run_dir_without_actions_csv_is_an_error(self, candles_csv, capsys,
+                                                     tmp_path):
+        run_dir = tmp_path / "tau"
+        code, _, _ = run_cli(
+            ["backtest", "--method", "tau-reset", "--tau", "6", "--candles",
+             candles_csv, "--offset", "10", "--horizon", "150",
+             "--out-dir", str(run_dir)], capsys)
+        assert code == 0
+        (run_dir / "actions.csv").unlink()
+        code, _, err = run_cli(["report", "--runs", str(run_dir), "--out-dir",
+                                str(tmp_path / "report")], capsys)
+        assert code == 1
+        assert err.strip().startswith("error: run:")
+        assert "actions.csv" in err
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestVerifyCommand:
     def test_single_fast_criterion(self, capsys):

@@ -34,7 +34,7 @@ class TestReset:
         env.reset(210)
         assert env.cash == 0.0
         assert env.width == 1
-        assert abs(env.position_value() - env.config.l0) < 1e-9
+        assert abs(env.position_value(env.candles[210].close) - env.config.l0) < 1e-9
 
     def test_same_offset_same_state(self):
         env = make_env()
@@ -163,7 +163,7 @@ class TestEpisodeIdentities:
         rng = np.random.default_rng(9)
         actions = rng.integers(0, 3, size=80)
         _, records = self.run_episode(env, actions)
-        wealth = env.cash + env.position_value()
+        wealth = env.cash + env.position_value(env.candles[env.t].close)
         expected = env.config.l0 + sum(r.fee + r.dv for r in records)
         assert wealth == pytest.approx(expected, abs=1e-9)
 

@@ -349,6 +349,10 @@ class TestDriftStudy:
         assert diff == pytest.approx(0.8)
         assert se == pytest.approx(math.hypot(0.3, 0.4))
 
+    def test_drifts_and_sigma_are_not_settings(self):
+        with pytest.raises(TypeError):
+            drift_neutrality_study(sigma=0.02)
+
     def test_small_study_shapes(self):
         study = drift_neutrality_study(n_seeds=3, horizon=40)
         assert set(study) == {0.0005, -0.0005}
