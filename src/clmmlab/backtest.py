@@ -5,9 +5,10 @@ result with one env.HourRecord per hour plus the relative fee / gas /
 LVR / PnL decomposition, totalled by accounting.ordered_sum. Strategies
 share the same accounting (the env for tau-reset and the greedy net, the
 standalone replay for EWA), so rows from different methods are directly
-comparable; the drift study replays through run_backtest too. A run's
-settings are resolved once, when its RunConfig is built (table defaults
-and their label included); the env, EWA and run.json read that config.
+comparable; the drift study replays through the same runner, minus the
+digest. A run's settings are resolved once, when its RunConfig is built
+(table defaults and their label included); the env, EWA and run.json
+read that config.
 """
 
 import dataclasses
@@ -169,17 +170,23 @@ class RunConfig:
         if "method" not in data:
             raise RunError("missing config field 'method'")
         config = cls(**data)
-        if config.method == "ddqn" and config.checkpoint is None:
-            raise RunError("ddqn backtests need a checkpoint path")
+        _require_checkpoint(config)
         return config
 
 
-def run_digest(settings: Dict, candles: Sequence[Candle]) -> str:
+def _require_checkpoint(config: RunConfig) -> None:
+    if config.method == "ddqn" and config.checkpoint is None:
+        raise RunError("ddqn backtests need a checkpoint path")
+
+
+def run_digest(settings: Dict, candles: Sequence[Candle],
+               checkpoint: Optional[bytes] = None) -> str:
     """The run's identity, embedded in every artifact it writes.
 
     A 12-hex sha256 of the resolved settings without their path fields,
     of the candle series the run received and of the bytes of the
-    checkpoint file the settings name, if any. The same inputs read from
+    checkpoint file the settings name, if any: `checkpoint` when the
+    caller already read them, else read here. The same inputs read from
     any path give the same digest; any edited input gives another.
     """
     doc = {k: v for k, v in settings.items() if k not in PATH_SETTINGS}
@@ -188,8 +195,10 @@ def run_digest(settings: Dict, candles: Sequence[Candle]) -> str:
         series.update(column.tobytes())
     doc["candles_sha256"] = series.hexdigest()
     if settings.get("checkpoint") is not None:
-        with open(settings["checkpoint"], "rb") as fh:
-            doc["checkpoint_sha256"] = hashlib.sha256(fh.read()).hexdigest()
+        if checkpoint is None:
+            with open(settings["checkpoint"], "rb") as fh:
+                checkpoint = fh.read()
+        doc["checkpoint_sha256"] = hashlib.sha256(checkpoint).hexdigest()
     text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
@@ -210,7 +219,8 @@ class BacktestResult:
     """One strategy replayed over one window, with its hourly trace."""
 
     config: RunConfig
-    config_hash: str  # run_digest of the config and the inputs it read
+    config_hash: str  # run_digest of the config and the inputs it read;
+    # "" in the drift study, whose replays write no artifact
     offset: int
     horizon: int
     records: List[HourRecord]
@@ -282,28 +292,38 @@ def run_backtest(candles: Sequence[Candle], config: RunConfig) -> BacktestResult
     """Replay config.method over one window of the candle series.
 
     For ddqn the greedy policy of the network in config.checkpoint (which
-    from_dict requires) is used; it observes the feature matrix scaled
-    once by the scaler in the checkpoint's metadata, or unscaled when
-    there is none. EWA
-    always weighs widths by its own hedged per-width rewards; reward_mode
-    only changes how the result row reports PnL.
+    it requires) is used; it observes the feature matrix scaled once by
+    the scaler in the checkpoint's metadata, or unscaled when there is
+    none. The checkpoint file is read once: the digest hashes the bytes
+    that are replayed. EWA always weighs widths by its own hedged
+    per-width rewards; reward_mode only changes how the result row
+    reports PnL.
     """
     offset, horizon = _default_window(config, len(candles))
-    env_config = config.env_config(episode_length=horizon)
-    digest = run_digest(config.to_dict(), candles)
+    _require_checkpoint(config)
+    checkpoint = None
+    if config.method == "ddqn":
+        with open(config.checkpoint, "rb") as fh:
+            checkpoint = fh.read()
+    digest = run_digest(config.to_dict(), candles, checkpoint)
+    return BacktestResult(config, digest, offset, horizon,
+                          *_replay(candles, config, offset, horizon, checkpoint))
 
+
+def _replay(candles: Sequence[Candle], config: RunConfig, offset: int,
+            horizon: int, checkpoint: Optional[bytes] = None
+            ) -> Tuple[List[HourRecord], Optional[np.ndarray]]:
+    """(records, EWA weights or None) of config.method over the window;
+    a ddqn replay parses the checkpoint bytes given."""
+    env_config = config.env_config(episode_length=horizon)
     if config.method == "tau-reset":
-        records = run_tau_reset(LPEnv(candles, env_config), config.tau, offset)
-        return BacktestResult(config, digest, offset, horizon, records)
+        return run_tau_reset(LPEnv(candles, env_config), config.tau, offset), None
 
     if config.method == "ewa":
-        records, weights = run_ewa(candles, offset, horizon, config.ewa_config(),
-                                   env_config)
-        return BacktestResult(config, digest, offset, horizon, records,
-                              weights=weights)
+        return run_ewa(candles, offset, horizon, config.ewa_config(), env_config)
 
     # ddqn
-    params, _, meta = nets.load_checkpoint(config.checkpoint)
+    params, _, meta = nets.parse_checkpoint(checkpoint)
     if params.n_outputs != config.n_actions + 1:
         raise RunError(
             f"checkpoint has {params.n_outputs} actions, run needs "
@@ -316,7 +336,7 @@ def run_backtest(candles: Sequence[Candle], config: RunConfig) -> BacktestResult
             raise nets.CheckpointError(f"metadata {e}") from None
         matrix = scaler.apply(matrix)
     _, _, records = greedy_rollout(LPEnv(candles, env_config, matrix), params, offset)
-    return BacktestResult(config, digest, offset, horizon, records)
+    return records, None
 
 
 def write_run_dir(result: BacktestResult, out_dir: str) -> Dict[str, str]:
@@ -392,7 +412,9 @@ def drift_neutrality_study(
         unhedged = np.empty(n_seeds)
         for k in range(n_seeds):
             candles = synth_gbm(2000.0, mu, DRIFT_SIGMA, horizon + 2, seed=seed0 + k)
-            result = run_backtest(candles, config)
+            # no artifact is written, so the replay skips the run's digest
+            result = BacktestResult(config, "", 1, horizon,
+                                    *_replay(candles, config, 1, horizon))
             hedged[k] = result.relative_pnl("hedged")
             unhedged[k] = result.relative_pnl("unhedged")
         out[mu] = {

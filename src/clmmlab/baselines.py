@@ -11,9 +11,11 @@ Two strategies:
   are scale-free; gas is charged once per reallocation event, not per
   width. A position opened with budget b at a close holds b times the
   liquidity of the unit reference opened there, and fee, LVR and value
-  are linear in liquidity, so positions = budgets x unit references:
-  one ledger walk per width and hour yields both the reward and the
-  position totals. Its hours are env.HourRecords with center_tick and
+  are linear in liquidity, so positions = budgets x unit references.
+  The references stay put between reallocations, so each reallocation
+  block is one ledger walk of all N references over all its hours at
+  once; it yields the per-width rewards, the hours' totals and their
+  closing values. Its hours are env.HourRecords with center_tick and
   width 0, since it holds several bands at once.
 
 Default hyperparameters for the benchmark pools, periods, and fund sizes
@@ -22,13 +24,13 @@ ship in TAU_DEFAULTS / EWA_DEFAULTS.
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .accounting import lvr_over_path
 from .amm import LiquidityPosition, mint_band
-from .env import EnvConfig, HourRecord, LPEnv, hour_path
+from .env import EnvConfig, HourRecord, LPEnv, hour_paths
 from .marketdata import Candle
 
 
@@ -80,6 +82,26 @@ def ewa_weights(cumulative_rewards: Sequence[float], eta: float) -> np.ndarray:
     return w / w.sum()
 
 
+# hours in one EWA ledger walk at most: memory stays per block even when
+# t_re spans the whole run
+WALK_HOURS = 24
+
+
+class Bands(NamedTuple):
+    """A stack of bands: a position's fields as arrays, which
+    lvr_over_path walks all at once."""
+
+    price_lower: np.ndarray
+    price_upper: np.ndarray
+    liquidity: np.ndarray
+
+
+def _unit_bands(price: float, n: int, spacing: int) -> Bands:
+    """The unit-budget reference bands of widths 1..n minted at price."""
+    refs = [mint_band(price, w, spacing, 1.0)[1] for w in range(1, n + 1)]
+    return Bands(*(np.array([getattr(r, f) for r in refs]) for f in Bands._fields))
+
+
 def run_ewa(candles: Sequence[Candle], offset: int, horizon: int,
             config: EWAConfig, env: EnvConfig):
     """Replay the exponential-weights strategy over candles[offset:offset+horizon].
@@ -90,52 +112,62 @@ def run_ewa(candles: Sequence[Candle], offset: int, horizon: int,
     fund size l0, gas per reallocation and intra-hour path model are the
     run's EnvConfig (its episode_length and reward_mode are not read).
 
+    Hours run a reallocation block at a time: one ledger walk covers the
+    block's hours x widths (WALK_HOURS hours at most), and each hour's
+    totals and value are then budgets @ the references' ledger columns,
+    hour by hour.
+
     Returns (per-hour records, final weights); a record's action is 1 on
     reallocation hours and 0 otherwise.
     """
     fee_tier = env.pool.fee_tier
-    n = config.n_widths
+    n, t_re = config.n_widths, config.t_re
     if offset < 0 or offset + horizon >= len(candles):
         raise ValueError(
             f"need candles through index {offset + horizon}, have {len(candles)}"
         )
+    paths = hour_paths(candles[offset:offset + horizon + 1], env.path_model)
     spacing = env.pool.tick_spacing
-    references = [mint_band(candles[offset].close, w, spacing, 1.0)[1]
-                  for w in range(1, n + 1)]
+    bands = _unit_bands(candles[offset].close, n, spacing)
+    # the references' values at the last close: what a reallocation spends
+    marks = lvr_over_path(bands, np.array([candles[offset].close]))[4]
     budgets = np.full(n, env.l0 / n)
     cash = 0.0
     cum_rewards = np.zeros(n)
     weights = np.full(n, 1.0 / n)
-    ledger = np.empty((3, n))  # per-reference fee, lvr, dv of one hour
     records: List[HourRecord] = []
 
-    for t in range(1, horizon + 1):
-        idx = offset + t
-        prev_close = candles[idx - 1].close
+    t = 1  # the block's first hour walks paths[t - 1]
+    while t <= horizon:
         gas_paid = 0.0
         action = 0
-        if t % config.t_re == 0:
+        if t % t_re == 0:
+            prev_close = candles[offset + t - 1].close
             weights = ewa_weights(cum_rewards, config.eta)
-            wealth = cash + float(budgets @ [r.value(prev_close) for r in references])
-            references = [mint_band(prev_close, w, spacing, 1.0)[1]
-                          for w in range(1, n + 1)]
+            wealth = cash + float(budgets @ marks)
+            bands = _unit_bands(prev_close, n, spacing)
             budgets = wealth * weights
             cash = 0.0
             gas_paid = env.gas
             action = 1
-
-        path = hour_path(prev_close, candles[idx], env.path_model)
-        for k, ref in enumerate(references):
-            lvr_k, fee_k, dv_k, _ = lvr_over_path(ref, path, fee_tier=fee_tier)
-            ledger[:, k] = fee_k, lvr_k, dv_k
-            cum_rewards[k] += fee_k + lvr_k
-        fee, lvr, dv = (float(x) for x in ledger @ budgets)
-
-        cash += fee
-        close = candles[idx].close
-        value = float(budgets @ [r.value(close) for r in references])
-        records.append(HourRecord(t, action, fee, lvr, gas_paid, dv,
-                                  fee + lvr - gas_paid, cash, 0, 0, value, close))
+        # the next block's first hour, or fewer hours to bound the walk's arrays
+        end = min((t // t_re + 1) * t_re, t + WALK_HOURS, horizon + 1)
+        lvr, fee, dv, _, marks = lvr_over_path(
+            bands, paths[t - 1:end - 1].T[:, :, None], fee_tier=fee_tier)
+        for rewards in fee + lvr:
+            cum_rewards += rewards
+        ledger = np.stack((fee, lvr, dv), axis=1)  # per hour: per-reference fee, lvr, dv
+        for j in range(end - t):
+            fee_j, lvr_j, dv_j = (ledger[j] @ budgets).tolist()
+            cash += fee_j
+            value = float(budgets @ marks[j])
+            records.append(HourRecord(t + j, action, fee_j, lvr_j, gas_paid, dv_j,
+                                      fee_j + lvr_j - gas_paid, cash, 0, 0, value,
+                                      candles[offset + t + j].close))
+            gas_paid = 0.0
+            action = 0
+        marks = marks[-1]
+        t = end
     return records, weights
 
 

@@ -97,7 +97,7 @@ class DDQNConfig:
 
     batch_size: int = 256
     buffer_capacity: int = 1_000_000
-    learning_rate: float = 1e-4
+    learning_rate: float = nets.LEARNING_RATE
     warm_start: int = 1000
     eval_every_episodes: int = 20
     patience: int = 15

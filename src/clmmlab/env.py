@@ -27,7 +27,7 @@ Intra-hour path models:
 
 import math
 from dataclasses import dataclass, field
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,21 +53,23 @@ def check_path_model(model: str) -> None:
         raise ValueError(f"path_model must be one of {PATH_MODELS}, got {model!r}")
 
 
-def hour_path(prev_close: float, candle: Candle, model: str) -> List[float]:
-    """Price points visited while one candle elapses, starting at prev_close.
+def hour_paths(candles: Sequence[Candle], model: str) -> np.ndarray:
+    """Price points visited while each hour of the series elapses.
 
-    The candle model walks open -> low -> high -> close for an up candle
-    and open -> high -> low -> close for a down candle; open-close walks
-    open -> close.  Any other model raises ValueError.
+    Row t is the hour from candles[t] to candles[t + 1]: it starts at
+    candles[t].close, and the candle model walks open -> low -> high ->
+    close for an up candle and open -> high -> low -> close for a down
+    candle; open-close walks open -> close.  Any other model raises
+    ValueError.
     """
     check_path_model(model)
+    o, h, l, c = np.array([(k.open, k.high, k.low, k.close) for k in candles],
+                          dtype=float).reshape(-1, 4).T
+    o, h, l, c, prev = o[1:], h[1:], l[1:], c[1:], c[:-1]
     if model == "candle":
-        if candle.close >= candle.open:
-            mids = [candle.low, candle.high]
-        else:
-            mids = [candle.high, candle.low]
-        return [prev_close, candle.open, mids[0], mids[1], candle.close]
-    return [prev_close, candle.open, candle.close]
+        up = c >= o
+        return np.stack((prev, o, np.where(up, l, h), np.where(up, h, l), c), axis=1)
+    return np.stack((prev, o, c), axis=1)
 
 
 @dataclass(frozen=True)
@@ -124,6 +126,7 @@ class LPEnv:
                 f"feature matrix shape {features.shape} does not match "
                 f"{len(self.candles)} candles"
             )
+        self._paths = hour_paths(self.candles, self.config.path_model)
         self._t = -1
         self._steps_taken = 0
         self.done = True
@@ -163,7 +166,7 @@ class LPEnv:
         self.cash = 0.0
         close = self.candles[offset].close
         self._open_position(close, width=1, budget=self.config.l0)
-        return self._observe()
+        return self._observe(self.position_value(close))
 
     def _open_position(self, price: float, width: int, budget: float) -> None:
         self.center_tick, self.position = mint_band(
@@ -179,7 +182,9 @@ class LPEnv:
     def position_value(self, price: float) -> float:
         return self.position.value(price)
 
-    def _observe(self) -> Optional[np.ndarray]:
+    def _observe(self, value: float) -> Optional[np.ndarray]:
+        """The observation at the current hour; value marks the position
+        at its close."""
         if self.features is None:
             return None
         close = self.candles[self._t].close
@@ -188,7 +193,7 @@ class LPEnv:
             cash=self.cash,
             center_tick=self.center_tick,
             width=self.width,
-            value=self.position_value(close),
+            value=value,
             l0=self.config.l0,
             close=close,
             tick_spacing=self.config.pool.tick_spacing,
@@ -214,10 +219,8 @@ class LPEnv:
             self.cash = 0.0
             gas = self.config.gas
 
-        nxt = self.candles[t + 1]
-        path = hour_path(close_t, nxt, self.config.path_model)
-        lvr, fee, dv, _ = lvr_over_path(
-            self.position, path, fee_tier=self.config.pool.fee_tier)
+        lvr, fee, dv, _, value = lvr_over_path(
+            self.position, self._paths[t].tolist(), fee_tier=self.config.pool.fee_tier)
 
         if self.config.reward_mode == "hedged":
             reward = -gas + fee + lvr
@@ -230,6 +233,6 @@ class LPEnv:
         self.done = self._steps_taken >= self.config.episode_length
         # positional: keyword arguments double the cost of building a record
         record = HourRecord(self._t, action, fee, lvr, gas, dv, reward, self.cash,
-                            self.center_tick, self.width,
-                            self.position_value(nxt.close), nxt.close)
-        return self._observe(), reward, self.done, record
+                            self.center_tick, self.width, value,
+                            self.candles[t + 1].close)
+        return self._observe(value), reward, self.done, record

@@ -97,7 +97,7 @@ def compute_feature_matrix(candles: Sequence[Candle]) -> np.ndarray:
     cols[:, 24] = ind.natr(h, l, c)
     cols[:, 25] = ind.true_range(h, l, c)
     cols[:, 26] = ind.ht_dc_period(c)
-    cols[:, 27] = ind.ht_dc_phase(c)
+    cols[:, 27] = ind.ht_dc_phase(c, cols[:, 26])
     return cols
 
 

@@ -22,6 +22,7 @@ the tests hold every column bit-equal to them.
 
 import math
 from itertools import accumulate
+from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -378,12 +379,19 @@ def parabolic_sar(
 _HT_LOOKBACK = 63
 
 
-def _hilbert_components(x: np.ndarray):
-    """Shared homodyne-discriminator pass: smoothed price, smoothed period."""
+def _wma4(x: np.ndarray) -> np.ndarray:
+    """4-bar weighted price (4, 3, 2, 1)/10, the Hilbert passes' input."""
+    out = np.full(len(x), np.nan)
+    out[3:] = (4.0 * x[3:] + 3.0 * x[2:-1] + 2.0 * x[1:-2] + x[:-3]) / 10.0
+    return out
+
+
+def _hilbert_period(x: np.ndarray) -> np.ndarray:
+    """The homodyne-discriminator pass: smoothed dominant-cycle period."""
     n = len(x)
-    smooth, smooth_period = np.full(n, np.nan), np.full(n, np.nan)
+    smooth_period = np.full(n, np.nan)
     if n < 7:
-        return smooth, smooth_period
+        return smooth_period
 
     def filt(series, i, per):
         return (
@@ -393,8 +401,7 @@ def _hilbert_components(x: np.ndarray):
             - 0.0962 * series[i - 6]
         ) * (0.075 * per + 0.54)
 
-    smooth[3:] = (4.0 * x[3:] + 3.0 * x[2:-1] + 2.0 * x[1:-2] + x[:-3]) / 10.0
-    sm = smooth.tolist()
+    sm = _wma4(x).tolist()
     detrender, q1, i1 = [0.0] * n, [0.0] * n, [0.0] * n
     spers = []
     i2 = q2 = re = im = 0.0
@@ -424,25 +431,30 @@ def _hilbert_components(x: np.ndarray):
         sper = 0.33 * per + 0.67 * sper
         spers.append(sper)
     smooth_period[15:] = spers
-    return smooth, smooth_period
+    return smooth_period
 
 
 def ht_dc_period(x: np.ndarray) -> np.ndarray:
     """Hilbert-transform dominant cycle period, clamped to [6, 50] bars."""
-    _, sper = _hilbert_components(x)
+    sper = _hilbert_period(x)
     out = np.full(len(x), np.nan)
     valid = slice(_HT_LOOKBACK, len(x))
     out[valid] = sper[valid]
     return out
 
 
-def ht_dc_phase(x: np.ndarray) -> np.ndarray:
-    """Phase within the dominant cycle, in degrees."""
-    smooth, sper = _hilbert_components(x)
+def ht_dc_phase(x: np.ndarray, period: Optional[np.ndarray] = None) -> np.ndarray:
+    """Phase within the dominant cycle, in degrees.
+
+    period is ht_dc_period(x), computed here when not given: a caller that
+    already holds it passes it to skip the sequential pass.
+    """
+    if period is None:
+        period = ht_dc_period(x)
     n = len(x)
     out = np.full(n, np.nan)
-    src = [s if math.isfinite(s) else v for s, v in zip(smooth.tolist(), x.tolist())]
-    sper = sper.tolist()
+    src = [s if math.isfinite(s) else v for s, v in zip(_wma4(x).tolist(), x.tolist())]
+    sper = period.tolist()
     weights = {}  # dc -> [(sin, cos) of 2*pi*k/dc for k < dc]
     for i in range(_HT_LOOKBACK, n):
         sp = sper[i]

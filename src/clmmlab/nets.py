@@ -29,6 +29,7 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 CLIP_NORM = 0.7  # global gradient-norm clip
+LEARNING_RATE = 1e-4  # Adam step size of a learner that names none
 
 
 class CheckpointError(ValueError):
@@ -216,12 +217,12 @@ class OptimizerState:
 
     m: NetworkParams
     v: NetworkParams
+    learning_rate: float
     step: int = 0
-    learning_rate: float = 1e-4
     clip_norm: float = CLIP_NORM
 
     @classmethod
-    def for_params(cls, params: NetworkParams, learning_rate: float = 1e-4,
+    def for_params(cls, params: NetworkParams, learning_rate: float = LEARNING_RATE,
                    clip_norm: float = CLIP_NORM) -> "OptimizerState":
         return cls(m=NetworkParams.from_flat(np.zeros_like(params.flat), params.layout),
                    v=NetworkParams.from_flat(np.zeros_like(params.flat), params.layout),
@@ -328,11 +329,16 @@ def _decode_params(blob, section: str, prefix: str) -> NetworkParams:
 
 def load_checkpoint(path: str) -> Tuple[NetworkParams, Optional[OptimizerState], Dict]:
     """Read a checkpoint: (params, optimizer state or None, metadata)."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise CheckpointError(f"not valid JSON: {e}") from None
+    with open(path, "rb") as fh:
+        return parse_checkpoint(fh.read())
+
+
+def parse_checkpoint(data: bytes) -> Tuple[NetworkParams, Optional[OptimizerState], Dict]:
+    """A checkpoint file's bytes as (params, optimizer state or None, metadata)."""
+    try:
+        doc = json.loads(data)
+    except json.JSONDecodeError as e:
+        raise CheckpointError(f"not valid JSON: {e}") from None
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"unknown checkpoint format {doc.get('format')!r}")
     params = _decode_params(doc.get("params"), "params", "")

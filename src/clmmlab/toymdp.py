@@ -77,7 +77,7 @@ def _move_reward(center: int, width: int, lvl_from: int, lvl_to: int,
     # a level's price snaps back to its own tick, BASE_TICK + TICK_SPACING * level
     _, pos = mint_band(level_price(center), width, TICK_SPACING, config.budget)
     path = [level_price(lvl_from), level_price(lvl_to)]
-    lvr, fee, _, _ = lvr_over_path(pos, path, fee_tier=config.fee_tier)
+    lvr, fee, _, _, _ = lvr_over_path(pos, path, fee_tier=config.fee_tier)
     return fee + lvr
 
 

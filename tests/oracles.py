@@ -5,11 +5,15 @@ without importing the implementation's fee/lvr kernel, so that agreement
 between the two is evidence rather than tautology. The per-move ledger
 walker (LedgerStep, lvr_over_path, fee_one_move, fee_over_path) is the
 scalar code the kernel replaced; it shares only the price check and the
-reserve formulas of clmmlab.amm. The learner oracles share only the
+reserve formulas of clmmlab.amm. The branchy totals walk and the
+per-candle hour path are the float-only kernel and path builder that the
+one walk body and env.hour_paths replaced. The learner oracles share only the
 parameter container, the Adam constants and the error types with
 clmmlab.nets; the per-row feature scaler shares only the FeatureScaler
 fields. The two-walk EWA replay runs on the oracle ledger and pins
-down the budgets x references rewrite of run_ewa. The dict-row run-dir
+down the budgets x references rewrite of run_ewa; the per-width replay
+is run_ewa as it stood before it walked a block of hours at once, and
+pins down that rewrite bit for bit. The dict-row run-dir
 writer and the four-sum drift study at the end are the code that
 env.HourRecord, report.write_csv_rows and the run_backtest drift study
 replaced; they run on the package's env and ledger and check only the
@@ -27,11 +31,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from clmmlab.amm import (LiquidityPosition, PoolSpec, _check_price, band_for_center,
+from clmmlab.amm import (LiquidityPosition, PoolSpec, _check_price, band_for_center, mint_band,
                          liquidity_for_budget, price_to_tick, snap_tick)
 from clmmlab.backtest import EQUILIBRIUM_POOL
 from clmmlab.baselines import EWAConfig, ewa_weights, run_tau_reset
-from clmmlab.env import TRACE_CSV_HEADER, EnvConfig, LPEnv, hour_path
+from clmmlab.env import (TRACE_CSV_HEADER, EnvConfig, HourRecord, LPEnv,
+                         check_path_model)
 from clmmlab.indicators import sma
 from clmmlab.marketdata import synth_gbm
 from clmmlab.report import REPORT_CSV_HEADER
@@ -174,14 +179,74 @@ def lvr_over_path(
 
 
 def ledger_totals(position, path, fee_tier=0.0):
-    """The kernel's (lvr, fee, dv, hedge), summed from the per-move walk.
+    """The kernel's (lvr, fee, dv, hedge), summed from the per-move walk,
+    and the value at the last point from amm's reserves.
 
-    A drop-in for clmmlab.accounting.lvr_over_path: monkeypatched into a
-    caller's module, it replays that caller on the oracle ledger.
+    A drop-in for clmmlab.accounting.lvr_over_path on floats:
+    monkeypatched into a caller's module, it replays that caller on the
+    oracle ledger.
     """
     lvr, steps = lvr_over_path(position, path, fee_tier=fee_tier)
     return (lvr, sum(s.fee for s in steps), sum(s.value_change for s in steps),
-            sum(s.hedge_pnl for s in steps))
+            sum(s.hedge_pnl for s in steps), position.value(path[-1]))
+
+
+# -- the branchy totals walk --------------------------------------------------
+#
+# clmmlab.accounting.lvr_over_path as it stood before one walk body served
+# floats and arrays: a branch per point picks the below-band, above-band or
+# in-band reserves, and fees accrue only when fee_tier is set.
+
+
+def ledger_totals_branchy(
+    position: LiquidityPosition, path: Sequence[float], fee_tier: float = 0.0
+) -> Tuple[float, float, float, float]:
+    """Ledger totals (lvr, fee, dv, hedge) over a sampled path."""
+    if len(path) == 0:
+        raise ValueError("price path is empty")
+    L = position.liquidity
+    pa, pb = position.price_lower, position.price_upper
+    sa, sb = math.sqrt(pa), math.sqrt(pb)
+    inv_sb = 1.0 / sb
+    x_below = L * (1.0 / sa - inv_sb)
+    y_above = L * (sb - sa)
+    rate_l = fee_tier / (1.0 - fee_tier) * L if fee_tier else 0.0
+
+    lvr = fee = dv = hedge = 0.0
+    for i, p1 in enumerate(path):
+        _check_price(p1)
+        if p1 <= pa:
+            x1, y1, s1 = x_below, 0.0, sa
+        elif p1 >= pb:
+            x1, y1, s1 = 0.0, y_above, sb
+        else:
+            s1 = math.sqrt(p1)
+            x1, y1 = L * (1.0 / s1 - inv_sb), L * (s1 - sa)
+        if i:
+            lvr += p1 * (x1 - x0) + (y1 - y0)
+            dv += (p1 * x1 + y1) - (p0 * x0 + y0)
+            hedge += -x0 * (p1 - p0)
+            if fee_tier:
+                fee += rate_l * abs(s1 - s0)
+        p0, x0, y0, s0 = p1, x1, y1, s1
+    return lvr, fee, dv, hedge
+
+
+def hour_path(prev_close: float, candle: Candle, model: str) -> List[float]:
+    """Price points visited while one candle elapses, starting at prev_close.
+
+    env.hour_paths as it stood per hour: the candle model walks open ->
+    low -> high -> close for an up candle and open -> high -> low -> close
+    for a down candle; open-close walks open -> close.
+    """
+    check_path_model(model)
+    if model == "candle":
+        if candle.close >= candle.open:
+            mids = [candle.low, candle.high]
+        else:
+            mids = [candle.high, candle.low]
+        return [prev_close, candle.open, mids[0], mids[1], candle.close]
+    return [prev_close, candle.open, candle.close]
 
 
 def hedge_pnl_over_path(position: LiquidityPosition, path: Sequence[float]) -> float:
@@ -403,6 +468,63 @@ def run_ewa(
             "reward": reward,
         })
     return infos, weights
+
+
+# -- the per-width EWA replay -------------------------------------------------
+#
+# baselines.run_ewa as it stood before it walked a reallocation block at a
+# time: every hour, one scalar walk per unit reference, and every value
+# from LiquidityPosition.value. `walk` is the float ledger it calls.
+
+
+def run_ewa_per_width(candles: Sequence[Candle], offset: int, horizon: int,
+                      config: EWAConfig, env: EnvConfig,
+                      walk=ledger_totals_branchy):
+    """(per-hour HourRecords, final weights), as baselines.run_ewa."""
+    fee_tier = env.pool.fee_tier
+    n = config.n_widths
+    if offset < 0 or offset + horizon >= len(candles):
+        raise ValueError(
+            f"need candles through index {offset + horizon}, have {len(candles)}"
+        )
+    spacing = env.pool.tick_spacing
+    references = [mint_band(candles[offset].close, w, spacing, 1.0)[1]
+                  for w in range(1, n + 1)]
+    budgets = np.full(n, env.l0 / n)
+    cash = 0.0
+    cum_rewards = np.zeros(n)
+    weights = np.full(n, 1.0 / n)
+    ledger = np.empty((3, n))  # per-reference fee, lvr, dv of one hour
+    records: List[HourRecord] = []
+
+    for t in range(1, horizon + 1):
+        idx = offset + t
+        prev_close = candles[idx - 1].close
+        gas_paid = 0.0
+        action = 0
+        if t % config.t_re == 0:
+            weights = ewa_weights(cum_rewards, config.eta)
+            wealth = cash + float(budgets @ [r.value(prev_close) for r in references])
+            references = [mint_band(prev_close, w, spacing, 1.0)[1]
+                          for w in range(1, n + 1)]
+            budgets = wealth * weights
+            cash = 0.0
+            gas_paid = env.gas
+            action = 1
+
+        path = hour_path(prev_close, candles[idx], env.path_model)
+        for k, ref in enumerate(references):
+            lvr_k, fee_k, dv_k = walk(ref, path, fee_tier=fee_tier)[:3]
+            ledger[:, k] = fee_k, lvr_k, dv_k
+            cum_rewards[k] += fee_k + lvr_k
+        fee, lvr, dv = (float(x) for x in ledger @ budgets)
+
+        cash += fee
+        close = candles[idx].close
+        value = float(budgets @ [r.value(close) for r in references])
+        records.append(HourRecord(t, action, fee, lvr, gas_paid, dv,
+                                  fee + lvr - gas_paid, cash, 0, 0, value, close))
+    return records, weights
 
 
 # -- the dict-row run-dir writer ------------------------------------------
@@ -907,8 +1029,12 @@ def ht_dc_period(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def ht_dc_phase(x: np.ndarray) -> np.ndarray:
-    """Phase within the dominant cycle, in degrees."""
+def ht_dc_phase(x: np.ndarray, period=None) -> np.ndarray:
+    """Phase within the dominant cycle, in degrees.
+
+    period, the package's ht_dc_period(x) as its caller passes it, is
+    ignored: the oracle runs its own Hilbert pass.
+    """
     smooth, _, sper = _hilbert_components(x)
     n = len(x)
     out = np.full(n, np.nan)

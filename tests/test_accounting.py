@@ -24,8 +24,9 @@ def test_lvr_two_point_example():
     assert len(steps) == 1
     assert steps[0].lvr == total
     assert steps[0].value_change == pytest.approx(-0.375, rel=1e-12)
-    lvr, fee, dv, _ = accounting.lvr_over_path(pos, [2.25, 1.0])
+    lvr, fee, dv, _, value = accounting.lvr_over_path(pos, [2.25, 1.0])
     assert (lvr, fee, dv) == (total, 0.0, steps[0].value_change)
+    assert value == pos.value(1.0)
 
 
 def test_lvr_round_trip_path():
@@ -82,7 +83,7 @@ def test_hedge_pnl_example_and_identity():
     for _ in range(300):
         L, pa, pb, path = random_band_and_path(rng, n_moves=8)
         pos = LiquidityPosition(pa, pb, L)
-        lvr_total, _, dv, hedge_total = accounting.lvr_over_path(pos, path)
+        lvr_total, _, dv, hedge_total, _ = accounting.lvr_over_path(pos, path)
         hedge = hedge_pnl_over_path(pos, path)
         assert hedge_total == hedge
         scale = max(1.0, abs(dv), abs(lvr_total))
@@ -106,7 +107,7 @@ def test_empty_path_rejected():
         oracles.lvr_over_path(pos, [])
     total, steps = oracles.lvr_over_path(pos, [2.0])
     assert total == 0.0 and steps == []
-    assert accounting.lvr_over_path(pos, [2.0]) == (0.0, 0.0, 0.0, 0.0)
+    assert accounting.lvr_over_path(pos, [2.0]) == (0.0, 0.0, 0.0, 0.0, pos.value(2.0))
 
 
 def test_instantaneous_lvr_rate():
@@ -214,9 +215,9 @@ def test_kernel_flat_and_one_point_paths_are_float_zero(fee_tier):
         for path in ([p], [p, p], [p] * 5):
             got = accounting.lvr_over_path(pos, path, fee_tier=fee_tier)
             assert all(type(v) is float for v in got)
-            assert hexes(got) == [ZERO] * 4
+            assert hexes(got) == [ZERO] * 4 + [float.hex(pos.value(p))]
         # the old walker summed an empty step list to the int 0
-        assert oracles.ledger_totals(pos, [p], fee_tier=fee_tier)[1:] == (0, 0, 0)
+        assert oracles.ledger_totals(pos, [p], fee_tier=fee_tier)[1:4] == (0, 0, 0)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, -0.0, float("nan"), float("inf"), -float("inf")])
@@ -232,6 +233,118 @@ def test_kernel_rejects_bad_price_like_the_oracle(bad, where):
     assert str(got.value) == str(want.value) == f"price must be positive and finite, got {bad}"
     with pytest.raises(ValueError, match="^price path is empty$"):
         accounting.lvr_over_path(pos, [], fee_tier=0.003)
+
+
+# -- the one walk body on arrays, against the branchy float walk ------------
+
+
+def branchy_with_value(pos, path, fee_tier):
+    return oracles.ledger_totals_branchy(pos, path, fee_tier=fee_tier) + (pos.value(path[-1]),)
+
+
+def stacked(bands):
+    return baselines.Bands(*(np.array([getattr(b, f) for b in bands])
+                             for f in baselines.Bands._fields))
+
+
+def assert_array_kernel_matches_oracle(bands, hours, fee_tier):
+    """K bands against h hours of P points each, in one array call: each
+    (hour, band) entry has the bits of the branchy walk on floats."""
+    path = np.array(hours, dtype=float).T[:, :, None]  # (points, hours, 1)
+    shape = (len(hours), len(bands))
+    got = accounting.lvr_over_path(stacked(bands), path, fee_tier=fee_tier)
+    assert got[4].shape == shape
+    if len(hours[0]) == 1:  # no move: the totals stay the float 0.0
+        assert got[:4] == (0.0, 0.0, 0.0, 0.0)
+    got = [np.broadcast_to(g, shape) for g in got]
+    for j, hour in enumerate(hours):
+        for k, pos in enumerate(bands):
+            want = branchy_with_value(pos, hour, fee_tier)
+            assert hexes(g[j, k] for g in got) == hexes(want), (pos, hour, fee_tier)
+            # and the float call of the same body
+            assert hexes(accounting.lvr_over_path(pos, hour, fee_tier=fee_tier)) == hexes(want)
+
+
+def random_block(rng, log_lo, log_hi):
+    """K random bands and h random hours of a common length, each hour
+    around one of the bands, as random_case draws them."""
+    n_points = int(rng.integers(1, 7))
+    bands, hours = [], []
+    for _ in range(int(rng.integers(2, 6))):
+        pos, _ = random_case(rng, log_lo, log_hi)
+        bands.append(pos)
+    for _ in range(int(rng.integers(2, 5))):
+        path = []
+        while len(path) < n_points:
+            path += random_case(rng, log_lo, log_hi)[1]
+        hours.append(path[:n_points])
+    # hours that visit a band's edges and its inside
+    pos = bands[0]
+    mid = math.sqrt(pos.price_lower * pos.price_upper)
+    hours.append(([pos.price_lower, mid, pos.price_upper] * n_points)[:n_points])
+    return bands, hours
+
+
+@pytest.mark.parametrize("fee_tier", [0.0, 0.003])
+def test_array_kernel_bitwise_random_blocks(fee_tier):
+    rng = np.random.default_rng(107)
+    log_lim = math.log(1e10)
+    for _ in range(300):
+        bands, hours = random_block(rng, -log_lim, log_lim)
+        assert_array_kernel_matches_oracle(bands, hours, fee_tier)
+    # one range for bands and prices, so that hours cross the bands
+    for _ in range(300):
+        bands, hours = random_block(rng, 2.0, 14.0)
+        assert_array_kernel_matches_oracle(bands, hours, fee_tier)
+
+
+@pytest.mark.parametrize("fee_tier", [0.0, 0.003])
+def test_array_kernel_bitwise_near_tick_limits(fee_tier):
+    rng = np.random.default_rng(109)
+    lim = 887_272 * LOG_TICK_BASE
+    for lo, hi in [(lim - 12.0, lim), (-lim, -lim + 12.0)]:
+        for _ in range(100):
+            assert_array_kernel_matches_oracle(*random_block(rng, lo, hi), fee_tier)
+    bands = [LiquidityPosition(tick_to_price(lower), tick_to_price(upper), 1e6)
+             for lower, upper in [(887_212, 887_272), (-887_272, -887_212),
+                                  (-887_272, 887_272)]]
+    edges = sorted({p for b in bands for p in (b.price_lower, b.price_upper)})
+    hours = [[edges[0], edges[-1], edges[1]], [edges[-1] * 2.0, edges[0] * 0.5, edges[2]]]
+    assert_array_kernel_matches_oracle(bands, hours, fee_tier)
+
+
+@pytest.mark.parametrize("fee_tier", [0.0, 0.003])
+def test_array_kernel_flat_and_gap_filled_hours(fee_tier):
+    """A gap-filled candle repeats the previous close at every point, and a
+    flat hour earns, loses and moves nothing: float zeros, as on floats."""
+    bands = [ref_position(), LiquidityPosition(0.5, 2.0, 3.0), LiquidityPosition(8.0, 9.0, 0.1)]
+    for p in [0.25, 1.0, 2.25, 4.0, 9.0, 1e-10, 1e10]:
+        for n_points in (1, 3, 5):
+            hours = [[p] * n_points, [p] * n_points]
+            assert_array_kernel_matches_oracle(bands, hours, fee_tier)
+            path = np.array(hours).T[:, :, None]
+            totals = accounting.lvr_over_path(stacked(bands), path, fee_tier)[:4]
+            assert all(hexes(np.broadcast_to(v, (2, 3)).ravel()) == [ZERO] * 6
+                       for v in totals)
+    # a gap-filled hour between two live ones
+    hours = [[1.1, 1.5, 0.9, 3.0, 2.0], [2.0] * 5, [2.0, 2.5, 1.8, 9.5, 4.5]]
+    assert_array_kernel_matches_oracle(bands, hours, fee_tier)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, -0.0, float("nan"), float("inf"), -float("inf")])
+def test_array_kernel_rejects_first_bad_price_in_walk_order(bad):
+    """Walk order is hour by hour: a bad point late in an early hour is
+    reported before a bad point early in a later hour."""
+    hours = [[2.0, 1.5, 3.0, 0.5, 5.0] for _ in range(3)]
+    hours[1][3] = bad
+    hours[2][1] = -7.0
+    path = np.array(hours).T[:, :, None]
+    bands = stacked([ref_position(), LiquidityPosition(0.5, 2.0, 3.0)])
+    with pytest.raises(ValueError) as got:
+        accounting.lvr_over_path(bands, path, fee_tier=0.003)
+    assert str(got.value) == f"price must be positive and finite, got {bad}"
+    with pytest.raises(ValueError, match="^price path is empty$"):
+        accounting.lvr_over_path(bands, np.empty((0, 3, 1)), fee_tier=0.003)
 
 
 class TestCallersReplayBitwiseOnOracle:
@@ -263,19 +376,25 @@ class TestCallersReplayBitwiseOnOracle:
         self.check(monkeypatch, run)
 
     @pytest.mark.parametrize("path_model", ["candle", "open-close"])
-    def test_ewa(self, monkeypatch, path_model):
+    def test_ewa(self, path_model):
+        """run_ewa walks arrays, which the float oracle ledger cannot: its
+        output is compared with the per-width replay run on that ledger."""
         candles = synth_gbm(2000.0, 0.0, 0.012, 520, seed=29)
 
-        def run():
+        def run(replay, **kwargs):
             out = []
             for n, eta, t_re in [(10, 1.0, 24), (4, 2.0, 1)]:
-                records, w = baselines.run_ewa(
+                records, w = replay(
                     candles, 210, 300, baselines.EWAConfig(n, eta, t_re),
-                    env.EnvConfig(l0=500.0, path_model=path_model))
+                    env.EnvConfig(l0=500.0, path_model=path_model), **kwargs)
                 out += records + [w.tobytes()]
             return out
 
-        self.check(monkeypatch, run)
+        got = run(baselines.run_ewa)
+        want = run(oracles.run_ewa_per_width, walk=oracles.ledger_totals)
+        assert len(got) == len(want) > 0
+        for g, w in zip(got, want):
+            assert repr(g) == repr(w)
 
     def test_drift_study(self, monkeypatch):
         self.check(monkeypatch, lambda: list(backtest.drift_neutrality_study(

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -258,6 +259,11 @@ class TestTauReset:
         assert first.width == 3
 
 
+@pytest.fixture(scope="module")
+def gbm_3202():
+    return synth_gbm(2000.0, 0.0, 0.01, 3202, seed=9001)
+
+
 class TestEwa:
     def test_weights_uniform_when_zero(self):
         w = ewa_weights(np.zeros(5), eta=2.0)
@@ -329,6 +335,35 @@ class TestEwa:
                 value = g.lvr - g.dv if key == "hedge_pnl" else getattr(g, key)
                 assert abs(value - o[key]) <= 1e-12 * max(1.0, abs(o[key])), key
         assert len(got) == len(want) == 300
+
+    @pytest.mark.parametrize("path_model", ["candle", "open-close"])
+    @pytest.mark.parametrize("n_widths,eta,t_re,horizon", [
+        (10, 1.0, 24, 3000), (5, 10.0, 12, 3000), (1, 1.0, 1, 600), (3, 5.0, 1, 600),
+        (10, 1.0, 7, 600), (7, 0.5, 3000, 3000), (4, 2.0, 2999, 3000)])
+    def test_records_equal_per_width_replay(self, gbm_3202, path_model, n_widths,
+                                            eta, t_re, horizon):
+        """The block walk gives the per-width replay's records and weights
+        exactly: the sweep's configs, reallocation every hour, t_re that
+        does not divide the walk's block length, and t_re beyond it."""
+        config = EWAConfig(n_widths, eta, t_re)
+        env = EnvConfig(l0=250.0, gas=1.0, path_model=path_model)
+        got, w_got = run_ewa(gbm_3202, 200, horizon, config, env)
+        want, w_want = oracles.run_ewa_per_width(gbm_3202, 200, horizon, config, env)
+        assert len(got) == horizon
+        assert [repr(r) for r in got] == [repr(r) for r in want]
+        assert w_got.tobytes() == w_want.tobytes()
+
+    @pytest.mark.parametrize("t_re", [24, 3000])
+    def test_3000_hour_run_allocates_per_block(self, gbm_3202, t_re):
+        """Peak traced allocation stays under 2 MB: the ledger walks a block
+        of hours at a time, never the whole run in one array."""
+        tracemalloc.start()
+        try:
+            run_ewa(gbm_3202, 200, 3000, EWAConfig(10, 1.0, t_re), EnvConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     def test_unknown_path_model_rejected_before_any_hour(self, monkeypatch):
         def no_walk(*args, **kwargs):

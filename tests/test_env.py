@@ -203,11 +203,15 @@ class TestEpisodeIdentities:
 
     @pytest.mark.parametrize("model", ["bogus", "swap-replay", "Candle", ""])
     def test_hour_path_rejects_unknown_model(self, model):
-        c = Candle(T0, 100.0, 101.0, 99.0, 100.5, 1.0)
-        assert envmod.hour_path(99.0, c, "candle") == [99.0, 100.0, 99.0, 101.0, 100.5]
-        assert envmod.hour_path(99.0, c, "open-close") == [99.0, 100.0, 100.5]
+        series = [Candle(T0, 98.0, 99.5, 97.0, 99.0, 1.0),
+                  Candle(T0 + 3600, 100.0, 101.0, 99.0, 100.5, 1.0),
+                  Candle(T0 + 7200, 100.0, 102.0, 97.5, 98.0, 1.0)]
+        assert envmod.hour_paths(series, "candle").tolist() == [
+            [99.0, 100.0, 99.0, 101.0, 100.5], [100.5, 100.0, 102.0, 97.5, 98.0]]
+        assert envmod.hour_paths(series, "open-close").tolist() == [
+            [99.0, 100.0, 100.5], [100.5, 100.0, 98.0]]
         with pytest.raises(ValueError) as exc:
-            envmod.hour_path(99.0, c, model)
+            envmod.hour_paths(series, model)
         with pytest.raises(ValueError) as cfg_exc:
             cfg(path_model=model)
         assert str(exc.value) == str(cfg_exc.value)

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import shutil
 import sys
 
 import numpy as np
@@ -191,6 +192,50 @@ class TestRunBacktest:
                                            f"{WARMUP_CANDLES}-candle feature warmup"):
             run_backtest(candles, config)
 
+    def test_ddqn_without_checkpoint_is_run_error_before_any_file(
+            self, candles, monkeypatch):
+        def no_open(*args, **kwargs):
+            raise AssertionError(f"opened {args[0]!r} before the config was checked")
+
+        config = RunConfig(method="ddqn", offset=WARMUP_CANDLES, horizon=50)
+        with monkeypatch.context() as m:
+            m.setattr("builtins.open", no_open)
+            with pytest.raises(RunError) as err:
+                run_backtest(candles, config)
+        assert str(err.value) == "ddqn backtests need a checkpoint path"
+
+    def test_ddqn_digest_and_replay_come_from_one_read(self, candles, tmp_path,
+                                                        monkeypatch):
+        """A checkpoint replaced by another right after the run first opens
+        it changes neither the run's digest nor its replay."""
+        ckpt, other = str(tmp_path / "net.json"), str(tmp_path / "other.json")
+        save_checkpoint(ckpt, init_params(OBSERVATION_DIM, 11, seed=1))
+        save_checkpoint(other, init_params(OBSERVATION_DIM, 11, seed=2))
+        config = RunConfig(method="ddqn", checkpoint=ckpt, offset=WARMUP_CANDLES,
+                           horizon=120)
+        want = run_backtest(candles, config)
+        theirs = run_backtest(candles, dataclasses.replace(config, checkpoint=other))
+        assert theirs.config_hash != want.config_hash
+        assert theirs.records != want.records
+
+        swap = str(tmp_path / "swap.json")
+        shutil.copy(other, swap)
+        real_open = open
+
+        def open_then_swap(path, *args, **kwargs):
+            fh = real_open(path, *args, **kwargs)
+            if os.fspath(path) == ckpt and os.path.exists(swap):
+                os.replace(swap, ckpt)
+            return fh
+
+        with monkeypatch.context() as m:
+            m.setattr("builtins.open", open_then_swap)
+            got = run_backtest(candles, config)
+        with open(ckpt, "rb") as a, open(other, "rb") as b:
+            assert a.read() == b.read()  # the swap did happen
+        assert got.config_hash == want.config_hash
+        assert got.records == want.records
+
     def test_action_histogram_counts_every_hour(self, candles):
         config = RunConfig(method="tau-reset", tau=4, offset=10, horizon=120)
         result = run_backtest(candles, config)
@@ -366,6 +411,15 @@ class TestDriftStudy:
     def test_matches_four_sum_oracle(self):
         got = drift_neutrality_study(n_seeds=3, horizon=60)
         assert repr(got) == repr(oracles.drift_neutrality_study(n_seeds=3, horizon=60))
+
+    def test_study_computes_no_digest(self, monkeypatch):
+        want = repr(drift_neutrality_study(n_seeds=3, horizon=60))
+
+        def no_digest(*args, **kwargs):
+            raise AssertionError("the study hashed a run it never writes")
+
+        monkeypatch.setattr("clmmlab.backtest.run_digest", no_digest)
+        assert repr(drift_neutrality_study(n_seeds=3, horizon=60)) == want
 
     def test_equilibrium_pool_tier(self):
         assert 0.0 < EQUILIBRIUM_POOL.fee_tier < 0.01

@@ -315,3 +315,22 @@ def test_feature_matrix_equals_oracle_matrix(candles, monkeypatch):
     monkeypatch.setattr(features, "ind", types.SimpleNamespace(**dict(vars(ind), **loops)))
     want = features.compute_feature_matrix(candles)
     assert_bit_equal(got, want)
+
+
+def test_feature_matrix_runs_the_hilbert_pass_once(monkeypatch):
+    candles = synth_gbm(2000.0, 0.0, 0.01, 800, seed=5)
+    c = candles_to_arrays(candles)[4]
+    calls = []
+    real = ind._hilbert_period
+
+    def counted(x):
+        calls.append(len(x))
+        return real(x)
+
+    monkeypatch.setattr(ind, "_hilbert_period", counted)
+    matrix = features.compute_feature_matrix(candles)
+    assert calls == [len(candles)]
+    # columns 26-27 are the two indicators, each computed on its own
+    assert_bit_equal(matrix[:, 26], ind.ht_dc_period(c))
+    assert_bit_equal(matrix[:, 27], ind.ht_dc_phase(c))
+    assert_bit_equal(ind.ht_dc_phase(c, ind.ht_dc_period(c)), ind.ht_dc_phase(c))

@@ -173,6 +173,11 @@ class TestOptimizer:
         with pytest.raises(TrainingDiverged):
             apply_update(p, opt, g)
 
+    def test_default_learning_rate_is_one_constant(self):
+        p = init_params(4, 3, seed=7)
+        assert (OptimizerState.for_params(p).learning_rate
+                == DDQNConfig().learning_rate == nets.LEARNING_RATE == 1e-4)
+
     def test_training_reduces_loss(self):
         p = init_params(4, 3, seed=7)
         opt = OptimizerState.for_params(p, learning_rate=1e-2)
