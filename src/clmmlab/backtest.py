@@ -1,4 +1,4 @@
-"""Backtest orchestration: run configs, method runners, drift studies.
+"""Backtest orchestration: run configs, method runners, training, drift studies.
 
 A backtest replays one strategy over one candle window and produces a
 result with one env.HourRecord per hour plus the relative fee / gas /
@@ -25,10 +25,11 @@ from .accounting import ordered_sum
 from .amm import PoolSpec
 from .baselines import (EWAConfig, EWA_DEFAULTS, TAU_DEFAULTS, run_ewa,
                         run_tau_reset)
-from .dqn import greedy_rollout
+from .dqn import (DDQNConfig, TRAINING_LOG_HEADER, TrainingResult,
+                  greedy_rollout, train_ddqn)
 from .env import EnvConfig, HourRecord, LPEnv, TRACE_CSV_HEADER
 from .features import WARMUP_CANDLES, FeatureScaler, compute_feature_matrix
-from .marketdata import Candle, candles_to_arrays, synth_gbm
+from .marketdata import Candle, candles_to_arrays, load_candles_csv, synth_gbm
 from .report import REPORT_CSV_HEADER, in_header_order, write_csv_rows
 from . import nets
 
@@ -49,7 +50,13 @@ PATH_SETTINGS = ("candles", "checkpoint")
 
 
 class RunError(ValueError):
-    """A run configuration that cannot be executed as given."""
+    """A run that cannot be executed as given. category is the CLI's
+    name for the cause: its settings (config), its command line (usage)
+    or its candle series (data)."""
+
+    def __init__(self, message: str, category: str = "config"):
+        super().__init__(message)
+        self.category = category
 
 
 @dataclass(frozen=True)
@@ -224,7 +231,6 @@ class BacktestResult:
     offset: int
     horizon: int
     records: List[HourRecord]
-    weights: Optional[np.ndarray] = None
 
     def total(self, column: str) -> float:
         return ordered_sum(getattr(r, column) for r in self.records)
@@ -307,20 +313,19 @@ def run_backtest(candles: Sequence[Candle], config: RunConfig) -> BacktestResult
             checkpoint = fh.read()
     digest = run_digest(config.to_dict(), candles, checkpoint)
     return BacktestResult(config, digest, offset, horizon,
-                          *_replay(candles, config, offset, horizon, checkpoint))
+                          _replay(candles, config, offset, horizon, checkpoint))
 
 
 def _replay(candles: Sequence[Candle], config: RunConfig, offset: int,
-            horizon: int, checkpoint: Optional[bytes] = None
-            ) -> Tuple[List[HourRecord], Optional[np.ndarray]]:
-    """(records, EWA weights or None) of config.method over the window;
-    a ddqn replay parses the checkpoint bytes given."""
+            horizon: int, checkpoint: Optional[bytes] = None) -> List[HourRecord]:
+    """The records of config.method over the window; a ddqn replay
+    parses the checkpoint bytes given."""
     env_config = config.env_config(episode_length=horizon)
     if config.method == "tau-reset":
-        return run_tau_reset(LPEnv(candles, env_config), config.tau, offset), None
+        return run_tau_reset(LPEnv(candles, env_config), config.tau, offset)
 
     if config.method == "ewa":
-        return run_ewa(candles, offset, horizon, config.ewa_config(), env_config)
+        return run_ewa(candles, offset, horizon, config.ewa_config(), env_config)[0]
 
     # ddqn
     params, _, meta = nets.parse_checkpoint(checkpoint)
@@ -336,7 +341,75 @@ def _replay(candles: Sequence[Candle], config: RunConfig, offset: int,
             raise nets.CheckpointError(f"metadata {e}") from None
         matrix = scaler.apply(matrix)
     _, _, records = greedy_rollout(LPEnv(candles, env_config, matrix), params, offset)
-    return records, None
+    return records
+
+
+BACKTEST_FIELDS = tuple(RunConfig.__dataclass_fields__)  # type: ignore[attr-defined]
+
+TRAIN_FIELDS = ("candles", "seed", "l0", "gas", "n_actions", "fee_tier",
+                "tick_spacing", "pool", "reward_mode", "path_model",
+                "episode_length", "episodes", "budget", "train_hours",
+                "val_hours", "learning_rate", "batch_size", "buffer")
+
+# training's own defaults: RunConfig and DDQNConfig default the rest
+TRAIN_DEFAULTS = {"episode_length": 100, "episodes": 50}
+
+
+def run_training(settings: Dict, out_dir: str) -> TrainingResult:
+    """Train the DDQN on settings (TRAIN_FIELDS, unset ones left out) and
+    write checkpoint.json, training_log.csv and run.json into out_dir.
+
+    Both configs are checked before the candles file loads. Episodes start
+    in the first train_hours after the feature warmup (default 70%), which
+    alone fit the scaler; one validation episode covers the val_hours after.
+    """
+    s = dict(TRAIN_DEFAULTS, **settings)
+    try:
+        run = RunConfig(method="ddqn", **{k: s[k] for k in s if k in BACKTEST_FIELDS})
+        learner = DDQNConfig(**{k: s[k] for k in s if k in DDQNConfig.__dataclass_fields__})
+    except ValueError as e:
+        raise RunError(str(e)) from None
+    candles = load_candles_csv(run.candles)
+    usable = len(candles) - WARMUP_CANDLES - 1
+    if usable < 20:
+        raise RunError(f"series too short to train on: {len(candles)} candles", "data")
+    train_hours = s.setdefault("train_hours", int(usable * 0.7))
+    val_hours = s.setdefault("val_hours", max(usable - train_hours - 1, 10))
+    episode_length = s["episode_length"]
+    if train_hours < episode_length + 1:
+        raise RunError("train_hours must exceed episode_length")
+    val_start = WARMUP_CANDLES + train_hours
+    val_start, val_hours = _default_window(
+        dataclasses.replace(run, offset=val_start, horizon=val_hours), len(candles))
+    budget = s.setdefault("budget", s["episodes"] * episode_length)
+    # every setting resolved, so run.json's config reruns this run via --config
+    s.update(run.to_dict(), **dataclasses.asdict(learner))
+    config = {k: s[k] for k in TRAIN_FIELDS}
+    digest = run_digest(config, candles)
+
+    matrix = compute_feature_matrix(candles)
+    scaler = FeatureScaler.fit(matrix[WARMUP_CANDLES:val_start])
+    matrix = scaler.apply(matrix)
+    train_env = LPEnv(candles[:val_start + 1],
+                      run.env_config(episode_length=episode_length),
+                      matrix[:val_start + 1])
+    eval_end = val_start + val_hours + 1
+    eval_env = LPEnv(candles[:eval_end], run.env_config(episode_length=val_hours),
+                     matrix[:eval_end])
+    result = train_ddqn(train_env, eval_env, learner, budget,
+                        seed=run.seed, eval_offsets=[val_start])
+
+    os.makedirs(out_dir, exist_ok=True)
+    nets.save_checkpoint(os.path.join(out_dir, "checkpoint.json"), result.params,
+                         metadata={"config_hash": digest, "seed": run.seed,
+                                   "scaler": scaler.to_dict()})
+    write_csv_rows(os.path.join(out_dir, "training_log.csv"),
+                   TRAINING_LOG_HEADER + ["config_hash", "seed"],
+                   [values + [digest, run.seed] for values in
+                    in_header_order(result.log, TRAINING_LOG_HEADER)])
+    write_run_json(out_dir, config, digest, steps=result.steps,
+                   episodes=result.episodes, best_val_return=result.best_val_return)
+    return result
 
 
 def write_run_dir(result: BacktestResult, out_dir: str) -> Dict[str, str]:
@@ -414,7 +487,7 @@ def drift_neutrality_study(
             candles = synth_gbm(2000.0, mu, DRIFT_SIGMA, horizon + 2, seed=seed0 + k)
             # no artifact is written, so the replay skips the run's digest
             result = BacktestResult(config, "", 1, horizon,
-                                    *_replay(candles, config, 1, horizon))
+                                    _replay(candles, config, 1, horizon))
             hedged[k] = result.relative_pnl("hedged")
             unhedged[k] = result.relative_pnl("unhedged")
         out[mu] = {

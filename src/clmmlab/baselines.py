@@ -24,7 +24,7 @@ ship in TAU_DEFAULTS / EWA_DEFAULTS.
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -34,13 +34,10 @@ from .env import EnvConfig, HourRecord, LPEnv, hour_paths
 from .marketdata import Candle
 
 
-def policy_tau_reset(tau: int, position: Optional[LiquidityPosition],
-                     close: float) -> int:
+def policy_tau_reset(tau: int, position: LiquidityPosition, close: float) -> int:
     """Reallocate to width tau when the price sits outside the interval."""
     if tau < 1:
         raise ValueError(f"tau must be >= 1, got {tau}")
-    if position is None:
-        return tau
     if close < position.price_lower or close > position.price_upper:
         return tau
     return 0

@@ -16,14 +16,13 @@ import sys
 from typing import Dict, Optional, Sequence
 
 from . import nets
-from .backtest import (RunConfig, RunError, run_backtest, run_digest,
-                       write_run_dir, write_run_json)
-from .dqn import DDQNConfig, TRAINING_LOG_HEADER, train_ddqn
-from .env import LPEnv
+from .backtest import (BACKTEST_FIELDS, RunConfig, RunError, TRAIN_FIELDS,
+                       TRAIN_DEFAULTS,  # noqa: F401  also read as cli.TRAIN_DEFAULTS
+                       run_backtest, run_training, write_run_dir)
 from .features import (FEATURE_NAMES, FeatureScaler, WARMUP_CANDLES,
                        compute_feature_matrix)
 from .marketdata import (DataValidationError, _utc, load_candles_csv)
-from .report import Report, ReportError, in_header_order, write_csv_rows
+from .report import Report, ReportError, write_csv_rows
 
 PROG = "clmmlab"
 
@@ -47,18 +46,11 @@ _HELP = {"config": "JSON config file; flags override it",
          "criteria": "comma list, e.g. 1,3,8 (default all)"}
 
 
-class CliError(Exception):
-    def __init__(self, category: str, message: str):
-        super().__init__(message)
-        self.category = category
-        self.message = message
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems on one line."""
 
     def error(self, message):
-        raise CliError("usage", message)
+        raise RunError(message, "usage")
 
 
 def _load_config(path: Optional[str]) -> Dict:
@@ -68,11 +60,11 @@ def _load_config(path: Optional[str]) -> Dict:
         with open(path) as fh:
             data = json.load(fh)
     except FileNotFoundError:
-        raise CliError("config", f"config file not found: {path}")
+        raise RunError(f"config file not found: {path}")
     except json.JSONDecodeError as e:
-        raise CliError("config", f"config file {path} is not valid JSON: {e}")
+        raise RunError(f"config file {path} is not valid JSON: {e}")
     if not isinstance(data, dict):
-        raise CliError("config", f"config file {path} must hold a JSON object")
+        raise RunError(f"config file {path} must hold a JSON object")
     return data
 
 
@@ -88,7 +80,7 @@ def _checked(name: str, value):
         ok = type(value) is int and (kind == "int" or value > 0)
     if not ok:
         what = _KINDS[kind][1] if kind else "a string"
-        raise CliError("config", f"{name} must be {what}, got {value!r}")
+        raise RunError(f"{name} must be {what}, got {value!r}")
     return float(value) if kind == "float" else value
 
 
@@ -99,7 +91,7 @@ def _merge(args: argparse.Namespace, fields: Sequence[str]) -> Dict:
     data = _load_config(args.config)
     unknown = sorted(set(data) - set(fields))
     if unknown:
-        raise CliError("config", f"unknown config field {unknown[0]!r}")
+        raise RunError(f"unknown config field {unknown[0]!r}")
     for name in fields:
         if getattr(args, name) is not None:
             data[name] = getattr(args, name)
@@ -109,7 +101,7 @@ def _merge(args: argparse.Namespace, fields: Sequence[str]) -> Dict:
 
 def _require(data: Dict, key: str) -> object:
     if data.get(key) in (None, ""):
-        raise CliError("config", f"missing required field {key!r}")
+        raise RunError(f"missing required field {key!r}")
     return data[key]
 
 
@@ -123,7 +115,7 @@ def _date(data: Dict, key: str) -> int:
     try:
         return _utc(value)
     except ValueError:
-        raise CliError("config", f"{key} must be a YYYY-MM-DD date, got {value!r}")
+        raise RunError(f"{key} must be a YYYY-MM-DD date, got {value!r}")
 
 
 def cmd_ingest(args) -> int:
@@ -133,7 +125,7 @@ def cmd_ingest(args) -> int:
     pool_id = _require(data, "pool_id")
     start, end = _date(data, "start"), _date(data, "end")
     if end <= start:
-        raise CliError("config", f"end {data['end']} must be after start {data['start']}")
+        raise RunError(f"end {data['end']} must be after start {data['start']}")
     cache_dir = data.get("cache_dir") or DEFAULT_CACHE
     client = SubgraphClient(endpoint)
     candles = fetch_pool_hours(client, pool_id, start, end, cache_dir)
@@ -161,73 +153,14 @@ def cmd_features(args) -> int:
     return 0
 
 
-BACKTEST_FIELDS = tuple(RunConfig.__dataclass_fields__)  # type: ignore[attr-defined]
-
-TRAIN_FIELDS = ("candles", "seed", "l0", "gas", "n_actions", "fee_tier",
-                "tick_spacing", "pool", "reward_mode", "path_model",
-                "episode_length", "episodes", "budget", "train_hours",
-                "val_hours", "learning_rate", "batch_size", "buffer")
-
-# train's own defaults: RunConfig and DDQNConfig default the rest
-TRAIN_DEFAULTS = {"episode_length": 100, "episodes": 50}
-
-# the DDQNConfig field each of train's learner settings fills
-DDQN_SETTINGS = {"learning_rate": "learning_rate", "batch_size": "batch_size",
-                 "buffer": "buffer_capacity"}
-
-
 def cmd_train(args) -> int:
-    s = dict(TRAIN_DEFAULTS, **_merge(args, TRAIN_FIELDS))
-    _require(s, "candles")
+    settings = _merge(args, TRAIN_FIELDS)
+    _require(settings, "candles")
     out_dir = _require(vars(args), "out_dir")
-    try:
-        run = RunConfig(method="ddqn", **{k: s[k] for k in s if k in BACKTEST_FIELDS})
-        dconf = DDQNConfig(**{f: s[n] for n, f in DDQN_SETTINGS.items() if n in s})
-    except ValueError as e:
-        raise CliError("config", str(e))
-    candles = load_candles_csv(s["candles"])
-    usable = len(candles) - WARMUP_CANDLES - 1
-    if usable < 20:
-        raise CliError("data", f"series too short to train on: {len(candles)} candles")
-    train_hours = s.setdefault("train_hours", int(usable * 0.7))
-    val_hours = s.setdefault("val_hours", max(usable - train_hours - 1, 10))
-    episode_length = s["episode_length"]
-    if train_hours < episode_length + 1:
-        raise CliError("config", "train_hours must exceed episode_length")
-    val_start = WARMUP_CANDLES + train_hours
-    if val_start + val_hours >= len(candles):
-        raise CliError("config", "train_hours + val_hours exceed the series")
-    budget = s.setdefault("budget", s["episodes"] * episode_length)
-    # every setting resolved, so run.json's config reruns this run via --config
-    s.update(run.to_dict(), **{n: getattr(dconf, f) for n, f in DDQN_SETTINGS.items()})
-    config = {k: s[k] for k in TRAIN_FIELDS}
-    digest = run_digest(config, candles)
-
-    matrix = compute_feature_matrix(candles)
-    scaler = FeatureScaler.fit(matrix[WARMUP_CANDLES:val_start])
-    matrix = scaler.apply(matrix)
-    train_env = LPEnv(candles[:val_start + 1],
-                      run.env_config(episode_length=episode_length),
-                      matrix[:val_start + 1])
-    eval_end = val_start + val_hours + 1
-    eval_env = LPEnv(candles[:eval_end], run.env_config(episode_length=val_hours),
-                     matrix[:eval_end])
-    result = train_ddqn(train_env, eval_env, dconf, budget,
-                        seed=run.seed, eval_offsets=[val_start])
-
-    os.makedirs(out_dir, exist_ok=True)
-    ckpt = os.path.join(out_dir, "checkpoint.json")
-    nets.save_checkpoint(ckpt, result.params, metadata={
-        "config_hash": digest, "seed": run.seed,
-        "scaler": scaler.to_dict()})
-    write_csv_rows(os.path.join(out_dir, "training_log.csv"),
-                   TRAINING_LOG_HEADER + ["config_hash", "seed"],
-                   [values + [digest, run.seed] for values in
-                    in_header_order(result.log, TRAINING_LOG_HEADER)])
-    write_run_json(out_dir, config, digest, steps=result.steps,
-                   episodes=result.episodes, best_val_return=result.best_val_return)
+    result = run_training(settings, out_dir)
     print(f"trained {result.episodes} episodes ({result.steps} steps), "
-          f"best val return {result.best_val_return:.4f}, wrote {ckpt}")
+          f"best val return {result.best_val_return:.4f}, "
+          f"wrote {os.path.join(out_dir, 'checkpoint.json')}")
     return 0
 
 
@@ -246,7 +179,7 @@ def cmd_backtest(args) -> int:
 
 def cmd_report(args) -> int:
     if not args.runs:
-        raise CliError("usage", "report needs at least one --runs directory")
+        raise RunError("report needs at least one --runs directory", "usage")
     out_dir = _require(vars(args), "out_dir")
     report = Report.from_run_dirs(args.runs)
     os.makedirs(out_dir, exist_ok=True)
@@ -264,7 +197,7 @@ def cmd_verify(args) -> int:
         try:
             criteria = sorted({int(x) for x in args.criteria.split(",")})
         except ValueError:
-            raise CliError("usage", f"bad --criteria list: {args.criteria!r}")
+            raise RunError(f"bad --criteria list: {args.criteria!r}", "usage")
     results = verification.run_checks(criteria, work_dir=args.work_dir,
                                       progress=print)
     return 0 if all(r.passed for r in results) else 1
@@ -304,16 +237,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         if getattr(args, "command", None) is None:
-            raise CliError("usage", "missing command "
-                           "(ingest|features|train|backtest|report|verify)")
+            raise RunError("missing command "
+                           "(ingest|features|train|backtest|report|verify)", "usage")
         return args.run(args)
-    except CliError as e:
-        print(f"error: {e.category}: {e.message}", file=sys.stderr)
-        return 2 if e.category == "usage" else 1
     except (RunError, ReportError) as e:
-        category = "config" if isinstance(e, RunError) else "report"
+        category = e.category if isinstance(e, RunError) else "report"
         print(f"error: {category}: {e}", file=sys.stderr)
-        return 1
+        return 2 if category == "usage" else 1
     except (DataValidationError, nets.CheckpointError, FileNotFoundError,
             ValueError, RuntimeError) as e:
         print(f"error: run: {e}", file=sys.stderr)

@@ -96,7 +96,7 @@ class DDQNConfig:
     (see the module docstring)."""
 
     batch_size: int = 256
-    buffer_capacity: int = 1_000_000
+    buffer: int = 1_000_000  # replay capacity, in transitions
     learning_rate: float = nets.LEARNING_RATE
     warm_start: int = 1000
     eval_every_episodes: int = 20
@@ -106,7 +106,7 @@ class DDQNConfig:
         if not 0.0 < self.learning_rate < math.inf:
             raise ValueError(
                 f"learning_rate must be positive and finite, got {self.learning_rate}")
-        if self.batch_size < 1 or self.buffer_capacity < self.batch_size:
+        if self.batch_size < 1 or self.buffer < self.batch_size:
             raise ValueError(f"batch_size must be >= 1 and fit in the buffer, "
                              f"got {self.batch_size}")
 
@@ -175,7 +175,7 @@ def train_ddqn(
     local = nets.init_params(obs_dim, n_actions + 1, seed=seed)
     target = local.copy()
     opt = OptimizerState.for_params(local, learning_rate=config.learning_rate)
-    buffer = ReplayBuffer(config.buffer_capacity, obs_dim)
+    buffer = ReplayBuffer(config.buffer, obs_dim)
     if eval_offsets is None:
         eval_offsets = [eval_env.min_offset()]
 

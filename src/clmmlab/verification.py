@@ -236,7 +236,7 @@ def check_network(n_inputs: int = 1_000, seed: int = 3) -> CheckResult:
 # smaller batches and buffer) so ten seeds fit in minutes.
 TOY_DDQN = DDQNConfig(learning_rate=3e-3, batch_size=64, warm_start=500,
                       eval_every_episodes=10, patience=10,
-                      buffer_capacity=10_000)
+                      buffer=10_000)
 TOY_BUDGET = 24_000
 
 
@@ -262,7 +262,7 @@ def check_toy_convergence(n_seeds: int = 10, seed0: int = 0) -> CheckResult:
     passed = wins >= 8
     detail = (f"{wins}/{n_seeds} seeds >= 95% of oracle return "
               f"(ratios {['%.3f' % r for r in ratios]}, V*={v_star:.4f}, "
-              f"buffer {TOY_DDQN.buffer_capacity}, budget {TOY_BUDGET})")
+              f"buffer {TOY_DDQN.buffer}, budget {TOY_BUDGET})")
     return _finish(6, "toy-convergence", t0, passed, detail, limit=600.0)
 
 

@@ -194,7 +194,7 @@ class TestTrainDdqn:
 
     def test_determinism(self):
         cfg = DDQNConfig(learning_rate=1e-3, batch_size=32, warm_start=200,
-                         eval_every_episodes=5, buffer_capacity=10_000)
+                         eval_every_episodes=5, buffer=10_000)
         r1 = train_ddqn(ToyPriceCycleEnv(), ToyPriceCycleEnv(), cfg, 1500, seed=3)
         r2 = train_ddqn(ToyPriceCycleEnv(), ToyPriceCycleEnv(), cfg, 1500, seed=3)
         for n, a in r1.params.arrays():
@@ -207,7 +207,7 @@ class TestTrainDdqn:
                 obs, _, done, record = super().step(action)
                 return obs, math.nan, done, record
 
-        cfg = DDQNConfig(batch_size=8, warm_start=8, buffer_capacity=100)
+        cfg = DDQNConfig(batch_size=8, warm_start=8, buffer=100)
         with pytest.raises(TrainingDiverged, match="loss became nan"):
             train_ddqn(NanRewardEnv(), ToyPriceCycleEnv(), cfg, budget=50, seed=0)
 
@@ -241,7 +241,6 @@ class TestTauReset:
         assert policy_tau_reset(6, pos, inside) == 0
         assert policy_tau_reset(6, pos, pos.price_upper * 1.0001) == 6
         assert policy_tau_reset(6, pos, pos.price_lower * 0.9999) == 6
-        assert policy_tau_reset(6, None, inside) == 6
         with pytest.raises(ValueError):
             policy_tau_reset(0, pos, inside)
 
@@ -444,7 +443,7 @@ class TestToyMdp:
         s0 = state_index(0, 0, 1)
         dcfg = DDQNConfig(learning_rate=3e-3, batch_size=64, warm_start=500,
                           eval_every_episodes=10, patience=10,
-                          buffer_capacity=50_000)
+                          buffer=50_000)
         res = train_ddqn(ToyPriceCycleEnv(cfg), ToyPriceCycleEnv(cfg),
                          dcfg, budget=24_000, seed=0)
         pol = greedy_policy_from_net(res.params, cfg)

@@ -7,6 +7,7 @@ import shutil
 
 import pytest
 
+from clmmlab import backtest
 from clmmlab.cli import build_parser, main
 from clmmlab.features import OBSERVATION_DIM, WARMUP_CANDLES
 from clmmlab.marketdata import bundled_candles_path, save_candles_csv, synth_gbm
@@ -19,6 +20,10 @@ def candles_csv(tmp_path_factory):
     path = str(tmp_path_factory.mktemp("data") / "candles.csv")
     save_candles_csv(synth_gbm(2000.0, 0.0, 0.01, 420, seed=33), path)
     return path
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("a rejected train must not reach the feature matrix")
 
 
 def run_cli(argv, capsys):
@@ -320,7 +325,9 @@ class TestTrainCommand:
         ("--learning-rate", "0"), ("--batch-size", "0"), ("--fee-tier", "nan"),
     ])
     def test_rejects_values_that_used_to_fall_back(self, candles_csv, capsys,
-                                                   tmp_path, flag, value):
+                                                   tmp_path, flag, value,
+                                                   monkeypatch):
+        monkeypatch.setattr(backtest, "compute_feature_matrix", _never)
         out = tmp_path / "t"
         code, _, err = run_cli(
             ["train", "--candles", candles_csv, "--episode-length", "40",
@@ -341,12 +348,24 @@ class TestTrainCommand:
         assert code == 1
         assert err.strip() == "error: config: budget must be a positive integer, got '400'"
 
-    def test_rejects_oversized_split(self, candles_csv, capsys, tmp_path):
+    def test_rejects_oversized_split(self, candles_csv, capsys, tmp_path,
+                                     monkeypatch):
+        monkeypatch.setattr(backtest, "compute_feature_matrix", _never)
         code, _, err = run_cli(
             ["train", "--candles", candles_csv, "--train-hours", "5000",
              "--val-hours", "50", "--out-dir", str(tmp_path / "t")], capsys)
         assert code == 1
-        assert err.strip().startswith("error: config:")
+        assert err.strip() == ("error: config: window needs candles through "
+                               "index 5250, series has 420")
+
+    def test_short_series_is_data_error(self, capsys, tmp_path):
+        path = str(tmp_path / "candles.csv")
+        save_candles_csv(synth_gbm(2000.0, 0.0, 0.01, 215, seed=1), path)
+        code, _, err = run_cli(["train", "--candles", path, "--out-dir",
+                                str(tmp_path / "t")], capsys)
+        assert code == 1
+        assert err.strip() == "error: data: series too short to train on: 215 candles"
+        assert not (tmp_path / "t").exists()
 
 
 class TestReportCommand:

@@ -10,6 +10,7 @@ import pytest
 
 import oracles
 from clmmlab.amm import LiquidityPosition
+from clmmlab import backtest
 from clmmlab.backtest import (
     EQUILIBRIUM_POOL,
     ORACLE_TUNED_LABEL,
@@ -19,13 +20,16 @@ from clmmlab.backtest import (
     drift_neutrality_study,
     run_backtest,
     run_digest,
+    run_training,
     write_run_dir,
 )
-from clmmlab.baselines import EWAConfig
+from clmmlab.baselines import EWAConfig, run_ewa
+from clmmlab.dqn import TrainingResult
 from clmmlab.env import EnvConfig
-from clmmlab.features import OBSERVATION_DIM, WARMUP_CANDLES
+from clmmlab.features import (OBSERVATION_DIM, WARMUP_CANDLES, FeatureScaler,
+                              compute_feature_matrix)
 from clmmlab.marketdata import bundled_candles_path, load_candles_csv, synth_gbm
-from clmmlab.nets import init_params, save_checkpoint
+from clmmlab.nets import init_params, load_checkpoint, save_checkpoint
 from clmmlab.report import (
     REPORT_CSV_HEADER,
     Report,
@@ -164,9 +168,11 @@ class TestRunBacktest:
         config = RunConfig(method="ewa", ewa_widths=5, ewa_eta=1.0,
                            ewa_t_re=24, offset=5, horizon=150)
         result = run_backtest(candles, config)
-        assert result.weights is not None
-        assert result.weights.shape == (5,)
-        assert float(result.weights.sum()) == pytest.approx(1.0, abs=1e-12)
+        records, weights = run_ewa(candles, 5, 150, config.ewa_config(),
+                                   config.env_config(episode_length=150))
+        assert records == result.records
+        assert weights.shape == (5,)
+        assert float(weights.sum()) == pytest.approx(1.0, abs=1e-12)
         assert check_row_identity(result.to_row()) <= 1e-9
 
     def test_window_must_fit_series(self, candles):
@@ -242,6 +248,41 @@ class TestRunBacktest:
         hist = result.action_histogram()
         assert hist.shape == (config.n_actions + 1,)
         assert int(hist.sum()) == 120
+
+
+class TestRunTraining:
+    def test_default_split_of_the_bundled_fixture(self, tmp_path, monkeypatch):
+        """The protocol with the learner stubbed out: train_ddqn receives
+        the envs run_training builds and returns an untrained net."""
+        calls = []
+
+        def train_ddqn(train_env, eval_env, config, budget, seed, eval_offsets):
+            calls.append(dict(train_env=train_env, eval_env=eval_env,
+                              budget=budget, seed=seed, eval_offsets=eval_offsets))
+            return TrainingResult(params=init_params(OBSERVATION_DIM, 11, seed=0),
+                                  best_val_return=0.0)
+
+        monkeypatch.setattr(backtest, "train_ddqn", train_ddqn)
+        path = bundled_candles_path()
+        run_training({"candles": path}, str(tmp_path))
+        (call,) = calls
+        train_env, eval_env = call["train_env"], call["eval_env"]
+        # 1,200 candles: 999 hours after the warmup, 70% of them to train on
+        rng = np.random.default_rng(0)
+        offsets = {train_env.sample_offset(rng) for _ in range(5000)}
+        assert (min(offsets), max(offsets)) == (200, 799)
+        assert train_env.config.episode_length == 100
+        assert len(train_env.candles) == 900
+        assert call["eval_offsets"] == [899]
+        assert eval_env.config.episode_length == 299
+        assert len(eval_env.candles) == 1199
+        assert (call["budget"], call["seed"]) == (5000, 0)
+        config = json.loads((tmp_path / "run.json").read_text())["config"]
+        assert (config["train_hours"], config["val_hours"]) == (699, 299)
+        # the scaler is fit on the training hours alone
+        matrix = compute_feature_matrix(load_candles_csv(path))
+        _, _, meta = load_checkpoint(str(tmp_path / "checkpoint.json"))
+        assert meta["scaler"] == FeatureScaler.fit(matrix[200:899]).to_dict()
 
 
 class TestWriteRunDir:

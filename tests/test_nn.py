@@ -396,7 +396,7 @@ class TestFlatMatchesOracle:
 
     def test_training_run_matches_oracle(self, monkeypatch):
         cfg = DDQNConfig(learning_rate=3e-3, batch_size=64, warm_start=200,
-                         eval_every_episodes=5, buffer_capacity=10_000)
+                         eval_every_episodes=5, buffer=10_000)
 
         def run():
             return train_ddqn(ToyPriceCycleEnv(), ToyPriceCycleEnv(), cfg, 1500, seed=4)
