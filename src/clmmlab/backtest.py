@@ -99,6 +99,12 @@ class RunConfig:
             raise RunError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.period is not None and self.period not in (1, 2, 3, 4):
             raise RunError(f"period must be 1..4, got {self.period}")
+        for name, value in (("offset", self.offset), ("horizon", self.horizon)):
+            if value is not None and value < 1:
+                raise RunError(f"{name} must be >= 1, got {value}")
+        if self.method == "ddqn" and (self.offset or WARMUP_CANDLES) < WARMUP_CANDLES:
+            raise RunError(f"ddqn offset {self.offset} is inside the "
+                           f"{WARMUP_CANDLES}-candle feature warmup")
         for name, method in METHOD_SETTINGS.items():
             if getattr(self, name) is not None and self.method != method:
                 raise RunError(f"{name} applies only to method {method}, "
@@ -275,22 +281,13 @@ class BacktestResult:
 
 
 def _default_window(config: RunConfig, n_candles: int) -> Tuple[int, int]:
+    """(offset, horizon) config replays: by default from the warmup's end
+    to the series' end, which must come at least one hour after offset."""
     offset = config.offset if config.offset is not None else WARMUP_CANDLES
-    if offset < 1:
-        raise RunError(f"offset must be >= 1, got {offset}")
-    horizon = config.horizon
-    if horizon is None:
-        horizon = n_candles - 1 - offset
-    if horizon < 1:
-        raise RunError(f"window [{offset}, {offset}+{horizon}] has no hours")
-    if offset + horizon >= n_candles:
-        raise RunError(
-            f"window needs candles through index {offset + horizon}, "
-            f"series has {n_candles}")
-    if config.method == "ddqn" and offset < WARMUP_CANDLES:
-        raise RunError(
-            f"ddqn offset {offset} is inside the {WARMUP_CANDLES}-candle "
-            f"feature warmup")
+    horizon = config.horizon if config.horizon is not None else n_candles - 1 - offset
+    if offset + max(horizon, 1) >= n_candles:
+        raise RunError(f"window needs candles through index "
+                       f"{offset + max(horizon, 1)}, series has {n_candles}")
     return offset, horizon
 
 
@@ -348,10 +345,10 @@ BACKTEST_FIELDS = tuple(RunConfig.__dataclass_fields__)  # type: ignore[attr-def
 
 TRAIN_FIELDS = ("candles", "seed", "l0", "gas", "n_actions", "fee_tier",
                 "tick_spacing", "pool", "reward_mode", "path_model",
-                "episode_length", "episodes", "budget", "train_hours",
-                "val_hours", "learning_rate", "batch_size", "buffer")
+                "episode_length", "budget", "train_hours", "val_hours",
+                "learning_rate", "batch_size", "buffer")
 
-# training's own defaults: RunConfig and DDQNConfig default the rest
+# train's own defaults (budget's in episodes); RunConfig, DDQNConfig default the rest
 TRAIN_DEFAULTS = {"episode_length": 100, "episodes": 50}
 
 
@@ -359,29 +356,37 @@ def run_training(settings: Dict, out_dir: str) -> TrainingResult:
     """Train the DDQN on settings (TRAIN_FIELDS, unset ones left out) and
     write checkpoint.json, training_log.csv and run.json into out_dir.
 
-    Both configs are checked before the candles file loads. Episodes start
+    Every setting is checked before the candles file loads. Episodes start
     in the first train_hours after the feature warmup (default 70%), which
     alone fit the scaler; one validation episode covers the val_hours after.
     """
-    s = dict(TRAIN_DEFAULTS, **settings)
+    unknown = sorted(set(settings) - set(TRAIN_FIELDS))
+    if unknown:
+        raise RunError(f"unknown config field {unknown[0]!r}")
+    if not settings.get("candles"):
+        raise RunError("missing required field 'candles'")
+    s = dict(settings)
+    episode_length = s.setdefault("episode_length", TRAIN_DEFAULTS["episode_length"])
+    s.setdefault("budget", TRAIN_DEFAULTS["episodes"] * episode_length)
     try:
         run = RunConfig(method="ddqn", **{k: s[k] for k in s if k in BACKTEST_FIELDS})
         learner = DDQNConfig(**{k: s[k] for k in s if k in DDQNConfig.__dataclass_fields__})
+        env_config = run.env_config(episode_length=episode_length)
     except ValueError as e:
         raise RunError(str(e)) from None
+    if s.get("train_hours", episode_length + 1) <= episode_length:
+        raise RunError(f"train_hours must be > episode_length={episode_length}, "
+                       f"got {s['train_hours']}")
     candles = load_candles_csv(run.candles)
     usable = len(candles) - WARMUP_CANDLES - 1
-    if usable < 20:
-        raise RunError(f"series too short to train on: {len(candles)} candles", "data")
     train_hours = s.setdefault("train_hours", int(usable * 0.7))
+    if usable < 20 or train_hours <= episode_length:  # a given one passed above
+        raise RunError(f"series too short to train on: {len(candles)} candles, "
+                       f"{train_hours} train hours for {episode_length}-hour "
+                       f"episodes", "data")
     val_hours = s.setdefault("val_hours", max(usable - train_hours - 1, 10))
-    episode_length = s["episode_length"]
-    if train_hours < episode_length + 1:
-        raise RunError("train_hours must exceed episode_length")
-    val_start = WARMUP_CANDLES + train_hours
-    val_start, val_hours = _default_window(
-        dataclasses.replace(run, offset=val_start, horizon=val_hours), len(candles))
-    budget = s.setdefault("budget", s["episodes"] * episode_length)
+    val_start, val_hours = _default_window(dataclasses.replace(
+        run, offset=WARMUP_CANDLES + train_hours, horizon=val_hours), len(candles))
     # every setting resolved, so run.json's config reruns this run via --config
     s.update(run.to_dict(), **dataclasses.asdict(learner))
     config = {k: s[k] for k in TRAIN_FIELDS}
@@ -390,13 +395,11 @@ def run_training(settings: Dict, out_dir: str) -> TrainingResult:
     matrix = compute_feature_matrix(candles)
     scaler = FeatureScaler.fit(matrix[WARMUP_CANDLES:val_start])
     matrix = scaler.apply(matrix)
-    train_env = LPEnv(candles[:val_start + 1],
-                      run.env_config(episode_length=episode_length),
-                      matrix[:val_start + 1])
+    train_env = LPEnv(candles[:val_start + 1], env_config, matrix[:val_start + 1])
     eval_end = val_start + val_hours + 1
     eval_env = LPEnv(candles[:eval_end], run.env_config(episode_length=val_hours),
                      matrix[:eval_end])
-    result = train_ddqn(train_env, eval_env, learner, budget,
+    result = train_ddqn(train_env, eval_env, learner, s["budget"],
                         seed=run.seed, eval_offsets=[val_start])
 
     os.makedirs(out_dir, exist_ok=True)

@@ -36,16 +36,14 @@ from .marketdata import Candle
 
 def policy_tau_reset(tau: int, position: LiquidityPosition, close: float) -> int:
     """Reallocate to width tau when the price sits outside the interval."""
-    if tau < 1:
-        raise ValueError(f"tau must be >= 1, got {tau}")
     if close < position.price_lower or close > position.price_upper:
         return tau
     return 0
 
 
 def run_tau_reset(env: LPEnv, tau: int, offset: int) -> List[HourRecord]:
-    """Roll the tau-reset policy through one episode; returns its hours."""
-    env.reset(offset)
+    """Roll tau-reset through one episode opened at width tau; returns its hours."""
+    env.reset(offset, tau)
     records: List[HourRecord] = []
     done = False
     while not done:

@@ -37,7 +37,7 @@ SETTING_KINDS = {
     **dict.fromkeys(("seed", "n_actions", "tick_spacing", "episode_length",
                      "batch_size", "buffer", "period", "offset", "horizon",
                      "tau", "ewa_widths", "ewa_t_re"), "int"),
-    **dict.fromkeys(("budget", "episodes", "train_hours", "val_hours"), "count"),
+    **dict.fromkeys(("budget", "train_hours", "val_hours"), "count"),
     **dict.fromkeys(("l0", "gas", "fee_tier", "learning_rate", "ewa_eta"), "float"),
 }
 
@@ -154,10 +154,8 @@ def cmd_features(args) -> int:
 
 
 def cmd_train(args) -> int:
-    settings = _merge(args, TRAIN_FIELDS)
-    _require(settings, "candles")
     out_dir = _require(vars(args), "out_dir")
-    result = run_training(settings, out_dir)
+    result = run_training(_merge(args, TRAIN_FIELDS), out_dir)
     print(f"trained {result.episodes} episodes ({result.steps} steps), "
           f"best val return {result.best_val_return:.4f}, "
           f"wrote {os.path.join(out_dir, 'checkpoint.json')}")

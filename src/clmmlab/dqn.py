@@ -106,9 +106,10 @@ class DDQNConfig:
         if not 0.0 < self.learning_rate < math.inf:
             raise ValueError(
                 f"learning_rate must be positive and finite, got {self.learning_rate}")
-        if self.batch_size < 1 or self.buffer < self.batch_size:
-            raise ValueError(f"batch_size must be >= 1 and fit in the buffer, "
-                             f"got {self.batch_size}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.buffer < self.batch_size:
+            raise ValueError(f"buffer must be >= batch_size={self.batch_size}, got {self.buffer}")
 
 
 def ddqn_target(

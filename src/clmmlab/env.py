@@ -150,7 +150,7 @@ class LPEnv:
             raise ValueError("series too short for a full episode after warmup")
         return int(rng.integers(lo, hi + 1))
 
-    def reset(self, offset: int) -> Optional[np.ndarray]:
+    def reset(self, offset: int, width: int = 1) -> Optional[np.ndarray]:
         if offset < self.min_offset():
             raise ValueError(
                 f"offset {offset} is before the first offset {self.min_offset()}"
@@ -160,12 +160,12 @@ class LPEnv:
                 f"offset {offset} leaves fewer than episode_length="
                 f"{self.config.episode_length} hours of data"
             )
+        close = self.candles[offset].close
+        self._open_position(close, width=width, budget=self.config.l0)
         self._t = offset
         self._steps_taken = 0
         self.done = False
         self.cash = 0.0
-        close = self.candles[offset].close
-        self._open_position(close, width=1, budget=self.config.l0)
         return self._observe(self.position_value(close))
 
     def _open_position(self, price: float, width: int, budget: float) -> None:

@@ -351,7 +351,7 @@ def check_determinism(work_dir: Optional[str] = None) -> CheckResult:
 
 
 def check_smoke(work_dir: Optional[str] = None) -> CheckResult:
-    """CLI backtests, a 50-episode train, and a report on the fixture."""
+    """CLI backtests, a default-length train, and a report on the fixture."""
     t0 = time.perf_counter()
     from .cli import main as cli_main
     fixture = bundled_candles_path()
@@ -368,7 +368,7 @@ def check_smoke(work_dir: Optional[str] = None) -> CheckResult:
                               "--ewa-eta", "1.0", "--ewa-t-re", "24",
                               "--candles", fixture, "--l0", "250",
                               "--out-dir", ewa_dir]),
-                    cli_main(["train", "--candles", fixture, "--episodes", "50",
+                    cli_main(["train", "--candles", fixture,
                               "--episode-length", "100", "--seed", "0",
                               "--out-dir", os.path.join(tmp, "train")]),
                     cli_main(["report", "--runs", tau_dir, ewa_dir,

@@ -192,6 +192,16 @@ class TestTrainDdqn:
         with pytest.raises(TypeError):
             DDQNConfig(gamma=0.5)
 
+    @pytest.mark.parametrize("settings,message", [
+        ({"batch_size": 0}, "batch_size must be >= 1, got 0"),
+        ({"buffer": 0}, "buffer must be >= batch_size=256, got 0"),
+        ({"batch_size": 64, "buffer": 63}, "buffer must be >= batch_size=64, got 63"),
+    ])
+    def test_rejection_names_the_setting_at_fault(self, settings, message):
+        with pytest.raises(ValueError) as err:
+            DDQNConfig(**settings)
+        assert str(err.value) == message
+
     def test_determinism(self):
         cfg = DDQNConfig(learning_rate=1e-3, batch_size=32, warm_start=200,
                          eval_every_episodes=5, buffer=10_000)
@@ -241,14 +251,16 @@ class TestTauReset:
         assert policy_tau_reset(6, pos, inside) == 0
         assert policy_tau_reset(6, pos, pos.price_upper * 1.0001) == 6
         assert policy_tau_reset(6, pos, pos.price_lower * 0.9999) == 6
-        with pytest.raises(ValueError):
-            policy_tau_reset(0, pos, inside)
+        with pytest.raises(ValueError, match="width must be >= 1, got 0"):
+            run_tau_reset(env, 0, 210)
 
     def test_run_resets_only_when_out_of_range(self):
         candles = synth_gbm(100.0, 0.0, 0.015, 400, seed=4)
         env = LPEnv(candles, EnvConfig(episode_length=150))
         records = run_tau_reset(env, 3, 210)
         assert len(records) == 150
+        # the episode opens at width tau: hour 0 holds it without reallocating
+        assert (records[0].action, records[0].width) == (0, 3)
         assert any(r.action != 0 for r in records)  # vol is high enough to exit
         for prev, cur in zip(records, records[1:]):
             if cur.action != 0:

@@ -23,7 +23,7 @@ def candles_csv(tmp_path_factory):
 
 
 def _never(*args, **kwargs):
-    raise AssertionError("a rejected train must not reach the feature matrix")
+    raise AssertionError("a rejected run must not get this far")
 
 
 def run_cli(argv, capsys):
@@ -118,7 +118,14 @@ class TestErrorContract:
         (["--method", "tau-reset", "--pool", "usdc", "--period", "1", "--l0", "300"],
          "no default tau for pool='usdc' period=1 l0=300; pass tau explicitly"),
         (["--method", "ddqn"], "ddqn backtests need a checkpoint path"),
-    ], ids=["tau-range", "partial-ewa", "no-default-tau", "ddqn-no-checkpoint"])
+        (["--method", "tau-reset", "--tau", "6", "--offset", "0"],
+         "offset must be >= 1, got 0"),
+        (["--method", "tau-reset", "--tau", "6", "--horizon", "0"],
+         "horizon must be >= 1, got 0"),
+        (["--method", "ddqn", "--offset", "5"],
+         f"ddqn offset 5 is inside the {WARMUP_CANDLES}-candle feature warmup"),
+    ], ids=["tau-range", "partial-ewa", "no-default-tau", "ddqn-no-checkpoint",
+            "offset-zero", "horizon-zero", "ddqn-offset-in-warmup"])
     def test_settings_that_clash_are_config_error_before_candles_load(
             self, capsys, tmp_path, argv, message):
         err = self._config_error(argv, capsys, tmp_path)
@@ -319,15 +326,18 @@ class TestTrainCommand:
         assert (out / "run.json").exists()
 
     @pytest.mark.parametrize("flag,value", [
-        ("--budget", "0"), ("--budget", "-5"), ("--episodes", "0"),
-        ("--train-hours", "0"), ("--val-hours", "0"), ("--l0", "nan"),
-        ("--gas", "inf"), ("--learning-rate", "nan"), ("--learning-rate", "inf"),
-        ("--learning-rate", "0"), ("--batch-size", "0"), ("--fee-tier", "nan"),
+        ("--budget", "0"), ("--budget", "-5"), ("--episode-length", "0"),
+        ("--train-hours", "0"), ("--train-hours", "40"), ("--val-hours", "0"),
+        ("--l0", "nan"), ("--gas", "inf"), ("--learning-rate", "nan"),
+        ("--learning-rate", "inf"), ("--learning-rate", "0"),
+        ("--batch-size", "0"), ("--buffer", "0"), ("--fee-tier", "nan"),
     ])
     def test_rejects_values_that_used_to_fall_back(self, candles_csv, capsys,
                                                    tmp_path, flag, value,
                                                    monkeypatch):
-        monkeypatch.setattr(backtest, "compute_feature_matrix", _never)
+        """Each is one config error before the candle file is read; the
+        episode length is 40, so 40 train hours hold no full episode."""
+        monkeypatch.setattr(backtest, "load_candles_csv", _never)
         out = tmp_path / "t"
         code, _, err = run_cli(
             ["train", "--candles", candles_csv, "--episode-length", "40",
@@ -337,6 +347,14 @@ class TestTrainCommand:
         assert err.strip().startswith(f"error: config: {field} must be")
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
+
+    def test_episodes_is_not_a_flag(self, candles_csv, capsys, tmp_path):
+        code, _, err = run_cli(
+            ["train", "--candles", candles_csv, "--episodes", "0",
+             "--out-dir", str(tmp_path / "t")], capsys)
+        assert code == 2
+        assert err.strip() == "error: usage: unrecognized arguments: --episodes 0"
+        assert not (tmp_path / "t").exists()
 
     def test_rejects_non_integer_budget_from_config_file(self, candles_csv,
                                                          capsys, tmp_path):
@@ -364,8 +382,18 @@ class TestTrainCommand:
         code, _, err = run_cli(["train", "--candles", path, "--out-dir",
                                 str(tmp_path / "t")], capsys)
         assert code == 1
-        assert err.strip() == "error: data: series too short to train on: 215 candles"
+        assert err.strip() == ("error: data: series too short to train on: 215 "
+                               "candles, 9 train hours for 100-hour episodes")
         assert not (tmp_path / "t").exists()
+
+    def test_default_train_hours_must_hold_an_episode(self, candles_csv, capsys,
+                                                      tmp_path, monkeypatch):
+        monkeypatch.setattr(backtest, "compute_feature_matrix", _never)
+        code, _, err = run_cli(["train", "--candles", candles_csv, "--episode-length",
+                                "200", "--out-dir", str(tmp_path / "t")], capsys)
+        assert code == 1
+        assert err.strip() == ("error: data: series too short to train on: 420 "
+                               "candles, 153 train hours for 200-hour episodes")
 
 
 class TestReportCommand:
@@ -653,7 +681,7 @@ PARSER_FLAGS = {
         ("--reward-mode", "reward_mode", None),
         ("--path-model", "path_model", None),
         ("--episode-length", "episode_length", int),
-        ("--episodes", "episodes", int), ("--budget", "budget", int),
+        ("--budget", "budget", int),
         ("--train-hours", "train_hours", int),
         ("--val-hours", "val_hours", int),
         ("--learning-rate", "learning_rate", float),

@@ -191,12 +191,18 @@ class TestRunBacktest:
             RunConfig.from_dict({"method": "ddqn"})
 
     def test_ddqn_offset_in_feature_warmup_rejected_before_checkpoint_loads(
-            self, candles, tmp_path):
-        config = RunConfig(method="ddqn", checkpoint=str(tmp_path / "absent.json"),
-                           offset=10, horizon=50)
+            self, tmp_path):
         with pytest.raises(RunError, match=f"ddqn offset 10 is inside the "
                                            f"{WARMUP_CANDLES}-candle feature warmup"):
+            RunConfig(method="ddqn", checkpoint=str(tmp_path / "absent.json"),
+                      offset=10, horizon=50)
+
+    def test_default_horizon_needs_an_hour_after_the_offset(self, candles):
+        config = RunConfig(method="tau-reset", tau=6, offset=len(candles) - 1)
+        with pytest.raises(RunError) as err:
             run_backtest(candles, config)
+        assert str(err.value) == (f"window needs candles through index "
+                                  f"{len(candles)}, series has {len(candles)}")
 
     def test_ddqn_without_checkpoint_is_run_error_before_any_file(
             self, candles, monkeypatch):
@@ -251,6 +257,15 @@ class TestRunBacktest:
 
 
 class TestRunTraining:
+    def test_settings_are_required_and_known(self, tmp_path):
+        for settings, message in (({}, "missing required field 'candles'"),
+                                  ({"candles": "c.csv", "episodes": 5},
+                                   "unknown config field 'episodes'")):
+            with pytest.raises(RunError) as err:
+                run_training(settings, str(tmp_path))
+            assert (str(err.value), err.value.category) == (message, "config")
+        assert not os.listdir(tmp_path)
+
     def test_default_split_of_the_bundled_fixture(self, tmp_path, monkeypatch):
         """The protocol with the learner stubbed out: train_ddqn receives
         the envs run_training builds and returns an untrained net."""
