@@ -16,6 +16,7 @@ import hashlib
 import json
 import math
 import os
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -29,7 +30,8 @@ from .dqn import (DDQNConfig, TRAINING_LOG_HEADER, TrainingResult,
                   greedy_rollout, train_ddqn)
 from .env import EnvConfig, HourRecord, LPEnv, TRACE_CSV_HEADER
 from .features import WARMUP_CANDLES, FeatureScaler, compute_feature_matrix
-from .marketdata import Candle, candles_to_arrays, load_candles_csv, synth_gbm
+from .marketdata import (HOUR, REFERENCE_PERIODS, Candle, _utc, candles_to_arrays,
+                         load_candles_csv, synth_gbm)
 from .report import REPORT_CSV_HEADER, in_header_order, write_csv_rows
 from . import nets
 
@@ -66,7 +68,8 @@ class RunConfig:
     Complete once built: a method hyperparameter left unset is filled
     from the tuned tables, and such a run is labeled "oracle-tuned"
     unless it names its own label, since the table defaults were
-    selected for best test-set performance.
+    selected for best test-set performance. A period replays that study
+    period's test range (REFERENCE_PERIODS) in place of offset/horizon.
 
     The output directory is deliberately not part of the config (or of
     run_digest): two runs of the same config into different directories
@@ -76,16 +79,16 @@ class RunConfig:
     method: str
     candles: Optional[str] = None
     pool: str = "synth"
-    fee_tier: float = 0.003
-    tick_spacing: int = 60
+    fee_tier: float = PoolSpec.fee_tier
+    tick_spacing: int = PoolSpec.tick_spacing
     period: Optional[int] = None
     offset: Optional[int] = None
     horizon: Optional[int] = None
-    l0: float = 250.0
-    gas: float = 1.0
-    n_actions: int = 10
-    reward_mode: str = "hedged"
-    path_model: str = "candle"
+    l0: float = EnvConfig.l0
+    gas: float = EnvConfig.gas
+    n_actions: int = EnvConfig.n_actions
+    reward_mode: str = EnvConfig.reward_mode
+    path_model: str = EnvConfig.path_model
     seed: int = 0
     tau: Optional[int] = None
     ewa_widths: Optional[int] = None
@@ -97,8 +100,12 @@ class RunConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise RunError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.period is not None and self.period not in (1, 2, 3, 4):
-            raise RunError(f"period must be 1..4, got {self.period}")
+        if self.period is not None and self.period not in REFERENCE_PERIODS:
+            raise RunError(f"period must be one of {list(REFERENCE_PERIODS)}, "
+                           f"got {self.period}")
+        if self.period is not None and (self.offset, self.horizon) != (None, None):
+            raise RunError(f"period {self.period} replays its test range; "
+                           f"offset and horizon cannot be set with it")
         for name, value in (("offset", self.offset), ("horizon", self.horizon)):
             if value is not None and value < 1:
                 raise RunError(f"{name} must be >= 1, got {value}")
@@ -280,9 +287,29 @@ class BacktestResult:
         }
 
 
-def _default_window(config: RunConfig, n_candles: int) -> Tuple[int, int]:
-    """(offset, horizon) config replays: by default from the warmup's end
-    to the series' end, which must come at least one hour after offset."""
+def _default_window(config: RunConfig, candles: Sequence[Candle]) -> Tuple[int, int]:
+    """(offset, horizon) config replays over candles.
+
+    With a period, the band opens at the close of the candle before the
+    period's test range and the run walks every candle inside it, so the
+    series must hold both. Otherwise offset defaults to the warmup's end
+    and horizon to the series' end, which must come at least one hour
+    after offset.
+    """
+    if config.period is not None:
+        first, last = REFERENCE_PERIODS[config.period]["test"]
+        start, end = _utc(first), _utc(last)
+        named = f"period {config.period}'s test range {first} to {last} (UTC, end exclusive)"
+        i_start = bisect_left(candles, start, key=lambda c: c.timestamp)
+        i_end = bisect_left(candles, end, key=lambda c: c.timestamp)
+        if i_start < 1 or i_end == i_start or candles[-1].timestamp < end - HOUR:
+            raise RunError(f"series does not hold {named} and the candle before it")
+        offset, horizon = i_start - 1, i_end - i_start
+        if config.method == "ddqn" and offset < WARMUP_CANDLES:
+            raise RunError(f"{named} opens at candle {offset}, inside the ddqn "
+                           f"{WARMUP_CANDLES}-candle feature warmup")
+        return offset, horizon
+    n_candles = len(candles)
     offset = config.offset if config.offset is not None else WARMUP_CANDLES
     horizon = config.horizon if config.horizon is not None else n_candles - 1 - offset
     if offset + max(horizon, 1) >= n_candles:
@@ -302,7 +329,7 @@ def run_backtest(candles: Sequence[Candle], config: RunConfig) -> BacktestResult
     per-width rewards; reward_mode only changes how the result row
     reports PnL.
     """
-    offset, horizon = _default_window(config, len(candles))
+    offset, horizon = _default_window(config, candles)
     _require_checkpoint(config)
     checkpoint = None
     if config.method == "ddqn":
@@ -386,7 +413,7 @@ def run_training(settings: Dict, out_dir: str) -> TrainingResult:
                        f"episodes", "data")
     val_hours = s.setdefault("val_hours", max(usable - train_hours - 1, 10))
     val_start, val_hours = _default_window(dataclasses.replace(
-        run, offset=WARMUP_CANDLES + train_hours, horizon=val_hours), len(candles))
+        run, offset=WARMUP_CANDLES + train_hours, horizon=val_hours), candles)
     # every setting resolved, so run.json's config reruns this run via --config
     s.update(run.to_dict(), **dataclasses.asdict(learner))
     config = {k: s[k] for k in TRAIN_FIELDS}

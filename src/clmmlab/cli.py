@@ -242,7 +242,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         category = e.category if isinstance(e, RunError) else "report"
         print(f"error: {category}: {e}", file=sys.stderr)
         return 2 if category == "usage" else 1
-    except (DataValidationError, nets.CheckpointError, FileNotFoundError,
+    except (DataValidationError, nets.CheckpointError, OSError,
             ValueError, RuntimeError) as e:
         print(f"error: run: {e}", file=sys.stderr)
         return 1

@@ -197,14 +197,22 @@ def bop(open_: np.ndarray, high: np.ndarray, low: np.ndarray, close: np.ndarray)
     return out.astype(float)
 
 
+_BLOCK_WINDOWS = 256
+
+
 def cci(high: np.ndarray, low: np.ndarray, close: np.ndarray, period: int = 14) -> np.ndarray:
     n = _validate(high, low, close)
     tp = (high + low + close) / 3.0
     out = np.full(n, np.nan)
     w = _windows(tp, period)
     m = w.sum(axis=1) / period
-    dev = w - m[:, None]
-    dev = np.abs(dev, out=dev).sum(axis=1) / period
+    # the mean deviation a block of windows at a time, which bounds the
+    # (windows, period) temporary; each row keeps numpy's pairwise order
+    dev = np.empty_like(m)
+    for a in range(0, len(m), _BLOCK_WINDOWS):
+        block = slice(a, a + _BLOCK_WINDOWS)
+        d = w[block] - m[block, None]
+        dev[block] = np.abs(d, out=d).sum(axis=1) / period
     with np.errstate(invalid="ignore", divide="ignore"):
         out[period - 1:] = np.where(dev > 0.0, (tp[period - 1:] - m) / (0.015 * dev), 0.0)
     return out

@@ -1,4 +1,4 @@
-"""Hourly candle acquisition, validation, synthesis, and study partitions.
+"""Hourly candle acquisition, validation, synthesis, and study period dates.
 
 Candles are hourly OHLCV bars with epoch-second timestamps and human-readable
 decimal-adjusted prices.  The CSV schema is fixed:
@@ -13,7 +13,7 @@ import math
 import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -145,37 +145,6 @@ def candles_to_arrays(candles: Sequence[Candle]):
     return ts, o, h, l, cl, v
 
 
-# ---------------------------------------------------------------- partitions
-
-
-@dataclass(frozen=True)
-class TimeRange:
-    """Half-open [start, end) range of epoch seconds."""
-
-    start: int
-    end: int
-
-    def __post_init__(self):
-        if self.end <= self.start:
-            raise DataValidationError(f"empty time range [{self.start}, {self.end})")
-
-    def contains(self, ts: int) -> bool:
-        return self.start <= ts < self.end
-
-
-@dataclass(frozen=True)
-class DatasetPartition:
-    train: TimeRange
-    validation: TimeRange
-    test: TimeRange
-
-    def __post_init__(self):
-        if not (self.train.end <= self.validation.start and self.validation.end <= self.test.start):
-            raise DataValidationError(
-                "partition ranges must be ordered train < validation < test and disjoint"
-            )
-
-
 def bundled_candles_path() -> str:
     """Filesystem path of the packaged 1200-hour synthetic candle fixture."""
     import importlib.resources
@@ -183,44 +152,24 @@ def bundled_candles_path() -> str:
     return str(ref)
 
 
+# ------------------------------------------------------------------ periods
+
 def _utc(date: str) -> int:
     return int(datetime.strptime(date, "%Y-%m-%d").replace(tzinfo=timezone.utc).timestamp())
 
 
-def _part(train_a, train_b, val_a, val_b, test_a, test_b) -> DatasetPartition:
-    return DatasetPartition(
-        TimeRange(_utc(train_a), _utc(train_b)),
-        TimeRange(_utc(val_a), _utc(val_b)),
-        TimeRange(_utc(test_a), _utc(test_b)),
-    )
-
-
-# the four benchmark study windows over 2021-2023 pool history
+# the four study periods over 2021-2023 pool history: the (start, end) UTC
+# dates of each period's train, validation and test ranges, end exclusive
 REFERENCE_PERIODS = {
-    1: _part("2021-08-02", "2022-07-01", "2022-07-01", "2022-08-11", "2022-08-12", "2022-09-22"),
-    2: _part("2021-09-12", "2022-08-11", "2022-08-12", "2022-09-22", "2022-09-22", "2022-11-03"),
-    3: _part("2021-10-24", "2022-09-22", "2022-09-22", "2022-11-03", "2022-11-03", "2022-12-14"),
-    4: _part("2021-12-05", "2022-11-03", "2022-11-03", "2022-12-14", "2022-12-15", "2023-01-25"),
+    1: {"train": ("2021-08-02", "2022-07-01"), "validation": ("2022-07-01", "2022-08-11"),
+        "test": ("2022-08-12", "2022-09-22")},
+    2: {"train": ("2021-09-12", "2022-08-11"), "validation": ("2022-08-12", "2022-09-22"),
+        "test": ("2022-09-22", "2022-11-03")},
+    3: {"train": ("2021-10-24", "2022-09-22"), "validation": ("2022-09-22", "2022-11-03"),
+        "test": ("2022-11-03", "2022-12-14")},
+    4: {"train": ("2021-12-05", "2022-11-03"), "validation": ("2022-11-03", "2022-12-14"),
+        "test": ("2022-12-15", "2023-01-25")},
 }
-
-
-def partition_indices(candles: Sequence[Candle], rng: TimeRange) -> Tuple[int, int]:
-    """Half-open index range of candles inside `rng`; errors if empty."""
-    lo = None
-    hi = None
-    for i, c in enumerate(candles):
-        if rng.contains(c.timestamp):
-            if lo is None:
-                lo = i
-            hi = i + 1
-    if lo is None:
-        raise DataValidationError(
-            f"no candles inside [{rng.start}, {rng.end}); series covers "
-            f"[{candles[0].timestamp}, {candles[-1].timestamp}]"
-            if candles
-            else "no candles at all"
-        )
-    return lo, hi
 
 
 # ------------------------------------------------------------------ synthesis

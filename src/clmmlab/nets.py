@@ -339,6 +339,8 @@ def parse_checkpoint(data: bytes) -> Tuple[NetworkParams, Optional[OptimizerStat
         doc = json.loads(data)
     except json.JSONDecodeError as e:
         raise CheckpointError(f"not valid JSON: {e}") from None
+    if not isinstance(doc, dict):
+        raise CheckpointError(f"checkpoint must hold a JSON object, got {type(doc).__name__}")
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"unknown checkpoint format {doc.get('format')!r}")
     params = _decode_params(doc.get("params"), "params", "")

@@ -7,10 +7,11 @@ import shutil
 
 import pytest
 
-from clmmlab import backtest
+from clmmlab import backtest, cli
 from clmmlab.cli import build_parser, main
 from clmmlab.features import OBSERVATION_DIM, WARMUP_CANDLES
-from clmmlab.marketdata import bundled_candles_path, save_candles_csv, synth_gbm
+from clmmlab.marketdata import (HOUR, REFERENCE_PERIODS, _utc, bundled_candles_path,
+                                save_candles_csv, synth_gbm)
 from clmmlab.nets import init_params, load_checkpoint, save_checkpoint
 from clmmlab.report import read_report_csv
 
@@ -19,6 +20,18 @@ from clmmlab.report import read_report_csv
 def candles_csv(tmp_path_factory):
     path = str(tmp_path_factory.mktemp("data") / "candles.csv")
     save_candles_csv(synth_gbm(2000.0, 0.0, 0.01, 420, seed=33), path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def period_csv(tmp_path_factory):
+    """Candles from the hour before period 1's test range through the end
+    of period 2's, which follows it."""
+    start = _utc(REFERENCE_PERIODS[1]["test"][0]) - HOUR
+    n_hours = (_utc(REFERENCE_PERIODS[2]["test"][1]) - start) // HOUR
+    path = str(tmp_path_factory.mktemp("data") / "period.csv")
+    save_candles_csv(synth_gbm(2000.0, 0.0, 0.01, n_hours, seed=34,
+                               start_ts=start), path)
     return path
 
 
@@ -131,6 +144,39 @@ class TestErrorContract:
         err = self._config_error(argv, capsys, tmp_path)
         assert err == f"error: config: {message}"
 
+    @pytest.mark.parametrize("flags", [["--offset", "250"], ["--horizon", "100"],
+                                       ["--offset", "250", "--horizon", "100"]],
+                             ids=["offset", "horizon", "both"])
+    def test_period_with_offset_or_horizon_is_config_error_before_candles_load(
+            self, candles_csv, capsys, tmp_path, monkeypatch, flags):
+        monkeypatch.setattr(cli, "load_candles_csv", _never)
+        monkeypatch.setattr(backtest, "load_candles_csv", _never)
+        code, _, err = run_cli(
+            ["backtest", "--method", "tau-reset", "--tau", "6", "--period", "1",
+             *flags, "--candles", candles_csv, "--out-dir", str(tmp_path / "out")],
+            capsys)
+        assert code == 1
+        assert err.strip() == ("error: config: period 1 replays its test range; "
+                               "offset and horizon cannot be set with it")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("method,message", [
+        (["--method", "tau-reset", "--tau", "6", "--period", "3"],
+         "series does not hold period 3's test range 2022-11-03 to 2022-12-14 "
+         "(UTC, end exclusive) and the candle before it"),
+        (["--method", "ddqn", "--period", "1", "--checkpoint", "absent.json"],
+         "period 1's test range 2022-08-12 to 2022-09-22 (UTC, end exclusive) "
+         f"opens at candle 0, inside the ddqn {WARMUP_CANDLES}-candle feature "
+         "warmup"),
+    ], ids=["uncovered-range", "ddqn-warmup-overlap"])
+    def test_period_window_the_series_cannot_give_is_one_error(
+            self, period_csv, capsys, tmp_path, method, message):
+        code, _, err = run_cli(["backtest", *method, "--candles", period_csv,
+                                "--out-dir", str(tmp_path / "out")], capsys)
+        assert code == 1
+        assert err.strip() == f"error: config: {message}"
+        assert not (tmp_path / "out").exists()
+
     def test_bad_checkpoint_shape_is_run_error(self, candles_csv, capsys,
                                                tmp_path):
         ckpt = tmp_path / "net.json"
@@ -176,6 +222,26 @@ class TestErrorContract:
              "--candles", str(path), "--out-dir", str(tmp_path / "out")], capsys)
         assert code == 1
         assert err.strip().startswith("error: run: row 102: timestamp")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        lambda d, csv: ["--method", "tau-reset", "--tau", "6", "--candles", d,
+                        "--out-dir", f"{d}/out"],
+        lambda d, csv: ["--config", d],
+        lambda d, csv: ["--method", "tau-reset", "--tau", "6", "--candles", csv,
+                        "--out-dir", f"{d}/file"],
+        lambda d, csv: ["--method", "ddqn", "--checkpoint", f"{d}/list.json",
+                        "--candles", csv, "--out-dir", f"{d}/out"],
+    ], ids=["candles-is-a-directory", "config-is-a-directory",
+            "out-dir-is-a-file", "checkpoint-is-not-an-object"])
+    def test_unreadable_input_or_output_is_one_run_error(self, candles_csv,
+                                                         capsys, tmp_path, argv):
+        (tmp_path / "file").write_text("")
+        (tmp_path / "list.json").write_text("[1, 2]")
+        code, _, err = run_cli(["backtest", *argv(str(tmp_path), candles_csv)],
+                               capsys)
+        assert code == 1
+        assert err.startswith("error: run: ")
         assert len(err.strip().splitlines()) == 1
 
     def test_config_file_not_found(self, capsys, tmp_path):
@@ -254,16 +320,22 @@ class TestBacktestCommand:
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
 
-    def test_oracle_tuned_label_lands_in_report(self, candles_csv, capsys,
+    def test_oracle_tuned_label_lands_in_report(self, period_csv, capsys,
                                                 tmp_path):
+        """The period's test window is resolved into report.csv and
+        run.json: period 1's 984 hours open at the fixture's first candle."""
         out = tmp_path / "run"
         code, _, _ = run_cli(
             ["backtest", "--method", "tau-reset", "--pool", "usdc",
-             "--period", "1", "--candles", candles_csv, "--offset", "10",
-             "--horizon", "100", "--out-dir", str(out)], capsys)
+             "--period", "1", "--candles", period_csv, "--out-dir", str(out)],
+            capsys)
         assert code == 0
         rows = read_report_csv(str(out / "report.csv"))
         assert rows[0]["label"] == "oracle-tuned"
+        assert (rows[0]["period"], rows[0]["offset"], rows[0]["hours"]) == (1, 0, 984)
+        doc = json.loads((out / "run.json").read_text())
+        assert (doc["offset"], doc["horizon"]) == (0, 984)
+        assert (doc["config"]["offset"], doc["config"]["horizon"]) == (None, None)
 
 
 class TestFeaturesCommand:
@@ -541,9 +613,10 @@ class TestConfigFile:
         ("train", ["--seed", "2", "--episode-length", "40", "--budget", "200",
                    "--train-hours", "150", "--val-hours", "50"]),
     ], ids=["backtest", "backtest-tau-table", "backtest-ewa-table", "train"])
-    def test_run_json_config_reruns_identically(self, candles_csv, capsys,
-                                                tmp_path, command, flags):
-        code, _, _ = run_cli([command, *flags, "--candles", candles_csv,
+    def test_run_json_config_reruns_identically(self, candles_csv, period_csv,
+                                                capsys, tmp_path, command, flags):
+        candles = period_csv if "--period" in flags else candles_csv
+        code, _, _ = run_cli([command, *flags, "--candles", candles,
                               "--out-dir", str(tmp_path / "a")], capsys)
         assert code == 0
         config = json.loads((tmp_path / "a" / "run.json").read_text())["config"]

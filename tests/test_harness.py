@@ -28,7 +28,8 @@ from clmmlab.dqn import TrainingResult
 from clmmlab.env import EnvConfig
 from clmmlab.features import (OBSERVATION_DIM, WARMUP_CANDLES, FeatureScaler,
                               compute_feature_matrix)
-from clmmlab.marketdata import bundled_candles_path, load_candles_csv, synth_gbm
+from clmmlab.marketdata import (HOUR, REFERENCE_PERIODS, _utc, bundled_candles_path,
+                                load_candles_csv, synth_gbm)
 from clmmlab.nets import init_params, load_checkpoint, save_checkpoint
 from clmmlab.report import (
     REPORT_CSV_HEADER,
@@ -254,6 +255,86 @@ class TestRunBacktest:
         hist = result.action_histogram()
         assert hist.shape == (config.n_actions + 1,)
         assert int(hist.sum()) == 120
+
+
+def _around_test_range(period, hours_before, hours_after=0, seed=4):
+    """GBM candles from hours_before hours before period's test range to
+    hours_after hours past its last candle."""
+    first, last = (_utc(d) for d in REFERENCE_PERIODS[period]["test"])
+    n_hours = hours_before + (last - first) // HOUR + hours_after
+    return synth_gbm(2000.0, 0.0, 0.01, n_hours, seed=seed,
+                     start_ts=first - hours_before * HOUR)
+
+
+class TestPeriodWindow:
+    """A period replays its test range: the band opens at the close of the
+    candle before the range and the run walks every candle inside it."""
+
+    @pytest.mark.parametrize("period", sorted(REFERENCE_PERIODS))
+    def test_replays_exactly_the_test_range(self, period):
+        candles = _around_test_range(period, hours_before=30, hours_after=20)
+        first, last = (_utc(d) for d in REFERENCE_PERIODS[period]["test"])
+        result = run_backtest(candles, RunConfig(method="tau-reset", tau=4,
+                                                 period=period))
+        assert candles[result.offset + 1].timestamp == first
+        assert result.horizon == len(result.records) == (last - first) // HOUR
+        # a record's t is the candle its hour ends on
+        assert candles[result.records[0].t].timestamp == first
+        assert candles[result.records[-1].t].timestamp == last - HOUR
+        assert result.to_row()["hours"] == result.horizon
+
+    def test_period_one_is_984_hours_for_every_method(self):
+        candles = _around_test_range(1, hours_before=1)
+        for config in (RunConfig(method="tau-reset", tau=6, period=1),
+                       RunConfig(method="ewa", pool="usdc", period=1)):
+            result = run_backtest(candles, config)
+            assert (result.offset, result.horizon) == (0, 984)
+            assert len(result.records) == 984
+
+    @pytest.mark.parametrize("setting", [{"offset": 5}, {"horizon": 50},
+                                         {"offset": 5, "horizon": 50}])
+    def test_offset_or_horizon_with_period_is_rejected(self, setting):
+        with pytest.raises(RunError) as err:
+            RunConfig(method="tau-reset", tau=4, period=2, **setting)
+        assert str(err.value) == ("period 2 replays its test range; offset and "
+                                  "horizon cannot be set with it")
+
+    @pytest.mark.parametrize("before,after", [(0, 10), (10, -1)],
+                             ids=["no-candle-before", "short-by-an-hour"])
+    def test_series_that_misses_the_range_names_its_dates(self, before, after):
+        candles = _around_test_range(3, hours_before=before, hours_after=after)
+        with pytest.raises(RunError) as err:
+            run_backtest(candles, RunConfig(method="tau-reset", tau=4, period=3))
+        assert err.value.category == "config"
+        assert str(err.value) == (
+            "series does not hold period 3's test range 2022-11-03 to "
+            "2022-12-14 (UTC, end exclusive) and the candle before it")
+
+    def test_series_far_from_the_range_is_rejected(self, candles):
+        with pytest.raises(RunError, match="period 1's test range 2022-08-12"):
+            run_backtest(candles, RunConfig(method="tau-reset", tau=4, period=1))
+        with pytest.raises(RunError, match="does not hold"):
+            run_backtest([], RunConfig(method="tau-reset", tau=4, period=1))
+
+    def test_ddqn_range_inside_feature_warmup_is_rejected(self, tmp_path):
+        candles = _around_test_range(4, hours_before=WARMUP_CANDLES)
+        config = RunConfig(method="ddqn", period=4,
+                           checkpoint=str(tmp_path / "absent.json"))
+        with pytest.raises(RunError) as err:
+            run_backtest(candles, config)
+        assert str(err.value) == (
+            f"period 4's test range 2022-12-15 to 2023-01-25 (UTC, end "
+            f"exclusive) opens at candle {WARMUP_CANDLES - 1}, inside the ddqn "
+            f"{WARMUP_CANDLES}-candle feature warmup")
+
+    def test_ddqn_replays_the_range_after_the_warmup(self, tmp_path):
+        ckpt = str(tmp_path / "net.json")
+        save_checkpoint(ckpt, init_params(OBSERVATION_DIM, 11, seed=3))
+        candles = _around_test_range(4, hours_before=WARMUP_CANDLES + 1)
+        result = run_backtest(candles, RunConfig(method="ddqn", period=4,
+                                                 checkpoint=ckpt))
+        assert result.offset == WARMUP_CANDLES
+        assert result.horizon == len(result.records) == 41 * 24
 
 
 class TestRunTraining:

@@ -1,3 +1,4 @@
+import tracemalloc
 import types
 
 import numpy as np
@@ -334,3 +335,18 @@ def test_feature_matrix_runs_the_hilbert_pass_once(monkeypatch):
     assert_bit_equal(matrix[:, 26], ind.ht_dc_period(c))
     assert_bit_equal(matrix[:, 27], ind.ht_dc_phase(c))
     assert_bit_equal(ind.ht_dc_phase(c, ind.ht_dc_period(c)), ind.ht_dc_phase(c))
+
+
+@pytest.mark.parametrize("period", [30, 100])
+def test_cci_never_holds_every_window_deviation_at_once(period):
+    """cci sums absolute deviations a block of windows at a time, so its
+    peak allocation stays below the (windows, period) array one pass over
+    all windows would build: 761 KB at period 30 on 3,201 bars."""
+    _, h, l, c = walk_bars(3201, 2000.0, seed=3)
+    tracemalloc.start()
+    try:
+        ind.cci(h, l, c, period)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (3201 - period + 1) * period * 8

@@ -110,38 +110,22 @@ class TestCsvRoundTrip:
 class TestPartitions:
     def test_reference_period_dates(self):
         p1 = md.REFERENCE_PERIODS[1]
-        assert p1.train.start == md._utc("2021-08-02")
-        assert p1.train.end == md._utc("2022-07-01")
-        assert p1.validation.end == md._utc("2022-08-11")
-        assert p1.test.start == md._utc("2022-08-12")
-        assert p1.test.end == md._utc("2022-09-22")
-        p4 = md.REFERENCE_PERIODS[4]
-        assert p4.test.start == md._utc("2022-12-15")
-        assert p4.test.end == md._utc("2023-01-25")
+        assert p1["train"] == ("2021-08-02", "2022-07-01")
+        assert p1["validation"][1] == "2022-08-11"
+        assert p1["test"] == ("2022-08-12", "2022-09-22")
+        assert md.REFERENCE_PERIODS[4]["test"] == ("2022-12-15", "2023-01-25")
+        assert sorted(md.REFERENCE_PERIODS) == [1, 2, 3, 4]
         assert md._utc("2021-08-02") == 1627862400
 
     def test_partition_validation(self):
-        t0 = 1609459200
-        good = md.DatasetPartition(
-            train=md.TimeRange(t0, t0 + 100 * md.HOUR),
-            validation=md.TimeRange(t0 + 100 * md.HOUR, t0 + 150 * md.HOUR),
-            test=md.TimeRange(t0 + 150 * md.HOUR, t0 + 200 * md.HOUR),
-        )
-        assert good.train.contains(t0)
-        assert not good.train.contains(t0 + 100 * md.HOUR)
-        with pytest.raises(ValueError):
-            md.DatasetPartition(
-                train=md.TimeRange(t0, t0 + 100),
-                validation=md.TimeRange(t0 + 50, t0 + 150),
-                test=md.TimeRange(t0 + 150, t0 + 200),
-            )
-
-    def test_slice_and_indices(self):
-        candles = md.synth_gbm(100.0, 0.0, 0.01, 100, seed=3)
-        t0 = candles[0].timestamp
-        rng = md.TimeRange(t0 + 10 * md.HOUR, t0 + 20 * md.HOUR)
-        lo, hi = md.partition_indices(candles, rng)
-        assert (lo, hi) == (10, 20)
+        """Each range is non-empty and the ranges run train < validation <
+        test without overlapping: every bound is at least the one before."""
+        for period, ranges in md.REFERENCE_PERIODS.items():
+            assert list(ranges) == ["train", "validation", "test"], period
+            bounds = [md._utc(d) for pair in ranges.values() for d in pair]
+            for start, end in zip(bounds[::2], bounds[1::2]):
+                assert start < end, period
+            assert bounds == sorted(bounds), period
 
 
 class TestSynthGbm:
