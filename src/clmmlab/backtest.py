@@ -177,26 +177,25 @@ class RunConfig:
     def to_dict(self) -> Dict:
         return dataclasses.asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: Dict) -> "RunConfig":
-        """The config of a run to execute (flags, a config file or
-        run.json's config): it must also name the checkpoint a ddqn
-        backtest replays. RunConfig(method="ddqn") alone stays valid, as
-        the env settings of a training run."""
-        known = {f.name for f in dataclasses.fields(cls)}
-        for key in data:
-            if key not in known:
-                raise RunError(f"unknown config field {key!r}")
-        if "method" not in data:
-            raise RunError("missing config field 'method'")
-        config = cls(**data)
-        _require_checkpoint(config)
-        return config
-
 
 def _require_checkpoint(config: RunConfig) -> None:
+    """Not in RunConfig: RunConfig(method="ddqn") is also a training run's env."""
     if config.method == "ddqn" and config.checkpoint is None:
         raise RunError("ddqn backtests need a checkpoint path")
+
+
+def _check_settings(settings: Dict, fields: Sequence[str], required: Sequence[str],
+                    out_dir: str) -> None:
+    """Both run functions' gate, before any file is read: settings are known,
+    the required ones set, and out_dir is a directory or does not exist."""
+    unknown = sorted(set(settings) - set(fields))
+    if unknown:
+        raise RunError(f"unknown config field {unknown[0]!r}")
+    for name in required:
+        if settings.get(name) in (None, ""):
+            raise RunError(f"missing required field {name!r}")
+    if os.path.exists(out_dir) and not os.path.isdir(out_dir):
+        raise NotADirectoryError(f"out_dir is not a directory: {out_dir}")
 
 
 def run_digest(settings: Dict, candles: Sequence[Candle],
@@ -204,20 +203,16 @@ def run_digest(settings: Dict, candles: Sequence[Candle],
     """The run's identity, embedded in every artifact it writes.
 
     A 12-hex sha256 of the resolved settings without their path fields,
-    of the candle series the run received and of the bytes of the
-    checkpoint file the settings name, if any: `checkpoint` when the
-    caller already read them, else read here. The same inputs read from
-    any path give the same digest; any edited input gives another.
+    of the candle series the run received and of the checkpoint bytes it
+    replays, if any. The same inputs read from any path give the same
+    digest; any edited input gives another.
     """
     doc = {k: v for k, v in settings.items() if k not in PATH_SETTINGS}
     series = hashlib.sha256()
     for column in candles_to_arrays(candles):
         series.update(column.tobytes())
     doc["candles_sha256"] = series.hexdigest()
-    if settings.get("checkpoint") is not None:
-        if checkpoint is None:
-            with open(settings["checkpoint"], "rb") as fh:
-                checkpoint = fh.read()
+    if checkpoint is not None:
         doc["checkpoint_sha256"] = hashlib.sha256(checkpoint).hexdigest()
     text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()[:12]
@@ -379,19 +374,26 @@ TRAIN_FIELDS = ("candles", "seed", "l0", "gas", "n_actions", "fee_tier",
 TRAIN_DEFAULTS = {"episode_length": 100, "episodes": 50}
 
 
+def run_backtest_dir(settings: Dict, out_dir: str) -> BacktestResult:
+    """Replay settings (BACKTEST_FIELDS, unset ones left out), every one checked
+    before the candle file loads, and write the run directory into out_dir."""
+    _check_settings(settings, BACKTEST_FIELDS, ("method", "candles"), out_dir)
+    config = RunConfig(**settings)
+    _require_checkpoint(config)
+    result = run_backtest(load_candles_csv(config.candles), config)
+    write_run_dir(result, out_dir)
+    return result
+
+
 def run_training(settings: Dict, out_dir: str) -> TrainingResult:
     """Train the DDQN on settings (TRAIN_FIELDS, unset ones left out) and
     write checkpoint.json, training_log.csv and run.json into out_dir.
 
-    Every setting is checked before the candles file loads. Episodes start
+    Every setting is checked before the candle file loads. Episodes start
     in the first train_hours after the feature warmup (default 70%), which
     alone fit the scaler; one validation episode covers the val_hours after.
     """
-    unknown = sorted(set(settings) - set(TRAIN_FIELDS))
-    if unknown:
-        raise RunError(f"unknown config field {unknown[0]!r}")
-    if not settings.get("candles"):
-        raise RunError("missing required field 'candles'")
+    _check_settings(settings, TRAIN_FIELDS, ("candles",), out_dir)
     s = dict(settings)
     episode_length = s.setdefault("episode_length", TRAIN_DEFAULTS["episode_length"])
     s.setdefault("budget", TRAIN_DEFAULTS["episodes"] * episode_length)
@@ -427,7 +429,7 @@ def run_training(settings: Dict, out_dir: str) -> TrainingResult:
     eval_env = LPEnv(candles[:eval_end], run.env_config(episode_length=val_hours),
                      matrix[:eval_end])
     result = train_ddqn(train_env, eval_env, learner, s["budget"],
-                        seed=run.seed, eval_offsets=[val_start])
+                        seed=run.seed, eval_offset=val_start)
 
     os.makedirs(out_dir, exist_ok=True)
     nets.save_checkpoint(os.path.join(out_dir, "checkpoint.json"), result.params,

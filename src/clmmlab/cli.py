@@ -16,9 +16,9 @@ import sys
 from typing import Dict, Optional, Sequence
 
 from . import nets
-from .backtest import (BACKTEST_FIELDS, RunConfig, RunError, TRAIN_FIELDS,
+from .backtest import (BACKTEST_FIELDS, RunError, TRAIN_FIELDS,
                        TRAIN_DEFAULTS,  # noqa: F401  also read as cli.TRAIN_DEFAULTS
-                       run_backtest, run_training, write_run_dir)
+                       run_backtest_dir, run_training)
 from .features import (FEATURE_NAMES, FeatureScaler, WARMUP_CANDLES,
                        compute_feature_matrix)
 from .marketdata import (DataValidationError, _utc, load_candles_csv)
@@ -165,12 +165,8 @@ def cmd_train(args) -> int:
 def cmd_backtest(args) -> int:
     data = _merge(args, BACKTEST_FIELDS)
     out_dir = _require(vars(args), "out_dir")
-    config = RunConfig.from_dict(data)
-    candles = load_candles_csv(_require(data, "candles"))
-    result = run_backtest(candles, config)
-    paths = write_run_dir(result, out_dir)
-    row = result.to_row()
-    print(f"wrote {paths['report']}: method={row['method']} "
+    row = run_backtest_dir(data, out_dir).to_row()
+    print(f"wrote {os.path.join(out_dir, 'report.csv')}: method={row['method']} "
           f"hours={row['hours']} relative_pnl={row['relative_pnl']:.6f}")
     return 0
 

@@ -18,7 +18,7 @@ no terminal flag and the target has no done mask.
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -160,14 +160,14 @@ def train_ddqn(
     config: DDQNConfig,
     budget: int,
     seed: int = 0,
-    eval_offsets: Optional[Sequence[int]] = None,
+    eval_offset: Optional[int] = None,
 ) -> TrainingResult:
     """Train on random-offset episodes; keep the best validation snapshot.
 
-    budget is the total environment-step allowance. Evaluation runs
-    greedily on eval_env every eval_every_episodes episodes; training
-    stops early after `patience` evaluations without a new best. A
-    non-finite loss raises TrainingDiverged.
+    budget is the total environment-step allowance. Every eval_every_episodes
+    episodes one greedy episode on eval_env from eval_offset (default its
+    min_offset()) is scored; training stops early after `patience` scores
+    without a new best. A non-finite loss raises TrainingDiverged.
     """
     rng = np.random.default_rng(seed)
     n_actions = train_env.config.n_actions
@@ -177,8 +177,8 @@ def train_ddqn(
     target = local.copy()
     opt = OptimizerState.for_params(local, learning_rate=config.learning_rate)
     buffer = ReplayBuffer(config.buffer, obs_dim)
-    if eval_offsets is None:
-        eval_offsets = [eval_env.min_offset()]
+    if eval_offset is None:
+        eval_offset = eval_env.min_offset()
 
     result = TrainingResult(params=local.copy())
     steps = 0
@@ -186,9 +186,7 @@ def train_ddqn(
     last_loss = float("nan")
 
     def evaluate(params: NetworkParams) -> float:
-        return float(np.mean([
-            greedy_rollout(eval_env, params, off)[0] for off in eval_offsets
-        ]))
+        return float(greedy_rollout(eval_env, params, eval_offset)[0])
 
     while steps < budget:
         offset = train_env.sample_offset(rng)

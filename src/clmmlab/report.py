@@ -86,7 +86,7 @@ def check_row_identity(row: Dict, tol: float = IDENTITY_TOL) -> float:
 
 @dataclass
 class Report:
-    """Validated collection of backtest rows plus action histograms."""
+    """Validated collection of backtest rows, one per run, plus action histograms."""
 
     rows: List[Dict]
     histograms: Dict[str, List[Dict]] = field(default_factory=dict)
@@ -101,7 +101,11 @@ class Report:
                 "refusing to aggregate runs with mismatched pool specs: "
                 + "; ".join(f"{p[0]} fee_tier={p[1]:g} spacing={p[2]}"
                             for p in sorted(pools)))
+        seen = set()
         for row in self.rows:
+            if row["config_hash"] in seen:
+                raise ReportError(f"refusing to aggregate run {row['config_hash']} twice")
+            seen.add(row["config_hash"])
             check_row_identity(row)
 
     @classmethod

@@ -18,11 +18,10 @@ import numpy as np
 from . import nets, tabular, toymdp
 from .accounting import lvr_over_path, ordered_sum
 from .amm import LiquidityPosition, band_for_center, liquidity_for_budget
-from .backtest import (DRIFT_MUS, RunConfig, drift_gap, drift_neutrality_study,
-                       run_backtest, write_run_dir)
+from .backtest import DRIFT_MUS, drift_gap, drift_neutrality_study, run_backtest_dir
 from .baselines import ewa_weights
 from .dqn import DDQNConfig, train_ddqn
-from .marketdata import bundled_candles_path, load_candles_csv
+from .marketdata import bundled_candles_path
 from .report import REPORT_CSV_HEADER, Report, verify_published_table, read_report_csv
 
 
@@ -320,12 +319,11 @@ def check_determinism(work_dir: Optional[str] = None) -> CheckResult:
     """Identical config + seed give bit-identical artifacts."""
     t0 = time.perf_counter()
     with _work_dir(work_dir, "clmmlab-det-") as tmp:
-        candles = load_candles_csv(bundled_candles_path())
-        config = RunConfig(method="tau-reset", tau=6, candles="fixture",
-                           horizon=300, seed=7)
+        settings = dict(method="tau-reset", tau=6, candles=bundled_candles_path(),
+                        horizon=300, seed=7)
         dirs = [os.path.join(tmp, f"bt{i}") for i in (1, 2)]
         for d in dirs:
-            write_run_dir(run_backtest(candles, config), d)
+            run_backtest_dir(settings, d)
         backtest_same = all(
             _bytes(os.path.join(dirs[0], f)) == _bytes(os.path.join(dirs[1], f))
             for f in ("run.json", "report.csv", "trace.csv", "actions.csv"))

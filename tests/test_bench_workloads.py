@@ -63,3 +63,17 @@ def test_every_check_reads_names_of_the_current_api(tmp_path):
     params = nets.init_params(toymdp.OBS_DIM, toymdp.N_WIDTHS + 1, seed=0)
     record = toy.check(state, dqn.TrainingResult(params=params, steps=7), str(tmp_path))
     assert record["hours"] == 7 and math.isfinite(record["oracle_ratio"])
+
+
+def test_baseline_sweep_op_and_check_run_clean(tmp_path):
+    """The sweep's op and check end to end at a small size: run_backtest,
+    write_run_dir's paths, the drift study and Report.from_run_dirs as the
+    benchmark calls them."""
+    sweep = _workloads().WORKLOADS["baseline-sweep"]
+    sweep.hours, sweep.drift_seeds, sweep.drift_hours = 120, 2, 50
+    state = sweep.setup(9001, str(tmp_path))
+    out = sweep.op(state, 0, str(tmp_path / "op"))
+    record = sweep.check(state, out, str(tmp_path / "op"))
+    assert record["errors"] == []
+    assert record["attempted"] == len(sweep.configs(state)) + 2
+    assert record["hours"] == len(sweep.configs(state)) * 120 + 2 * 2 * 50

@@ -7,7 +7,7 @@ import shutil
 
 import pytest
 
-from clmmlab import backtest, cli
+from clmmlab import backtest
 from clmmlab.cli import build_parser, main
 from clmmlab.features import OBSERVATION_DIM, WARMUP_CANDLES
 from clmmlab.marketdata import (HOUR, REFERENCE_PERIODS, _utc, bundled_candles_path,
@@ -149,7 +149,6 @@ class TestErrorContract:
                              ids=["offset", "horizon", "both"])
     def test_period_with_offset_or_horizon_is_config_error_before_candles_load(
             self, candles_csv, capsys, tmp_path, monkeypatch, flags):
-        monkeypatch.setattr(cli, "load_candles_csv", _never)
         monkeypatch.setattr(backtest, "load_candles_csv", _never)
         code, _, err = run_cli(
             ["backtest", "--method", "tau-reset", "--tau", "6", "--period", "1",
@@ -243,6 +242,17 @@ class TestErrorContract:
         assert code == 1
         assert err.startswith("error: run: ")
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [["train"], ["backtest", "--method", "tau-reset",
+                                                   "--tau", "6"]], ids=["train", "backtest"])
+    def test_out_dir_that_is_a_file_is_run_error_before_candles_load(
+            self, candles_csv, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.setattr(backtest, "load_candles_csv", _never)
+        (tmp_path / "file").write_text("")
+        code, _, err = run_cli([*argv, "--candles", candles_csv,
+                                "--out-dir", str(tmp_path / "file")], capsys)
+        assert code == 1
+        assert err.strip() == f"error: run: out_dir is not a directory: {tmp_path / 'file'}"
 
     def test_config_file_not_found(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -506,6 +516,23 @@ class TestReportCommand:
         assert err.strip().startswith("error: run:")
         assert "actions.csv" in err
         assert len(err.strip().splitlines()) == 1
+
+    def test_refuses_the_same_run_twice(self, candles_csv, capsys, tmp_path):
+        """A copied run directory is the same run: its histogram and PnL
+        would otherwise be counted twice or dropped."""
+        run_dir = tmp_path / "tau"
+        code, _, _ = run_cli(
+            ["backtest", "--method", "tau-reset", "--tau", "6", "--candles",
+             candles_csv, "--offset", "10", "--horizon", "150",
+             "--out-dir", str(run_dir)], capsys)
+        assert code == 0
+        shutil.copytree(run_dir, tmp_path / "copy")
+        digest = json.loads((run_dir / "run.json").read_text())["config_hash"]
+        code, _, err = run_cli(["report", "--runs", str(run_dir), str(tmp_path / "copy"),
+                                "--out-dir", str(tmp_path / "report")], capsys)
+        assert code == 1
+        assert err.strip() == f"error: report: refusing to aggregate run {digest} twice"
+        assert not (tmp_path / "report").exists()
 
 
 class TestVerifyCommand:

@@ -19,6 +19,7 @@ from clmmlab.backtest import (
     drift_gap,
     drift_neutrality_study,
     run_backtest,
+    run_backtest_dir,
     run_digest,
     run_training,
     write_run_dir,
@@ -70,16 +71,8 @@ class TestRunConfig:
 
     def test_dict_round_trip(self):
         config = RunConfig(method="tau-reset", tau=6, seed=3, horizon=100)
-        again = RunConfig.from_dict(config.to_dict())
+        again = RunConfig(**config.to_dict())
         assert again == config
-
-    def test_from_dict_rejects_unknown_field(self):
-        with pytest.raises(RunError, match="unknown config field 'out_dir'"):
-            RunConfig.from_dict({"method": "ewa", "out_dir": "/tmp/x"})
-
-    def test_from_dict_requires_method(self):
-        with pytest.raises(RunError, match="method"):
-            RunConfig.from_dict({"tau": 6})
 
     def test_hash_ignores_dict_order(self, candles):
         a = {"x": 1, "y": [1, 2]}
@@ -88,8 +81,8 @@ class TestRunConfig:
         assert len(run_digest(a, candles)) == 12
 
     def test_hash_tracks_every_field(self, candles, tmp_path):
-        def digest(series=candles, **settings):
-            return run_digest(RunConfig(**settings).to_dict(), series)
+        def digest(series=candles, checkpoint_bytes=None, **settings):
+            return run_digest(RunConfig(**settings).to_dict(), series, checkpoint_bytes)
 
         base = digest(method="tau-reset", tau=6)
         assert base == digest(method="tau-reset", tau=6)
@@ -101,10 +94,11 @@ class TestRunConfig:
         edited[100] = dataclasses.replace(edited[100], close=edited[100].high)
         assert base != digest(edited, method="tau-reset", tau=6)
         # the checkpoint counts by its bytes, not by its path
-        paths = [str(tmp_path / name) for name in ("a.json", "b.json", "c.json")]
+        paths = [tmp_path / name for name in ("a.json", "b.json", "c.json")]
         for path, seed in zip(paths, (4, 4, 5)):
-            save_checkpoint(path, init_params(OBSERVATION_DIM, 11, seed=seed))
-        a, b, c = (digest(method="ddqn", checkpoint=path) for path in paths)
+            save_checkpoint(str(path), init_params(OBSERVATION_DIM, 11, seed=seed))
+        a, b, c = (digest(method="ddqn", checkpoint=str(path),
+                          checkpoint_bytes=path.read_bytes()) for path in paths)
         assert a == b != c
         # a path-only change leaves the digest alone
         assert base == digest(method="tau-reset", tau=6, candles="elsewhere.csv")
@@ -115,7 +109,7 @@ class TestHyperparameterResolution:
         config = RunConfig(method="tau-reset", pool="usdc", period=1)
         assert config.tau == 6
         assert config.label == ORACLE_TUNED_LABEL
-        assert RunConfig.from_dict(config.to_dict()) == config
+        assert RunConfig(**config.to_dict()) == config
 
     def test_explicit_tau_keeps_label(self):
         config = RunConfig(method="tau-reset", tau=4, label="mine")
@@ -137,7 +131,7 @@ class TestHyperparameterResolution:
         assert (config.ewa_widths, config.ewa_eta, config.ewa_t_re) == (10, 10.0, 24)
         assert config.ewa_config() == EWAConfig(n_widths=10, eta=10.0, t_re=24)
         assert config.label == ORACLE_TUNED_LABEL
-        assert RunConfig.from_dict(config.to_dict()) == config
+        assert RunConfig(**config.to_dict()) == config
 
     def test_partial_ewa_params_rejected(self):
         with pytest.raises(RunError, match="all of ewa_widths"):
@@ -187,9 +181,11 @@ class TestRunBacktest:
         assert result.offset == WARMUP_CANDLES
         assert result.horizon == len(candles) - 1 - WARMUP_CANDLES
 
-    def test_ddqn_needs_params_or_checkpoint(self):
+    def test_ddqn_needs_params_or_checkpoint(self, tmp_path):
         with pytest.raises(RunError, match="ddqn backtests need a checkpoint path"):
-            RunConfig.from_dict({"method": "ddqn"})
+            run_backtest_dir({"method": "ddqn", "candles": str(tmp_path / "absent.csv")},
+                             str(tmp_path / "out"))
+        assert not os.listdir(tmp_path)
 
     def test_ddqn_offset_in_feature_warmup_rejected_before_checkpoint_loads(
             self, tmp_path):
@@ -337,6 +333,30 @@ class TestPeriodWindow:
         assert result.horizon == len(result.records) == 41 * 24
 
 
+class TestRunBacktestDir:
+    def test_settings_are_required_and_known(self, tmp_path):
+        for settings, message in (({"tau": 6}, "missing required field 'method'"),
+                                  ({"method": "ewa"}, "missing required field 'candles'"),
+                                  ({"method": "ewa", "out_dir": "/tmp/x"},
+                                   "unknown config field 'out_dir'")):
+            with pytest.raises(RunError) as err:
+                run_backtest_dir(settings, str(tmp_path))
+            assert (str(err.value), err.value.category) == (message, "config")
+        assert not os.listdir(tmp_path)
+
+    def test_writes_the_run_dir_of_run_backtest(self, tmp_path):
+        """The one run path gives the bytes of its library steps."""
+        settings = dict(method="ewa", ewa_widths=5, ewa_eta=1.0, ewa_t_re=12,
+                        candles=bundled_candles_path(), horizon=80, seed=2)
+        result = run_backtest_dir(settings, str(tmp_path / "got"))
+        want = write_run_dir(run_backtest(load_candles_csv(settings["candles"]),
+                                          RunConfig(**settings)), str(tmp_path / "want"))
+        assert result.config == RunConfig(**settings)
+        for name in map(os.path.basename, want.values()):
+            assert ((tmp_path / "got" / name).read_bytes()
+                    == (tmp_path / "want" / name).read_bytes()), name
+
+
 class TestRunTraining:
     def test_settings_are_required_and_known(self, tmp_path):
         for settings, message in (({}, "missing required field 'candles'"),
@@ -352,9 +372,9 @@ class TestRunTraining:
         the envs run_training builds and returns an untrained net."""
         calls = []
 
-        def train_ddqn(train_env, eval_env, config, budget, seed, eval_offsets):
+        def train_ddqn(train_env, eval_env, config, budget, seed, eval_offset):
             calls.append(dict(train_env=train_env, eval_env=eval_env,
-                              budget=budget, seed=seed, eval_offsets=eval_offsets))
+                              budget=budget, seed=seed, eval_offset=eval_offset))
             return TrainingResult(params=init_params(OBSERVATION_DIM, 11, seed=0),
                                   best_val_return=0.0)
 
@@ -369,7 +389,7 @@ class TestRunTraining:
         assert (min(offsets), max(offsets)) == (200, 799)
         assert train_env.config.episode_length == 100
         assert len(train_env.candles) == 900
-        assert call["eval_offsets"] == [899]
+        assert call["eval_offset"] == 899
         assert eval_env.config.episode_length == 299
         assert len(eval_env.candles) == 1199
         assert (call["budget"], call["seed"]) == (5000, 0)
