@@ -74,6 +74,15 @@ class TestRunConfig:
         again = RunConfig(**config.to_dict())
         assert again == config
 
+    # A settings dict is read through the run functions' gate, not RunConfig.
+    def test_from_dict_rejects_unknown_field(self, tmp_path):
+        with pytest.raises(RunError, match="unknown config field 'out_dir'"):
+            run_backtest_dir({"method": "ewa", "out_dir": "/tmp/x"}, str(tmp_path))
+
+    def test_from_dict_requires_method(self, tmp_path):
+        with pytest.raises(RunError, match="method"):
+            run_backtest_dir({"tau": 6}, str(tmp_path))
+
     def test_hash_ignores_dict_order(self, candles):
         a = {"x": 1, "y": [1, 2]}
         b = {"y": [1, 2], "x": 1}
