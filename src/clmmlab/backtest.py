@@ -184,20 +184,6 @@ def _require_checkpoint(config: RunConfig) -> None:
         raise RunError("ddqn backtests need a checkpoint path")
 
 
-def _check_settings(settings: Dict, fields: Sequence[str], required: Sequence[str],
-                    out_dir: str) -> None:
-    """Both run functions' gate, before any file is read: settings are known,
-    the required ones set, and out_dir is a directory or does not exist."""
-    unknown = sorted(set(settings) - set(fields))
-    if unknown:
-        raise RunError(f"unknown config field {unknown[0]!r}")
-    for name in required:
-        if settings.get(name) in (None, ""):
-            raise RunError(f"missing required field {name!r}")
-    if os.path.exists(out_dir) and not os.path.isdir(out_dir):
-        raise NotADirectoryError(f"out_dir is not a directory: {out_dir}")
-
-
 def run_digest(settings: Dict, candles: Sequence[Candle],
                checkpoint: Optional[bytes] = None) -> str:
     """The run's identity, embedded in every artifact it writes.
@@ -373,12 +359,71 @@ TRAIN_FIELDS = ("candles", "seed", "l0", "gas", "n_actions", "fee_tier",
 # train's own defaults (budget's in episodes); RunConfig, DDQNConfig default the rest
 TRAIN_DEFAULTS = {"episode_length": 100, "episodes": 50}
 
+# The kind of every int and float setting of any command (the rest are strings):
+# the flag's type, the words for a value of another type, the least value.
+KINDS = {"int": (int, "an integer", None), "natural": (int, "an integer", 0),
+         "count": (int, "a positive integer", 1), "float": (float, "a number", None)}
+SETTING_KINDS = {
+    "seed": "natural",
+    **dict.fromkeys(("n_actions", "tick_spacing", "episode_length", "batch_size",
+                     "buffer", "period", "offset", "horizon", "tau", "ewa_widths",
+                     "ewa_t_re"), "int"),
+    **dict.fromkeys(("budget", "train_hours", "val_hours"), "count"),
+    **dict.fromkeys(("l0", "gas", "fee_tier", "learning_rate", "ewa_eta"), "float"),
+}
+
+# the files each command that takes an out_dir writes there
+OUT_DIR_FILES = {"train": ("checkpoint.json", "training_log.csv", "run.json"),
+                 "backtest": ("run.json", "report.csv", "trace.csv", "actions.csv"),
+                 "report": ("summary.csv", "cumulative_pnl.csv", "actions.csv")}
+
+
+def check_settings(settings: Dict, fields: Sequence[str], required: Sequence[str] = (),
+                   command: Optional[str] = None, out_dir: Optional[str] = None) -> Dict:
+    """Every command's one settings gate, passed before any file is read.
+
+    In order: each setting is one of fields, each non-null one (null is
+    unset) is of its kind, the required ones are set, and a command of
+    OUT_DIR_FILES gets an out_dir that is a directory or absent and holds
+    no file only other commands write. Returns the set settings in fields
+    order: an int stays exact, never a bool; a float setting also takes an
+    int and stores a float, so a file's 250 equals --l0 250."""
+    unknown = sorted(set(settings) - set(fields))
+    if unknown:
+        raise RunError(f"unknown config field {unknown[0]!r}")
+    checked = {}
+    for name in fields:
+        value = settings.get(name)
+        if value is None:
+            continue
+        type_, what, least = (KINDS[SETTING_KINDS[name]] if name in SETTING_KINDS
+                              else (str, "a string", None))
+        if type(value) is not type_ and not (type_ is float and type(value) is int):
+            raise RunError(f"{name} must be {what}, got {value!r}")
+        if least is not None and value < least:
+            raise RunError(f"{name} must be >= {least}, got {value}")
+        checked[name] = type_(value)
+    for name in required:
+        if checked.get(name) in (None, ""):
+            raise RunError(f"missing required field {name!r}")
+    if command is not None:
+        if not out_dir:
+            raise RunError("missing required field 'out_dir'")
+        if os.path.isdir(out_dir):
+            others = set().union(*OUT_DIR_FILES.values()) - set(OUT_DIR_FILES[command])
+            held = sorted(others.intersection(os.listdir(out_dir)))
+            if held:
+                raise FileExistsError(f"out_dir {out_dir} holds another command's {held[0]}")
+        elif os.path.exists(out_dir):
+            raise NotADirectoryError(f"out_dir is not a directory: {out_dir}")
+    return checked
+
 
 def run_backtest_dir(settings: Dict, out_dir: str) -> BacktestResult:
     """Replay settings (BACKTEST_FIELDS, unset ones left out), every one checked
     before the candle file loads, and write the run directory into out_dir."""
-    _check_settings(settings, BACKTEST_FIELDS, ("method", "candles"), out_dir)
-    config = RunConfig(**settings)
+    config = RunConfig(**check_settings(settings, BACKTEST_FIELDS, ("method", "candles"),
+                                        "backtest", out_dir))
     _require_checkpoint(config)
     result = run_backtest(load_candles_csv(config.candles), config)
     write_run_dir(result, out_dir)
@@ -393,8 +438,7 @@ def run_training(settings: Dict, out_dir: str) -> TrainingResult:
     in the first train_hours after the feature warmup (default 70%), which
     alone fit the scaler; one validation episode covers the val_hours after.
     """
-    _check_settings(settings, TRAIN_FIELDS, ("candles",), out_dir)
-    s = dict(settings)
+    s = check_settings(settings, TRAIN_FIELDS, ("candles",), "train", out_dir)
     episode_length = s.setdefault("episode_length", TRAIN_DEFAULTS["episode_length"])
     s.setdefault("budget", TRAIN_DEFAULTS["episodes"] * episode_length)
     try:

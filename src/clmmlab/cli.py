@@ -4,9 +4,10 @@ Subcommands: ingest (fetch/cache pool hours), features (emit the
 indicator matrix), train (DDQN), backtest (any method over a candle
 window), report (aggregate run directories), verify (the property
 suites). Flags are the settings' names, typed by SETTING_KINDS. ingest,
-features, train and backtest also take --config, a JSON file of settings
-checked the same way; flags win over its values. Errors come out as a
-single machine-parsable line: `error: <category>: <message>`.
+features, train and backtest also take --config, a JSON file of settings;
+flags win over its values. Every command's settings and out_dir pass the
+one gate, backtest.check_settings. Errors come out as a single
+machine-parsable line: `error: <category>: <message>`.
 """
 
 import argparse
@@ -16,9 +17,9 @@ import sys
 from typing import Dict, Optional, Sequence
 
 from . import nets
-from .backtest import (BACKTEST_FIELDS, RunError, TRAIN_FIELDS,
+from .backtest import (BACKTEST_FIELDS, KINDS, RunError, SETTING_KINDS, TRAIN_FIELDS,
                        TRAIN_DEFAULTS,  # noqa: F401  also read as cli.TRAIN_DEFAULTS
-                       run_backtest_dir, run_training)
+                       check_settings, run_backtest_dir, run_training)
 from .features import (FEATURE_NAMES, FeatureScaler, WARMUP_CANDLES,
                        compute_feature_matrix)
 from .marketdata import (DataValidationError, _utc, load_candles_csv)
@@ -28,18 +29,6 @@ PROG = "clmmlab"
 
 DEFAULT_CACHE = os.environ.get("CLMMLAB_CACHE",
                                os.path.expanduser("~/.cache/clmmlab"))
-
-# The kind of every integer and float setting; every other setting is a
-# string. A kind gives the flag's type and what a config-file value must be.
-_KINDS = {"int": (int, "an integer"), "count": (int, "a positive integer"),
-          "float": (float, "a number")}
-SETTING_KINDS = {
-    **dict.fromkeys(("seed", "n_actions", "tick_spacing", "episode_length",
-                     "batch_size", "buffer", "period", "offset", "horizon",
-                     "tau", "ewa_widths", "ewa_t_re"), "int"),
-    **dict.fromkeys(("budget", "train_hours", "val_hours"), "count"),
-    **dict.fromkeys(("l0", "gas", "fee_tier", "learning_rate", "ewa_eta"), "float"),
-}
 
 _HELP = {"config": "JSON config file; flags override it",
          "start": "YYYY-MM-DD (UTC)", "end": "YYYY-MM-DD (UTC, exclusive)",
@@ -68,41 +57,12 @@ def _load_config(path: Optional[str]) -> Dict:
     return data
 
 
-def _checked(name: str, value):
-    """value as setting `name` holds it: an int is exact (no bool), a float
-    takes an int too and becomes a float, so a file's 250 equals --l0 250."""
-    kind = SETTING_KINDS.get(name)
-    if kind is None:
-        ok = isinstance(value, str)
-    elif kind == "float":
-        ok = type(value) in (int, float)
-    else:
-        ok = type(value) is int and (kind == "int" or value > 0)
-    if not ok:
-        what = _KINDS[kind][1] if kind else "a string"
-        raise RunError(f"{name} must be {what}, got {value!r}")
-    return float(value) if kind == "float" else value
-
-
 def _merge(args: argparse.Namespace, fields: Sequence[str]) -> Dict:
-    """Config-file values overridden by explicitly passed flags, each
-    checked against its kind, in `fields` order whatever the file's key
-    order; a null file value counts as unset."""
+    """Config-file values, overridden by the flags that were passed."""
     data = _load_config(args.config)
-    unknown = sorted(set(data) - set(fields))
-    if unknown:
-        raise RunError(f"unknown config field {unknown[0]!r}")
-    for name in fields:
-        if getattr(args, name) is not None:
-            data[name] = getattr(args, name)
-    return {name: _checked(name, data[name]) for name in fields
-            if data.get(name) is not None}
-
-
-def _require(data: Dict, key: str) -> object:
-    if data.get(key) in (None, ""):
-        raise RunError(f"missing required field {key!r}")
-    return data[key]
+    data.update({name: getattr(args, name) for name in fields
+                 if getattr(args, name) is not None})
+    return data
 
 
 # -- subcommands -----------------------------------------------------------
@@ -111,25 +71,23 @@ INGEST_FIELDS = ("endpoint", "pool_id", "start", "end", "cache_dir")
 
 
 def _date(data: Dict, key: str) -> int:
-    value = _require(data, key)
     try:
-        return _utc(value)
+        return _utc(data[key])
     except ValueError:
-        raise RunError(f"{key} must be a YYYY-MM-DD date, got {value!r}")
+        raise RunError(f"{key} must be a YYYY-MM-DD date, got {data[key]!r}")
 
 
 def cmd_ingest(args) -> int:
     from .subgraph import SubgraphClient, fetch_pool_hours
-    data = _merge(args, INGEST_FIELDS)
-    endpoint = _require(data, "endpoint")
-    pool_id = _require(data, "pool_id")
+    data = check_settings(_merge(args, INGEST_FIELDS), INGEST_FIELDS,
+                          ("endpoint", "pool_id", "start", "end"))
     start, end = _date(data, "start"), _date(data, "end")
     if end <= start:
         raise RunError(f"end {data['end']} must be after start {data['start']}")
     cache_dir = data.get("cache_dir") or DEFAULT_CACHE
-    client = SubgraphClient(endpoint)
-    candles = fetch_pool_hours(client, pool_id, start, end, cache_dir)
-    print(f"ingested {len(candles)} hours for {pool_id} into {cache_dir} "
+    client = SubgraphClient(data["endpoint"])
+    candles = fetch_pool_hours(client, data["pool_id"], start, end, cache_dir)
+    print(f"ingested {len(candles)} hours for {data['pool_id']} into {cache_dir} "
           f"({client.request_count} requests)")
     return 0
 
@@ -138,13 +96,13 @@ FEATURES_FIELDS = ("candles", "out", "scaler_out")
 
 
 def cmd_features(args) -> int:
-    data = _merge(args, FEATURES_FIELDS)
-    candles = load_candles_csv(_require(data, "candles"))
-    out = _require(data, "out")
+    data = check_settings(_merge(args, FEATURES_FIELDS), FEATURES_FIELDS,
+                          ("candles", "out"))
+    candles = load_candles_csv(data["candles"])
     matrix = compute_feature_matrix(candles)
-    write_csv_rows(out, ["timestamp"] + FEATURE_NAMES,
+    write_csv_rows(data["out"], ["timestamp"] + FEATURE_NAMES,
                    [[c.timestamp] + row.tolist() for c, row in zip(candles, matrix)])
-    print(f"wrote {len(matrix)} feature rows to {out}")
+    print(f"wrote {len(matrix)} feature rows to {data['out']}")
     if data.get("scaler_out"):
         scaler = FeatureScaler.fit(matrix[WARMUP_CANDLES:])
         with open(data["scaler_out"], "w") as fh:
@@ -154,19 +112,16 @@ def cmd_features(args) -> int:
 
 
 def cmd_train(args) -> int:
-    out_dir = _require(vars(args), "out_dir")
-    result = run_training(_merge(args, TRAIN_FIELDS), out_dir)
+    result = run_training(_merge(args, TRAIN_FIELDS), args.out_dir)
     print(f"trained {result.episodes} episodes ({result.steps} steps), "
           f"best val return {result.best_val_return:.4f}, "
-          f"wrote {os.path.join(out_dir, 'checkpoint.json')}")
+          f"wrote {os.path.join(args.out_dir, 'checkpoint.json')}")
     return 0
 
 
 def cmd_backtest(args) -> int:
-    data = _merge(args, BACKTEST_FIELDS)
-    out_dir = _require(vars(args), "out_dir")
-    row = run_backtest_dir(data, out_dir).to_row()
-    print(f"wrote {os.path.join(out_dir, 'report.csv')}: method={row['method']} "
+    row = run_backtest_dir(_merge(args, BACKTEST_FIELDS), args.out_dir).to_row()
+    print(f"wrote {os.path.join(args.out_dir, 'report.csv')}: method={row['method']} "
           f"hours={row['hours']} relative_pnl={row['relative_pnl']:.6f}")
     return 0
 
@@ -174,13 +129,13 @@ def cmd_backtest(args) -> int:
 def cmd_report(args) -> int:
     if not args.runs:
         raise RunError("report needs at least one --runs directory", "usage")
-    out_dir = _require(vars(args), "out_dir")
+    check_settings({}, (), command="report", out_dir=args.out_dir)
     report = Report.from_run_dirs(args.runs)
-    os.makedirs(out_dir, exist_ok=True)
-    report.write_summary_csv(os.path.join(out_dir, "summary.csv"))
-    report.write_cumulative_csv(os.path.join(out_dir, "cumulative_pnl.csv"))
-    report.write_actions_csv(os.path.join(out_dir, "actions.csv"))
-    print(f"aggregated {len(report.rows)} runs into {out_dir}")
+    os.makedirs(args.out_dir, exist_ok=True)
+    report.write_summary_csv(os.path.join(args.out_dir, "summary.csv"))
+    report.write_cumulative_csv(os.path.join(args.out_dir, "cumulative_pnl.csv"))
+    report.write_actions_csv(os.path.join(args.out_dir, "actions.csv"))
+    print(f"aggregated {len(report.rows)} runs into {args.out_dir}")
     return 0
 
 
@@ -220,7 +175,7 @@ def build_parser() -> _Parser:
         for field in flags:
             kind = SETTING_KINDS.get(field)
             p.add_argument("--" + field.replace("_", "-"), dest=field,
-                           type=_KINDS[kind][0] if kind else None,
+                           type=KINDS[kind][0] if kind else None,
                            nargs="+" if field == "runs" else None,
                            help=_HELP.get(field))
     return parser

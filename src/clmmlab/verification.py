@@ -18,7 +18,8 @@ import numpy as np
 from . import nets, tabular, toymdp
 from .accounting import lvr_over_path, ordered_sum
 from .amm import LiquidityPosition, band_for_center, liquidity_for_budget
-from .backtest import DRIFT_MUS, drift_gap, drift_neutrality_study, run_backtest_dir
+from .backtest import (DRIFT_MUS, OUT_DIR_FILES, drift_gap, drift_neutrality_study,
+                       run_backtest_dir)
 from .baselines import ewa_weights
 from .dqn import DDQNConfig, train_ddqn
 from .marketdata import bundled_candles_path
@@ -326,7 +327,7 @@ def check_determinism(work_dir: Optional[str] = None) -> CheckResult:
             run_backtest_dir(settings, d)
         backtest_same = all(
             _bytes(os.path.join(dirs[0], f)) == _bytes(os.path.join(dirs[1], f))
-            for f in ("run.json", "report.csv", "trace.csv", "actions.csv"))
+            for f in OUT_DIR_FILES["backtest"])
 
         from .cli import main as cli_main
         train_dirs = [os.path.join(tmp, f"tr{i}") for i in (1, 2)]
@@ -341,7 +342,7 @@ def check_determinism(work_dir: Optional[str] = None) -> CheckResult:
         train_same = codes == [0, 0] and all(
             _bytes(os.path.join(train_dirs[0], f))
             == _bytes(os.path.join(train_dirs[1], f))
-            for f in ("checkpoint.json", "training_log.csv", "run.json"))
+            for f in OUT_DIR_FILES["train"])
     passed = backtest_same and train_same
     detail = (f"backtest artifacts bit-identical: {backtest_same}, training "
               f"artifacts bit-identical: {train_same}")

@@ -4,16 +4,20 @@ import dataclasses
 import json
 import os
 import shutil
+from typing import get_args, get_type_hints
 
 import pytest
 
 from clmmlab import backtest
-from clmmlab.cli import build_parser, main
+from clmmlab.backtest import (BACKTEST_FIELDS, KINDS, OUT_DIR_FILES, SETTING_KINDS,
+                              TRAIN_FIELDS, RunConfig)
+from clmmlab.cli import FEATURES_FIELDS, INGEST_FIELDS, build_parser, main
+from clmmlab.dqn import DDQNConfig
 from clmmlab.features import OBSERVATION_DIM, WARMUP_CANDLES
 from clmmlab.marketdata import (HOUR, REFERENCE_PERIODS, _utc, bundled_candles_path,
                                 save_candles_csv, synth_gbm)
 from clmmlab.nets import init_params, load_checkpoint, save_checkpoint
-from clmmlab.report import read_report_csv
+from clmmlab.report import Report, read_report_csv
 
 
 @pytest.fixture(scope="module")
@@ -740,6 +744,90 @@ class TestRunIdentity:
         assert config_hash("after") != before
 
 
+@pytest.fixture(scope="module")
+def command_dirs(candles_csv, tmp_path_factory):
+    """A directory written by each command that takes --out-dir, named
+    after it, and the argv that wrote it (without --out-dir)."""
+    root = tmp_path_factory.mktemp("commands")
+    argvs = {
+        "train": ["train", "--candles", candles_csv, "--seed", "1",
+                  "--episode-length", "40", "--budget", "200",
+                  "--train-hours", "150", "--val-hours", "50"],
+        "backtest": ["backtest", "--method", "tau-reset", "--tau", "6",
+                     "--candles", candles_csv, "--offset", "10", "--horizon", "100"],
+        "report": ["report", "--runs", str(root / "backtest")],
+    }
+    for command, argv in argvs.items():
+        assert main(argv + ["--out-dir", str(root / command)]) == 0
+    return root, argvs
+
+
+def _tree_bytes(path):
+    return {name: (path / name).read_bytes() for name in os.listdir(path)}
+
+
+class TestOneSettingsGate:
+    """backtest.check_settings checks every command's settings and out_dir
+    before any file is read."""
+
+    @pytest.mark.parametrize("argv", [["train"], ["backtest", "--method", "tau-reset",
+                                                   "--tau", "6"]], ids=["train", "backtest"])
+    def test_negative_seed_is_config_error_before_candles_load(
+            self, candles_csv, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.setattr(backtest, "load_candles_csv", _never)
+        code, _, err = run_cli([*argv, "--seed", "-1", "--candles", candles_csv,
+                                "--out-dir", str(tmp_path / "out")], capsys)
+        assert code == 1
+        assert err.strip() == "error: config: seed must be >= 0, got -1"
+        assert not (tmp_path / "out").exists()
+
+    def test_library_caller_integer_float_setting_equals_its_flag(
+            self, candles_csv, capsys, tmp_path):
+        argv = ["--method", "tau-reset", "--tau", "4", "--offset", "10",
+                "--horizon", "100", "--candles", candles_csv]
+        backtest.run_backtest_dir(dict(method="tau-reset", tau=4, offset=10, horizon=100,
+                                       candles=candles_csv, l0=250), str(tmp_path / "lib"))
+        code, _, _ = run_cli(["backtest", *argv, "--l0", "250",
+                              "--out-dir", str(tmp_path / "flag")], capsys)
+        assert code == 0
+        assert _same_tree(tmp_path / "lib", tmp_path / "flag")
+
+    def test_each_command_writes_the_files_it_declares(self, command_dirs):
+        root, argvs = command_dirs
+        for command in argvs:
+            assert sorted(os.listdir(root / command)) == sorted(OUT_DIR_FILES[command])
+
+    @pytest.mark.parametrize("command,onto,held", [
+        ("backtest", "train", "checkpoint.json"),
+        ("train", "backtest", "actions.csv"),
+        ("report", "backtest", "report.csv"),
+        ("backtest", "report", "cumulative_pnl.csv"),
+    ], ids=["backtest-onto-train", "train-onto-backtest", "report-onto-backtest",
+            "backtest-onto-report"])
+    def test_out_dir_of_another_command_is_refused_before_any_read(
+            self, command_dirs, capsys, tmp_path, monkeypatch, command, onto, held):
+        root, argvs = command_dirs
+        target = tmp_path / onto
+        shutil.copytree(root / onto, target)
+        before = _tree_bytes(target)
+        monkeypatch.setattr(backtest, "load_candles_csv", _never)
+        monkeypatch.setattr(Report, "from_run_dirs", _never)
+        code, _, err = run_cli(argvs[command] + ["--out-dir", str(target)], capsys)
+        assert code == 1
+        assert err.strip() == f"error: run: out_dir {target} holds another command's {held}"
+        assert _tree_bytes(target) == before
+
+    @pytest.mark.parametrize("command", ["train", "backtest", "report"])
+    def test_rerun_into_its_own_directory_keeps_its_bytes(self, command_dirs, capsys,
+                                                           tmp_path, command):
+        root, argvs = command_dirs
+        shutil.copytree(root / command, tmp_path / command)
+        code, _, err = run_cli(argvs[command] + ["--out-dir", str(tmp_path / command)],
+                               capsys)
+        assert code == 0, err
+        assert _same_tree(root / command, tmp_path / command)
+
+
 class TestIngestCommand:
     @pytest.mark.parametrize("start,end,message", [
         ("2022-13-01", "2022-12-02",
@@ -815,6 +903,22 @@ def test_parser_flags_keep_their_names_dests_and_types():
     assert got == PARSER_FLAGS
     runs = next(a for a in sub.choices["report"]._actions if a.dest == "runs")
     assert runs.nargs == "+"
+
+
+def test_every_setting_kind_is_declared_once_and_matches_its_field():
+    """An int or float setting has a kind of its field's type, and every
+    kind names some command's setting."""
+    want = dict.fromkeys(("episode_length", "budget", "train_hours", "val_hours"), int)
+    for name, hint in get_type_hints(RunConfig).items():
+        (kind,) = set(get_args(hint) or (hint,)) - {type(None)}
+        if kind in (int, float):
+            want[name] = kind
+    want.update({name: hint for name, hint in get_type_hints(DDQNConfig).items()
+                 if name in TRAIN_FIELDS})
+    assert {name: KINDS[SETTING_KINDS[name]][0] for name in want
+            if name in SETTING_KINDS} == want
+    commands = BACKTEST_FIELDS + TRAIN_FIELDS + INGEST_FIELDS + FEATURES_FIELDS
+    assert set(SETTING_KINDS) <= set(commands)
 
 
 def test_bundled_fixture_is_packaged():

@@ -353,6 +353,22 @@ class TestRunBacktestDir:
             assert (str(err.value), err.value.category) == (message, "config")
         assert not os.listdir(tmp_path)
 
+    @pytest.mark.parametrize("setting,message", [
+        ({"tau": "6"}, "tau must be an integer, got '6'"),
+        ({"tau": True}, "tau must be an integer, got True"),
+        ({"l0": "250"}, "l0 must be a number, got '250'"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+    ], ids=["tau-str", "tau-bool", "l0-str", "seed-float", "seed-negative"])
+    def test_settings_are_checked_against_their_kinds(self, tmp_path, setting, message):
+        """A library caller gets the CLI's refusals; the candle file does
+        not exist, so nothing was read."""
+        settings = dict(method="tau-reset", candles=str(tmp_path / "absent.csv"), **setting)
+        with pytest.raises(RunError) as err:
+            run_backtest_dir(settings, str(tmp_path / "out"))
+        assert (str(err.value), err.value.category) == (message, "config")
+        assert not (tmp_path / "out").exists()
+
     def test_writes_the_run_dir_of_run_backtest(self, tmp_path):
         """The one run path gives the bytes of its library steps."""
         settings = dict(method="ewa", ewa_widths=5, ewa_eta=1.0, ewa_t_re=12,
@@ -375,6 +391,16 @@ class TestRunTraining:
                 run_training(settings, str(tmp_path))
             assert (str(err.value), err.value.category) == (message, "config")
         assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("seed,message", [
+        (1.5, "seed must be an integer, got 1.5"), (-1, "seed must be >= 0, got -1")],
+        ids=["float", "negative"])
+    def test_seed_is_checked_against_its_kind(self, tmp_path, seed, message):
+        settings = {"candles": str(tmp_path / "absent.csv"), "seed": seed}
+        with pytest.raises(RunError) as err:
+            run_training(settings, str(tmp_path / "out"))
+        assert (str(err.value), err.value.category) == (message, "config")
+        assert not (tmp_path / "out").exists()
 
     def test_default_split_of_the_bundled_fixture(self, tmp_path, monkeypatch):
         """The protocol with the learner stubbed out: train_ddqn receives
