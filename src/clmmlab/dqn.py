@@ -8,8 +8,10 @@ best-so-far parameter retention and early stopping.
 
 The discount and the epsilon schedule are this module's constants
 (GAMMA, EPS_*); the gradient clip norm (nets.CLIP_NORM), the soft-update
-rate (nets.soft_update's default) and the hidden sizes (nets.init_params'
+rate (nets.SOFT_UPDATE_RATE) and the hidden sizes (nets.init_params'
 default) are nets'. DDQNConfig holds only the settings a caller varies.
+Each gradient step (ddqn_update) runs in place in one nets.Workspace that
+train_ddqn allocates once.
 
 Episode ends in both environments here are data truncations, not MDP
 terminals, so every stored transition bootstraps: the replay buffer keeps
@@ -62,17 +64,23 @@ class ReplayBuffer:
 
     def sample(self, batch_size: int, rng: np.random.Generator):
         """(s, a, r, s2) for batch_size distinct stored transitions."""
+        x = np.empty((2 * batch_size, self.obs.shape[1]))
+        a, r = self.sample_into(x, rng)
+        return x[:batch_size], a, r, x[batch_size:]
+
+    def sample_into(self, x: np.ndarray, rng: np.random.Generator):
+        """Draw len(x) // 2 distinct stored transitions; write their s rows
+        into the first half of the float64 array `x` and their s2 rows into
+        the second. Returns (a, r)."""
+        batch_size = len(x) // 2
         if batch_size > self._size:
             raise ValueError(
                 f"cannot sample {batch_size} from buffer of size {self._size}"
             )
         idx = rng.choice(self._size, size=batch_size, replace=False)
-        return (
-            self.obs[idx].astype(np.float64),
-            self.actions[idx],
-            self.rewards[idx],
-            self.next_obs[idx].astype(np.float64),
-        )
+        x[:batch_size] = self.obs[idx]
+        x[batch_size:] = self.next_obs[idx]
+        return self.actions[idx], self.rewards[idx]
 
 
 # The fixed learner schedule: discount GAMMA, and epsilon decaying linearly
@@ -121,10 +129,38 @@ def ddqn_target(
 ) -> np.ndarray:
     """Double-DQN targets for a batch: bootstrap with the target net at the
     local argmax (numpy's argmax breaks ties toward the lowest action)."""
-    q_local = nets._forward_all(local, s2)[0]
-    q_target = nets._forward_all(target, s2)[0]
-    boot = q_target[np.arange(len(s2)), q_local.argmax(axis=1)]
-    return r + gamma * boot
+    greedy = nets.forward(local, s2)[0].argmax(axis=1)
+    return _bootstrap(r, greedy, nets.forward(target, s2)[0], gamma)
+
+
+def _bootstrap(r, greedy, q_target, gamma):
+    return r + gamma * q_target[np.arange(len(r)), greedy]
+
+
+def ddqn_update(ws: nets.Workspace, buffer: ReplayBuffer, rng: np.random.Generator,
+                local: NetworkParams, target: NetworkParams,
+                opt: OptimizerState) -> float:
+    """One learner step in place; returns its loss.
+
+    The minibatch is the one `buffer.sample(ws.batch, rng)` draws, and the
+    arithmetic is that of ddqn_target, nets.loss_and_gradients,
+    nets.apply_update and nets.soft_update, op for op. The local net runs
+    once over [s; s2] in ws.x, the target net over the s2 half of the
+    same activation buffers, and `local`, `target` and the moments of `opt`
+    change in place. A non-finite loss raises TrainingDiverged before
+    anything is written.
+    """
+    b = ws.batch
+    a, r = buffer.sample_into(ws.x, rng)
+    greedy = nets._forward(local, ws.x, ws.acts)[b:].argmax(axis=1)
+    q_target = nets._forward(target, ws.x[b:], tuple(buf[b:] for buf in ws.acts))
+    y = _bootstrap(r, greedy, q_target, GAMMA)
+    loss = nets._backward(local, ws, a, y)
+    if not np.isfinite(loss):
+        raise TrainingDiverged(f"loss became {loss}")
+    nets._adam(local.flat, opt, ws.grads, ws.sq, ws.step)
+    nets._blend(target.flat, local.flat, nets.SOFT_UPDATE_RATE, ws.sq)
+    return loss
 
 
 def greedy_rollout(env, params: NetworkParams, offset: int):
@@ -177,6 +213,7 @@ def train_ddqn(
     target = local.copy()
     opt = OptimizerState.for_params(local, learning_rate=config.learning_rate)
     buffer = ReplayBuffer(config.buffer, obs_dim)
+    ws = nets.Workspace(local.layout, 2 * config.batch_size, config.batch_size)
     if eval_offset is None:
         eval_offset = eval_env.min_offset()
 
@@ -206,14 +243,7 @@ def train_ddqn(
             ep_return += r
             steps += 1
             if len(buffer) >= config.warm_start:
-                s, a_b, r_b, s2 = buffer.sample(config.batch_size, rng)
-                y = ddqn_target(r_b, s2, local, target, GAMMA)
-                loss, grads = nets.loss_and_gradients(local, s, a_b, y)
-                if not np.isfinite(loss):
-                    raise TrainingDiverged(f"loss became {loss}")
-                local = nets.apply_update(local, opt, grads)
-                target = nets.soft_update(target, local)
-                last_loss = loss
+                last_loss = ddqn_update(ws, buffer, rng, local, target, opt)
         result.episodes += 1
 
         if result.episodes % config.eval_every_episodes == 0 or steps >= budget:

@@ -13,6 +13,13 @@ the init seed and data order. All weights live in one float64 vector,
 (OptimizerState.m and .v) and the target net are NetworkParams in the same
 layout; checkpoints (`dueling-mlp-v1`) store one named array per parameter
 for the weights and for each moment, decoded by one helper.
+
+The forward pass, the backward pass, the Adam step and the soft update are
+one kernel each (`_forward`, `_backward`, `_adam`, `_blend`) that writes into
+buffers it is handed. The learner runs them in one `Workspace` sized once per
+training run and updates its weights, moments and target net in place;
+`forward`, `loss_and_gradients`, `apply_update` and `soft_update` run the
+same kernels on fresh buffers.
 """
 
 import itertools
@@ -30,6 +37,7 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 CLIP_NORM = 0.7  # global gradient-norm clip
 LEARNING_RATE = 1e-4  # Adam step size of a learner that names none
+SOFT_UPDATE_RATE = 0.01  # share of the local net blended into the target per step
 
 
 class CheckpointError(ValueError):
@@ -119,16 +127,33 @@ def init_params(
     )
 
 
-def _forward_all(params: NetworkParams, x: np.ndarray):
-    z1 = x @ params.w1 + params.b1
-    h1 = np.maximum(z1, 0.0)
-    z2 = h1 @ params.w2 + params.b2
-    h2 = np.maximum(z2, 0.0)
-    v = h2 @ params.wv + params.bv
-    adv = h2 @ params.wa + params.ba
+def _activations(rows: int, layout: Tuple):
+    """Empty buffers (h1, h2, v, adv, q, adv row sums) for a forward over `rows` rows."""
+    h1, h2, n_out = layout[1][3][0], layout[3][3][0], layout[7][3][0]  # b1, b2, ba
+    return (np.empty((rows, h1)), np.empty((rows, h2)), np.empty((rows, 1)),
+            np.empty((rows, n_out)), np.empty((rows, n_out)), np.empty((rows, 1)))
+
+
+def _forward(params: NetworkParams, x: np.ndarray, acts) -> np.ndarray:
+    """q over the rows of `x`; every activation is written into `acts` (see
+    _activations). ReLU runs in place: h > 0 is the same mask as z > 0."""
+    h1, h2, v, adv, q, adv_sum = acts
+    np.matmul(x, params.w1, out=h1)
+    h1 += params.b1
+    np.maximum(h1, 0.0, out=h1)
+    np.matmul(h1, params.w2, out=h2)
+    h2 += params.b2
+    np.maximum(h2, 0.0, out=h2)
+    np.matmul(h2, params.wv, out=v)
+    v += params.bv
+    np.matmul(h2, params.wa, out=adv)
+    adv += params.ba
     # sum / n is what ndarray.mean computes, minus its Python wrapper
-    q = v + adv - adv.sum(axis=1, keepdims=True) / adv.shape[1]
-    return q, v, adv, (z1, h1, z2, h2)
+    np.add.reduce(adv, axis=1, keepdims=True, out=adv_sum)
+    adv_sum /= adv.shape[1]
+    np.add(v, adv, out=q)
+    q -= adv_sum
+    return q
 
 
 def forward(params: NetworkParams, s: np.ndarray):
@@ -143,10 +168,72 @@ def forward(params: NetworkParams, s: np.ndarray):
         raise CheckpointError(
             f"input dim {x.shape[1]} does not match network input {params.input_dim}"
         )
-    q, v, adv, _ = _forward_all(params, x)
+    acts = _activations(len(x), params.layout)
+    q = _forward(params, x, acts)
+    v, adv = acts[2], acts[3]
     if single:
         return q[0], float(v[0, 0]), adv[0]
     return q, v[:, 0], adv
+
+
+class Workspace:
+    """Every buffer of a loss-and-gradients pass and an Adam step, allocated
+    once: the inputs `x` and activations `acts` of `rows` rows, the
+    backward's buffers for the first `batch` of them, the gradients and two
+    scratch vectors of the flat size. The learner sizes one for 2 * batch
+    rows, so the local net runs once over [s; s2]."""
+
+    def __init__(self, layout: Tuple, rows: int, batch: int):
+        (n_in, h1), (h2, n_out) = layout[0][3], layout[6][3]  # w1, wa
+        self.batch = batch
+        self.x = np.empty((rows, n_in))
+        self.acts = _activations(rows, layout)
+        self.rows = np.arange(batch)
+        self.dq, self.dadv = np.empty((batch, n_out)), np.empty((batch, n_out))
+        self.dh1, self.mask1 = np.empty((batch, h1)), np.empty((batch, h1), dtype=bool)
+        self.dh2, self.mask2 = np.empty((batch, h2)), np.empty((batch, h2), dtype=bool)
+        self.dh2_v = np.empty((batch, h2))
+        size = layout[-1][2]
+        self.grads = NetworkParams.from_flat(np.empty(size), layout)
+        self.sq, self.step = np.empty(size), np.empty(size)
+
+
+def _backward(params: NetworkParams, ws: Workspace, actions: np.ndarray,
+              targets: np.ndarray) -> float:
+    """Mean squared TD error of the forward in the first ws.batch rows of
+    ws.acts (over ws.x), its analytic gradients written into ws.grads."""
+    n = ws.batch
+    x = ws.x[:n]
+    h1, h2, _, _, q, _ = (a[:n] for a in ws.acts)
+    err = q[ws.rows, actions] - targets
+    loss = float(np.add.reduce(err * err) / n)  # np.mean's arithmetic
+
+    # d loss / d q_sel, scattered back over the action axis
+    dq = ws.dq
+    dq.fill(0.0)
+    dq[ws.rows, actions] = 2.0 * err / n
+    dv = dq.sum(axis=1, keepdims=True)
+    dadv = np.subtract(dq, dv / dq.shape[1], out=ws.dadv)
+
+    grads = ws.grads
+    np.matmul(h2.T, dv, out=grads.wv)
+    dv.sum(axis=0, out=grads.bv)
+    np.matmul(h2.T, dadv, out=grads.wa)
+    dadv.sum(axis=0, out=grads.ba)
+    # dh2 = dv @ wv.T + dadv @ wa.T; the k=1 product is a broadcast multiply,
+    # one broadcast operand at a time (numpy buffers a two-sided broadcast)
+    dh2 = np.matmul(dadv, params.wa.T, out=ws.dh2)
+    np.copyto(ws.dh2_v, params.wv.T)
+    ws.dh2_v *= dv
+    dh2 += ws.dh2_v
+    dh2 *= np.greater(h2, 0.0, out=ws.mask2)  # now dz2
+    np.matmul(h1.T, dh2, out=grads.w2)
+    dh2.sum(axis=0, out=grads.b2)
+    dh1 = np.matmul(dh2, params.w2.T, out=ws.dh1)
+    dh1 *= np.greater(h1, 0.0, out=ws.mask1)  # now dz1
+    np.matmul(x.T, dh1, out=grads.w1)
+    dh1.sum(axis=0, out=grads.b1)
+    return loss
 
 
 def loss_and_gradients(
@@ -167,48 +254,37 @@ def loss_and_gradients(
         raise ValueError("states must be a non-empty (batch, dim) array")
     if len(a) != len(x) or len(y) != len(x):
         raise ValueError("states, actions, targets must have equal length")
-    n = len(x)
-    q, v, adv, (z1, h1, z2, h2) = _forward_all(params, x)
-    q_sel = q[np.arange(n), a]
-    err = q_sel - y
-    loss = float(np.mean(err * err))
-
-    # d loss / d q_sel, scattered back over the action axis
-    dq = np.zeros_like(q)
-    dq[np.arange(n), a] = 2.0 * err / n
-    dv = dq.sum(axis=1, keepdims=True)
-    dadv = dq - dq.sum(axis=1, keepdims=True) / dq.shape[1]
-
-    grads = NetworkParams.from_flat(np.empty(params.flat.size), params.layout)
-    np.matmul(h2.T, dv, out=grads.wv)
-    dv.sum(axis=0, out=grads.bv)
-    np.matmul(h2.T, dadv, out=grads.wa)
-    dadv.sum(axis=0, out=grads.ba)
-    dh2 = dv @ params.wv.T + dadv @ params.wa.T
-    dz2 = dh2 * (z2 > 0.0)
-    np.matmul(h1.T, dz2, out=grads.w2)
-    dz2.sum(axis=0, out=grads.b2)
-    dh1 = dz2 @ params.w2.T
-    dz1 = dh1 * (z1 > 0.0)
-    np.matmul(x.T, dz1, out=grads.w1)
-    dz1.sum(axis=0, out=grads.b1)
-    return loss, grads
+    ws = Workspace(params.layout, len(x), len(x))
+    ws.x[...] = x
+    _forward(params, ws.x, ws.acts)
+    return _backward(params, ws, a, y), ws.grads
 
 
-def global_norm(grads: NetworkParams) -> float:
+def _global_norm(grads: NetworkParams, sq: np.ndarray) -> float:
     # per-parameter sums in layout order: one dot over `flat` rounds differently
-    sq = grads.flat * grads.flat
+    np.multiply(grads.flat, grads.flat, out=sq)
     total = 0.0
     for _, start, stop, _ in grads.layout:
-        total += float(sq[start:stop].sum())
+        total += float(np.add.reduce(sq[start:stop]))
     return math.sqrt(total)
 
 
-def clip_by_global_norm(grads: NetworkParams, max_norm: float) -> NetworkParams:
-    norm = global_norm(grads)
+def global_norm(grads: NetworkParams) -> float:
+    return _global_norm(grads, np.empty_like(grads.flat))
+
+
+def _clip(grads: NetworkParams, norm: float, max_norm: float) -> bool:
+    """Scale `grads`, of global norm `norm`, in place down to max_norm;
+    False if it is already within it (or zero) and was left alone."""
     if norm <= max_norm or norm == 0.0:
-        return grads
-    return NetworkParams.from_flat(grads.flat * (max_norm / norm), grads.layout)
+        return False
+    grads.flat *= max_norm / norm
+    return True
+
+
+def clip_by_global_norm(grads: NetworkParams, max_norm: float) -> NetworkParams:
+    clipped = grads.copy()
+    return clipped if _clip(clipped, global_norm(grads), max_norm) else grads
 
 
 @dataclass
@@ -229,38 +305,60 @@ class OptimizerState:
                    learning_rate=learning_rate, clip_norm=clip_norm)
 
 
+def _adam(flat: np.ndarray, opt: OptimizerState, grads: NetworkParams,
+          sq: np.ndarray, step: np.ndarray) -> None:
+    """Clip `grads` by global norm, then one Adam step on `flat` and the
+    moments of `opt`, all in place; `sq` and `step` are scratch of the flat
+    size. A non-finite gradient raises TrainingDiverged before any write."""
+    norm = _global_norm(grads, sq)
+    # a finite norm means finite gradients; an infinite one may be overflow
+    if not math.isfinite(norm) and not np.isfinite(grads.flat).all():
+        bad = next(n for n, g in grads.arrays() if not np.isfinite(g).all())
+        raise TrainingDiverged(f"non-finite gradient in {bad}")
+    _clip(grads, norm, opt.clip_norm)
+    g = grads.flat
+    opt.step += 1
+    t = opt.step
+    m, v = opt.m.flat, opt.v.flat
+    m *= ADAM_BETA1
+    m += np.multiply(g, 1.0 - ADAM_BETA1, out=sq)
+    v *= ADAM_BETA2
+    v += np.multiply(np.multiply(g, g, out=sq), 1.0 - ADAM_BETA2, out=sq)
+    # flat -= learning_rate * m_hat / (sqrt(v_hat) + eps)
+    denom = np.sqrt(np.divide(v, 1.0 - ADAM_BETA2 ** t, out=sq), out=sq)
+    denom += ADAM_EPS
+    np.divide(m, 1.0 - ADAM_BETA1 ** t, out=step)
+    step *= opt.learning_rate
+    step /= denom
+    flat -= step
+
+
 def apply_update(
     params: NetworkParams,
     opt: OptimizerState,
     grads: NetworkParams,
 ) -> NetworkParams:
     """Clip by global norm, then one Adam step. Mutates `opt`, returns new params."""
-    if not np.isfinite(grads.flat).all():
-        bad = next(n for n, g in grads.arrays() if not np.isfinite(g).all())
-        raise TrainingDiverged(f"non-finite gradient in {bad}")
-    g = clip_by_global_norm(grads, opt.clip_norm).flat
-    opt.step += 1
-    t = opt.step
-    m, v = opt.m.flat, opt.v.flat
-    m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * g
-    v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * (g * g)
-    m_hat = m / (1.0 - ADAM_BETA1 ** t)
-    v_hat = v / (1.0 - ADAM_BETA2 ** t)
-    return NetworkParams.from_flat(
-        params.flat - opt.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS),
-        params.layout)
+    out = params.copy()
+    _adam(out.flat, opt, grads.copy(), np.empty_like(out.flat), np.empty_like(out.flat))
+    return out
+
+
+def _blend(target: np.ndarray, local: np.ndarray, rate: float, tmp: np.ndarray) -> None:
+    """target = rate * local + (1 - rate) * target in place; `tmp` is scratch."""
+    target *= 1.0 - rate
+    target += np.multiply(local, rate, out=tmp)
 
 
 def soft_update(target: NetworkParams, local: NetworkParams,
-                rate: float = 0.01) -> NetworkParams:
+                rate: float = SOFT_UPDATE_RATE) -> NetworkParams:
     """target' = rate * local + (1 - rate) * target, elementwise."""
     if local.layout != target.layout:
         loc, tgt = next((a, b) for a, b in zip(local.layout, target.layout) if a != b)
         raise CheckpointError(f"shape mismatch in {loc[0]}: {loc[3]} vs {tgt[3]}")
-    return NetworkParams.from_flat(rate * local.flat + (1.0 - rate) * target.flat,
-                                   target.layout)
+    out = target.copy()
+    _blend(out.flat, local.flat, rate, np.empty_like(out.flat))
+    return out
 
 
 def _encode_array(arr: np.ndarray) -> Dict:

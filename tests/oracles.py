@@ -9,7 +9,8 @@ reserve formulas of clmmlab.amm. The branchy totals walk and the
 per-candle hour path are the float-only kernel and path builder that the
 one walk body and env.hour_paths replaced. The learner oracles share only the
 parameter container, the Adam constants and the error types with
-clmmlab.nets; the per-row feature scaler shares only the FeatureScaler
+clmmlab.nets (the four-call update also reads the replay buffer's arrays
+and the discount); the per-row feature scaler shares only the FeatureScaler
 fields. The two-walk EWA replay runs on the oracle ledger and pins
 down the budgets x references rewrite of run_ewa; the per-width replay
 is run_ewa as it stood before it walked a block of hours at once, and
@@ -41,6 +42,7 @@ from clmmlab.indicators import sma
 from clmmlab.marketdata import synth_gbm
 from clmmlab.report import REPORT_CSV_HEADER
 from clmmlab.marketdata import Candle
+from clmmlab.dqn import GAMMA
 from clmmlab.nets import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, CheckpointError,
                           NetworkParams, TrainingDiverged)
 
@@ -354,6 +356,71 @@ def soft_update(target, local, rate=0.01):
             )
         out[name] = rate * loc + (1.0 - rate) * tgt
     return NetworkParams(**out)
+
+
+# -- the learner update as four calls ----------------------------------------
+#
+# The double-DQN update as it stood before it ran in one workspace: every
+# pass allocates fresh arrays, the local net runs over s2 and over s in two
+# separate passes, and the optimizer returns new params. dqn.ddqn_update and
+# the public nets passes must agree with it bit for bit.
+
+
+def forward_all(params, x):
+    z1 = x @ params.w1 + params.b1
+    h1 = np.maximum(z1, 0.0)
+    z2 = h1 @ params.w2 + params.b2
+    h2 = np.maximum(z2, 0.0)
+    v = h2 @ params.wv + params.bv
+    adv = h2 @ params.wa + params.ba
+    q = v + adv - adv.sum(axis=1, keepdims=True) / adv.shape[1]
+    return q, v, adv, (z1, h1, z2, h2)
+
+
+def loss_and_gradients(params, x, a, y):
+    n = len(x)
+    q, v, adv, (z1, h1, z2, h2) = forward_all(params, x)
+    err = q[np.arange(n), a] - y
+    loss = float(np.mean(err * err))
+    dq = np.zeros_like(q)
+    dq[np.arange(n), a] = 2.0 * err / n
+    dv = dq.sum(axis=1, keepdims=True)
+    dadv = dq - dq.sum(axis=1, keepdims=True) / dq.shape[1]
+    grads = {"wv": h2.T @ dv, "bv": dv.sum(axis=0),
+             "wa": h2.T @ dadv, "ba": dadv.sum(axis=0)}
+    dz2 = (dv @ params.wv.T + dadv @ params.wa.T) * (z2 > 0.0)
+    grads.update(w2=h1.T @ dz2, b2=dz2.sum(axis=0))
+    dz1 = (dz2 @ params.w2.T) * (z1 > 0.0)
+    grads.update(w1=x.T @ dz1, b1=dz1.sum(axis=0))
+    return loss, NetworkParams(**grads)
+
+
+def ddqn_target(r, s2, local, target, gamma):
+    q_local = forward_all(local, s2)[0]
+    q_target = forward_all(target, s2)[0]
+    return r + gamma * q_target[np.arange(len(s2)), q_local.argmax(axis=1)]
+
+
+def ddqn_update(buffer, batch_size, rng, local, target, opt):
+    """One learner step as four calls: (loss, new local, new target); mutates `opt`."""
+    idx = rng.choice(len(buffer), size=batch_size, replace=False)
+    s = buffer.obs[idx].astype(np.float64)
+    s2 = buffer.next_obs[idx].astype(np.float64)
+    y = ddqn_target(buffer.rewards[idx], s2, local, target, GAMMA)
+    loss, grads = loss_and_gradients(local, s, buffer.actions[idx], y)
+    if not np.isfinite(loss):
+        raise TrainingDiverged(f"loss became {loss}")
+    local = apply_update(local, opt, grads)
+    return loss, local, soft_update(target, local)
+
+
+def ddqn_update_in_place(ws, buffer, rng, local, target, opt):
+    """ddqn_update behind dqn.ddqn_update's signature: the new weights are
+    written back into `local` and `target`."""
+    loss, new_local, new_target = ddqn_update(buffer, ws.batch, rng, local, target, opt)
+    local.flat[...] = new_local.flat
+    target.flat[...] = new_target.flat
+    return loss
 
 
 # -- per-row feature scaling -------------------------------------------------

@@ -1,12 +1,13 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
-from clmmlab import nets
-from clmmlab.dqn import DDQNConfig, train_ddqn
+from clmmlab import dqn, nets
+from clmmlab.dqn import DDQNConfig, ReplayBuffer, ddqn_update, train_ddqn
 from clmmlab.nets import (
     CheckpointError,
     NetworkParams,
@@ -402,9 +403,123 @@ class TestFlatMatchesOracle:
             return train_ddqn(ToyPriceCycleEnv(), ToyPriceCycleEnv(), cfg, 1500, seed=4)
 
         flat = run()
-        for name in ("global_norm", "clip_by_global_norm", "apply_update", "soft_update"):
-            monkeypatch.setattr(nets, name, getattr(oracles, name))
+        monkeypatch.setattr(dqn, "ddqn_update", oracles.ddqn_update_in_place)
         ref = run()
         assert flat.steps == ref.steps == 1500
         assert same_bytes(flat.params, ref.params)
         assert flat.log == ref.log
+
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    def test_public_passes_match_fresh_array_oracle(self, rows):
+        rng = np.random.default_rng(rows)
+        p = random_params(rng, 1.0)
+        s = rng.normal(size=(rows, 5))
+        q, v, adv = forward(p, s)
+        ref_q, ref_v, ref_adv, _ = oracles.forward_all(p, s)
+        assert q.tobytes() == ref_q.tobytes() and adv.tobytes() == ref_adv.tobytes()
+        assert v.tobytes() == ref_v[:, 0].tobytes()
+        a, y = rng.integers(0, 3, size=rows), rng.normal(size=rows)
+        loss, g = loss_and_gradients(p, s, a, y)
+        ref_loss, ref_g = oracles.loss_and_gradients(p, s, a, y)
+        assert loss == ref_loss and same_bytes(g, ref_g)
+
+    def test_relu_mask_in_place_keeps_nan_rows(self):
+        # ReLU runs in place, so the backward masks with h > 0 where the
+        # oracle masks with z > 0: the same mask, NaN included
+        rng = np.random.default_rng(2)
+        p = random_params(rng, 1.0)
+        s = rng.normal(size=(6, 5))
+        s[2, 1] = math.nan
+        a, y = rng.integers(0, 3, size=6), rng.normal(size=6)
+        loss, g = loss_and_gradients(p, s, a, y)
+        ref_loss, ref_g = oracles.loss_and_gradients(p, s, a, y)
+        assert math.isnan(loss) and math.isnan(ref_loss)
+        assert np.array_equal(g.flat, ref_g.flat, equal_nan=True)
+
+
+def filled_buffer(rng, size, dim, n_actions):
+    buf = ReplayBuffer(size, dim)
+    for _ in range(size):
+        buf.add(rng.normal(size=dim), rng.integers(n_actions), rng.normal(),
+                rng.normal(size=dim))
+    return buf
+
+
+def learner(dim, n_out, batch, seed, **opt_kwargs):
+    local = init_params(dim, n_out, seed=seed)
+    return (nets.Workspace(local.layout, 2 * batch, batch), local, local.copy(),
+            OptimizerState.for_params(local, **opt_kwargs))
+
+
+class TestInPlaceUpdate:
+    """dqn.ddqn_update against the four-call update it replaced."""
+
+    @pytest.mark.parametrize("batch,dim,n_out", [(64, 15, 3), (256, 32, 11)])
+    @pytest.mark.parametrize("clip", ["idle", "active"])
+    def test_matches_four_call_oracle_bit_for_bit(self, batch, dim, n_out, clip):
+        rng = np.random.default_rng(batch + dim)
+        buf = filled_buffer(rng, 1000, dim, n_out)
+        clip_norm = {"idle": math.inf, "active": 1e-3}[clip]
+        ws, local, target, opt = learner(dim, n_out, batch, seed=dim,
+                                         learning_rate=1e-2, clip_norm=clip_norm)
+        _, ref_local, ref_target, ref_opt = learner(dim, n_out, batch, seed=dim,
+                                                    learning_rate=1e-2,
+                                                    clip_norm=clip_norm)
+        rng_new, rng_ref = np.random.default_rng(7), np.random.default_rng(7)
+        norms = []
+        for _ in range(200):
+            loss = ddqn_update(ws, buf, rng_new, local, target, opt)
+            norms.append(global_norm(ws.grads))
+            ref_loss, ref_local, ref_target = oracles.ddqn_update(
+                buf, batch, rng_ref, ref_local, ref_target, ref_opt)
+            assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+            assert same_bytes(local, ref_local) and same_bytes(target, ref_target)
+            assert same_bytes(opt.m, ref_opt.m) and same_bytes(opt.v, ref_opt.v)
+            assert opt.step == ref_opt.step
+        # every raw gradient is above the active limit, so it clips every step
+        if clip == "idle":
+            assert min(norms) > 1e-3
+        else:
+            assert norms == pytest.approx([1e-3] * len(norms))
+
+    def test_warm_updates_allocate_no_activation_sized_array(self):
+        batch, dim, n_out = 256, 32, 11
+        rng = np.random.default_rng(5)
+        buf = filled_buffer(rng, 1000, dim, n_out)
+        ws, local, target, opt = learner(dim, n_out, batch, seed=5)
+        one_activation = batch * 64 * 8  # bytes of a (256, 64) float64 array
+
+        def peak_growth(update):
+            update()  # warm
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                for _ in range(20):
+                    update()
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        assert peak_growth(lambda: ddqn_update(ws, buf, rng, local, target, opt)) \
+            < one_activation
+        # the four-call update it replaced holds several at once
+        nets_ = [local.copy(), target.copy()]
+
+        def four_call():
+            _, nets_[0], nets_[1] = oracles.ddqn_update(buf, batch, rng, *nets_, opt)
+
+        assert peak_growth(four_call) > one_activation
+
+    def test_nan_loss_raises_before_anything_is_written(self):
+        batch, dim, n_out = 64, 15, 3
+        rng = np.random.default_rng(6)
+        buf = filled_buffer(rng, batch, dim, n_out)
+        ws, local, target, opt = learner(dim, n_out, batch, seed=6)
+        for _ in range(3):
+            ddqn_update(ws, buf, rng, local, target, opt)
+        before = [a.flat.tobytes() for a in (local, target, opt.m, opt.v)], opt.step
+        buf.rewards[batch // 2] = math.nan  # a batch of the whole buffer draws it
+        with pytest.raises(TrainingDiverged, match="^loss became nan$"):
+            ddqn_update(ws, buf, rng, local, target, opt)
+        assert ([a.flat.tobytes() for a in (local, target, opt.m, opt.v)], opt.step) \
+            == before
