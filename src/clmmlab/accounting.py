@@ -39,9 +39,11 @@ def lvr_over_path(
     position's value at the path's last point.
 
     fee is zero when fee_tier=0; hedge is the short leg's -sum x dp.  A
-    point costs one sqrt: the price clamped to [pa, pb] gives both reserves
-    through the in-band formulas.  A move earns rate * L * |s1 - s0| on the
-    clamped sqrt prices: only its part inside the band.
+    point costs one sqrt: amm's one clamp-then-sqrt holdings formula (the
+    price clamped to [pa, pb] gives both reserves through the in-band
+    formulas), written out inline because a call per point would cost the
+    walk.  A move earns rate * L * |s1 - s0| on the clamped sqrt prices:
+    only its part inside the band.
 
     path is a sequence of floats, or an array whose first axis is the
     points; the position's fields may then be arrays too, and the results

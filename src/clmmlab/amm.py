@@ -3,13 +3,17 @@
 Prices live on a geometric tick grid, price(i) = 1.0001**i.  A position with
 liquidity L on the band [pa, pb] holds reserves
 
-    p <= pa:        x = L*(1/sqrt(pa) - 1/sqrt(pb)),  y = 0
-    pa < p < pb:    x = L*(1/sqrt(p)  - 1/sqrt(pb)),  y = L*(sqrt(p) - sqrt(pa))
-    p >= pb:        x = 0,                            y = L*(sqrt(pb) - sqrt(pa))
+    s = sqrt(min(max(p, pa), pb)):   x = L*(1/s - 1/sqrt(pb)),  y = L*(s - sqrt(pa))
 
-and is worth V(p) = p*x + y in quote units.  Fees accrue on the part of a
-price move that lies inside the band: the trader pays delta/(1-delta) of the
-swapped amount, which in quote units works out to
+(below the band it is all base, x = L*(1/sqrt(pa) - 1/sqrt(pb)) and y = 0;
+above it all quote) and is worth V(p) = p*x + y in quote units.  This
+clamp-then-sqrt form is the one holdings formula: reserves, position_value
+and liquidity_for_budget compute it here, and accounting.lvr_over_path
+walks the same steps inline.
+
+Fees accrue on the part of a price move that lies inside the band: the
+trader pays delta/(1-delta) of the swapped amount, which in quote units
+works out to
 
     fee = delta/(1-delta) * L * |sqrt(p2) - sqrt(p1)|
 
@@ -115,23 +119,25 @@ def _check_price(p: float) -> None:
         raise ValueError(f"price must be positive and finite, got {p}")
 
 
+def _holdings(liquidity: float, price_lower: float, price_upper: float,
+              price: float) -> Tuple[float, float]:
+    # (x, y) by the module's one clamp-then-sqrt formula; builds no Reserves
+    _check_price(price)
+    s = math.sqrt(price_lower if price <= price_lower
+                  else price_upper if price >= price_upper else price)
+    return (liquidity * (1.0 / s - 1.0 / math.sqrt(price_upper)),
+            liquidity * (s - math.sqrt(price_lower)))
+
+
 def reserves(liquidity: float, price_lower: float, price_upper: float, price: float) -> Reserves:
     """Token amounts backing the position at the given price."""
-    _check_price(price)
-    sa = math.sqrt(price_lower)
-    sb = math.sqrt(price_upper)
-    if price <= price_lower:
-        return Reserves(liquidity * (1.0 / sa - 1.0 / sb), 0.0)
-    if price >= price_upper:
-        return Reserves(0.0, liquidity * (sb - sa))
-    sp = math.sqrt(price)
-    return Reserves(liquidity * (1.0 / sp - 1.0 / sb), liquidity * (sp - sa))
+    return Reserves(*_holdings(liquidity, price_lower, price_upper, price))
 
 
 def position_value(liquidity: float, price_lower: float, price_upper: float, price: float) -> float:
     """Mark-to-market value p*x + y in quote units."""
-    r = reserves(liquidity, price_lower, price_upper, price)
-    return price * r.x + r.y
+    x, y = _holdings(liquidity, price_lower, price_upper, price)
+    return price * x + y
 
 
 def liquidity_for_budget(
@@ -139,22 +145,12 @@ def liquidity_for_budget(
 ) -> float:
     """Liquidity bought by `budget` quote units at the current price.
 
-    Inverts V(p) = budget for the band; the resulting position is worth
-    exactly the budget at `price`.
+    V is linear in L, so this is the budget over the value of one unit of
+    liquidity; the resulting position is worth the budget at `price`.
     """
     if budget < 0.0:
         raise ValueError(f"budget must be >= 0, got {budget}")
-    _check_price(price)
-    sa = math.sqrt(price_lower)
-    sb = math.sqrt(price_upper)
-    if price <= price_lower:
-        denom = price * (1.0 / sa - 1.0 / sb)
-    elif price >= price_upper:
-        denom = sb - sa
-    else:
-        sp = math.sqrt(price)
-        denom = price * (1.0 / sp - 1.0 / sb) + (sp - sa)
-    return budget / denom
+    return budget / position_value(1.0, price_lower, price_upper, price)
 
 
 def band_for_center(center_tick: int, width: int, spacing: int) -> Tuple[float, float]:

@@ -407,16 +407,22 @@ def check_settings(settings: Dict, fields: Sequence[str], required: Sequence[str
         if checked.get(name) in (None, ""):
             raise RunError(f"missing required field {name!r}")
     if command is not None:
-        if not out_dir:
-            raise RunError("missing required field 'out_dir'")
-        if os.path.isdir(out_dir):
-            others = set().union(*OUT_DIR_FILES.values()) - set(OUT_DIR_FILES[command])
-            held = sorted(others.intersection(os.listdir(out_dir)))
-            if held:
-                raise FileExistsError(f"out_dir {out_dir} holds another command's {held[0]}")
-        elif os.path.exists(out_dir):
-            raise NotADirectoryError(f"out_dir is not a directory: {out_dir}")
+        check_out_dir(command, out_dir)
     return checked
+
+
+def check_out_dir(command: str, out_dir: Optional[str]) -> None:
+    """Refuse an out_dir for command (a key of OUT_DIR_FILES) that is not a
+    directory or absent, or that holds a file only other commands write."""
+    if not out_dir:
+        raise RunError("missing required field 'out_dir'")
+    if os.path.isdir(out_dir):
+        others = set().union(*OUT_DIR_FILES.values()) - set(OUT_DIR_FILES[command])
+        held = sorted(others.intersection(os.listdir(out_dir)))
+        if held:
+            raise FileExistsError(f"out_dir {out_dir} holds another command's {held[0]}")
+    elif os.path.exists(out_dir):
+        raise NotADirectoryError(f"out_dir is not a directory: {out_dir}")
 
 
 def run_backtest_dir(settings: Dict, out_dir: str) -> BacktestResult:
@@ -492,8 +498,10 @@ def write_run_dir(result: BacktestResult, out_dir: str) -> Dict[str, str]:
     """Write run.json, report.csv, trace.csv, actions.csv for one run.
 
     Every file embeds the run's digest and seed so artifacts can be
-    traced back to the exact run that produced them.
+    traced back to the exact run that produced them. An out_dir that
+    check_out_dir refuses for a backtest raises before any file is written.
     """
+    check_out_dir("backtest", out_dir)
     os.makedirs(out_dir, exist_ok=True)
     digest = result.config_hash
     seed = result.config.seed

@@ -134,6 +134,8 @@ class LPEnv:
         self.position: Optional[LiquidityPosition] = None
         self.center_tick = 0
         self.width = 0
+        # the position's value at the current hour's close
+        self.value = 0.0
 
     # -- episode plumbing ------------------------------------------------
 
@@ -166,7 +168,8 @@ class LPEnv:
         self._steps_taken = 0
         self.done = False
         self.cash = 0.0
-        return self._observe(self.position_value(close))
+        self.value = self.position.value(close)
+        return self._observe()
 
     def _open_position(self, price: float, width: int, budget: float) -> None:
         self.center_tick, self.position = mint_band(
@@ -179,12 +182,8 @@ class LPEnv:
     def t(self) -> int:
         return self._t
 
-    def position_value(self, price: float) -> float:
-        return self.position.value(price)
-
-    def _observe(self, value: float) -> Optional[np.ndarray]:
-        """The observation at the current hour; value marks the position
-        at its close."""
+    def _observe(self) -> Optional[np.ndarray]:
+        """The observation at the current hour."""
         if self.features is None:
             return None
         close = self.candles[self._t].close
@@ -193,7 +192,7 @@ class LPEnv:
             cash=self.cash,
             center_tick=self.center_tick,
             width=self.width,
-            value=value,
+            value=self.value,
             l0=self.config.l0,
             close=close,
             tick_spacing=self.config.pool.tick_spacing,
@@ -214,12 +213,11 @@ class LPEnv:
         close_t = self.candles[t].close
         gas = 0.0
         if action >= 1:
-            budget = self.cash + self.position_value(close_t)
-            self._open_position(close_t, width=action, budget=budget)
+            self._open_position(close_t, width=action, budget=self.cash + self.value)
             self.cash = 0.0
             gas = self.config.gas
 
-        lvr, fee, dv, _, value = lvr_over_path(
+        lvr, fee, dv, _, self.value = lvr_over_path(
             self.position, self._paths[t].tolist(), fee_tier=self.config.pool.fee_tier)
 
         if self.config.reward_mode == "hedged":
@@ -233,6 +231,6 @@ class LPEnv:
         self.done = self._steps_taken >= self.config.episode_length
         # positional: keyword arguments double the cost of building a record
         record = HourRecord(self._t, action, fee, lvr, gas, dv, reward, self.cash,
-                            self.center_tick, self.width, value,
+                            self.center_tick, self.width, self.value,
                             self.candles[t + 1].close)
-        return self._observe(value), reward, self.done, record
+        return self._observe(), reward, self.done, record

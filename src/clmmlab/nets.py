@@ -269,10 +269,6 @@ def _global_norm(grads: NetworkParams, sq: np.ndarray) -> float:
     return math.sqrt(total)
 
 
-def global_norm(grads: NetworkParams) -> float:
-    return _global_norm(grads, np.empty_like(grads.flat))
-
-
 def _clip(grads: NetworkParams, norm: float, max_norm: float) -> bool:
     """Scale `grads`, of global norm `norm`, in place down to max_norm;
     False if it is already within it (or zero) and was left alone."""
@@ -280,11 +276,6 @@ def _clip(grads: NetworkParams, norm: float, max_norm: float) -> bool:
         return False
     grads.flat *= max_norm / norm
     return True
-
-
-def clip_by_global_norm(grads: NetworkParams, max_norm: float) -> NetworkParams:
-    clipped = grads.copy()
-    return clipped if _clip(clipped, global_norm(grads), max_norm) else grads
 
 
 @dataclass

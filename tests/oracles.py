@@ -2,7 +2,10 @@
 
 Everything here is written directly from the defining formulas, on purpose
 without importing the implementation's fee/lvr kernel, so that agreement
-between the two is evidence rather than tautology. The per-move ledger
+between the two is evidence rather than tautology. The branchy holdings
+(reserves_oracle, value_oracle, liquidity_for_budget_oracle) are
+clmmlab.amm's formulas as they stood before its one clamp-then-sqrt form
+replaced a branch per price region. The per-move ledger
 walker (LedgerStep, lvr_over_path, fee_one_move, fee_over_path) is the
 scalar code the kernel replaced; it shares only the price check and the
 reserve formulas of clmmlab.amm. The branchy totals walk and the
@@ -77,6 +80,22 @@ def reserves_oracle(liquidity, price_lower, price_upper, p):
 def value_oracle(liquidity, price_lower, price_upper, p):
     x, y = reserves_oracle(liquidity, price_lower, price_upper, p)
     return p * x + y
+
+
+def liquidity_for_budget_oracle(budget, p, price_lower, price_upper):
+    """Inverts V(p) = budget with one hand-expanded denominator per branch."""
+    if budget < 0.0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
+    _check_price(p)
+    sa, sb = math.sqrt(price_lower), math.sqrt(price_upper)
+    if p <= price_lower:
+        denom = p * (1.0 / sa - 1.0 / sb)
+    elif p >= price_upper:
+        denom = sb - sa
+    else:
+        sp = math.sqrt(p)
+        denom = p * (1.0 / sp - 1.0 / sb) + (sp - sa)
+    return budget / denom
 
 
 def lvr_vform_oracle(liquidity, price_lower, price_upper, path):

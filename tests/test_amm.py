@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from clmmlab import accounting, amm
-from oracles import micro_fee_oracle, random_band_and_path, reserves_oracle, value_oracle
+from oracles import (liquidity_for_budget_oracle, micro_fee_oracle, random_band_and_path,
+                     reserves_oracle, value_oracle)
 
 
 def test_tick_price_round_trip():
@@ -78,6 +79,63 @@ def test_reserves_match_oracle_randomized():
             ox, oy = reserves_oracle(L, pa, pb, p)
             assert got.x == pytest.approx(ox, rel=1e-12, abs=1e-15)
             assert got.y == pytest.approx(oy, rel=1e-12, abs=1e-15)
+
+
+def assert_holdings_match_branchy_oracle(L, pa, pb, p, budget):
+    r = amm.reserves(L, pa, pb, p)
+    got = (r.x, r.y, amm.position_value(L, pa, pb, p),
+           amm.liquidity_for_budget(budget, p, pa, pb))
+    want = reserves_oracle(L, pa, pb, p) + (value_oracle(L, pa, pb, p),
+                                            liquidity_for_budget_oracle(budget, p, pa, pb))
+    assert [float.hex(v) for v in got] == [float.hex(v) for v in want], (L, pa, pb, p, budget)
+
+
+def edge_and_random_prices(rng, pa, pb, log_lo, log_hi):
+    """The band's edges, their float neighbours and random prices."""
+    prices = [pa, pb, math.sqrt(pa * pb)]
+    prices += [math.nextafter(e, d) for e in (pa, pb) for d in (0.0, math.inf)]
+    prices += [math.exp(rng.uniform(log_lo, log_hi)) for _ in range(3)]
+    return prices
+
+
+def test_holdings_bitwise_equal_branchy_oracle():
+    """reserves, position_value and liquidity_for_budget equal the branchy
+    formulas they replaced bit for bit, for prices from 1e-10 to 1e10, on
+    and next to the band edges, and for bands at the tick limits."""
+    rng = np.random.default_rng(31)
+    lim = math.log(1e10)
+    for _ in range(3_000):
+        width = math.exp(rng.uniform(math.log(1e-6), math.log(10.0)))
+        lo = rng.uniform(-lim, lim - width)
+        pa, pb = math.exp(lo), math.exp(lo + width)
+        L = math.exp(rng.uniform(-5.0, 10.0))
+        budget = math.exp(rng.uniform(-5.0, 12.0))
+        for p in edge_and_random_prices(rng, pa, pb, -lim, lim):
+            assert_holdings_match_branchy_oracle(L, pa, pb, p, budget)
+    tick_lim = 887_272
+    bands = [(tick_lim - 60, tick_lim), (-tick_lim, -tick_lim + 60), (-tick_lim, tick_lim)]
+    bands += [(t, t + int(rng.integers(1, 2_000))) for t in
+              rng.integers(tick_lim - 4_000, tick_lim - 2_000, size=100).tolist()
+              + rng.integers(-tick_lim, -tick_lim + 2_000, size=100).tolist()]
+    for lower, upper in bands:
+        pa, pb = amm.tick_to_price(lower), amm.tick_to_price(upper)
+        log_lo, log_hi = math.log(pa) - 1.0, math.log(pb) + 1.0
+        for p in edge_and_random_prices(rng, pa, pb, log_lo, log_hi):
+            for L, budget in [(1e6, 250.0), (1.0, 0.0), (math.exp(rng.uniform(-5, 10)), 1e9)]:
+                assert_holdings_match_branchy_oracle(L, pa, pb, p, budget)
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_holdings_reject_bad_price_like_the_oracle(bad):
+    for call in (lambda: amm.reserves(1.0, 1.0, 4.0, bad),
+                 lambda: amm.position_value(1.0, 1.0, 4.0, bad),
+                 lambda: amm.liquidity_for_budget(1.0, bad, 1.0, 4.0),
+                 lambda: liquidity_for_budget_oracle(1.0, bad, 1.0, 4.0)):
+        with pytest.raises(ValueError, match="^price must be positive and finite"):
+            call()
+    for call in (amm.liquidity_for_budget, liquidity_for_budget_oracle):
+        with pytest.raises(ValueError, match=r"^budget must be >= 0, got -1.0$"):
+            call(-1.0, bad, 1.0, 4.0)
 
 
 def test_reserves_continuity_at_boundaries():

@@ -817,6 +817,22 @@ class TestOneSettingsGate:
         assert err.strip() == f"error: run: out_dir {target} holds another command's {held}"
         assert _tree_bytes(target) == before
 
+    @pytest.mark.parametrize("onto,held", [("train", "checkpoint.json"),
+                                           ("report", "cumulative_pnl.csv")])
+    def test_library_write_run_dir_refuses_another_commands_dir(
+            self, command_dirs, candles_csv, tmp_path, onto, held):
+        root, _ = command_dirs
+        target = tmp_path / onto
+        shutil.copytree(root / onto, target)
+        before = _tree_bytes(target)
+        result = backtest.run_backtest(backtest.load_candles_csv(candles_csv),
+                                       RunConfig(method="tau-reset", tau=6, offset=10,
+                                                 horizon=100))
+        with pytest.raises(FileExistsError) as got:
+            backtest.write_run_dir(result, str(target))
+        assert str(got.value) == f"out_dir {target} holds another command's {held}"
+        assert _tree_bytes(target) == before
+
     @pytest.mark.parametrize("command", ["train", "backtest", "report"])
     def test_rerun_into_its_own_directory_keeps_its_bytes(self, command_dirs, capsys,
                                                            tmp_path, command):

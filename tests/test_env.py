@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from clmmlab import env as envmod
+from clmmlab.amm import mint_band
 from clmmlab.backtest import BacktestResult, RunConfig, RunError, write_run_dir
 from clmmlab.cli import main
 from clmmlab.env import EnvConfig, LPEnv
@@ -34,7 +35,7 @@ class TestReset:
         env.reset(210)
         assert env.cash == 0.0
         assert env.width == 1
-        assert abs(env.position_value(env.candles[210].close) - env.config.l0) < 1e-9
+        assert abs(env.value - env.config.l0) < 1e-9
 
     def test_same_offset_same_state(self):
         env = make_env()
@@ -121,9 +122,39 @@ class TestStep:
         env.reset(210)
         env.step(0)
         close = env.candles[env.t].close
-        budget = env.cash + env.position_value(close)
+        budget = env.cash + env.value
         env.step(4)
         assert env.position.value(close) == pytest.approx(budget, abs=1e-9)
+
+    def test_reallocation_spends_last_records_value_and_cash(self, monkeypatch):
+        """A reallocation's budget is the cash and value of the hour before,
+        bit for bit, and that value is amm's value of the old position at
+        the close, inside the band or outside it."""
+        budgets = []
+
+        def spy(price, width, spacing, budget):
+            budgets.append(budget)
+            return mint_band(price, width, spacing, budget)
+
+        env = make_env(sigma=0.02, episode_length=150)
+        env.reset(10)
+        monkeypatch.setattr(envmod, "mint_band", spy)
+        rng = np.random.default_rng(13)
+        before, reallocations, outside = None, 0, 0
+        for action in rng.integers(0, 4, size=150).tolist():
+            position, close = env.position, env.candles[env.t].close
+            budgets.clear()
+            _, _, _, record = env.step(action)
+            if before is None:
+                before = record
+                continue
+            assert float.hex(before.value) == float.hex(position.value(close))
+            outside += not position.price_lower < close < position.price_upper
+            if action:
+                reallocations += 1
+                assert [float.hex(b) for b in budgets] == [float.hex(before.cash + before.value)]
+            before = record
+        assert reallocations > 50 and outside > 10
 
 
 class TestEpisodeIdentities:
@@ -163,7 +194,7 @@ class TestEpisodeIdentities:
         rng = np.random.default_rng(9)
         actions = rng.integers(0, 3, size=80)
         _, records = self.run_episode(env, actions)
-        wealth = env.cash + env.position_value(env.candles[env.t].close)
+        wealth = env.cash + env.value
         expected = env.config.l0 + sum(r.fee + r.dv for r in records)
         assert wealth == pytest.approx(expected, abs=1e-9)
 
