@@ -53,6 +53,8 @@ def lvr_over_path(
     one in walk order (each hour's points in turn) raises.  Keep the
     arithmetic order: the results equal the walks in tests/oracles.py bit
     for bit on floats and arrays alike, and run artifacts depend on that.
+    baselines.run_tau_reset repeats the fee arithmetic to carry its budget
+    before it walks, so a change to it must change both.
     """
     if len(path) == 0:
         raise ValueError("price path is empty")

@@ -3,12 +3,13 @@
 A backtest replays one strategy over one candle window and produces a
 result with one env.HourRecord per hour plus the relative fee / gas /
 LVR / PnL decomposition, totalled by accounting.ordered_sum. Strategies
-share the same accounting (the env for tau-reset and the greedy net, the
-standalone replay for EWA), so rows from different methods are directly
-comparable; the drift study replays through the same runner, minus the
-digest. A run's settings are resolved once, when its RunConfig is built
-(table defaults and their label included); the env, EWA and run.json
-read that config.
+share the same accounting (the env for the greedy net, the chunked
+replays of baselines for tau-reset and EWA, all on the one ledger
+kernel), so rows from different methods are directly comparable; the
+drift study replays through the same runner, minus the digest. A run's
+settings are resolved once, when its RunConfig is built (table defaults
+and their label included); the env, the baselines and run.json read that
+config.
 """
 
 import dataclasses
@@ -327,7 +328,7 @@ def _replay(candles: Sequence[Candle], config: RunConfig, offset: int,
     parses the checkpoint bytes given."""
     env_config = config.env_config(episode_length=horizon)
     if config.method == "tau-reset":
-        return run_tau_reset(LPEnv(candles, env_config), config.tau, offset)
+        return run_tau_reset(candles, offset, horizon, config.tau, env_config)
 
     if config.method == "ewa":
         return run_ewa(candles, offset, horizon, config.ewa_config(), env_config)[0]

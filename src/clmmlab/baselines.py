@@ -12,11 +12,13 @@ Two strategies:
   width. A position opened with budget b at a close holds b times the
   liquidity of the unit reference opened there, and fee, LVR and value
   are linear in liquidity, so positions = budgets x unit references.
-  The references stay put between reallocations, so each reallocation
-  block is one ledger walk of all N references over all its hours at
-  once; it yields the per-width rewards, the hours' totals and their
-  closing values. Its hours are env.HourRecords with center_tick and
-  width 0, since it holds several bands at once.
+  Its hours are env.HourRecords with center_tick and width 0, since it
+  holds several bands at once.
+
+Neither strategy's bands read the ledger: tau-reset's move when a close
+leaves them, and EWA's references are minted at the close before each
+periodic reallocation. So both walk a chunk of WALK_HOURS hours per
+ledger call, each hour on the band(s) it holds.
 
 Default hyperparameters for the benchmark pools, periods, and fund sizes
 ship in TAU_DEFAULTS / EWA_DEFAULTS.
@@ -24,33 +26,127 @@ ship in TAU_DEFAULTS / EWA_DEFAULTS.
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from .accounting import lvr_over_path
-from .amm import LiquidityPosition, mint_band
-from .env import EnvConfig, HourRecord, LPEnv, hour_paths
+from .amm import (band_for_center, liquidity_for_budget, position_value, price_to_tick,
+                  snap_tick)
+from .env import EnvConfig, HourRecord, hour_paths
 from .marketdata import Candle
 
-
-def policy_tau_reset(tau: int, position: LiquidityPosition, close: float) -> int:
-    """Reallocate to width tau when the price sits outside the interval."""
-    if close < position.price_lower or close > position.price_upper:
-        return tau
-    return 0
+# hours in one ledger walk at most: the walk's arrays stay per chunk of
+# hours, however long the run
+WALK_HOURS = 256
 
 
-def run_tau_reset(env: LPEnv, tau: int, offset: int) -> List[HourRecord]:
-    """Roll tau-reset through one episode opened at width tau; returns its hours."""
-    env.reset(offset, tau)
+class Bands(NamedTuple):
+    """A stack of bands: a position's fields as arrays, which
+    lvr_over_path walks all at once."""
+
+    price_lower: np.ndarray
+    price_upper: np.ndarray
+    liquidity: np.ndarray
+
+
+def _window_paths(candles: Sequence[Candle], offset: int, horizon: int,
+                  path_model: str) -> np.ndarray:
+    """hour_paths of the hours candles[offset:offset+horizon] elapse."""
+    if offset < 0 or offset + horizon >= len(candles):
+        raise ValueError(
+            f"need candles through index {offset + horizon}, have {len(candles)}"
+        )
+    return hour_paths(candles[offset:offset + horizon + 1], path_model)
+
+
+def run_tau_reset(candles: Sequence[Candle], offset: int, horizon: int, tau: int,
+                  env: EnvConfig) -> List[HourRecord]:
+    """Replay tau-reset over candles[offset:offset+horizon].
+
+    The run opens the width-tau band around the first close with budget
+    l0. An hour whose opening close lies outside the band reallocates
+    cash + value into the width-tau band around that close (action tau,
+    gas paid); any other hour holds (action 0). Fees pile up in cash
+    until the next reset, and rewards follow env.reward_mode, as in
+    LPEnv.step; the episode length is horizon.
+
+    No band reads the ledger, so a chunk of WALK_HOURS hours replays in
+    three passes: the resets, from the closes and the band edges alone;
+    the budget carried from reset to reset, from each hour's fee (the
+    ledger kernel's arithmetic on the same clamped sqrt prices) and the
+    value at the reset close (amm's holdings formula, which the kernel
+    walks); then one array call of the kernel over the chunk, each hour
+    on its own band.
+    """
+    if not 1 <= tau <= env.n_actions:
+        raise ValueError(f"tau must be in 1..n_actions={env.n_actions}, got {tau}")
+    paths = _window_paths(candles, offset, horizon, env.path_model)
+    closes = [c.close for c in candles[offset:offset + horizon + 1]]
+    spacing, fee_tier = env.pool.tick_spacing, env.pool.fee_tier
+    fee_rate = fee_tier / (1.0 - fee_tier)
+    edges = {}  # center tick -> band edges: resets often return to a center
+
+    def band_around(price):
+        center = snap_tick(price_to_tick(price), spacing)
+        if center not in edges:
+            edges[center] = band_for_center(center, tau, spacing)
+        return (center, *edges[center])
+
+    center, pa, pb = band_around(closes[0])
+    liquidity = liquidity_for_budget(env.l0, closes[0], pa, pb)
+    cash = 0.0
     records: List[HourRecord] = []
-    done = False
-    while not done:
-        close = env.candles[env.t].close
-        a = policy_tau_reset(tau, env.position, close)
-        _, _, done, record = env.step(a)
-        records.append(record)
+    for h0 in range(0, horizon, WALK_HOURS):
+        n = min(WALK_HOURS, horizon - h0)
+        # pass 1: the chunk's bands, one per segment between resets
+        starts, centers, lower, upper = [0], [center], [pa], [pb]
+        for h, close in enumerate(closes[h0:h0 + n]):
+            if close < pa or close > pb:
+                center, pa, pb = band_around(close)
+                starts.append(h)
+                centers.append(center)
+                lower.append(pa)
+                upper.append(pb)
+        bounds = starts + [n]
+        lengths = np.diff(bounds)
+        hour_lower = np.repeat(lower, lengths)
+        hour_upper = np.repeat(upper, lengths)
+        path = paths[h0:h0 + n]
+        # pass 2: the budget. An hour's fee is the rate times each move of
+        # its clamped sqrt price, summed in walk order; a two-move path is
+        # padded with zero moves, which add +0.0 to a fee >= 0
+        sqrt_price = np.sqrt(np.clip(path, hour_lower[:, None], hour_upper[:, None]))
+        moves = np.zeros((n, 4))
+        moves[:, :path.shape[1] - 1] = np.abs(np.diff(sqrt_price, axis=1))
+        moves = moves.tolist()
+        liq, cash_col = [], []
+        for k, (start, end) in enumerate(zip(bounds, bounds[1:])):
+            if k:  # a reset: cash + value at the close buys the new band
+                close = closes[h0 + start]
+                budget = cash + position_value(liquidity, lower[k - 1], upper[k - 1], close)
+                cash = 0.0
+                liquidity = liquidity_for_budget(budget, close, lower[k], upper[k])
+            liq.append(liquidity)
+            rate = fee_rate * liquidity
+            for d0, d1, d2, d3 in moves[start:end]:
+                cash += rate * d0 + rate * d1 + rate * d2 + rate * d3
+                cash_col.append(cash)
+        # pass 3: the ledger of every hour of the chunk in one walk
+        lvr, fee, dv, _, value = lvr_over_path(
+            Bands(hour_lower, hour_upper, np.repeat(liq, lengths)), path.T,
+            fee_tier=fee_tier)
+        action, gas = [0] * n, [0.0] * n
+        for start in starts[1:]:
+            action[start], gas[start] = tau, env.gas
+        reward = -np.array(gas) + fee + (lvr if env.reward_mode == "hedged" else dv)
+        # tuple.__new__ is HourRecord._make without its Python frame
+        records += map(tuple.__new__, repeat(HourRecord), zip(
+            range(offset + h0 + 1, offset + h0 + n + 1), action, fee.tolist(),
+            lvr.tolist(), gas, dv.tolist(), reward.tolist(), cash_col,
+            np.repeat(centers, lengths).tolist(), repeat(tau), value.tolist(),
+            closes[h0 + 1:h0 + n + 1]))
     return records
 
 
@@ -77,24 +173,16 @@ def ewa_weights(cumulative_rewards: Sequence[float], eta: float) -> np.ndarray:
     return w / w.sum()
 
 
-# hours in one EWA ledger walk at most: memory stays per block even when
-# t_re spans the whole run
-WALK_HOURS = 24
-
-
-class Bands(NamedTuple):
-    """A stack of bands: a position's fields as arrays, which
-    lvr_over_path walks all at once."""
-
-    price_lower: np.ndarray
-    price_upper: np.ndarray
-    liquidity: np.ndarray
-
-
-def _unit_bands(price: float, n: int, spacing: int) -> Bands:
-    """The unit-budget reference bands of widths 1..n minted at price."""
-    refs = [mint_band(price, w, spacing, 1.0)[1] for w in range(1, n + 1)]
-    return Bands(*(np.array([getattr(r, f) for r in refs]) for f in Bands._fields))
+def _unit_bands(prices: Sequence[float], n: int, spacing: int) -> Bands:
+    """The unit-budget reference bands of widths 1..n minted at each price:
+    row i holds those minted at prices[i]. These are mint_band's steps,
+    with the center tick snapped once per price rather than per width."""
+    fields = np.empty((len(prices), n, 3))
+    for i, p in enumerate(prices):
+        center = snap_tick(price_to_tick(p), spacing)
+        edges = [band_for_center(center, w, spacing) for w in range(1, n + 1)]
+        fields[i] = [(pa, pb, liquidity_for_budget(1.0, p, pa, pb)) for pa, pb in edges]
+    return Bands(*np.moveaxis(fields, -1, 0))
 
 
 def run_ewa(candles: Sequence[Candle], offset: int, horizon: int,
@@ -107,62 +195,60 @@ def run_ewa(candles: Sequence[Candle], offset: int, horizon: int,
     fund size l0, gas per reallocation and intra-hour path model are the
     run's EnvConfig (its episode_length and reward_mode are not read).
 
-    Hours run a reallocation block at a time: one ledger walk covers the
-    block's hours x widths (WALK_HOURS hours at most), and each hour's
-    totals and value are then budgets @ the references' ledger columns,
-    hour by hour.
+    The references of every reallocation are minted up front, at the
+    close before it, since none reads the ledger. One ledger walk then
+    covers WALK_HOURS hours x widths, each hour on the references it
+    holds, and each hour's totals and value are budgets @ the
+    references' ledger columns, hour by hour.
 
     Returns (per-hour records, final weights); a record's action is 1 on
     reallocation hours and 0 otherwise.
     """
     fee_tier = env.pool.fee_tier
     n, t_re = config.n_widths, config.t_re
-    if offset < 0 or offset + horizon >= len(candles):
-        raise ValueError(
-            f"need candles through index {offset + horizon}, have {len(candles)}"
-        )
-    paths = hour_paths(candles[offset:offset + horizon + 1], env.path_model)
-    spacing = env.pool.tick_spacing
-    bands = _unit_bands(candles[offset].close, n, spacing)
+    paths = _window_paths(candles, offset, horizon, env.path_model)
+    # row b: the references held from hour b * t_re on
+    refs = _unit_bands([candles[offset].close]
+                       + [candles[offset + t - 1].close
+                          for t in range(t_re, horizon + 1, t_re)],
+                       n, env.pool.tick_spacing)
     # the references' values at the last close: what a reallocation spends
-    marks = lvr_over_path(bands, np.array([candles[offset].close]))[4]
+    marks = lvr_over_path(Bands(*(f[0] for f in refs)),
+                          np.array([candles[offset].close]))[4]
     budgets = np.full(n, env.l0 / n)
     cash = 0.0
     cum_rewards = np.zeros(n)
     weights = np.full(n, 1.0 / n)
     records: List[HourRecord] = []
 
-    t = 1  # the block's first hour walks paths[t - 1]
-    while t <= horizon:
-        gas_paid = 0.0
-        action = 0
-        if t % t_re == 0:
-            prev_close = candles[offset + t - 1].close
-            weights = ewa_weights(cum_rewards, config.eta)
-            wealth = cash + float(budgets @ marks)
-            bands = _unit_bands(prev_close, n, spacing)
-            budgets = wealth * weights
-            cash = 0.0
-            gas_paid = env.gas
-            action = 1
-        # the next block's first hour, or fewer hours to bound the walk's arrays
-        end = min((t // t_re + 1) * t_re, t + WALK_HOURS, horizon + 1)
-        lvr, fee, dv, _, marks = lvr_over_path(
-            bands, paths[t - 1:end - 1].T[:, :, None], fee_tier=fee_tier)
-        for rewards in fee + lvr:
-            cum_rewards += rewards
+    for t in range(1, horizon + 1, WALK_HOURS):  # the chunk's first hour walks paths[t - 1]
+        end = min(t + WALK_HOURS, horizon + 1)
+        block = np.arange(t, end) // t_re
+        lvr, fee, dv, _, chunk_marks = lvr_over_path(
+            Bands(*(f[block] for f in refs)), paths[t - 1:end - 1].T[:, :, None],
+            fee_tier=fee_tier)
         ledger = np.stack((fee, lvr, dv), axis=1)  # per hour: per-reference fee, lvr, dv
+        # row j: the per-reference rewards summed through the hour before t + j,
+        # hour by hour
+        cum_rewards = np.cumsum(np.vstack((cum_rewards, fee + lvr)), axis=0)
         for j in range(end - t):
+            gas_paid = 0.0
+            action = 0
+            if (t + j) % t_re == 0:
+                weights = ewa_weights(cum_rewards[j], config.eta)
+                wealth = cash + float(budgets @ marks)
+                budgets = wealth * weights
+                cash = 0.0
+                gas_paid = env.gas
+                action = 1
             fee_j, lvr_j, dv_j = (ledger[j] @ budgets).tolist()
             cash += fee_j
-            value = float(budgets @ marks[j])
+            marks = chunk_marks[j]
+            value = float(budgets @ marks)
             records.append(HourRecord(t + j, action, fee_j, lvr_j, gas_paid, dv_j,
                                       fee_j + lvr_j - gas_paid, cash, 0, 0, value,
                                       candles[offset + t + j].close))
-            gas_paid = 0.0
-            action = 0
-        marks = marks[-1]
-        t = end
+        cum_rewards = cum_rewards[-1]
     return records, weights
 
 

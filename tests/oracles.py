@@ -17,8 +17,10 @@ and the discount); the per-row feature scaler shares only the FeatureScaler
 fields. The two-walk EWA replay runs on the oracle ledger and pins
 down the budgets x references rewrite of run_ewa; the per-width replay
 is run_ewa as it stood before it walked a block of hours at once, and
-pins down that rewrite bit for bit. The dict-row run-dir
-writer and the four-sum drift study at the end are the code that
+pins down that rewrite bit for bit. The env tau-reset replay is
+run_tau_reset as it stood before it walked a chunk of hours at once, one
+LPEnv step an hour, and pins down that rewrite bit for bit. The dict-row
+run-dir writer and the four-sum drift study at the end are the code that
 env.HourRecord, report.write_csv_rows and the run_backtest drift study
 replaced; they run on the package's env and ledger and check only the
 writing and the totals. The loop indicators at the very end are the
@@ -38,7 +40,7 @@ import numpy as np
 from clmmlab.amm import (LiquidityPosition, PoolSpec, _check_price, band_for_center, mint_band,
                          liquidity_for_budget, price_to_tick, snap_tick)
 from clmmlab.backtest import EQUILIBRIUM_POOL
-from clmmlab.baselines import EWAConfig, ewa_weights, run_tau_reset
+from clmmlab.baselines import EWAConfig, ewa_weights
 from clmmlab.env import (TRACE_CSV_HEADER, EnvConfig, HourRecord, LPEnv,
                          check_path_model)
 from clmmlab.indicators import sma
@@ -613,6 +615,27 @@ def run_ewa_per_width(candles: Sequence[Candle], offset: int, horizon: int,
     return records, weights
 
 
+# -- the env tau-reset replay ----------------------------------------------
+#
+# baselines.run_tau_reset as it stood before it walked a chunk of hours at
+# once: LPEnv steps every hour, and the rule reads the env's position.
+
+
+def run_tau_reset(candles: Sequence[Candle], offset: int, horizon: int, tau: int,
+                  env: EnvConfig) -> List[HourRecord]:
+    """The HourRecords of baselines.run_tau_reset, one LPEnv step an hour."""
+    lp = LPEnv(candles, EnvConfig(**{**vars(env), "episode_length": horizon}))
+    lp.reset(offset, tau)
+    records: List[HourRecord] = []
+    done = False
+    while not done:
+        close = lp.candles[lp.t].close
+        outside = close < lp.position.price_lower or close > lp.position.price_upper
+        _, _, done, record = lp.step(tau if outside else 0)
+        records.append(record)
+    return records
+
+
 # -- the dict-row run-dir writer ------------------------------------------
 #
 # write_run_dir as it stood when every hour was an info dict: each trace
@@ -689,11 +712,9 @@ def drift_neutrality_study(
         unhedged = np.empty(n_seeds)
         for k in range(n_seeds):
             candles = synth_gbm(p0, mu, sigma, horizon + 2, seed=seed0 + k)
-            env = LPEnv(candles, EnvConfig(
-                pool=pool or EQUILIBRIUM_POOL, l0=l0, gas=gas,
-                n_actions=max(10, tau), path_model=path_model,
-                episode_length=horizon))
-            infos = [r._asdict() for r in run_tau_reset(env, tau, 1)]
+            env = EnvConfig(pool=pool or EQUILIBRIUM_POOL, l0=l0, gas=gas,
+                            n_actions=max(10, tau), path_model=path_model)
+            infos = [r._asdict() for r in run_tau_reset(candles, 1, horizon, tau, env)]
             fee = sum(i["fee"] for i in infos)
             paid = sum(i["gas"] for i in infos)
             lvr = sum(i["lvr"] for i in infos)

@@ -364,16 +364,23 @@ class TestCallersReplayBitwiseOnOracle:
 
     @pytest.mark.parametrize("path_model", ["candle", "open-close"])
     def test_tau_reset(self, monkeypatch, path_model):
+        """run_tau_reset walks arrays, which the float oracle ledger cannot:
+        its output is compared with the env replay run on that ledger."""
         candles = synth_gbm(2000.0, 0.0, 0.012, 520, seed=23)
 
-        def run():
-            lp = env.LPEnv(candles, env.EnvConfig(path_model=path_model, episode_length=300))
+        def run(replay):
             out = []
             for tau in (1, 3, 10):
-                out += baselines.run_tau_reset(lp, tau, 1)
+                out += replay(candles, 1, 300, tau, env.EnvConfig(path_model=path_model))
             return out
 
-        self.check(monkeypatch, run)
+        got = run(baselines.run_tau_reset)
+        with monkeypatch.context() as m:
+            m.setattr(env, "lvr_over_path", oracles.ledger_totals)
+            want = run(oracles.run_tau_reset)
+        assert len(got) == len(want) > 0
+        for g, w in zip(got, want):
+            assert repr(g) == repr(w)
 
     @pytest.mark.parametrize("path_model", ["candle", "open-close"])
     def test_ewa(self, path_model):
@@ -397,8 +404,14 @@ class TestCallersReplayBitwiseOnOracle:
             assert repr(g) == repr(w)
 
     def test_drift_study(self, monkeypatch):
-        self.check(monkeypatch, lambda: list(backtest.drift_neutrality_study(
-            n_seeds=3, horizon=60).items()))
+        """The study's tau-reset walks arrays: the oracle side replays the
+        env tau-reset on the oracle ledger."""
+        got = backtest.drift_neutrality_study(n_seeds=3, horizon=60)
+        with monkeypatch.context() as m:
+            m.setattr(env, "lvr_over_path", oracles.ledger_totals)
+            m.setattr(backtest, "run_tau_reset", oracles.run_tau_reset)
+            want = backtest.drift_neutrality_study(n_seeds=3, horizon=60)
+        assert repr(got) == repr(want)
 
     def test_tabular_rewards(self, monkeypatch):
         self.check(monkeypatch, lambda: [toymdp.build_tabular_mdp()[1].tobytes()])

@@ -13,8 +13,8 @@ from clmmlab.baselines import (
     EWA_DEFAULTS,
     EWAConfig,
     TAU_DEFAULTS,
+    WALK_HOURS,
     ewa_weights,
-    policy_tau_reset,
     run_ewa,
     run_tau_reset,
 )
@@ -27,8 +27,8 @@ from clmmlab.dqn import (
     greedy_rollout,
     train_ddqn,
 )
-from clmmlab.env import EnvConfig, LPEnv
-from clmmlab.marketdata import save_candles_csv, synth_gbm
+from clmmlab.env import PATH_MODELS, REWARD_MODES, EnvConfig
+from clmmlab.marketdata import Candle, save_candles_csv, synth_gbm
 from clmmlab.nets import NetworkParams
 from clmmlab.tabular import policy_value, value_iteration
 from clmmlab import toymdp
@@ -241,23 +241,54 @@ class TestTrainDdqn:
         assert rows[1][-2:] == [run["config_hash"], "1"]
 
 
+@pytest.fixture(scope="module")
+def gbm_3202():
+    return synth_gbm(2000.0, 0.0, 0.01, 3202, seed=9001)
+
+
+def no_walk(*args, **kwargs):
+    raise AssertionError("an hour was replayed before the settings were checked")
+
+
+def scaled(candles, ticks):
+    """The candles with every price times 1.0001**ticks."""
+    f = 1.0001 ** ticks
+    return [Candle(c.timestamp, c.open * f, c.high * f, c.low * f, c.close * f,
+                   c.volume_usd) for c in candles]
+
+
 class TestTauReset:
     def test_policy_rules(self):
-        env = LPEnv(synth_gbm(100.0, 0.0, 0.01, 260, seed=2),
-                    EnvConfig(episode_length=5))
-        env.reset(210)
-        pos = env.position
-        inside = (pos.price_lower + pos.price_upper) / 2
-        assert policy_tau_reset(6, pos, inside) == 0
-        assert policy_tau_reset(6, pos, pos.price_upper * 1.0001) == 6
-        assert policy_tau_reset(6, pos, pos.price_lower * 0.9999) == 6
-        with pytest.raises(ValueError, match="width must be >= 1, got 0"):
-            run_tau_reset(env, 0, 210)
+        """A close outside the band held through the previous hour, and only
+        such a close, resets into the width-tau band around that close; a
+        close on a band edge holds."""
+        spacing = EnvConfig().pool.tick_spacing
+        center = amm.snap_tick(amm.price_to_tick(100.0), spacing)
+        pa, pb = amm.band_for_center(center, 1, spacing)
+        closes = [100.0, pb, pa, math.nextafter(pb, math.inf), 100.0]
+        candles = [Candle(3600 * i, p, p, p, p, 1.0) for i, p in enumerate(closes)]
+        records = run_tau_reset(candles, 0, 4, 1, EnvConfig())
+        assert [r.action for r in records] == [0, 0, 0, 1]
+        assert [r.gas for r in records] == [0.0, 0.0, 0.0, 1.0]
+        assert records[3].center_tick == amm.snap_tick(amm.price_to_tick(closes[3]), spacing)
+
+        candles = synth_gbm(100.0, 0.0, 0.015, 400, seed=4)
+        records = run_tau_reset(candles, 210, 150, 3, EnvConfig())
+        center = amm.snap_tick(amm.price_to_tick(candles[210].close), spacing)
+        for r in records:
+            close = candles[r.t - 1].close  # the close the hour opens at
+            pa, pb = amm.band_for_center(center, 3, spacing)
+            if close < pa or close > pb:
+                center = amm.snap_tick(amm.price_to_tick(close), spacing)
+                assert r.action == 3
+            else:
+                assert r.action == 0
+            assert (r.center_tick, r.width) == (center, 3)
+        assert any(r.action for r in records)
 
     def test_run_resets_only_when_out_of_range(self):
         candles = synth_gbm(100.0, 0.0, 0.015, 400, seed=4)
-        env = LPEnv(candles, EnvConfig(episode_length=150))
-        records = run_tau_reset(env, 3, 210)
+        records = run_tau_reset(candles, 210, 150, 3, EnvConfig())
         assert len(records) == 150
         # the episode opens at width tau: hour 0 holds it without reallocating
         assert (records[0].action, records[0].width) == (0, 3)
@@ -269,10 +300,68 @@ class TestTauReset:
         first = next(r for r in records if r.action != 0)
         assert first.width == 3
 
+    @pytest.mark.parametrize("sigma", [0.0, 0.02], ids=["held", "leaves"])
+    @pytest.mark.parametrize("tau", [0, 11, 12])
+    def test_tau_outside_actions_rejected_before_any_hour(self, monkeypatch, sigma, tau):
+        """tau must be an action of the env: with a close that never leaves
+        the band and with one that does, nothing is replayed."""
+        candles = synth_gbm(100.0, 0.0, sigma, 300, seed=9)
+        widest = oracles.run_tau_reset(candles, 210, 50, 12, EnvConfig(n_actions=12))
+        assert any(r.action for r in widest) == (sigma > 0.0)
+        monkeypatch.setattr("clmmlab.baselines.lvr_over_path", no_walk)
+        with pytest.raises(ValueError, match=rf"^tau must be in 1..n_actions=10, got {tau}$"):
+            run_tau_reset(candles, 210, 50, tau, EnvConfig(n_actions=10))
 
-@pytest.fixture(scope="module")
-def gbm_3202():
-    return synth_gbm(2000.0, 0.0, 0.01, 3202, seed=9001)
+    @pytest.mark.parametrize("gas", [0.0, 1.0])
+    @pytest.mark.parametrize("reward_mode", REWARD_MODES)
+    @pytest.mark.parametrize("path_model", PATH_MODELS)
+    def test_records_equal_env_replay(self, gbm_3202, path_model, reward_mode, gas):
+        """The chunked replay gives the LPEnv replay's records bit for bit,
+        at every tau of the env."""
+        env = EnvConfig(l0=500.0, gas=gas, path_model=path_model, reward_mode=reward_mode)
+        for tau in range(1, 11):
+            got = run_tau_reset(gbm_3202, 200, 600, tau, env)
+            want = oracles.run_tau_reset(gbm_3202, 200, 600, tau, env)
+            assert [repr(r) for r in got] == [repr(r) for r in want], tau
+
+    @pytest.mark.parametrize("horizon", [1, WALK_HOURS - 1, WALK_HOURS, WALK_HOURS + 1, 3000])
+    @pytest.mark.parametrize("path_model", PATH_MODELS)
+    def test_horizons_equal_env_replay(self, gbm_3202, path_model, horizon):
+        env = EnvConfig(path_model=path_model)
+        for tau in (1, 6):
+            got = run_tau_reset(gbm_3202, 200, horizon, tau, env)
+            assert len(got) == horizon
+            want = oracles.run_tau_reset(gbm_3202, 200, horizon, tau, env)
+            assert [repr(r) for r in got] == [repr(r) for r in want], tau
+
+    # factors ~1e-6 and ~1e6, each a whole number of tick spacings
+    @pytest.mark.parametrize("ticks", [-138180, 138180])
+    @pytest.mark.parametrize("path_model", PATH_MODELS)
+    def test_scaled_prices_equal_env_replay(self, gbm_3202, path_model, ticks):
+        candles = scaled(gbm_3202[:801], ticks)
+        env = EnvConfig(path_model=path_model)
+        for tau in (1, 3, 10):
+            got = run_tau_reset(candles, 200, 600, tau, env)
+            want = oracles.run_tau_reset(candles, 200, 600, tau, env)
+            assert [repr(r) for r in got] == [repr(r) for r in want], tau
+
+    @pytest.mark.parametrize("n_actions", [1, 12])
+    def test_tau_of_the_widest_action_equals_env_replay(self, gbm_3202, n_actions):
+        env = EnvConfig(n_actions=n_actions)
+        got = run_tau_reset(gbm_3202, 200, 600, n_actions, env)
+        want = oracles.run_tau_reset(gbm_3202, 200, 600, n_actions, env)
+        assert [repr(r) for r in got] == [repr(r) for r in want]
+
+    def test_3000_hour_run_allocates_per_chunk(self, gbm_3202):
+        """Peak traced allocation stays under 2 MB: the ledger walks a chunk
+        of hours at a time, never the whole run in one array."""
+        tracemalloc.start()
+        try:
+            run_tau_reset(gbm_3202, 200, 3000, 1, EnvConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestEwa:
@@ -350,12 +439,15 @@ class TestEwa:
     @pytest.mark.parametrize("path_model", ["candle", "open-close"])
     @pytest.mark.parametrize("n_widths,eta,t_re,horizon", [
         (10, 1.0, 24, 3000), (5, 10.0, 12, 3000), (1, 1.0, 1, 600), (3, 5.0, 1, 600),
-        (10, 1.0, 7, 600), (7, 0.5, 3000, 3000), (4, 2.0, 2999, 3000)])
+        (10, 1.0, 7, 600), (7, 0.5, 3000, 3000), (4, 2.0, 2999, 3000),
+        (10, 1.0, WALK_HOURS - 1, 600), (10, 1.0, WALK_HOURS, 600),
+        (10, 1.0, WALK_HOURS + 1, 600)])
     def test_records_equal_per_width_replay(self, gbm_3202, path_model, n_widths,
                                             eta, t_re, horizon):
-        """The block walk gives the per-width replay's records and weights
+        """The chunk walk gives the per-width replay's records and weights
         exactly: the sweep's configs, reallocation every hour, t_re that
-        does not divide the walk's block length, and t_re beyond it."""
+        does not divide the walk's chunk length, t_re next to it, and t_re
+        beyond it."""
         config = EWAConfig(n_widths, eta, t_re)
         env = EnvConfig(l0=250.0, gas=1.0, path_model=path_model)
         got, w_got = run_ewa(gbm_3202, 200, horizon, config, env)
@@ -377,9 +469,6 @@ class TestEwa:
         assert peak < 2 * 2**20
 
     def test_unknown_path_model_rejected_before_any_hour(self, monkeypatch):
-        def no_walk(*args, **kwargs):
-            raise AssertionError("an hour was replayed before path_model was checked")
-
         monkeypatch.setattr("clmmlab.baselines.lvr_over_path", no_walk)
         candles = synth_gbm(100.0, 0.0, 0.01, 300, seed=9)
         with pytest.raises(ValueError,

@@ -1,9 +1,13 @@
 import argparse
 import csv
 import dataclasses
+import filecmp
 import json
 import os
+import platform
 import shutil
+import subprocess
+import sys
 from typing import get_args, get_type_hints
 
 import pytest
@@ -939,3 +943,40 @@ def test_every_setting_kind_is_declared_once_and_matches_its_field():
 
 def test_bundled_fixture_is_packaged():
     assert os.path.exists(bundled_candles_path())
+
+
+# numpy's dispatch groups above its x86-64 baseline; a run without them
+# and on OpenBLAS's oldest x86-64 kernel takes the narrowest code paths
+NARROW_NUMPY = ("AVX512_SPR", "AVX512_ICL", "X86_V4", "X86_V3")
+
+
+def test_tau_reset_bytes_do_not_depend_on_simd_or_blas_kernels(tmp_path):
+    """A tau-reset backtest writes the same trace.csv and report.csv bytes
+    with numpy's wider SIMD paths disabled and OpenBLAS on its Prescott
+    kernel as with the defaults."""
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip(f"the feature groups are x86-64's; this machine is "
+                    f"{platform.machine()}")
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__
+    except ImportError:
+        pytest.skip("numpy before 2.0 does not report its dispatch groups")
+    missing = sorted(set(NARROW_NUMPY) - set(__cpu_dispatch__))
+    if missing:
+        pytest.skip(f"numpy does not report the feature groups {missing}")
+    narrow = {"NPY_DISABLE_CPU_FEATURES": " ".join(NARROW_NUMPY),
+              "OPENBLAS_CORETYPE": "Prescott"}
+    base = {k: v for k, v in os.environ.items() if k not in narrow}
+    src = os.path.dirname(os.path.dirname(backtest.__file__))
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, base.get("PYTHONPATH")]))
+    runs = {}
+    for name, env in (("default", base), ("narrow", {**base, **narrow})):
+        runs[name] = tmp_path / name
+        subprocess.run([sys.executable, "-m", "clmmlab.cli", "backtest",
+                        "--method", "tau-reset", "--tau", "3", "--offset", "200",
+                        "--horizon", "999", "--candles", bundled_candles_path(),
+                        "--out-dir", str(runs[name])],
+                       env=env, check=True, capture_output=True, timeout=300)
+    for name in ("trace.csv", "report.csv"):
+        assert filecmp.cmp(runs["default"] / name, runs["narrow"] / name,
+                           shallow=False), name
