@@ -1,12 +1,13 @@
 """Backtest orchestration: run configs, method runners, training, drift studies.
 
-A backtest replays one strategy over one candle window and produces a
-result with one env.HourRecord per hour plus the relative fee / gas /
-LVR / PnL decomposition, totalled by accounting.ordered_sum. Strategies
-share the same accounting (the env for the greedy net, the chunked
-replays of baselines for tau-reset and EWA, all on the one ledger
-kernel), so rows from different methods are directly comparable; the
-drift study replays through the same runner, minus the digest. A run's
+A backtest replays one strategy over one candle series' window and
+produces a result with its hour trace (an env.HourTrace: a column per
+trace.csv field) plus the relative fee / gas / LVR / PnL decomposition,
+totalled by accounting.ordered_sum. Strategies share the same accounting
+(the env for the greedy net, the chunked replays of baselines for
+tau-reset and EWA, all on the one ledger kernel), so rows from different
+methods are directly comparable; the drift study replays through the
+same runner, minus the digest. A run's
 settings are resolved once, when its RunConfig is built (table defaults
 and their label included); the env, the baselines and run.json read that
 config.
@@ -17,9 +18,8 @@ import hashlib
 import json
 import math
 import os
-from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,10 +29,10 @@ from .baselines import (EWAConfig, EWA_DEFAULTS, TAU_DEFAULTS, run_ewa,
                         run_tau_reset)
 from .dqn import (DDQNConfig, TRAINING_LOG_HEADER, TrainingResult,
                   greedy_rollout, train_ddqn)
-from .env import EnvConfig, HourRecord, LPEnv, TRACE_CSV_HEADER
+from .env import EnvConfig, HourTrace, LPEnv, TRACE_CSV_HEADER
 from .features import WARMUP_CANDLES, FeatureScaler, compute_feature_matrix
-from .marketdata import (HOUR, REFERENCE_PERIODS, Candle, _utc, candles_to_arrays,
-                         load_candles_csv, synth_gbm)
+from .marketdata import (HOUR, REFERENCE_PERIODS, CandleSeries, _utc, load_candles_csv,
+                         synth_gbm)
 from .report import REPORT_CSV_HEADER, in_header_order, write_csv_rows
 from . import nets
 
@@ -185,7 +185,7 @@ def _require_checkpoint(config: RunConfig) -> None:
         raise RunError("ddqn backtests need a checkpoint path")
 
 
-def run_digest(settings: Dict, candles: Sequence[Candle],
+def run_digest(settings: Dict, candles: CandleSeries,
                checkpoint: Optional[bytes] = None) -> str:
     """The run's identity, embedded in every artifact it writes.
 
@@ -196,7 +196,7 @@ def run_digest(settings: Dict, candles: Sequence[Candle],
     """
     doc = {k: v for k, v in settings.items() if k not in PATH_SETTINGS}
     series = hashlib.sha256()
-    for column in candles_to_arrays(candles):
+    for column in candles.columns:
         series.update(column.tobytes())
     doc["candles_sha256"] = series.hexdigest()
     if checkpoint is not None:
@@ -218,17 +218,17 @@ def write_run_json(out_dir: str, config: Dict, digest: str, **fields) -> str:
 
 @dataclass
 class BacktestResult:
-    """One strategy replayed over one window, with its hourly trace."""
+    """One strategy replayed over one window, with its hour trace."""
 
     config: RunConfig
     config_hash: str  # run_digest of the config and the inputs it read;
     # "" in the drift study, whose replays write no artifact
     offset: int
     horizon: int
-    records: List[HourRecord]
+    trace: HourTrace
 
     def total(self, column: str) -> float:
-        return ordered_sum(getattr(r, column) for r in self.records)
+        return ordered_sum(self.trace[column].tolist())
 
     def relative_pnl(self, reward_mode: Optional[str] = None) -> float:
         """(fee - gas + lvr) / l0, with dv for lvr when not hedged; the mode
@@ -238,10 +238,7 @@ class BacktestResult:
         return (self.total("fee") - self.total("gas") + carry) / self.config.l0
 
     def action_histogram(self) -> np.ndarray:
-        counts = np.zeros(self.config.n_actions + 1, dtype=int)
-        for r in self.records:
-            counts[r.action] += 1
-        return counts
+        return np.bincount(self.trace["action"], minlength=self.config.n_actions + 1)
 
     def to_row(self) -> Dict:
         c = self.config
@@ -265,11 +262,11 @@ class BacktestResult:
             "relative_gas": self.total("gas") / l0,
             "relative_lvr": -self.total("lvr") / l0,
             "relative_pnl": self.relative_pnl(),
-            "reallocations": sum(1 for r in self.records if r.action != 0),
+            "reallocations": int(np.count_nonzero(self.trace["action"])),
         }
 
 
-def _default_window(config: RunConfig, candles: Sequence[Candle]) -> Tuple[int, int]:
+def _default_window(config: RunConfig, candles: CandleSeries) -> Tuple[int, int]:
     """(offset, horizon) config replays over candles.
 
     With a period, the band opens at the close of the candle before the
@@ -282,9 +279,8 @@ def _default_window(config: RunConfig, candles: Sequence[Candle]) -> Tuple[int, 
         first, last = REFERENCE_PERIODS[config.period]["test"]
         start, end = _utc(first), _utc(last)
         named = f"period {config.period}'s test range {first} to {last} (UTC, end exclusive)"
-        i_start = bisect_left(candles, start, key=lambda c: c.timestamp)
-        i_end = bisect_left(candles, end, key=lambda c: c.timestamp)
-        if i_start < 1 or i_end == i_start or candles[-1].timestamp < end - HOUR:
+        i_start, i_end = candles.timestamp.searchsorted([start, end]).tolist()
+        if i_start < 1 or i_end == i_start or candles.timestamp[-1] < end - HOUR:
             raise RunError(f"series does not hold {named} and the candle before it")
         offset, horizon = i_start - 1, i_end - i_start
         if config.method == "ddqn" and offset < WARMUP_CANDLES:
@@ -300,7 +296,7 @@ def _default_window(config: RunConfig, candles: Sequence[Candle]) -> Tuple[int, 
     return offset, horizon
 
 
-def run_backtest(candles: Sequence[Candle], config: RunConfig) -> BacktestResult:
+def run_backtest(candles: CandleSeries, config: RunConfig) -> BacktestResult:
     """Replay config.method over one window of the candle series.
 
     For ddqn the greedy policy of the network in config.checkpoint (which
@@ -322,10 +318,10 @@ def run_backtest(candles: Sequence[Candle], config: RunConfig) -> BacktestResult
                           _replay(candles, config, offset, horizon, checkpoint))
 
 
-def _replay(candles: Sequence[Candle], config: RunConfig, offset: int,
-            horizon: int, checkpoint: Optional[bytes] = None) -> List[HourRecord]:
-    """The records of config.method over the window; a ddqn replay
-    parses the checkpoint bytes given."""
+def _replay(candles: CandleSeries, config: RunConfig, offset: int,
+            horizon: int, checkpoint: Optional[bytes] = None) -> HourTrace:
+    """The trace of config.method over the window; a ddqn replay
+    parses the checkpoint bytes given and transposes its env's records once."""
     env_config = config.env_config(episode_length=horizon)
     if config.method == "tau-reset":
         return run_tau_reset(candles, offset, horizon, config.tau, env_config)
@@ -347,7 +343,7 @@ def _replay(candles: Sequence[Candle], config: RunConfig, offset: int,
             raise nets.CheckpointError(f"metadata {e}") from None
         matrix = scaler.apply(matrix)
     _, _, records = greedy_rollout(LPEnv(candles, env_config, matrix), params, offset)
-    return records
+    return HourTrace.of_records(records)
 
 
 BACKTEST_FIELDS = tuple(RunConfig.__dataclass_fields__)  # type: ignore[attr-defined]
@@ -516,7 +512,7 @@ def write_run_dir(result: BacktestResult, out_dir: str) -> Dict[str, str]:
 
     paths["trace"] = os.path.join(out_dir, "trace.csv")
     write_csv_rows(paths["trace"], TRACE_CSV_HEADER + ["config_hash", "seed"],
-                   [r + (digest, seed) for r in result.records])
+                   [r + (digest, seed) for r in result.trace.rows()])
 
     paths["actions"] = os.path.join(out_dir, "actions.csv")
     write_csv_rows(paths["actions"], ["action", "count", "config_hash", "seed"],
@@ -558,8 +554,11 @@ def drift_neutrality_study(
     fee tier makes fees match LVR at the study's sigma
     (EQUILIBRIUM_POOL), and uses the wickless open-close hour path, since
     intra-hour zigzags add a buy-low-sell-high premium to the unhedged
-    leg that masks its drift exposure.
+    leg that masks its drift exposure. Fewer than two seeds leave no
+    standard error, and raise ValueError before any replay.
     """
+    if n_seeds < 2:
+        raise ValueError(f"n_seeds must be >= 2 for a standard error, got {n_seeds}")
     config = RunConfig(
         method="tau-reset", fee_tier=EQUILIBRIUM_POOL.fee_tier,
         tick_spacing=EQUILIBRIUM_POOL.tick_spacing, offset=1, horizon=horizon,

@@ -12,13 +12,14 @@ Two strategies:
   width. A position opened with budget b at a close holds b times the
   liquidity of the unit reference opened there, and fee, LVR and value
   are linear in liquidity, so positions = budgets x unit references.
-  Its hours are env.HourRecords with center_tick and width 0, since it
-  holds several bands at once.
+  Its trace holds center_tick and width 0, since it holds several bands
+  at once.
 
 Neither strategy's bands read the ledger: tau-reset's move when a close
 leaves them, and EWA's references are minted at the close before each
 periodic reallocation. So both walk a chunk of WALK_HOURS hours per
-ledger call, each hour on the band(s) it holds.
+ledger call, each hour on the band(s) it holds, and writes the columns
+of an env.HourTrace: no hour becomes an object of its own.
 
 Default hyperparameters for the benchmark pools, periods, and fund sizes
 ship in TAU_DEFAULTS / EWA_DEFAULTS.
@@ -26,16 +27,15 @@ ship in TAU_DEFAULTS / EWA_DEFAULTS.
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from .accounting import lvr_over_path
 from .amm import (band_for_center, liquidity_for_budget, position_value, price_to_tick,
                   snap_tick)
-from .env import EnvConfig, HourRecord, hour_paths
-from .marketdata import Candle
+from .env import EnvConfig, HourTrace, hour_paths
+from .marketdata import CandleSeries
 
 # hours in one ledger walk at most: the walk's arrays stay per chunk of
 # hours, however long the run
@@ -51,7 +51,7 @@ class Bands(NamedTuple):
     liquidity: np.ndarray
 
 
-def _window_paths(candles: Sequence[Candle], offset: int, horizon: int,
+def _window_paths(candles: CandleSeries, offset: int, horizon: int,
                   path_model: str) -> np.ndarray:
     """hour_paths of the hours candles[offset:offset+horizon] elapse."""
     if offset < 0 or offset + horizon >= len(candles):
@@ -61,8 +61,8 @@ def _window_paths(candles: Sequence[Candle], offset: int, horizon: int,
     return hour_paths(candles[offset:offset + horizon + 1], path_model)
 
 
-def run_tau_reset(candles: Sequence[Candle], offset: int, horizon: int, tau: int,
-                  env: EnvConfig) -> List[HourRecord]:
+def run_tau_reset(candles: CandleSeries, offset: int, horizon: int, tau: int,
+                  env: EnvConfig) -> HourTrace:
     """Replay tau-reset over candles[offset:offset+horizon].
 
     The run opens the width-tau band around the first close with budget
@@ -78,12 +78,13 @@ def run_tau_reset(candles: Sequence[Candle], offset: int, horizon: int, tau: int
     ledger kernel's arithmetic on the same clamped sqrt prices) and the
     value at the reset close (amm's holdings formula, which the kernel
     walks); then one array call of the kernel over the chunk, each hour
-    on its own band.
+    on its own band. The passes write the chunk's columns of the trace.
     """
     if not 1 <= tau <= env.n_actions:
         raise ValueError(f"tau must be in 1..n_actions={env.n_actions}, got {tau}")
     paths = _window_paths(candles, offset, horizon, env.path_model)
-    closes = [c.close for c in candles[offset:offset + horizon + 1]]
+    window = candles.close[offset:offset + horizon + 1]
+    closes = window.tolist()
     spacing, fee_tier = env.pool.tick_spacing, env.pool.fee_tier
     fee_rate = fee_tier / (1.0 - fee_tier)
     edges = {}  # center tick -> band edges: resets often return to a center
@@ -97,12 +98,16 @@ def run_tau_reset(candles: Sequence[Candle], offset: int, horizon: int, tau: int
     center, pa, pb = band_around(closes[0])
     liquidity = liquidity_for_budget(env.l0, closes[0], pa, pb)
     cash = 0.0
-    records: List[HourRecord] = []
+    trace = HourTrace(horizon)
+    trace["t"][:] = np.arange(offset + 1, offset + horizon + 1)
+    trace["width"][:] = tau
+    trace["close"][:] = window[1:]
     for h0 in range(0, horizon, WALK_HOURS):
         n = min(WALK_HOURS, horizon - h0)
+        chunk = slice(h0, h0 + n)
         # pass 1: the chunk's bands, one per segment between resets
         starts, centers, lower, upper = [0], [center], [pa], [pb]
-        for h, close in enumerate(closes[h0:h0 + n]):
+        for h, close in enumerate(closes[chunk]):
             if close < pa or close > pb:
                 center, pa, pb = band_around(close)
                 starts.append(h)
@@ -113,7 +118,7 @@ def run_tau_reset(candles: Sequence[Candle], offset: int, horizon: int, tau: int
         lengths = np.diff(bounds)
         hour_lower = np.repeat(lower, lengths)
         hour_upper = np.repeat(upper, lengths)
-        path = paths[h0:h0 + n]
+        path = paths[chunk]
         # pass 2: the budget. An hour's fee is the rate times each move of
         # its clamped sqrt price, summed in walk order; a two-move path is
         # padded with zero moves, which add +0.0 to a fee >= 0
@@ -134,20 +139,16 @@ def run_tau_reset(candles: Sequence[Candle], offset: int, horizon: int, tau: int
                 cash += rate * d0 + rate * d1 + rate * d2 + rate * d3
                 cash_col.append(cash)
         # pass 3: the ledger of every hour of the chunk in one walk
-        lvr, fee, dv, _, value = lvr_over_path(
+        lvr, fee, dv, _, trace["value"][chunk] = lvr_over_path(
             Bands(hour_lower, hour_upper, np.repeat(liq, lengths)), path.T,
             fee_tier=fee_tier)
-        action, gas = [0] * n, [0.0] * n
-        for start in starts[1:]:
-            action[start], gas[start] = tau, env.gas
-        reward = -np.array(gas) + fee + (lvr if env.reward_mode == "hedged" else dv)
-        # tuple.__new__ is HourRecord._make without its Python frame
-        records += map(tuple.__new__, repeat(HourRecord), zip(
-            range(offset + h0 + 1, offset + h0 + n + 1), action, fee.tolist(),
-            lvr.tolist(), gas, dv.tolist(), reward.tolist(), cash_col,
-            np.repeat(centers, lengths).tolist(), repeat(tau), value.tolist(),
-            closes[h0 + 1:h0 + n + 1]))
-    return records
+        action, gas = trace["action"][chunk], trace["gas"][chunk]
+        action[starts[1:]], gas[starts[1:]] = tau, env.gas
+        trace["fee"][chunk], trace["lvr"][chunk], trace["dv"][chunk] = fee, lvr, dv
+        trace["reward"][chunk] = -gas + fee + (lvr if env.reward_mode == "hedged" else dv)
+        trace["cash"][chunk] = cash_col
+        trace["center_tick"][chunk] = np.repeat(centers, lengths)
+    return trace
 
 
 @dataclass(frozen=True)
@@ -185,8 +186,8 @@ def _unit_bands(prices: Sequence[float], n: int, spacing: int) -> Bands:
     return Bands(*np.moveaxis(fields, -1, 0))
 
 
-def run_ewa(candles: Sequence[Candle], offset: int, horizon: int,
-            config: EWAConfig, env: EnvConfig):
+def run_ewa(candles: CandleSeries, offset: int, horizon: int,
+            config: EWAConfig, env: EnvConfig) -> Tuple[HourTrace, np.ndarray]:
     """Replay the exponential-weights strategy over candles[offset:offset+horizon].
 
     The trigger is the literal periodic rule mod(t, t_re) == 0 for hours
@@ -198,58 +199,61 @@ def run_ewa(candles: Sequence[Candle], offset: int, horizon: int,
     The references of every reallocation are minted up front, at the
     close before it, since none reads the ledger. One ledger walk then
     covers WALK_HOURS hours x widths, each hour on the references it
-    holds, and each hour's totals and value are budgets @ the
-    references' ledger columns, hour by hour.
+    holds. The budgets hold from one reallocation to the next, so each
+    run of hours between reallocations (and chunk ends) takes its fee,
+    lvr, dv and value as budgets @ the references' ledger columns at
+    once; these stacked products equal the hour-by-hour ones bit for bit
+    (a single gemv over the run's marks would not).
 
-    Returns (per-hour records, final weights); a record's action is 1 on
-    reallocation hours and 0 otherwise.
+    Returns (the hours' trace, final weights); an hour's action is 1 on
+    reallocation hours and 0 otherwise; t counts hours from the offset.
     """
     fee_tier = env.pool.fee_tier
     n, t_re = config.n_widths, config.t_re
     paths = _window_paths(candles, offset, horizon, env.path_model)
-    # row b: the references held from hour b * t_re on
-    refs = _unit_bands([candles[offset].close]
-                       + [candles[offset + t - 1].close
-                          for t in range(t_re, horizon + 1, t_re)],
-                       n, env.pool.tick_spacing)
+    closes = candles.close[offset:offset + horizon + 1]
+    # row b: the references held from hour b * t_re on, minted at the close before it
+    refs = _unit_bands(closes[:1].tolist() + closes[t_re - 1:horizon:t_re].tolist(), n,
+                       env.pool.tick_spacing)
     # the references' values at the last close: what a reallocation spends
-    marks = lvr_over_path(Bands(*(f[0] for f in refs)),
-                          np.array([candles[offset].close]))[4]
+    marks = lvr_over_path(Bands(*(f[0] for f in refs)), closes[:1])[4]
     budgets = np.full(n, env.l0 / n)
     cash = 0.0
     cum_rewards = np.zeros(n)
     weights = np.full(n, 1.0 / n)
-    records: List[HourRecord] = []
+    trace = HourTrace(horizon)
+    trace["t"][:] = np.arange(1, horizon + 1)
+    trace["action"][t_re - 1::t_re] = 1
+    trace["gas"][t_re - 1::t_re] = env.gas
+    trace["close"][:] = closes[1:]
+    fee_col, lvr_col, dv_col = trace["fee"], trace["lvr"], trace["dv"]
 
     for t in range(1, horizon + 1, WALK_HOURS):  # the chunk's first hour walks paths[t - 1]
         end = min(t + WALK_HOURS, horizon + 1)
-        block = np.arange(t, end) // t_re
         lvr, fee, dv, _, chunk_marks = lvr_over_path(
-            Bands(*(f[block] for f in refs)), paths[t - 1:end - 1].T[:, :, None],
-            fee_tier=fee_tier)
+            Bands(*(f[np.arange(t, end) // t_re] for f in refs)),
+            paths[t - 1:end - 1].T[:, :, None], fee_tier=fee_tier)
         ledger = np.stack((fee, lvr, dv), axis=1)  # per hour: per-reference fee, lvr, dv
         # row j: the per-reference rewards summed through the hour before t + j,
         # hour by hour
         cum_rewards = np.cumsum(np.vstack((cum_rewards, fee + lvr)), axis=0)
-        for j in range(end - t):
-            gas_paid = 0.0
-            action = 0
-            if (t + j) % t_re == 0:
-                weights = ewa_weights(cum_rewards[j], config.eta)
-                wealth = cash + float(budgets @ marks)
-                budgets = wealth * weights
+        # hours a..b-1 hold one set of budgets: a is a reallocation or the chunk's first hour
+        starts = sorted({t, *range(t + (-t) % t_re, end, t_re)})
+        for a, b in zip(starts, starts[1:] + [end]):
+            if a % t_re == 0:
+                weights = ewa_weights(cum_rewards[a - t], config.eta)
+                budgets = (cash + float(budgets @ marks)) * weights
                 cash = 0.0
-                gas_paid = env.gas
-                action = 1
-            fee_j, lvr_j, dv_j = (ledger[j] @ budgets).tolist()
-            cash += fee_j
-            marks = chunk_marks[j]
-            value = float(budgets @ marks)
-            records.append(HourRecord(t + j, action, fee_j, lvr_j, gas_paid, dv_j,
-                                      fee_j + lvr_j - gas_paid, cash, 0, 0, value,
-                                      candles[offset + t + j].close))
+            s, e, hours = a - t, b - t, slice(a - 1, b - 1)
+            fee_col[hours], lvr_col[hours], dv_col[hours] = (ledger[s:e] @ budgets).T
+            # cash, summed hour by hour from the cash carried in
+            trace["cash"][hours] = np.cumsum(np.concatenate(([cash], fee_col[hours])))[1:]
+            cash = float(trace["cash"][b - 2])
+            marks = chunk_marks[e - 1]
+            trace["value"][hours] = (budgets @ chunk_marks[s:e, :, None])[:, 0]
         cum_rewards = cum_rewards[-1]
-    return records, weights
+    trace["reward"][:] = fee_col + lvr_col - trace["gas"]
+    return trace, weights
 
 
 # Benchmark defaults, keyed by (pool, period, l0). Pools are the two

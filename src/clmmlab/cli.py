@@ -101,7 +101,7 @@ def cmd_features(args) -> int:
     candles = load_candles_csv(data["candles"])
     matrix = compute_feature_matrix(candles)
     write_csv_rows(data["out"], ["timestamp"] + FEATURE_NAMES,
-                   [[c.timestamp] + row.tolist() for c, row in zip(candles, matrix)])
+                   [[ts] + row for ts, row in zip(candles.timestamp.tolist(), matrix.tolist())])
     print(f"wrote {len(matrix)} feature rows to {data['out']}")
     if data.get("scaler_out"):
         scaler = FeatureScaler.fit(matrix[WARMUP_CANDLES:])

@@ -11,7 +11,8 @@ The discount and the epsilon schedule are this module's constants
 rate (nets.SOFT_UPDATE_RATE) and the hidden sizes (nets.init_params'
 default) are nets'. DDQNConfig holds only the settings a caller varies.
 Each gradient step (ddqn_update) runs in place in one nets.Workspace that
-train_ddqn allocates once.
+train_ddqn allocates once, and each greedy action in one batch-1
+activation set, allocated once per training run or greedy rollout.
 
 Episode ends in both environments here are data truncations, not MDP
 terminals, so every stored transition bootstraps: the replay buffer keeps
@@ -167,13 +168,14 @@ def greedy_rollout(env, params: NetworkParams, offset: int):
     """Run one episode acting greedily; returns (total reward, actions,
     records), a record being env.step's fourth value (LPEnv: HourRecord)."""
     obs = env.reset(offset)
+    nets.check_input_dim(params, len(obs))
+    acts = nets._activations(1, params.layout)  # every greedy act's activations
     total = 0.0
     actions: List[int] = []
     records = []
     done = False
     while not done:
-        q, _, _ = nets.forward(params, obs)
-        a = int(q.argmax())
+        a = int(nets._forward(params, obs[None], acts).argmax())
         obs, r, done, record = env.step(a)
         total += r
         actions.append(a)
@@ -214,6 +216,7 @@ def train_ddqn(
     opt = OptimizerState.for_params(local, learning_rate=config.learning_rate)
     buffer = ReplayBuffer(config.buffer, obs_dim)
     ws = nets.Workspace(local.layout, 2 * config.batch_size, config.batch_size)
+    acts = nets._activations(1, local.layout)  # every greedy act's activations
     if eval_offset is None:
         eval_offset = eval_env.min_offset()
 
@@ -235,8 +238,7 @@ def train_ddqn(
             if rng.random() < eps:
                 a = int(rng.integers(0, n_actions + 1))
             else:
-                q, _, _ = nets.forward(local, obs)
-                a = int(q.argmax())
+                a = int(nets._forward(local, obs[None], acts).argmax())
             next_obs, r, done, _ = train_env.step(a)
             buffer.add(obs, a, r, next_obs)
             obs = next_obs

@@ -34,7 +34,7 @@ import numpy as np
 from .accounting import lvr_over_path
 from .amm import LiquidityPosition, PoolSpec, mint_band
 from .features import N_FEATURES, WARMUP_CANDLES, assemble_observation
-from .marketdata import Candle
+from .marketdata import CandleSeries
 
 PATH_MODELS = ("candle", "open-close")
 REWARD_MODES = ("hedged", "unhedged")
@@ -46,6 +46,7 @@ HourRecord = NamedTuple("HourRecord", [
     ("dv", float), ("reward", float), ("cash", float), ("center_tick", int),
     ("width", int), ("value", float), ("close", float)])
 TRACE_CSV_HEADER = list(HourRecord._fields)
+TRACE_INT_FIELDS = ("t", "action", "center_tick", "width")
 
 
 def check_path_model(model: str) -> None:
@@ -53,7 +54,7 @@ def check_path_model(model: str) -> None:
         raise ValueError(f"path_model must be one of {PATH_MODELS}, got {model!r}")
 
 
-def hour_paths(candles: Sequence[Candle], model: str) -> np.ndarray:
+def hour_paths(candles: CandleSeries, model: str) -> np.ndarray:
     """Price points visited while each hour of the series elapses.
 
     Row t is the hour from candles[t] to candles[t + 1]: it starts at
@@ -63,16 +64,38 @@ def hour_paths(candles: Sequence[Candle], model: str) -> np.ndarray:
     ValueError.
     """
     check_path_model(model)
-    # a row per field: numpy converts four flat lists of floats faster
-    # than one list of 4-tuples
-    o, h, l, c = np.array([[k.open for k in candles], [k.high for k in candles],
-                           [k.low for k in candles], [k.close for k in candles]],
-                          dtype=float)
-    o, h, l, c, prev = o[1:], h[1:], l[1:], c[1:], c[:-1]
+    o, h, l, c = candles.open[1:], candles.high[1:], candles.low[1:], candles.close[1:]
+    prev = candles.close[:-1]
     if model == "candle":
         up = c >= o
         return np.stack((prev, o, np.where(up, l, h), np.where(up, h, l), c), axis=1)
     return np.stack((prev, o, c), axis=1)
+
+
+class HourTrace:
+    """A replay's hours as columns: one array per TRACE_CSV_HEADER field,
+    an entry an hour (ints for t, action, center_tick and width)."""
+
+    def __init__(self, hours: int):
+        self.columns = {name: np.zeros(hours, int if name in TRACE_INT_FIELDS else float)
+                        for name in TRACE_CSV_HEADER}
+
+    @classmethod
+    def of_records(cls, records: Sequence[HourRecord]) -> "HourTrace":
+        trace = cls(len(records))
+        for column, values in zip(trace.columns.values(), zip(*records)):
+            column[:] = values
+        return trace
+
+    def __len__(self) -> int:
+        return len(self.columns["t"])
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self.columns[name]
+
+    def rows(self):
+        """The hours as tuples of Python values, in TRACE_CSV_HEADER order."""
+        return zip(*(column.tolist() for column in self.columns.values()))
 
 
 @dataclass(frozen=True)
@@ -112,12 +135,14 @@ class LPEnv:
 
     def __init__(
         self,
-        candles: Sequence[Candle],
+        candles: CandleSeries,
         config: Optional[EnvConfig] = None,
         features: Optional[np.ndarray] = None,
     ):
         self.config = config or EnvConfig()
-        self.candles = list(candles)
+        self.candles = candles
+        # per-hour scalars as Python floats: a step indexes lists, not arrays
+        self._closes = candles.close.tolist()
         self.features = features
         if len(self.candles) < self.min_offset() + 2:
             raise ValueError(
@@ -129,7 +154,7 @@ class LPEnv:
                 f"feature matrix shape {features.shape} does not match "
                 f"{len(self.candles)} candles"
             )
-        self._paths = hour_paths(self.candles, self.config.path_model)
+        self._paths = hour_paths(candles, self.config.path_model).tolist()
         self._t = -1
         self._steps_taken = 0
         self.done = True
@@ -165,7 +190,7 @@ class LPEnv:
                 f"offset {offset} leaves fewer than episode_length="
                 f"{self.config.episode_length} hours of data"
             )
-        close = self.candles[offset].close
+        close = self._closes[offset]
         self._open_position(close, width=width, budget=self.config.l0)
         self._t = offset
         self._steps_taken = 0
@@ -189,7 +214,7 @@ class LPEnv:
         """The observation at the current hour."""
         if self.features is None:
             return None
-        close = self.candles[self._t].close
+        close = self._closes[self._t]
         return assemble_observation(
             self.features[self._t],
             cash=self.cash,
@@ -213,7 +238,7 @@ class LPEnv:
                 f"action {action} outside 0..{self.config.n_actions}"
             )
         t = self._t
-        close_t = self.candles[t].close
+        close_t = self._closes[t]
         gas = 0.0
         if action >= 1:
             self._open_position(close_t, width=action, budget=self.cash + self.value)
@@ -221,7 +246,7 @@ class LPEnv:
             gas = self.config.gas
 
         lvr, fee, dv, _, self.value = lvr_over_path(
-            self.position, self._paths[t].tolist(), fee_tier=self.config.pool.fee_tier)
+            self.position, self._paths[t], fee_tier=self.config.pool.fee_tier)
 
         if self.config.reward_mode == "hedged":
             reward = -gas + fee + lvr
@@ -235,5 +260,5 @@ class LPEnv:
         # positional: keyword arguments double the cost of building a record
         record = HourRecord(self._t, action, fee, lvr, gas, dv, reward, self.cash,
                             self.center_tick, self.width, self.value,
-                            self.candles[t + 1].close)
+                            self._closes[t + 1])
         return self._observe(), reward, self.done, record

@@ -15,13 +15,13 @@ on, and rows of the feature matrix before that may hold NaN.
 """
 
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from . import indicators as ind
 from .amm import price_to_tick
-from .marketdata import Candle, candles_to_arrays
+from .marketdata import CandleSeries
 
 WARMUP_CANDLES = 200
 
@@ -63,13 +63,13 @@ N_FEATURES = len(FEATURE_NAMES)  # 28
 ZSCORE_COLUMNS = (0, 4, 8, 15, 16, 17, 25)
 
 
-def compute_feature_matrix(candles: Sequence[Candle]) -> np.ndarray:
+def compute_feature_matrix(candles: CandleSeries) -> np.ndarray:
     """(T, 28) matrix over the whole series; rows before warm-up may hold NaN.
 
     All recurrences run forward only, so row t is unchanged by any edit to
     candles after t.
     """
-    _, o, h, l, c, v = candles_to_arrays(candles)
+    _, o, h, l, c, v = candles.columns
     n = len(o)
     cols = np.full((n, N_FEATURES), np.nan)
     cols[:, 0] = o

@@ -11,9 +11,8 @@ Floats are written with repr so a load/save cycle is bit-exact.
 import csv
 import math
 import os
-from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import List, Sequence
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,8 +26,9 @@ class DataValidationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Candle:
+class Candle(NamedTuple):
+    """One hourly bar as Python values: a row of a CandleSeries."""
+
     timestamp: int
     open: float
     high: float
@@ -36,38 +36,95 @@ class Candle:
     close: float
     volume_usd: float
 
-    def __post_init__(self):
-        for name in ("open", "high", "low", "close"):
-            v = getattr(self, name)
-            if not (v > 0.0 and math.isfinite(v)):
-                raise DataValidationError(f"{name} must be positive and finite, got {v}")
-        if not (self.low <= min(self.open, self.close) and max(self.open, self.close) <= self.high):
+
+def _arrays(timestamp, *fields) -> Tuple[np.ndarray, ...]:
+    return (np.array(timestamp, dtype=np.int64), *(np.array(f, dtype=float) for f in fields))
+
+
+def _check_bars(columns, first_row: Optional[int]) -> None:
+    """Every bar's checks at once, in a bar's order: each price positive and
+    finite, low <= open, close <= high, volume >= 0 and finite. The first
+    bad bar raises its first failed check, prefixed "row N: " when the
+    first bar's row number is given."""
+    _, o, h, l, c, v = columns
+    passed = [(p > 0.0) & (p < math.inf) for p in (o, h, l, c)]
+    passed += [(l <= np.minimum(o, c)) & (np.maximum(o, c) <= h), (v >= 0.0) & (v < math.inf)]
+    bad = ~np.logical_and.reduce(passed)
+    if not bad.any():
+        return
+    i = int(bad.argmax())
+    check = next(k for k, ok in enumerate(passed) if not ok[i])
+    ts, o, h, l, c, v = (column[i].item() for column in columns)
+    if check < 4:
+        name = CANDLE_CSV_HEADER[1 + check]
+        error = f"{name} must be positive and finite, got {(o, h, l, c)[check]}"
+    elif check == 4:
+        error = f"OHLC ordering violated at {ts}: o={o} h={h} l={l} c={c}"
+    else:
+        error = f"volume_usd must be >= 0, got {v}"
+    raise DataValidationError(error if first_row is None else f"row {first_row + i}: {error}")
+
+
+class CandleSeries:
+    """An hourly candle series as read-only columns, checked once when built.
+
+    Each bar passes its own checks (prices positive and finite, low <= open,
+    close <= high, volume >= 0 and finite), the first bad one raising; then
+    each timestamp follows the one before by exactly HOUR, counting rows
+    from first_row (1 when unset; a bar's error names its row only when
+    first_row is set). A slice is a series again, on views of the same
+    columns; an index is a Candle.
+    """
+
+    __slots__ = tuple(CANDLE_CSV_HEADER)
+
+    def __init__(self, timestamp, open, high, low, close, volume_usd,
+                 first_row: Optional[int] = None):
+        columns = _arrays(timestamp, open, high, low, close, volume_usd)
+        _check_bars(columns, first_row)
+        ts = columns[0]
+        gaps = np.flatnonzero(np.diff(ts) != HOUR)
+        if len(gaps):
+            i = int(gaps[0])
             raise DataValidationError(
-                f"OHLC ordering violated at {self.timestamp}: "
-                f"o={self.open} h={self.high} l={self.low} c={self.close}"
+                f"row {i + 1 + (first_row or 1)}: timestamp {ts[i + 1]} does not follow "
+                f"{ts[i]} by exactly {HOUR}s"
             )
-        if self.volume_usd < 0.0 or not math.isfinite(self.volume_usd):
-            raise DataValidationError(f"volume_usd must be >= 0, got {self.volume_usd}")
+        self._bind(columns)
+
+    def _bind(self, columns) -> None:
+        for name, column in zip(self.__slots__, columns):
+            column.flags.writeable = False
+            setattr(self, name, column)
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[Candle], first_row: Optional[int] = None):
+        return cls(*(list(zip(*rows)) or [()] * 6), first_row=first_row)
+
+    @property
+    def columns(self) -> Tuple[np.ndarray, ...]:
+        """(timestamp, open, high, low, close, volume_usd)."""
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __len__(self) -> int:
+        return len(self.timestamp)
+
+    def __getitem__(self, index):
+        if not isinstance(index, slice):
+            return Candle(*(column[index].item() for column in self.columns))
+        if index.step not in (None, 1):
+            raise ValueError("a candle series slices into runs of consecutive hours")
+        out = object.__new__(CandleSeries)
+        out._bind(tuple(column[index] for column in self.columns))
+        return out
 
 
-def validate_series(candles: Sequence[Candle], first_row: int = 1) -> None:
-    """Check hourly spacing; the first candle is reported as row first_row."""
-    for i, (a, b) in enumerate(zip(candles, candles[1:])):
-        if b.timestamp - a.timestamp != HOUR:
-            raise DataValidationError(
-                f"row {i + 1 + first_row}: timestamp {b.timestamp} does not follow "
-                f"{a.timestamp} by exactly {HOUR}s"
-            )
-
-
-def fill_gaps(candles: Sequence[Candle], max_gap_hours: int = 3) -> List[Candle]:
+def fill_gaps(candles: Sequence[Candle], max_gap_hours: int = 3) -> CandleSeries:
     """Forward-fill missing hours with flat bars at the previous close.
 
     Runs longer than max_gap_hours raise, listing the missing hours.
     """
-    if not candles:
-        return []
-    out = [candles[0]]
+    out = list(candles[:1])
     for c in candles[1:]:
         prev = out[-1]
         if c.timestamp <= prev.timestamp:
@@ -89,10 +146,13 @@ def fill_gaps(candles: Sequence[Candle], max_gap_hours: int = 3) -> List[Candle]
             p = prev.close
             out.append(Candle(ts, p, p, p, p, 0.0))
         out.append(c)
-    return out
+    return CandleSeries.from_rows(out)
 
 
-def load_candles_csv(path: str) -> List[Candle]:
+def load_candles_csv(path: str) -> CandleSeries:
+    """The series in the CSV file at path; errors name file line numbers
+    (the header is line 1). The rows before a malformed one are checked
+    before it is reported, and the hourly spacing only once every row parsed."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -100,49 +160,35 @@ def load_candles_csv(path: str) -> List[Candle]:
             raise DataValidationError(
                 f"bad candle CSV header in {path}: {header!r}, want {CANDLE_CSV_HEADER!r}"
             )
-        out = []
-        for i, row in enumerate(reader):
+        rows, error = [], None
+        for line, row in enumerate(reader, start=2):
             if len(row) != 6:
-                raise DataValidationError(f"row {i + 2}: expected 6 columns, got {len(row)}")
+                error = f"row {line}: expected 6 columns, got {len(row)}"
+                break
             try:
-                out.append(
-                    Candle(
-                        int(row[0]), float(row[1]), float(row[2]),
-                        float(row[3]), float(row[4]), float(row[5]),
-                    )
-                )
-            except DataValidationError as e:
-                raise DataValidationError(f"row {i + 2}: {e}") from None
+                rows.append((int(row[0]), *map(float, row[1:])))
             except ValueError:
-                raise DataValidationError(f"row {i + 2}: unparseable value in {row!r}") from None
-    validate_series(out, first_row=2)  # file line numbers: the header is line 1
-    return out
+                error = f"row {line}: unparseable value in {row!r}"
+                break
+    columns = list(zip(*rows)) or [()] * 6
+    if error is not None:
+        _check_bars(_arrays(*columns), first_row=2)
+        raise DataValidationError(error)
+    return CandleSeries(*columns, first_row=2)
 
 
-def save_candles_csv(candles: Sequence[Candle], path: str) -> None:
+def save_candles_csv(candles: CandleSeries, path: str) -> None:
     """Write through a temp file in the same directory, then os.replace it,
     so a crash mid-write never leaves a truncated file at `path`."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        write_csv_rows(tmp, CANDLE_CSV_HEADER, (
-            [c.timestamp, c.open, c.high, c.low, c.close, c.volume_usd]
-            for c in candles))
+        write_csv_rows(tmp, CANDLE_CSV_HEADER,
+                       zip(*(column.tolist() for column in candles.columns)))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
-
-
-def candles_to_arrays(candles: Sequence[Candle]):
-    """Column arrays (timestamp, open, high, low, close, volume)."""
-    ts = np.array([c.timestamp for c in candles], dtype=np.int64)
-    o = np.array([c.open for c in candles])
-    h = np.array([c.high for c in candles])
-    l = np.array([c.low for c in candles])
-    cl = np.array([c.close for c in candles])
-    v = np.array([c.volume_usd for c in candles])
-    return ts, o, h, l, cl, v
 
 
 def bundled_candles_path() -> str:
@@ -185,7 +231,7 @@ def synth_gbm(
     seed: int,
     start_ts: int = DEFAULT_SYNTH_START,
     intra_factor: float = 0.25,
-) -> List[Candle]:
+) -> CandleSeries:
     """Geometric-Brownian hourly candles.
 
     close_{t+1} = close_t * exp((mu - sigma^2/2) + sigma * z_t) with unit z.
@@ -201,18 +247,22 @@ def synth_gbm(
         raise ValueError(f"n_hours must be >= 1, got {n_hours}")
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(n_hours)
-    closes = np.empty(n_hours + 1)
-    closes[0] = p0
-    drift = mu - 0.5 * sigma * sigma
-    for t in range(n_hours):
-        closes[t + 1] = closes[t] * math.exp(drift + sigma * z[t])
-    out = []
-    for t in range(1, n_hours + 1):
-        o = float(closes[t - 1])
-        c = float(closes[t])
-        ext = intra_factor * abs(c / o - 1.0)
-        hi = max(o, c) * (1.0 + ext)
-        lo = min(o, c) / (1.0 + ext)
-        vol = 1e6 * (1.0 + abs(math.log(c / o)))
-        out.append(Candle(start_ts + (t - 1) * HOUR, o, hi, lo, c, vol))
-    return out
+    closes = [float(p0)]
+    # the scalar math.exp recursion: np.exp differs from it in the last bit
+    exp = math.exp
+    for step in (mu - 0.5 * sigma * sigma + sigma * z).tolist():
+        closes.append(closes[-1] * exp(step))
+    o, c = np.array(closes[:-1]), np.array(closes[1:])
+    with np.errstate(all="ignore"):  # an overflow is the series check's to report
+        ext = intra_factor * np.abs(c / o - 1.0)
+        hi = np.maximum(o, c) * (1.0 + ext)
+        lo = np.minimum(o, c) / (1.0 + ext)
+        ratios = (c / o).tolist()
+    ts = start_ts + HOUR * np.arange(n_hours)
+    try:  # math.log, element by element, as np.log differs from it too
+        vol = [1e6 * (1.0 + abs(math.log(r))) for r in ratios]
+    except ValueError:  # the first close that is 0: the bars before it are checked first
+        k = next(i for i, r in enumerate(ratios) if r <= 0.0)
+        CandleSeries(ts[:k], o[:k], hi[:k], lo[:k], c[:k], [0.0] * k)
+        raise
+    return CandleSeries(ts, o, hi, lo, c, vol)

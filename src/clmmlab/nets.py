@@ -156,6 +156,11 @@ def _forward(params: NetworkParams, x: np.ndarray, acts) -> np.ndarray:
     return q
 
 
+def check_input_dim(params: NetworkParams, dim: int) -> None:
+    if dim != params.input_dim:
+        raise CheckpointError(f"input dim {dim} does not match network input {params.input_dim}")
+
+
 def forward(params: NetworkParams, s: np.ndarray):
     """Q-values for a single state or a batch.
 
@@ -164,10 +169,7 @@ def forward(params: NetworkParams, s: np.ndarray):
     s = np.asarray(s, dtype=float)
     single = s.ndim == 1
     x = s[None, :] if single else s
-    if x.shape[1] != params.input_dim:
-        raise CheckpointError(
-            f"input dim {x.shape[1]} does not match network input {params.input_dim}"
-        )
+    check_input_dim(params, x.shape[1])
     acts = _activations(len(x), params.layout)
     q = _forward(params, x, acts)
     v, adv = acts[2], acts[3]

@@ -14,7 +14,8 @@ import urllib.error
 import urllib.request
 from typing import Callable, Dict, List, Optional
 
-from .marketdata import Candle, fill_gaps, load_candles_csv, save_candles_csv
+from .marketdata import (Candle, CandleSeries, fill_gaps, load_candles_csv,
+                         save_candles_csv)
 
 PAGE_SIZE = 1000
 
@@ -134,7 +135,7 @@ def _decode_row(row: Dict) -> Candle:
         if field not in row:
             raise SchemaError(f"pool-hour row missing field {field!r}: {row!r}")
     try:
-        return Candle(
+        candle = Candle(
             timestamp=int(row["periodStartUnix"]),
             open=float(row["open"]),
             high=float(row["high"]),
@@ -142,8 +143,8 @@ def _decode_row(row: Dict) -> Candle:
             close=float(row["close"]),
             volume_usd=float(row["volumeUSD"]),
         )
-    except SchemaError:
-        raise
+        CandleSeries.from_rows([candle])  # the bar's own checks
+        return candle
     except ValueError as e:
         raise SchemaError(f"unparseable pool-hour row {row!r}: {e}") from None
 
@@ -160,7 +161,7 @@ def fetch_pool_hours(
     end: int,
     cache_dir: str,
     max_gap_hours: int = 3,
-) -> List[Candle]:
+) -> CandleSeries:
     """Gap-filled candles for [start, end), served from the CSV cache when the
     exact range was fetched before."""
     os.makedirs(cache_dir, exist_ok=True)

@@ -17,13 +17,18 @@ and the discount); the per-row feature scaler shares only the FeatureScaler
 fields. The two-walk EWA replay runs on the oracle ledger and pins
 down the budgets x references rewrite of run_ewa; the per-width replay
 is run_ewa as it stood before it walked a block of hours at once, and
-pins down that rewrite bit for bit. The env tau-reset replay is
+pins down that rewrite bit for bit; the per-hour replay is run_ewa as it
+stood before it took a reallocation period at a time, and pins down that
+rewrite bit for bit. The env tau-reset replay is
 run_tau_reset as it stood before it walked a chunk of hours at once, one
 LPEnv step an hour, and pins down that rewrite bit for bit. The dict-row
 run-dir writer and the four-sum drift study at the end are the code that
 env.HourRecord, report.write_csv_rows and the run_backtest drift study
 replaced; they run on the package's env and ledger and check only the
-writing and the totals. The loop indicators at the very end are the
+writing and the totals. The Candle-list market data (a validated bar
+object per hour, its loader, writer and GBM synthesis) is
+clmmlab.marketdata as it stood before the series became columns; it
+shares only the constants and the error type. The loop indicators at the very end are the
 per-element code that clmmlab.indicators' array passes replaced; they share
 only sma with the package.
 """
@@ -40,13 +45,14 @@ import numpy as np
 from clmmlab.amm import (LiquidityPosition, PoolSpec, _check_price, band_for_center, mint_band,
                          liquidity_for_budget, price_to_tick, snap_tick)
 from clmmlab.backtest import EQUILIBRIUM_POOL
-from clmmlab.baselines import EWAConfig, ewa_weights
+from clmmlab.accounting import lvr_over_path as ledger_walk
+from clmmlab.baselines import WALK_HOURS, Bands, EWAConfig, _unit_bands, _window_paths, ewa_weights
 from clmmlab.env import (TRACE_CSV_HEADER, EnvConfig, HourRecord, LPEnv,
                          check_path_model)
 from clmmlab.indicators import sma
-from clmmlab.marketdata import synth_gbm
+from clmmlab.marketdata import (CANDLE_CSV_HEADER, DEFAULT_SYNTH_START, HOUR, Candle,
+                                DataValidationError, synth_gbm)
 from clmmlab.report import REPORT_CSV_HEADER
-from clmmlab.marketdata import Candle
 from clmmlab.dqn import GAMMA
 from clmmlab.nets import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, CheckpointError,
                           NetworkParams, TrainingDiverged)
@@ -615,6 +621,65 @@ def run_ewa_per_width(candles: Sequence[Candle], offset: int, horizon: int,
     return records, weights
 
 
+# -- the per-hour EWA replay -------------------------------------------------
+#
+# baselines.run_ewa as it stood before it took a reallocation period at a
+# time: one chunk walk of the ledger, then the budgets, cash and value hour
+# by hour, one HourRecord an hour.
+
+
+def run_ewa_per_hour(candles, offset: int, horizon: int,
+                     config: EWAConfig, env: EnvConfig):
+    """(per-hour HourRecords, final weights), as baselines.run_ewa."""
+    fee_tier = env.pool.fee_tier
+    n, t_re = config.n_widths, config.t_re
+    paths = _window_paths(candles, offset, horizon, env.path_model)
+    refs = _unit_bands([candles[offset].close]
+                       + [candles[offset + t - 1].close
+                          for t in range(t_re, horizon + 1, t_re)],
+                       n, env.pool.tick_spacing)
+    marks = ledger_walk(Bands(*(f[0] for f in refs)),
+                        np.array([candles[offset].close]))[4]
+    budgets = np.full(n, env.l0 / n)
+    cash = 0.0
+    cum_rewards = np.zeros(n)
+    weights = np.full(n, 1.0 / n)
+    records: List[HourRecord] = []
+
+    for t in range(1, horizon + 1, WALK_HOURS):
+        end = min(t + WALK_HOURS, horizon + 1)
+        block = np.arange(t, end) // t_re
+        lvr, fee, dv, _, chunk_marks = ledger_walk(
+            Bands(*(f[block] for f in refs)), paths[t - 1:end - 1].T[:, :, None],
+            fee_tier=fee_tier)
+        ledger = np.stack((fee, lvr, dv), axis=1)
+        cum_rewards = np.cumsum(np.vstack((cum_rewards, fee + lvr)), axis=0)
+        for j in range(end - t):
+            gas_paid = 0.0
+            action = 0
+            if (t + j) % t_re == 0:
+                weights = ewa_weights(cum_rewards[j], config.eta)
+                wealth = cash + float(budgets @ marks)
+                budgets = wealth * weights
+                cash = 0.0
+                gas_paid = env.gas
+                action = 1
+            fee_j, lvr_j, dv_j = (ledger[j] @ budgets).tolist()
+            cash += fee_j
+            marks = chunk_marks[j]
+            value = float(budgets @ marks)
+            records.append(HourRecord(t + j, action, fee_j, lvr_j, gas_paid, dv_j,
+                                      fee_j + lvr_j - gas_paid, cash, 0, 0, value,
+                                      candles[offset + t + j].close))
+        cum_rewards = cum_rewards[-1]
+    return records, weights
+
+
+def trace_records(trace) -> List[HourRecord]:
+    """An env.HourTrace's hours as HourRecords, for comparing with the replays here."""
+    return [HourRecord(*row) for row in trace.rows()]
+
+
 # -- the env tau-reset replay ----------------------------------------------
 #
 # baselines.run_tau_reset as it stood before it walked a chunk of hours at
@@ -651,9 +716,11 @@ def write_csv_rows(path: str, header: Sequence[str],
             writer.writerow(row)
 
 
-def write_run_dir(result, out_dir: str) -> Dict[str, str]:
-    """Write run.json, report.csv, trace.csv, actions.csv for one run."""
-    infos = [r._asdict() for r in result.records]
+def write_run_dir(result, out_dir: str, records: Sequence[HourRecord]) -> Dict[str, str]:
+    """Write run.json, report.csv, trace.csv, actions.csv for one run whose
+    hours are records: the report's totals and the action counts are the
+    records' own, and result gives only the config, digest and window."""
+    infos = [r._asdict() for r in records]
     os.makedirs(out_dir, exist_ok=True)
     digest = result.config_hash
     seed = result.config.seed
@@ -667,8 +734,20 @@ def write_run_dir(result, out_dir: str) -> Dict[str, str]:
         json.dump(run_doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
+    def total(column):
+        out = 0.0
+        for info in infos:
+            out += info[column]
+        return out
+
+    l0 = result.config.l0
+    carry = total("lvr") if result.config.reward_mode == "hedged" else total("dv")
+    row = dict(result.to_row(), relative_fee=total("fee") / l0,
+               relative_gas=total("gas") / l0, relative_lvr=-total("lvr") / l0,
+               relative_pnl=(total("fee") - total("gas") + carry) / l0,
+               reallocations=sum(1 for info in infos if info["action"] != 0))
     paths["report"] = os.path.join(out_dir, "report.csv")
-    write_csv_rows(paths["report"], REPORT_CSV_HEADER, [result.to_row()])
+    write_csv_rows(paths["report"], REPORT_CSV_HEADER, [row])
 
     trace_header = TRACE_CSV_HEADER + ["config_hash", "seed"]
     trace_rows = [dict({k: info[k] for k in TRACE_CSV_HEADER},
@@ -677,8 +756,10 @@ def write_run_dir(result, out_dir: str) -> Dict[str, str]:
     paths["trace"] = os.path.join(out_dir, "trace.csv")
     write_csv_rows(paths["trace"], trace_header, trace_rows)
 
-    hist = result.action_histogram()
-    action_rows = [{"action": a, "count": int(n), "config_hash": digest,
+    hist = [0] * (result.config.n_actions + 1)
+    for info in infos:
+        hist[info["action"]] += 1
+    action_rows = [{"action": a, "count": n, "config_hash": digest,
                     "seed": seed} for a, n in enumerate(hist)]
     paths["actions"] = os.path.join(out_dir, "actions.csv")
     write_csv_rows(paths["actions"], ["action", "count", "config_hash", "seed"],
@@ -728,6 +809,110 @@ def drift_neutrality_study(
             "unhedged_se": float(unhedged.std(ddof=1) / math.sqrt(n_seeds)),
             "n_seeds": n_seeds,
         }
+    return out
+
+
+# -- the Candle-list market data --------------------------------------------
+#
+# clmmlab.marketdata as it stood when a series was a list of validated bar
+# objects: each bar checks itself when built, the loader builds one a row,
+# and GBM synthesis builds one an hour.
+
+
+@dataclass(frozen=True)
+class OracleCandle:
+    timestamp: int
+    open: float
+    high: float
+    low: float
+    close: float
+    volume_usd: float
+
+    def __post_init__(self):
+        for name in ("open", "high", "low", "close"):
+            v = getattr(self, name)
+            if not (v > 0.0 and math.isfinite(v)):
+                raise DataValidationError(f"{name} must be positive and finite, got {v}")
+        if not (self.low <= min(self.open, self.close) and max(self.open, self.close) <= self.high):
+            raise DataValidationError(
+                f"OHLC ordering violated at {self.timestamp}: "
+                f"o={self.open} h={self.high} l={self.low} c={self.close}"
+            )
+        if self.volume_usd < 0.0 or not math.isfinite(self.volume_usd):
+            raise DataValidationError(f"volume_usd must be >= 0, got {self.volume_usd}")
+
+
+def validate_series(candles: Sequence[OracleCandle], first_row: int = 1) -> None:
+    for i, (a, b) in enumerate(zip(candles, candles[1:])):
+        if b.timestamp - a.timestamp != HOUR:
+            raise DataValidationError(
+                f"row {i + 1 + first_row}: timestamp {b.timestamp} does not follow "
+                f"{a.timestamp} by exactly {HOUR}s"
+            )
+
+
+def load_candles_csv(path: str) -> List[OracleCandle]:
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != CANDLE_CSV_HEADER:
+            raise DataValidationError(
+                f"bad candle CSV header in {path}: {header!r}, want {CANDLE_CSV_HEADER!r}"
+            )
+        out = []
+        for i, row in enumerate(reader):
+            if len(row) != 6:
+                raise DataValidationError(f"row {i + 2}: expected 6 columns, got {len(row)}")
+            try:
+                out.append(
+                    OracleCandle(
+                        int(row[0]), float(row[1]), float(row[2]),
+                        float(row[3]), float(row[4]), float(row[5]),
+                    )
+                )
+            except DataValidationError as e:
+                raise DataValidationError(f"row {i + 2}: {e}") from None
+            except ValueError:
+                raise DataValidationError(f"row {i + 2}: unparseable value in {row!r}") from None
+    validate_series(out, first_row=2)
+    return out
+
+
+def save_candles_csv(candles: Sequence[OracleCandle], path: str) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CANDLE_CSV_HEADER)
+        for c in candles:
+            writer.writerow([c.timestamp, c.open, c.high, c.low, c.close, c.volume_usd])
+
+
+def synth_gbm_candles(p0: float, mu: float, sigma: float, n_hours: int, seed: int,
+                      start_ts: int = DEFAULT_SYNTH_START,
+                      intra_factor: float = 0.25) -> List[OracleCandle]:
+    """marketdata.synth_gbm, one OracleCandle an hour."""
+    if p0 <= 0.0:
+        raise ValueError(f"p0 must be positive, got {p0}")
+    if sigma < 0.0:
+        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    if n_hours < 1:
+        raise ValueError(f"n_hours must be >= 1, got {n_hours}")
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(n_hours)
+    closes = np.empty(n_hours + 1)
+    closes[0] = p0
+    drift = mu - 0.5 * sigma * sigma
+    with np.errstate(over="ignore"):
+        for t in range(n_hours):
+            closes[t + 1] = closes[t] * math.exp(drift + sigma * z[t])
+    out = []
+    for t in range(1, n_hours + 1):
+        o = float(closes[t - 1])
+        c = float(closes[t])
+        ext = intra_factor * abs(c / o - 1.0)
+        hi = max(o, c) * (1.0 + ext)
+        lo = min(o, c) / (1.0 + ext)
+        vol = 1e6 * (1.0 + abs(math.log(c / o)))
+        out.append(OracleCandle(start_ts + (t - 1) * HOUR, o, hi, lo, c, vol))
     return out
 
 

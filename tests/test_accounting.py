@@ -374,7 +374,7 @@ class TestCallersReplayBitwiseOnOracle:
                 out += replay(candles, 1, 300, tau, env.EnvConfig(path_model=path_model))
             return out
 
-        got = run(baselines.run_tau_reset)
+        got = run(lambda *args: oracles.trace_records(baselines.run_tau_reset(*args)))
         with monkeypatch.context() as m:
             m.setattr(env, "lvr_over_path", oracles.ledger_totals)
             want = run(oracles.run_tau_reset)
@@ -397,7 +397,11 @@ class TestCallersReplayBitwiseOnOracle:
                 out += records + [w.tobytes()]
             return out
 
-        got = run(baselines.run_ewa)
+        def ewa(*args):
+            trace, weights = baselines.run_ewa(*args)
+            return oracles.trace_records(trace), weights
+
+        got = run(ewa)
         want = run(oracles.run_ewa_per_width, walk=oracles.ledger_totals)
         assert len(got) == len(want) > 0
         for g, w in zip(got, want):
@@ -409,7 +413,8 @@ class TestCallersReplayBitwiseOnOracle:
         got = backtest.drift_neutrality_study(n_seeds=3, horizon=60)
         with monkeypatch.context() as m:
             m.setattr(env, "lvr_over_path", oracles.ledger_totals)
-            m.setattr(backtest, "run_tau_reset", oracles.run_tau_reset)
+            m.setattr(backtest, "run_tau_reset", lambda *args: env.HourTrace.of_records(
+                oracles.run_tau_reset(*args)))
             want = backtest.drift_neutrality_study(n_seeds=3, horizon=60)
         assert repr(got) == repr(want)
 

@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -28,7 +31,7 @@ from clmmlab.dqn import (
     train_ddqn,
 )
 from clmmlab.env import PATH_MODELS, REWARD_MODES, EnvConfig
-from clmmlab.marketdata import Candle, save_candles_csv, synth_gbm
+from clmmlab.marketdata import Candle, CandleSeries, save_candles_csv, synth_gbm
 from clmmlab.nets import NetworkParams
 from clmmlab.tabular import policy_value, value_iteration
 from clmmlab import toymdp
@@ -188,6 +191,39 @@ class TestTrainDdqn:
         _, greedy_actions, _ = greedy_rollout(ToyPriceCycleEnv(), res.params, 2)
         assert env.recorded == greedy_actions
 
+    def test_greedy_acts_in_one_activation_set(self, monkeypatch):
+        """A greedy rollout and a training run each size one batch-1
+        activation set and never call nets.forward, which allocates one per
+        call; the actions are those of nets.forward, state by state."""
+        params = nets.init_params(toymdp.OBS_DIM, ToyConfig().n_actions + 1, seed=3)
+        total, actions, _ = greedy_rollout(ToyPriceCycleEnv(), params, 2)
+        env, want = ToyPriceCycleEnv(), []
+        obs, done = env.reset(2), False
+        while not done:
+            want.append(int(nets.forward(params, obs)[0].argmax()))
+            obs, _, done, _ = env.step(want[-1])
+        assert actions == want
+
+        sized = []
+        real = nets._activations
+
+        def counted(rows, layout):
+            sized.append(rows)
+            return real(rows, layout)
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("nets.forward allocated a greedy act's activations")
+
+        monkeypatch.setattr(nets, "_activations", counted)
+        monkeypatch.setattr(nets, "forward", no_forward)
+        assert greedy_rollout(ToyPriceCycleEnv(), params, 2)[:2] == (total, actions)
+        assert sized == [1]
+        sized.clear()
+        cfg = DDQNConfig(batch_size=8, warm_start=10 ** 9, eval_every_episodes=1)
+        res = train_ddqn(ToyPriceCycleEnv(), ToyPriceCycleEnv(), cfg, budget=64, seed=7)
+        # the run's own, then one per evaluation (the Workspace sizes 2 * batch)
+        assert sized == [16, 1] + [1] * res.episodes
+
     def test_fixed_values_are_not_settings(self):
         with pytest.raises(TypeError):
             DDQNConfig(gamma=0.5)
@@ -253,8 +289,19 @@ def no_walk(*args, **kwargs):
 def scaled(candles, ticks):
     """The candles with every price times 1.0001**ticks."""
     f = 1.0001 ** ticks
-    return [Candle(c.timestamp, c.open * f, c.high * f, c.low * f, c.close * f,
-                   c.volume_usd) for c in candles]
+    return CandleSeries.from_rows([Candle(c.timestamp, c.open * f, c.high * f, c.low * f,
+                                          c.close * f, c.volume_usd) for c in candles])
+
+
+def tau_records(*args):
+    """run_tau_reset's trace as HourRecords."""
+    return oracles.trace_records(run_tau_reset(*args))
+
+
+def ewa_records(*args):
+    """run_ewa's trace as HourRecords, and its final weights."""
+    trace, weights = run_ewa(*args)
+    return oracles.trace_records(trace), weights
 
 
 class TestTauReset:
@@ -266,14 +313,15 @@ class TestTauReset:
         center = amm.snap_tick(amm.price_to_tick(100.0), spacing)
         pa, pb = amm.band_for_center(center, 1, spacing)
         closes = [100.0, pb, pa, math.nextafter(pb, math.inf), 100.0]
-        candles = [Candle(3600 * i, p, p, p, p, 1.0) for i, p in enumerate(closes)]
-        records = run_tau_reset(candles, 0, 4, 1, EnvConfig())
+        candles = CandleSeries.from_rows([Candle(3600 * i, p, p, p, p, 1.0)
+                                          for i, p in enumerate(closes)])
+        records = tau_records(candles, 0, 4, 1, EnvConfig())
         assert [r.action for r in records] == [0, 0, 0, 1]
         assert [r.gas for r in records] == [0.0, 0.0, 0.0, 1.0]
         assert records[3].center_tick == amm.snap_tick(amm.price_to_tick(closes[3]), spacing)
 
         candles = synth_gbm(100.0, 0.0, 0.015, 400, seed=4)
-        records = run_tau_reset(candles, 210, 150, 3, EnvConfig())
+        records = tau_records(candles, 210, 150, 3, EnvConfig())
         center = amm.snap_tick(amm.price_to_tick(candles[210].close), spacing)
         for r in records:
             close = candles[r.t - 1].close  # the close the hour opens at
@@ -288,7 +336,7 @@ class TestTauReset:
 
     def test_run_resets_only_when_out_of_range(self):
         candles = synth_gbm(100.0, 0.0, 0.015, 400, seed=4)
-        records = run_tau_reset(candles, 210, 150, 3, EnvConfig())
+        records = tau_records(candles, 210, 150, 3, EnvConfig())
         assert len(records) == 150
         # the episode opens at width tau: hour 0 holds it without reallocating
         assert (records[0].action, records[0].width) == (0, 3)
@@ -320,7 +368,7 @@ class TestTauReset:
         at every tau of the env."""
         env = EnvConfig(l0=500.0, gas=gas, path_model=path_model, reward_mode=reward_mode)
         for tau in range(1, 11):
-            got = run_tau_reset(gbm_3202, 200, 600, tau, env)
+            got = tau_records(gbm_3202, 200, 600, tau, env)
             want = oracles.run_tau_reset(gbm_3202, 200, 600, tau, env)
             assert [repr(r) for r in got] == [repr(r) for r in want], tau
 
@@ -329,7 +377,7 @@ class TestTauReset:
     def test_horizons_equal_env_replay(self, gbm_3202, path_model, horizon):
         env = EnvConfig(path_model=path_model)
         for tau in (1, 6):
-            got = run_tau_reset(gbm_3202, 200, horizon, tau, env)
+            got = tau_records(gbm_3202, 200, horizon, tau, env)
             assert len(got) == horizon
             want = oracles.run_tau_reset(gbm_3202, 200, horizon, tau, env)
             assert [repr(r) for r in got] == [repr(r) for r in want], tau
@@ -341,14 +389,14 @@ class TestTauReset:
         candles = scaled(gbm_3202[:801], ticks)
         env = EnvConfig(path_model=path_model)
         for tau in (1, 3, 10):
-            got = run_tau_reset(candles, 200, 600, tau, env)
+            got = tau_records(candles, 200, 600, tau, env)
             want = oracles.run_tau_reset(candles, 200, 600, tau, env)
             assert [repr(r) for r in got] == [repr(r) for r in want], tau
 
     @pytest.mark.parametrize("n_actions", [1, 12])
     def test_tau_of_the_widest_action_equals_env_replay(self, gbm_3202, n_actions):
         env = EnvConfig(n_actions=n_actions)
-        got = run_tau_reset(gbm_3202, 200, 600, n_actions, env)
+        got = tau_records(gbm_3202, 200, 600, n_actions, env)
         want = oracles.run_tau_reset(gbm_3202, 200, 600, n_actions, env)
         assert [repr(r) for r in got] == [repr(r) for r in want]
 
@@ -362,6 +410,26 @@ class TestTauReset:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+
+def test_baseline_replays_build_no_bar_or_hour_objects(monkeypatch):
+    """Loading, synthesis, tau-reset, EWA and the drift study run on columns:
+    no Candle and no HourRecord is built on their paths."""
+    from clmmlab import env as env_module, marketdata
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a per-candle or per-hour object was built")
+
+    monkeypatch.setattr(marketdata, "Candle", refuse)
+    monkeypatch.setattr(env_module, "HourRecord", refuse)
+    fixture = marketdata.load_candles_csv(marketdata.bundled_candles_path())
+    candles = synth_gbm(2000.0, 0.0, 0.01, 800, seed=4)
+    for series in (fixture, candles):
+        for config in (RunConfig(method="tau-reset", tau=3, offset=200, horizon=500),
+                       RunConfig(method="ewa", ewa_widths=10, ewa_eta=1.0, ewa_t_re=24,
+                                 offset=200, horizon=500)):
+            assert len(backtest.run_backtest(series, config).trace) == 500
+    backtest.drift_neutrality_study(n_seeds=2, horizon=50)
 
 
 class TestEwa:
@@ -396,7 +464,7 @@ class TestEwa:
     def test_trigger_cadence_and_gas(self):
         candles = synth_gbm(100.0, 0.0, 0.008, 300, seed=6)
         config = EWAConfig(n_widths=4, eta=1.0, t_re=3)
-        records, weights = run_ewa(candles, 210, 8, config, EnvConfig(l0=250.0, gas=1.0))
+        records, weights = ewa_records(candles, 210, 8, config, EnvConfig(l0=250.0, gas=1.0))
         gas_hours = [r.t for r in records if r.gas > 0]
         assert gas_hours == [3, 6]
         assert all(r.gas in (0.0, 1.0) for r in records)  # one charge per event
@@ -405,7 +473,7 @@ class TestEwa:
     def test_wealth_conservation(self):
         candles = synth_gbm(100.0, 0.0, 0.01, 300, seed=8)
         config = EWAConfig(n_widths=3, eta=2.0, t_re=5)
-        records, _ = run_ewa(candles, 210, 40, config, EnvConfig(l0=250.0, gas=1.0))
+        records, _ = ewa_records(candles, 210, 40, config, EnvConfig(l0=250.0, gas=1.0))
         final = records[-1]
         wealth = final.cash + final.value
         expected = 250.0 + sum(r.fee + r.dv for r in records)
@@ -413,7 +481,7 @@ class TestEwa:
 
     def test_reward_is_hedged_net_of_gas(self):
         candles = synth_gbm(100.0, 0.0, 0.01, 300, seed=9)
-        records, _ = run_ewa(candles, 210, 10, EWAConfig(3, 1.0, 4),
+        records, _ = ewa_records(candles, 210, 10, EWAConfig(3, 1.0, 4),
                              EnvConfig(l0=250.0, gas=1.0))
         for r in records:
             assert r.reward == pytest.approx(r.fee + r.lvr - r.gas, abs=1e-12)
@@ -424,7 +492,7 @@ class TestEwa:
     def test_matches_two_walk_oracle(self, path_model, n_widths, eta, t_re):
         candles = synth_gbm(2000.0, 0.0, 0.012, 520, seed=17)
         config = EWAConfig(n_widths, eta, t_re)
-        got, w_got = run_ewa(candles, 210, 300, config,
+        got, w_got = ewa_records(candles, 210, 300, config,
                              EnvConfig(l0=500.0, gas=1.0, path_model=path_model))
         want, w_want = oracles.run_ewa(candles, 210, 300, config, l0=500.0,
                                        gas=1.0, path_model=path_model)
@@ -450,11 +518,80 @@ class TestEwa:
         beyond it."""
         config = EWAConfig(n_widths, eta, t_re)
         env = EnvConfig(l0=250.0, gas=1.0, path_model=path_model)
-        got, w_got = run_ewa(gbm_3202, 200, horizon, config, env)
+        got, w_got = ewa_records(gbm_3202, 200, horizon, config, env)
         want, w_want = oracles.run_ewa_per_width(gbm_3202, 200, horizon, config, env)
         assert len(got) == horizon
         assert [repr(r) for r in got] == [repr(r) for r in want]
         assert w_got.tobytes() == w_want.tobytes()
+
+    @pytest.mark.parametrize("path_model", ["candle", "open-close"])
+    @pytest.mark.parametrize("n_widths,eta,t_re,offset,horizon", [
+        (10, 1.0, 24, 200, 3000), (5, 10.0, 12, 200, 3000), (4, 2.0, 1, 200, 600),
+        (10, 1.0, 7, 211, 600), (4, 2.0, 257, 3, 1100), (7, 0.5, 3000, 200, 3000),
+        (10, 1.0, WALK_HOURS - 1, 200, 600), (10, 1.0, WALK_HOURS, 200, 600),
+        (10, 1.0, WALK_HOURS + 1, 200, 600), (3, 1.0, 5, 200, 1), (3, 1.0, 1, 200, 1)])
+    def test_trace_equals_per_hour_replay(self, gbm_3202, path_model, n_widths, eta,
+                                          t_re, offset, horizon):
+        """A reallocation period at a time gives the per-hour replay's
+        records and weights bit for bit: periods that a chunk end splits,
+        one-hour periods, periods longer than a chunk, a one-hour run."""
+        config = EWAConfig(n_widths, eta, t_re)
+        env = EnvConfig(l0=250.0, gas=1.0, path_model=path_model)
+        got, w_got = ewa_records(gbm_3202, offset, horizon, config, env)
+        want, w_want = oracles.run_ewa_per_hour(gbm_3202, offset, horizon, config, env)
+        assert [repr(r) for r in got] == [repr(r) for r in want]
+        assert w_got.tobytes() == w_want.tobytes()
+
+    def test_period_products_equal_hourly_products_on_every_kernel(self, tmp_path):
+        """The stacked products of a period (ledger rows @ budgets, budgets @
+        marks as a stack of columns) equal the hour-by-hour products on 200
+        random spans, and run_ewa equals the per-hour replay, with numpy's
+        and OpenBLAS's default kernels and with their narrowest; a single
+        gemv over the marks does not equal them."""
+        script = '''
+import numpy as np, oracles
+from clmmlab.baselines import EWAConfig, run_ewa
+from clmmlab.env import EnvConfig
+from clmmlab.marketdata import synth_gbm
+rng = np.random.default_rng(0)
+gemv_differs = 0
+for _ in range(200):
+    n, hours = int(rng.integers(1, 13)), int(rng.integers(1, 257))
+    ledger = rng.random((hours, 3, n)) * 10.0 ** rng.integers(-8, 3)
+    marks = rng.random((hours, n)) * 10.0 ** rng.integers(-3, 4)
+    budgets = rng.random(n) * 100.0
+    s = int(rng.integers(0, hours))
+    e = int(rng.integers(s + 1, hours + 1))
+    hourly = np.array([ledger[j] @ budgets for j in range(s, e)])
+    assert (ledger[s:e] @ budgets).tobytes() == hourly.tobytes()
+    values = np.array([float(budgets @ marks[j]) for j in range(s, e)])
+    assert (budgets @ marks[s:e, :, None])[:, 0].tobytes() == values.tobytes()
+    gemv_differs += (marks[s:e] @ budgets).tobytes() != values.tobytes()
+assert gemv_differs > 0
+candles = synth_gbm(2000.0, 0.0, 0.01, 800, seed=4)
+for t_re in (24, 7, 1):
+    trace, w = run_ewa(candles, 0, 700, EWAConfig(10, 1.0, t_re), EnvConfig())
+    want, w_want = oracles.run_ewa_per_hour(candles, 0, 700, EWAConfig(10, 1.0, t_re),
+                                            EnvConfig())
+    assert oracles.trace_records(trace) == want and w.tobytes() == w_want.tobytes()
+print("ok")
+'''
+        tests = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.dirname(os.path.dirname(backtest.__file__))
+        base = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, tests, os.environ.get("PYTHONPATH")])))
+        narrow = {"OPENBLAS_CORETYPE": "Prescott"}
+        try:
+            from numpy._core._multiarray_umath import __cpu_dispatch__
+        except ImportError:
+            __cpu_dispatch__ = ()
+        groups = ("AVX512_SPR", "AVX512_ICL", "X86_V4", "X86_V3")
+        if set(groups) <= set(__cpu_dispatch__):  # x86-64 numpy 2: its narrowest paths too
+            narrow["NPY_DISABLE_CPU_FEATURES"] = " ".join(groups)
+        for env in ({k: v for k, v in base.items() if k not in narrow}, {**base, **narrow}):
+            done = subprocess.run([sys.executable, "-c", script], env=env, cwd=str(tmp_path),
+                                  capture_output=True, text=True, timeout=300)
+            assert done.stdout.strip() == "ok", done.stderr
 
     @pytest.mark.parametrize("t_re", [24, 3000])
     def test_3000_hour_run_allocates_per_block(self, gbm_3202, t_re):

@@ -1,6 +1,5 @@
 import argparse
 import csv
-import dataclasses
 import filecmp
 import json
 import os
@@ -18,8 +17,8 @@ from clmmlab.backtest import (BACKTEST_FIELDS, KINDS, OUT_DIR_FILES, SETTING_KIN
 from clmmlab.cli import FEATURES_FIELDS, INGEST_FIELDS, build_parser, main
 from clmmlab.dqn import DDQNConfig
 from clmmlab.features import OBSERVATION_DIM, WARMUP_CANDLES
-from clmmlab.marketdata import (HOUR, REFERENCE_PERIODS, _utc, bundled_candles_path,
-                                save_candles_csv, synth_gbm)
+from clmmlab.marketdata import (HOUR, REFERENCE_PERIODS, CandleSeries, _utc,
+                                bundled_candles_path, save_candles_csv, synth_gbm)
 from clmmlab.nets import init_params, load_checkpoint, save_checkpoint
 from clmmlab.report import Report, read_report_csv
 
@@ -743,8 +742,9 @@ class TestRunIdentity:
 
         before = config_hash("before")
         assert candles[250].close != candles[250].low
-        candles[250] = dataclasses.replace(candles[250], close=candles[250].low)
-        save_candles_csv(candles, path)
+        rows = list(candles)
+        rows[250] = rows[250]._replace(close=rows[250].low)
+        save_candles_csv(CandleSeries.from_rows(rows), path)
         assert config_hash("after") != before
 
 
@@ -943,6 +943,20 @@ def test_every_setting_kind_is_declared_once_and_matches_its_field():
 
 def test_bundled_fixture_is_packaged():
     assert os.path.exists(bundled_candles_path())
+
+
+def test_cli_and_backtest_import_no_http_client():
+    """Only ingest needs the network stack: importing the CLI and the
+    backtest loads neither http.client nor urllib.request."""
+    src = os.path.dirname(os.path.dirname(backtest.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, clmmlab.cli, clmmlab.backtest; "
+            "print(sorted(m for m in ('http.client', 'urllib.request') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 # numpy's dispatch groups above its x86-64 baseline; a run without them

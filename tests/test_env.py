@@ -7,7 +7,7 @@ from clmmlab.backtest import BacktestResult, RunConfig, RunError, write_run_dir
 from clmmlab.cli import main
 from clmmlab.env import EnvConfig, LPEnv
 from clmmlab.features import compute_feature_matrix
-from clmmlab.marketdata import Candle, synth_gbm
+from clmmlab.marketdata import Candle, CandleSeries, synth_gbm
 
 from oracles import fee_over_path, lvr_vform_oracle, micro_fee_oracle
 
@@ -15,8 +15,12 @@ T0 = 1609459200
 HOUR = 3600
 
 
-def flat_candles(n, p=100.0):
+def flat_rows(n, p=100.0):
     return [Candle(T0 + HOUR * i, p, p, p, p, 5.0) for i in range(n)]
+
+
+def flat_candles(n, p=100.0):
+    return CandleSeries.from_rows(flat_rows(n, p))
 
 
 def cfg(**kw):
@@ -234,9 +238,9 @@ class TestEpisodeIdentities:
 
     @pytest.mark.parametrize("model", ["bogus", "swap-replay", "Candle", ""])
     def test_hour_path_rejects_unknown_model(self, model):
-        series = [Candle(T0, 98.0, 99.5, 97.0, 99.0, 1.0),
-                  Candle(T0 + 3600, 100.0, 101.0, 99.0, 100.5, 1.0),
-                  Candle(T0 + 7200, 100.0, 102.0, 97.5, 98.0, 1.0)]
+        series = CandleSeries.from_rows([Candle(T0, 98.0, 99.5, 97.0, 99.0, 1.0),
+                                         Candle(T0 + 3600, 100.0, 101.0, 99.0, 100.5, 1.0),
+                                         Candle(T0 + 7200, 100.0, 102.0, 97.5, 98.0, 1.0)])
         assert envmod.hour_paths(series, "candle").tolist() == [
             [99.0, 100.0, 99.0, 101.0, 100.5], [100.5, 100.0, 102.0, 97.5, 98.0]]
         assert envmod.hour_paths(series, "open-close").tolist() == [
@@ -252,11 +256,11 @@ class TestEpisodeIdentities:
 
 class TestRangeExitOracle:
     def test_fee_and_lvr_against_micro_oracle(self):
-        candles = flat_candles(215)
+        candles = flat_rows(215)
         # hour 211 rallies through the upper bound of a width-1 band
         candles[211] = Candle(T0 + HOUR * 211, 100.0, 103.0, 100.0, 102.5, 5.0)
         candles[212] = Candle(T0 + HOUR * 212, 102.5, 102.5, 102.5, 102.5, 5.0)
-        env = LPEnv(candles, cfg(episode_length=2))
+        env = LPEnv(CandleSeries.from_rows(candles), cfg(episode_length=2))
         env.reset(210)
         pos = env.position
         assert candles[211].close > pos.price_upper  # the path really exits
@@ -303,7 +307,7 @@ def ledger_result(fees, gases, lvrs, l0=250.0):
                                  value=0.0, close=0.0)
                for t, (f, g, v) in enumerate(zip(fees, gases, lvrs), 1)]
     return BacktestResult(RunConfig(method="tau-reset", tau=1, l0=l0),
-                          "0" * 12, 1, len(records), records)
+                          "0" * 12, 1, len(records), envmod.HourTrace.of_records(records))
 
 
 class TestRelativePnl:
@@ -335,7 +339,8 @@ def test_trace_csv(tmp_path):
         _, _, _, record = env.step(a)
         records.append(record)
     config = RunConfig(method="tau-reset", tau=1, seed=7)
-    paths = write_run_dir(BacktestResult(config, "0" * 12, 210, 6, records),
+    paths = write_run_dir(BacktestResult(config, "0" * 12, 210, 6,
+                                         envmod.HourTrace.of_records(records)),
                           str(tmp_path))
     lines = open(paths["trace"]).read().strip().splitlines()
     assert lines[0] == ",".join(envmod.TRACE_CSV_HEADER + ["config_hash", "seed"])

@@ -5,7 +5,7 @@ import pytest
 
 from clmmlab import features as ft
 from clmmlab.cli import main
-from clmmlab.marketdata import Candle, save_candles_csv, synth_gbm
+from clmmlab.marketdata import Candle, CandleSeries, save_candles_csv, synth_gbm
 
 import oracles
 
@@ -42,7 +42,7 @@ def test_causality_future_edits_do_not_leak():
         c = tampered[i]
         tampered[i] = Candle(c.timestamp, c.open * 3, c.high * 3, c.low * 3, c.close * 3,
                              c.volume_usd * 7)
-    row_after = ft.compute_feature_matrix(tampered[:t + 1])[t]
+    row_after = ft.compute_feature_matrix(CandleSeries.from_rows(tampered)[:t + 1])[t]
     assert np.array_equal(row_before, row_after)
 
 
@@ -56,7 +56,8 @@ def test_matrix_rows_match_prefix_computation():
 
 def test_constant_series_feature_values():
     p = 100.0
-    candles = [Candle(1609459200 + 3600 * i, p, p, p, p, 5.0) for i in range(300)]
+    candles = CandleSeries.from_rows([Candle(1609459200 + 3600 * i, p, p, p, p, 5.0)
+                                      for i in range(300)])
     row = ft.compute_feature_matrix(candles[:251])[250]
     names = ft.FEATURE_NAMES
     idx = {n: i for i, n in enumerate(names)}

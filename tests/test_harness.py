@@ -25,12 +25,12 @@ from clmmlab.backtest import (
     write_run_dir,
 )
 from clmmlab.baselines import EWAConfig, run_ewa
-from clmmlab.dqn import TrainingResult
-from clmmlab.env import EnvConfig
+from clmmlab.dqn import TrainingResult, greedy_rollout
+from clmmlab.env import EnvConfig, LPEnv
 from clmmlab.features import (OBSERVATION_DIM, WARMUP_CANDLES, FeatureScaler,
                               compute_feature_matrix)
-from clmmlab.marketdata import (HOUR, REFERENCE_PERIODS, _utc, bundled_candles_path,
-                                load_candles_csv, synth_gbm)
+from clmmlab.marketdata import (HOUR, REFERENCE_PERIODS, CandleSeries, _utc,
+                                bundled_candles_path, load_candles_csv, synth_gbm)
 from clmmlab.nets import init_params, load_checkpoint, save_checkpoint
 from clmmlab.report import (
     REPORT_CSV_HEADER,
@@ -100,8 +100,8 @@ class TestRunConfig:
         # an edited candle is another input
         edited = list(candles)
         assert edited[100].close != edited[100].high
-        edited[100] = dataclasses.replace(edited[100], close=edited[100].high)
-        assert base != digest(edited, method="tau-reset", tau=6)
+        edited[100] = edited[100]._replace(close=edited[100].high)
+        assert base != digest(CandleSeries.from_rows(edited), method="tau-reset", tau=6)
         # the checkpoint counts by its bytes, not by its path
         paths = [tmp_path / name for name in ("a.json", "b.json", "c.json")]
         for path, seed in zip(paths, (4, 4, 5)):
@@ -153,10 +153,10 @@ class TestRunBacktest:
         result = run_backtest(candles, config)
         row = result.to_row()
         assert row["hours"] == 200
-        assert len(result.records) == 200
+        assert len(result.trace) == 200
         assert check_row_identity(row) <= 1e-9
         assert row["reallocations"] == sum(
-            1 for r in result.records if r.action != 0)
+            1 for r in oracles.trace_records(result.trace) if r.action != 0)
 
     def test_unhedged_mode_reports_dv(self, candles):
         hedged = run_backtest(candles, RunConfig(
@@ -172,9 +172,9 @@ class TestRunBacktest:
         config = RunConfig(method="ewa", ewa_widths=5, ewa_eta=1.0,
                            ewa_t_re=24, offset=5, horizon=150)
         result = run_backtest(candles, config)
-        records, weights = run_ewa(candles, 5, 150, config.ewa_config(),
-                                   config.env_config(episode_length=150))
-        assert records == result.records
+        trace, weights = run_ewa(candles, 5, 150, config.ewa_config(),
+                                 config.env_config(episode_length=150))
+        assert oracles.trace_records(trace) == oracles.trace_records(result.trace)
         assert weights.shape == (5,)
         assert float(weights.sum()) == pytest.approx(1.0, abs=1e-12)
         assert check_row_identity(result.to_row()) <= 1e-9
@@ -234,7 +234,7 @@ class TestRunBacktest:
         want = run_backtest(candles, config)
         theirs = run_backtest(candles, dataclasses.replace(config, checkpoint=other))
         assert theirs.config_hash != want.config_hash
-        assert theirs.records != want.records
+        assert oracles.trace_records(theirs.trace) != oracles.trace_records(want.trace)
 
         swap = str(tmp_path / "swap.json")
         shutil.copy(other, swap)
@@ -252,7 +252,7 @@ class TestRunBacktest:
         with open(ckpt, "rb") as a, open(other, "rb") as b:
             assert a.read() == b.read()  # the swap did happen
         assert got.config_hash == want.config_hash
-        assert got.records == want.records
+        assert oracles.trace_records(got.trace) == oracles.trace_records(want.trace)
 
     def test_action_histogram_counts_every_hour(self, candles):
         config = RunConfig(method="tau-reset", tau=4, offset=10, horizon=120)
@@ -282,10 +282,10 @@ class TestPeriodWindow:
         result = run_backtest(candles, RunConfig(method="tau-reset", tau=4,
                                                  period=period))
         assert candles[result.offset + 1].timestamp == first
-        assert result.horizon == len(result.records) == (last - first) // HOUR
-        # a record's t is the candle its hour ends on
-        assert candles[result.records[0].t].timestamp == first
-        assert candles[result.records[-1].t].timestamp == last - HOUR
+        assert result.horizon == len(result.trace) == (last - first) // HOUR
+        # an hour's t is the candle it ends on
+        assert candles[int(result.trace["t"][0])].timestamp == first
+        assert candles[int(result.trace["t"][-1])].timestamp == last - HOUR
         assert result.to_row()["hours"] == result.horizon
 
     def test_period_one_is_984_hours_for_every_method(self):
@@ -294,7 +294,7 @@ class TestPeriodWindow:
                        RunConfig(method="ewa", pool="usdc", period=1)):
             result = run_backtest(candles, config)
             assert (result.offset, result.horizon) == (0, 984)
-            assert len(result.records) == 984
+            assert len(result.trace) == 984
 
     @pytest.mark.parametrize("setting", [{"offset": 5}, {"horizon": 50},
                                          {"offset": 5, "horizon": 50}])
@@ -319,7 +319,8 @@ class TestPeriodWindow:
         with pytest.raises(RunError, match="period 1's test range 2022-08-12"):
             run_backtest(candles, RunConfig(method="tau-reset", tau=4, period=1))
         with pytest.raises(RunError, match="does not hold"):
-            run_backtest([], RunConfig(method="tau-reset", tau=4, period=1))
+            run_backtest(CandleSeries.from_rows([]),
+                         RunConfig(method="tau-reset", tau=4, period=1))
 
     def test_ddqn_range_inside_feature_warmup_is_rejected(self, tmp_path):
         candles = _around_test_range(4, hours_before=WARMUP_CANDLES)
@@ -339,7 +340,7 @@ class TestPeriodWindow:
         result = run_backtest(candles, RunConfig(method="ddqn", period=4,
                                                  checkpoint=ckpt))
         assert result.offset == WARMUP_CANDLES
-        assert result.horizon == len(result.records) == 41 * 24
+        assert result.horizon == len(result.trace) == 41 * 24
 
 
 class TestRunBacktestDir:
@@ -473,6 +474,9 @@ class TestWriteRunDir:
     ], ids=["tau-reset", "ewa-10-1-24", "ewa-5-10-1", "ddqn"])
     def test_bytes_match_dict_row_oracle(self, candles, tmp_path, method,
                                          path_model, reward_mode):
+        """The columns write the bytes the dict-row writer writes from the
+        HourRecords of the per-hour replays (LPEnv's tau-reset, the per-hour
+        EWA, the ddqn's env steps); no cell is a numpy scalar's repr."""
         if method["method"] == "ddqn":
             checkpoint = str(tmp_path / "checkpoint.json")
             save_checkpoint(checkpoint, init_params(OBSERVATION_DIM, 11, seed=4))
@@ -481,11 +485,22 @@ class TestWriteRunDir:
                            path_model=path_model, reward_mode=reward_mode,
                            **method)
         result = run_backtest(candles, config)
+        env = config.env_config(episode_length=150)
+        if config.method == "tau-reset":
+            records = oracles.run_tau_reset(candles, WARMUP_CANDLES, 150, config.tau, env)
+        elif config.method == "ewa":
+            records = oracles.run_ewa_per_hour(candles, WARMUP_CANDLES, 150,
+                                               config.ewa_config(), env)[0]
+        else:
+            lp = LPEnv(candles, env, compute_feature_matrix(candles))
+            records = greedy_rollout(lp, load_checkpoint(checkpoint)[0], WARMUP_CANDLES)[2]
         got = write_run_dir(result, str(tmp_path / "got"))
-        want = oracles.write_run_dir(result, str(tmp_path / "want"))
+        want = oracles.write_run_dir(result, str(tmp_path / "want"), records)
         assert list(got) == list(want)
         for key in got:
-            assert open(got[key], "rb").read() == open(want[key], "rb").read(), key
+            text = open(got[key], "rb").read()
+            assert text == open(want[key], "rb").read(), key
+            assert b"np." not in text, key
 
 
 class TestReport:
@@ -589,6 +604,17 @@ class TestDriftStudy:
     def test_drifts_and_sigma_are_not_settings(self):
         with pytest.raises(TypeError):
             drift_neutrality_study(sigma=0.02)
+
+    @pytest.mark.parametrize("n_seeds", [0, 1])
+    def test_fewer_than_two_seeds_rejected_before_any_replay(self, monkeypatch, n_seeds):
+        def no_replay(*args, **kwargs):
+            raise AssertionError("a seed was replayed")
+
+        monkeypatch.setattr(backtest, "synth_gbm", no_replay)
+        monkeypatch.setattr(backtest, "_replay", no_replay)
+        with pytest.raises(ValueError) as err:
+            drift_neutrality_study(n_seeds=n_seeds, horizon=40)
+        assert str(err.value) == f"n_seeds must be >= 2 for a standard error, got {n_seeds}"
 
     def test_small_study_shapes(self):
         study = drift_neutrality_study(n_seeds=3, horizon=40)

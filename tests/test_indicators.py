@@ -7,8 +7,7 @@ import pytest
 import oracles
 from clmmlab import features
 from clmmlab import indicators as ind
-from clmmlab.marketdata import (bundled_candles_path, candles_to_arrays,
-                                load_candles_csv, synth_gbm)
+from clmmlab.marketdata import bundled_candles_path, load_candles_csv, synth_gbm
 
 
 def constant_bars(n=300, price=100.0):
@@ -268,7 +267,7 @@ def oracle_series():
         for kind, bars in series.items():
             for n in list(range(1, 71)) + [3201]:
                 out.append((f"{kind}-{scale:g}-{n}", *(a[:n].copy() for a in bars)))
-    _, o, h, l, c, _ = candles_to_arrays(load_candles_csv(bundled_candles_path()))
+    _, o, h, l, c, _ = load_candles_csv(bundled_candles_path()).columns
     out.append(("fixture", o, h, l, c))
     return out
 
@@ -320,7 +319,7 @@ def test_feature_matrix_equals_oracle_matrix(candles, monkeypatch):
 
 def test_feature_matrix_runs_the_hilbert_pass_once(monkeypatch):
     candles = synth_gbm(2000.0, 0.0, 0.01, 800, seed=5)
-    c = candles_to_arrays(candles)[4]
+    c = candles.close
     calls = []
     real = ind._hilbert_period
 

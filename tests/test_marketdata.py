@@ -7,6 +7,7 @@ import urllib.error
 import numpy as np
 import pytest
 
+import oracles
 from clmmlab import marketdata as md
 from clmmlab import subgraph as sg
 
@@ -17,6 +18,15 @@ def make_candle(i, close=100.0, open_=100.0):
     return md.Candle(1609459200 + 3600 * i, open_, hi, lo, close, 1e6)
 
 
+def series_of(*rows):
+    return md.CandleSeries.from_rows(rows)
+
+
+def column_bytes(series):
+    """A series' columns as bytes: equal only when every value is bit-equal."""
+    return [column.tobytes() for column in series.columns]
+
+
 class TestCandleValidation:
     def test_good_candle(self):
         c = make_candle(0)
@@ -24,26 +34,26 @@ class TestCandleValidation:
 
     def test_bad_ordering(self):
         with pytest.raises(md.DataValidationError):
-            md.Candle(0, 100.0, 99.0, 98.0, 100.5, 1.0)
+            series_of(md.Candle(0, 100.0, 99.0, 98.0, 100.5, 1.0))
         with pytest.raises(md.DataValidationError):
-            md.Candle(0, 100.0, 101.0, 100.5, 100.2, 1.0)
+            series_of(md.Candle(0, 100.0, 101.0, 100.5, 100.2, 1.0))
 
     def test_nonpositive_price(self):
         with pytest.raises(md.DataValidationError):
-            md.Candle(0, 0.0, 1.0, 0.0, 1.0, 1.0)
+            series_of(md.Candle(0, 0.0, 1.0, 0.0, 1.0, 1.0))
         with pytest.raises(md.DataValidationError):
-            md.Candle(0, 1.0, 1.0, 1.0, math.nan, 1.0)
+            series_of(md.Candle(0, 1.0, 1.0, 1.0, math.nan, 1.0))
 
     def test_negative_volume(self):
         with pytest.raises(md.DataValidationError):
-            md.Candle(0, 1.0, 1.0, 1.0, 1.0, -2.0)
+            series_of(md.Candle(0, 1.0, 1.0, 1.0, 1.0, -2.0))
 
 
 class TestSeriesValidation:
     def test_hourly_spacing_enforced(self):
         candles = [make_candle(0), make_candle(1), make_candle(3)]
         with pytest.raises(md.DataValidationError) as ei:
-            md.validate_series(candles)
+            md.CandleSeries.from_rows(candles)
         assert "row 3" in str(ei.value)
 
     def test_gap_fill_small(self):
@@ -53,7 +63,7 @@ class TestSeriesValidation:
         assert filled[2].open == filled[2].close == candles[1].close
         assert filled[2].volume_usd == 0.0
         assert filled[3].timestamp - filled[2].timestamp == md.HOUR
-        md.validate_series(filled)
+        assert isinstance(filled, md.CandleSeries)  # checked when built
 
     def test_gap_fill_too_large(self):
         candles = [make_candle(0), make_candle(5)]
@@ -74,7 +84,7 @@ class TestCsvRoundTrip:
         path = tmp_path / "c.csv"
         md.save_candles_csv(candles, str(path))
         back = md.load_candles_csv(str(path))
-        assert back == candles
+        assert column_bytes(back) == column_bytes(candles)
 
     def test_header_mismatch(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -92,19 +102,178 @@ class TestCsvRoundTrip:
 
     def test_hole_rejected_with_row_number(self, tmp_path):
         path = tmp_path / "hole.csv"
-        md.save_candles_csv([make_candle(0), make_candle(1), make_candle(3)], str(path))
+        oracles.save_candles_csv([make_candle(0), make_candle(1), make_candle(3)], str(path))
         with pytest.raises(md.DataValidationError, match="^row 4: timestamp"):
             md.load_candles_csv(str(path))
 
     def test_repeated_timestamp_rejected_with_row_number(self, tmp_path):
         path = tmp_path / "repeat.csv"
-        md.save_candles_csv([make_candle(0), make_candle(1), make_candle(2),
-                             make_candle(2), make_candle(3)], str(path))
+        oracles.save_candles_csv([make_candle(0), make_candle(1), make_candle(2),
+                                  make_candle(2), make_candle(3)], str(path))
         with pytest.raises(md.DataValidationError, match="^row 5: timestamp"):
             md.load_candles_csv(str(path))
 
     def test_bundled_fixture_loads(self):
         assert len(md.load_candles_csv(md.bundled_candles_path())) == 1200
+
+
+def error_of(fn, *args, **kwargs):
+    """(type, text) of the exception fn raises."""
+    with pytest.raises(Exception) as ei:
+        fn(*args, **kwargs)
+    return type(ei.value), str(ei.value)
+
+
+GOOD_BAR = (100.0, 101.0, 99.0, 100.5, 1e6)  # open, high, low, close, volume
+
+# one bar's faults, each in the order the per-bar checks meet them
+BAD_BARS = {
+    "open-zero": (0.0, 101.0, 99.0, 100.5, 1e6),
+    "high-negative": (100.0, -101.0, 99.0, 100.5, 1e6),
+    "low-nan": (100.0, 101.0, math.nan, 100.5, 1e6),
+    "close-inf": (100.0, 101.0, 99.0, math.inf, 1e6),
+    "open-minus-inf": (-math.inf, 101.0, 99.0, 100.5, 1e6),
+    "high-below-close": (100.0, 100.2, 99.0, 100.5, 1e6),
+    "low-above-open": (100.0, 101.0, 100.1, 100.5, 1e6),
+    "low-above-close": (100.5, 101.0, 100.2, 100.0, 1e6),
+    "high-below-open": (100.5, 100.4, 99.0, 100.0, 1e6),
+    "volume-negative": (100.0, 101.0, 99.0, 100.5, -1.0),
+    "volume-nan": (100.0, 101.0, 99.0, 100.5, math.nan),
+    "volume-inf": (100.0, 101.0, 99.0, 100.5, math.inf),
+    "close-nan-and-volume": (100.0, 101.0, 99.0, math.nan, -1.0),
+    "order-and-volume": (100.0, 100.2, 99.0, 100.5, -1.0),
+}
+
+
+def csv_text(rows):
+    """Candle CSV text: rows are (timestamp, open, high, low, close, volume)
+    tuples written with repr, or raw lines."""
+    lines = [",".join(md.CANDLE_CSV_HEADER)]
+    lines += [row if isinstance(row, str) else ",".join(map(repr, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+class TestValidationParity:
+    """The series' one vectorised check raises the text of the per-bar
+    checks of the Candle-list oracle, naming the same first bad row."""
+
+    @pytest.mark.parametrize("bar", BAD_BARS.values(), ids=list(BAD_BARS))
+    def test_one_bar(self, bar):
+        for at, n in ((0, 1), (3, 5)):
+            rows = [md.Candle(1609459200 + 3600 * i, *GOOD_BAR) for i in range(n)]
+            rows[at] = md.Candle(rows[at].timestamp, *bar)
+            want = error_of(oracles.OracleCandle, rows[at].timestamp, *bar)
+            assert error_of(md.CandleSeries.from_rows, rows) == want
+
+    @pytest.mark.parametrize("bad_row", [0, 4, 9])
+    @pytest.mark.parametrize("bar", BAD_BARS.values(), ids=list(BAD_BARS))
+    def test_csv_bad_bar(self, tmp_path, bar, bad_row):
+        """Against a later bad bar, a bad timestamp before or after it, and
+        a malformed row after it."""
+        for extra in ({}, {bad_row + 2: BAD_BARS["volume-negative"]}):
+            for spacing in (None, 2, 11):
+                for malformed in (None, "1609480800,1.0,2.0", "x,1,1,1,1,1"):
+                    rows = [(1609459200 + 3600 * i, *GOOD_BAR) for i in range(12)]
+                    rows[bad_row] = (rows[bad_row][0], *bar)
+                    for i, fault in extra.items():
+                        rows[i] = (rows[i][0], *fault)
+                    if spacing is not None:
+                        rows[spacing] = (rows[spacing][0] + 1, *rows[spacing][1:])
+                    if malformed is not None:
+                        rows.insert(bad_row + 1, malformed)
+                    path = tmp_path / "c.csv"
+                    path.write_text(csv_text(rows))
+                    want = error_of(oracles.load_candles_csv, str(path))
+                    assert want[0] is md.DataValidationError
+                    assert error_of(md.load_candles_csv, str(path)) == want
+
+    @pytest.mark.parametrize("fault", ["gap", "repeat", "back", "unaligned"])
+    def test_csv_timestamps(self, tmp_path, fault):
+        rows = [(1609459200 + 3600 * i, *GOOD_BAR) for i in range(8)]
+        ts = rows[5][0] + {"gap": 3600, "repeat": -3600, "back": -7200, "unaligned": 60}[fault]
+        rows[5] = (ts, *GOOD_BAR)
+        for malformed in (None, "1609480800,1.0,2.0,3.0,4.0,5.0,6.0", "1.5,1,1,1,1,1"):
+            with_malformed = rows + [malformed] if malformed else rows
+            path = tmp_path / "c.csv"
+            path.write_text(csv_text(with_malformed))
+            want = error_of(oracles.load_candles_csv, str(path))
+            assert want[0] is md.DataValidationError
+            assert error_of(md.load_candles_csv, str(path)) == want
+
+    @pytest.mark.parametrize("mu,sigma,intra_factor", [
+        (300.0, 1.0, 0.25), (0.5 * 40.0 ** 2, 40.0, 0.25), (0.0, 40.0, 0.25),
+        (-300.0, 1.0, 0.25), (-300.0, 0.0, 1e308), (5000.0, 1.0, 0.25)],
+        ids=["overflow", "sigma-overflow", "sigma-underflow", "underflow",
+             "bar-before-underflow", "exp-overflow"])
+    def test_synth_gbm_out_of_range(self, mu, sigma, intra_factor):
+        """A drift or sigma that overflows or underflows the closes raises
+        what the per-bar synthesis raised: a bar's error, math.log's at a
+        close of 0 (after the bars before it), or math.exp's."""
+        args = (2000.0, mu, sigma, 3000)
+        want = error_of(oracles.synth_gbm_candles, *args, seed=3, intra_factor=intra_factor)
+        assert error_of(md.synth_gbm, *args, seed=3, intra_factor=intra_factor) == want
+
+    def test_synth_gbm_overflow_is_a_bar_error(self):
+        for mu, sigma in ((300.0, 1.0), (0.5 * 40.0 ** 2, 40.0)):
+            kind, text = error_of(md.synth_gbm, 2000.0, mu, sigma, 3000, seed=3)
+            assert kind is md.DataValidationError
+            assert text == "high must be positive and finite, got inf"
+        kind, text = error_of(md.synth_gbm, 2000.0, -300.0, 0.0, 3000, seed=3,
+                              intra_factor=1e308)
+        assert (kind, text) == (md.DataValidationError,
+                                "high must be positive and finite, got inf")
+
+    @pytest.mark.parametrize("args", [
+        (1234.5, 0.1, 0.4, 500, 7), (2000.0, 0.0, 0.01, 3201, 9001),
+        (100.0, -0.001, 0.03, 777, 0), (50.0, 0.0, 0.0, 40, 2)])
+    @pytest.mark.parametrize("intra_factor", [0.25, 0.0, 2.0])
+    def test_synth_gbm_equals_per_bar_synthesis(self, args, intra_factor):
+        p0, mu, sigma, n, seed = args
+        got = md.synth_gbm(p0, mu, sigma, n, seed, intra_factor=intra_factor)
+        want = oracles.synth_gbm_candles(p0, mu, sigma, n, seed, intra_factor=intra_factor)
+        assert len(got) == len(want) == n
+        for column, name in zip(got.columns, md.CANDLE_CSV_HEADER):
+            assert column.tolist() == [getattr(c, name) for c in want], name
+            assert column.dtype == (np.int64 if name == "timestamp" else np.float64)
+
+    def test_load_equals_per_row_loader(self):
+        path = md.bundled_candles_path()
+        got, want = md.load_candles_csv(path), oracles.load_candles_csv(path)
+        for column, name in zip(got.columns, md.CANDLE_CSV_HEADER):
+            assert column.tolist() == [getattr(c, name) for c in want], name
+
+
+class TestSeriesColumns:
+    def test_columns_are_read_only_views(self):
+        series = md.synth_gbm(100.0, 0.0, 0.01, 50, seed=1)
+        window = series[10:20]
+        assert len(window) == 10 and isinstance(window, md.CandleSeries)
+        assert window.close.base is not None  # a view, not a copy
+        assert window[0] == series[10]
+        for column in series.columns + window.columns:
+            with pytest.raises(ValueError):
+                column[0] = 1.0
+        with pytest.raises(ValueError, match="consecutive hours"):
+            series[::2]
+
+    @pytest.mark.parametrize("source", ["fixture", "gbm"])
+    def test_csv_bytes_equal_per_bar_writer(self, tmp_path, source):
+        """save_candles_csv writes from columns the bytes the Candle-list
+        writer writes, and no cell is a numpy scalar's repr."""
+        if source == "fixture":
+            path = md.bundled_candles_path()
+            series, bars = md.load_candles_csv(path), oracles.load_candles_csv(path)
+        else:
+            series = md.synth_gbm(1234.5, 0.1, 0.4, 500, seed=7)
+            bars = oracles.synth_gbm_candles(1234.5, 0.1, 0.4, 500, seed=7)
+        md.save_candles_csv(series, str(tmp_path / "got.csv"))
+        oracles.save_candles_csv(bars, str(tmp_path / "want.csv"))
+        got = (tmp_path / "got.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+        assert b"np." not in got
+        if source == "fixture":
+            with open(path, "rb") as fh:
+                assert got == fh.read()  # a load/save round trip keeps every byte
 
 
 class TestPartitions:
@@ -142,15 +311,14 @@ class TestSynthGbm:
     def test_ohlc_consistency_and_determinism(self):
         a = md.synth_gbm(50.0, 0.2, 0.3, 500, seed=5)
         b = md.synth_gbm(50.0, 0.2, 0.3, 500, seed=5)
-        assert a == b
-        md.validate_series(a)
+        assert column_bytes(a) == column_bytes(b)
         for prev, cur in zip(a, a[1:]):
             assert cur.open == prev.close
 
     def test_seed_changes_path(self):
         a = md.synth_gbm(50.0, 0.0, 0.3, 50, seed=1)
         b = md.synth_gbm(50.0, 0.0, 0.3, 50, seed=2)
-        assert a != b
+        assert column_bytes(a) != column_bytes(b)
 
 
 class StubTransport:
@@ -240,7 +408,7 @@ class TestSubgraphClient:
 
         client2 = sg.SubgraphClient("http://x", transport=StubTransport([]))
         again = sg.fetch_pool_hours(client2, "0xabc", start, end, cache_dir=str(tmp_path))
-        assert again == got
+        assert column_bytes(again) == column_bytes(got)
         assert client2.request_count == 0
 
     def test_cache_write_is_atomic(self, tmp_path, monkeypatch):
@@ -273,7 +441,7 @@ class TestSubgraphClient:
         got = sg.fetch_pool_hours(client, "0xabc", 1609459200,
                                   1609459200 + 5 * 3600, cache_dir=str(tmp_path))
         assert len(got) == 5
-        md.validate_series(got)
+        assert isinstance(got, md.CandleSeries)  # checked when built
 
 
 class TestUrllibTransport:
