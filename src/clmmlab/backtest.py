@@ -33,7 +33,8 @@ from .env import EnvConfig, HourTrace, LPEnv, TRACE_CSV_HEADER
 from .features import WARMUP_CANDLES, FeatureScaler, compute_feature_matrix
 from .marketdata import (HOUR, REFERENCE_PERIODS, CandleSeries, _utc, load_candles_csv,
                          synth_gbm)
-from .report import REPORT_CSV_HEADER, in_header_order, write_csv_rows
+from .report import (REPORT_CSV_HEADER, in_header_order, write_csv_columns,
+                     write_csv_rows)
 from . import nets
 
 METHODS = ("ddqn", "tau-reset", "ewa")
@@ -228,7 +229,7 @@ class BacktestResult:
     trace: HourTrace
 
     def total(self, column: str) -> float:
-        return ordered_sum(self.trace[column].tolist())
+        return ordered_sum(self.trace[column])
 
     def relative_pnl(self, reward_mode: Optional[str] = None) -> float:
         """(fee - gas + lvr) / l0, with dv for lvr when not hedged; the mode
@@ -511,8 +512,8 @@ def write_run_dir(result: BacktestResult, out_dir: str) -> Dict[str, str]:
                    in_header_order([result.to_row()], REPORT_CSV_HEADER))
 
     paths["trace"] = os.path.join(out_dir, "trace.csv")
-    write_csv_rows(paths["trace"], TRACE_CSV_HEADER + ["config_hash", "seed"],
-                   [r + (digest, seed) for r in result.trace.rows()])
+    write_csv_columns(paths["trace"], TRACE_CSV_HEADER + ["config_hash", "seed"],
+                      list(result.trace.columns.values()), (digest, seed))
 
     paths["actions"] = os.path.join(out_dir, "actions.csv")
     write_csv_rows(paths["actions"], ["action", "count", "config_hash", "seed"],

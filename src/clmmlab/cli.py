@@ -23,7 +23,7 @@ from .backtest import (BACKTEST_FIELDS, KINDS, RunError, SETTING_KINDS, TRAIN_FI
 from .features import (FEATURE_NAMES, FeatureScaler, WARMUP_CANDLES,
                        compute_feature_matrix)
 from .marketdata import (DataValidationError, _utc, load_candles_csv)
-from .report import Report, ReportError, write_csv_rows
+from .report import Report, ReportError, write_csv_columns
 
 PROG = "clmmlab"
 
@@ -100,8 +100,8 @@ def cmd_features(args) -> int:
                           ("candles", "out"))
     candles = load_candles_csv(data["candles"])
     matrix = compute_feature_matrix(candles)
-    write_csv_rows(data["out"], ["timestamp"] + FEATURE_NAMES,
-                   [[ts] + row for ts, row in zip(candles.timestamp.tolist(), matrix.tolist())])
+    write_csv_columns(data["out"], ["timestamp"] + FEATURE_NAMES,
+                      [candles.timestamp, *matrix.T])
     print(f"wrote {len(matrix)} feature rows to {data['out']}")
     if data.get("scaler_out"):
         scaler = FeatureScaler.fit(matrix[WARMUP_CANDLES:])

@@ -93,10 +93,6 @@ class HourTrace:
     def __getitem__(self, name: str) -> np.ndarray:
         return self.columns[name]
 
-    def rows(self):
-        """The hours as tuples of Python values, in TRACE_CSV_HEADER order."""
-        return zip(*(column.tolist() for column in self.columns.values()))
-
 
 @dataclass(frozen=True)
 class EnvConfig:

@@ -79,17 +79,14 @@ def compute_feature_matrix(candles: CandleSeries) -> np.ndarray:
     cols[:, 4] = v
     cols[:, 5] = ind.dema(c, 30) / o
     cols[:, 6] = ind.parabolic_sar(h, l) / o
-    cols[:, 7] = ind.adx(h, l, c)
     cols[:, 8] = ind.apo(c)
     cols[:, 9] = ind.aroon_osc(h, l)
     cols[:, 10] = ind.bop(o, h, l, c)
     cols[:, 11] = ind.cci(h, l, c)
     cols[:, 12] = ind.cci(h, l, c, 30)
     cols[:, 13] = ind.cmo(c)
-    cols[:, 14] = ind.dx(h, l, c)
-    cols[:, 15] = ind.minus_dm(h, l)
+    cols[:, 17], cols[:, 15], cols[:, 14], cols[:, 7] = ind.directional(h, l, c)
     cols[:, 16] = ind.momentum(c)
-    cols[:, 17] = ind.plus_dm(h, l)
     cols[:, 18] = ind.trix(c)
     cols[:, 19] = ind.ultimate_oscillator(h, l, c)
     cols[:, 20], cols[:, 21] = ind.stochastic(h, l, c)

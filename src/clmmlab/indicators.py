@@ -126,6 +126,8 @@ def minus_dm(high: np.ndarray, low: np.ndarray, period: int = 14) -> np.ndarray:
 
 
 def _di(high, low, close, period):
+    """(+DM sum, -DM sum, +DI, -DI): one Wilder sum each of both movements
+    and of the true range."""
     p, m = _directional_movement(high, low)
     tr = true_range(high, low, close)
     tr[:1] = 0.0
@@ -137,12 +139,11 @@ def _di(high, low, close, period):
         mdi = np.where(trs > 0.0, 100.0 * ms / trs, 0.0)
     pdi[np.isnan(ps)] = np.nan
     mdi[np.isnan(ms)] = np.nan
-    return pdi, mdi
+    return ps, ms, pdi, mdi
 
 
-def dx(high: np.ndarray, low: np.ndarray, close: np.ndarray, period: int = 14) -> np.ndarray:
-    pdi, mdi = _di(high, low, close, period)
-    out = np.full(len(close), np.nan)
+def _dx(pdi, mdi):
+    out = np.full(len(pdi), np.nan)
     valid = ~np.isnan(pdi)
     tot = pdi[valid] + mdi[valid]
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -151,9 +152,8 @@ def dx(high: np.ndarray, low: np.ndarray, close: np.ndarray, period: int = 14) -
     return out
 
 
-def adx(high: np.ndarray, low: np.ndarray, close: np.ndarray, period: int = 14) -> np.ndarray:
-    d = dx(high, low, close, period)
-    n = len(close)
+def _adx(d, period):
+    n = len(d)
     out = np.full(n, np.nan)
     first = period  # dx starts here
     start = first + period - 1
@@ -163,6 +163,21 @@ def adx(high: np.ndarray, low: np.ndarray, close: np.ndarray, period: int = 14) 
         d[start + 1:].tolist(), lambda prev, v: (prev * (period - 1) + v) / period,
         initial=float(np.mean(d[first : first + period]))))
     return out
+
+
+def dx(high: np.ndarray, low: np.ndarray, close: np.ndarray, period: int = 14) -> np.ndarray:
+    return _dx(*_di(high, low, close, period)[2:])
+
+
+def adx(high: np.ndarray, low: np.ndarray, close: np.ndarray, period: int = 14) -> np.ndarray:
+    return _adx(dx(high, low, close, period), period)
+
+
+def directional(high: np.ndarray, low: np.ndarray, close: np.ndarray, period: int = 14):
+    """(plus_dm, minus_dm, dx, adx) from one pass: each Wilder sum taken once."""
+    ps, ms, pdi, mdi = _di(high, low, close, period)
+    d = _dx(pdi, mdi)
+    return ps, ms, d, _adx(d, period)
 
 
 def apo(x: np.ndarray, fast: int = 12, slow: int = 26) -> np.ndarray:
@@ -455,37 +470,42 @@ def ht_dc_phase(x: np.ndarray, period: Optional[np.ndarray] = None) -> np.ndarra
     """Phase within the dominant cycle, in degrees.
 
     period is ht_dc_period(x), computed here when not given: a caller that
-    already holds it passes it to skip the sequential pass.
+    already holds it passes it to skip the sequential pass. Each bar's DFT
+    over its last dc smoothed prices runs as array sums: term k adds to
+    every bar whose dc exceeds k, in k order, as the bar's own loop would.
     """
     if period is None:
         period = ht_dc_period(x)
     n = len(x)
     out = np.full(n, np.nan)
-    src = [s if math.isfinite(s) else v for s, v in zip(_wma4(x).tolist(), x.tolist())]
-    sper = period.tolist()
-    weights = {}  # dc -> [(sin, cos) of 2*pi*k/dc for k < dc]
-    for i in range(_HT_LOOKBACK, n):
-        sp = sper[i]
-        if not math.isfinite(sp):
-            continue
-        dc = max(int(sp + 0.5), 1)
-        real = imag = 0.0
-        if i - dc + 1 < 0:
-            continue
-        if dc not in weights:
-            weights[dc] = [(math.sin(w), math.cos(w))
-                           for w in (2.0 * math.pi * k / dc for k in range(dc))]
-        # k = 0 .. dc - 1 pairs with bars i, i - 1, ..., i - dc + 1
-        for (sin_w, cos_w), s in zip(weights[dc], reversed(src[i - dc + 1 : i + 1])):
-            real += sin_w * s
-            imag += cos_w * s
-        if abs(imag) > 0.001:
-            phase = math.degrees(math.atan(real / imag))
+    sm = _wma4(x)
+    src = np.where(np.isfinite(sm), sm, x)
+    bars, sp = np.arange(_HT_LOOKBACK, n), period[_HT_LOOKBACK:]
+    bars, sp = bars[np.isfinite(sp)], sp[np.isfinite(sp)]
+    dc = np.maximum((sp + 0.5).astype(np.int64), 1)
+    keep = bars - dc + 1 >= 0
+    # bars by falling dc, so the bars with a term k are a prefix
+    order = np.argsort(-dc[keep], kind="stable")
+    bars, sp, dc = bars[keep][order], sp[keep][order], dc[keep][order]
+    top = int(dc[0]) if len(dc) else 0
+    sin_w, cos_w = np.zeros((top + 1, top)), np.zeros((top + 1, top))
+    for d in np.flatnonzero(np.bincount(dc)).tolist():  # row d: (sin, cos) of 2*pi*k/d, k < d
+        w = [2.0 * math.pi * k / d for k in range(d)]
+        sin_w[d, :d] = [math.sin(v) for v in w]
+        cos_w[d, :d] = [math.cos(v) for v in w]
+    real, imag = np.zeros(len(bars)), np.zeros(len(bars))
+    for k, m in enumerate(np.searchsorted(-dc, -np.arange(top)).tolist()):
+        s = src[bars[:m] - k]  # term k pairs with bar i - k
+        real[:m] += sin_w[dc[:m], k] * s
+        imag[:m] += cos_w[dc[:m], k] * s
+    for i, sp_i, re, im in zip(bars.tolist(), sp.tolist(), real.tolist(), imag.tolist()):
+        if abs(im) > 0.001:
+            phase = math.degrees(math.atan(re / im))
         else:
-            phase = 90.0 * (1.0 if real > 0.0 else (-1.0 if real < 0.0 else 0.0))
+            phase = 90.0 * (1.0 if re > 0.0 else (-1.0 if re < 0.0 else 0.0))
         phase += 90.0
-        phase += 360.0 / sp  # one-bar lag of the weighted smoother
-        if imag < 0.0:
+        phase += 360.0 / sp_i  # one-bar lag of the weighted smoother
+        if im < 0.0:
             phase += 180.0
         if phase > 315.0:
             phase -= 360.0

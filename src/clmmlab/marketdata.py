@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .report import write_csv_rows
+from .report import write_csv_columns
 
 HOUR = 3600
 CANDLE_CSV_HEADER = ["timestamp", "open", "high", "low", "close", "volume_usd"]
@@ -182,8 +182,7 @@ def save_candles_csv(candles: CandleSeries, path: str) -> None:
     so a crash mid-write never leaves a truncated file at `path`."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        write_csv_rows(tmp, CANDLE_CSV_HEADER,
-                       zip(*(column.tolist() for column in candles.columns)))
+        write_csv_columns(tmp, CANDLE_CSV_HEADER, candles.columns)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

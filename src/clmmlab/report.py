@@ -8,6 +8,7 @@ and seed of the run that produced it.
 
 import csv
 import importlib.resources
+import io
 import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence
@@ -41,11 +42,56 @@ class ReportError(ValueError):
 
 def write_csv_rows(path: str, header: Sequence[str],
                    rows: Iterable[Sequence]) -> None:
-    """The package's one CSV writer: a header, then rows of values in its order."""
+    """The CSV writer for mixed rows: a header, then rows of values in its
+    order. Typed columns go through write_csv_columns."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+# rows per write() of write_csv_columns: tens of KB at a trace's width
+CHUNK_ROWS = 256
+
+
+def _plain_cell(value) -> str:
+    """value's CSV text as a row template's literal; ValueError if
+    csv.writer would quote it."""
+    text = str(value)
+    probe = io.StringIO()
+    csv.writer(probe).writerow([text, text])
+    if probe.getvalue() != f"{text},{text}\r\n":
+        raise ValueError(f"constant cell {value!r} needs CSV quoting")
+    return text.replace("%", "%%")
+
+
+def write_csv_columns(path: str, header: Sequence[str], columns: Sequence,
+                      constants: Sequence = ()) -> None:
+    """The CSV writer for typed columns: equal-length int or float arrays,
+    each row closed by the constant cells; header names the columns, then
+    the constants.
+
+    The bytes are write_csv_rows' for the same values. One row template
+    formats an int column with %d and a float column with %r, and a cell
+    of either never needs quoting, so it writes the text csv.writer writes
+    for the .tolist() scalars. A constant that would need quoting, a column
+    of another dtype or columns of unequal length raise ValueError before
+    the file opens. Rows go out CHUNK_ROWS at a time, so no whole-file
+    string is built.
+    """
+    kinds = {"i": "%d", "u": "%d", "f": "%r"}
+    bad = [c.dtype for c in columns if c.dtype.kind not in kinds]
+    if bad:
+        raise ValueError(f"a column of dtype {bad[0]} is not an int or float column")
+    if len({len(c) for c in columns}) > 1:
+        raise ValueError("columns differ in length")
+    template = ",".join([kinds[c.dtype.kind] for c in columns]
+                        + [_plain_cell(v) for v in constants]) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        for a in range(0, len(columns[0]), CHUNK_ROWS):
+            rows = zip(*[c[a:a + CHUNK_ROWS].tolist() for c in columns])
+            fh.write("".join([template % row for row in rows]))
 
 
 def in_header_order(rows: Iterable[Dict], header: Sequence[str]) -> List[List]:

@@ -19,7 +19,8 @@ down the budgets x references rewrite of run_ewa; the per-width replay
 is run_ewa as it stood before it walked a block of hours at once, and
 pins down that rewrite bit for bit; the per-hour replay is run_ewa as it
 stood before it took a reallocation period at a time, and pins down that
-rewrite bit for bit. The env tau-reset replay is
+rewrite bit for bit. The loop total is accounting.ordered_sum before it
+ran as one np.add.accumulate. The env tau-reset replay is
 run_tau_reset as it stood before it walked a chunk of hours at once, one
 LPEnv step an hour, and pins down that rewrite bit for bit. The dict-row
 run-dir writer and the four-sum drift study at the end are the code that
@@ -677,7 +678,8 @@ def run_ewa_per_hour(candles, offset: int, horizon: int,
 
 def trace_records(trace) -> List[HourRecord]:
     """An env.HourTrace's hours as HourRecords, for comparing with the replays here."""
-    return [HourRecord(*row) for row in trace.rows()]
+    return [HourRecord(*row) for row in
+            zip(*(column.tolist() for column in trace.columns.values()))]
 
 
 # -- the env tau-reset replay ----------------------------------------------
@@ -699,6 +701,18 @@ def run_tau_reset(candles: Sequence[Candle], offset: int, horizon: int, tau: int
         _, _, done, record = lp.step(tau if outside else 0)
         records.append(record)
     return records
+
+
+# -- the loop total ----------------------------------------------------------
+#
+# accounting.ordered_sum as it stood before it was one np.add.accumulate.
+
+
+def ordered_sum(values) -> float:
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 # -- the dict-row run-dir writer ------------------------------------------
@@ -918,11 +932,12 @@ def synth_gbm_candles(p0: float, mu: float, sigma: float, n_hours: int, seed: in
 
 # -- loop indicators -------------------------------------------------------
 # The per-element indicator loops that clmmlab.indicators' array passes
-# replaced, kept verbatim as the bitwise oracle. sma, apo, bop and momentum
-# were array code already and come from the package unchanged.
+# replaced, kept verbatim as the bitwise oracle; directional runs four of
+# them one by one, where the package shares their Wilder sums. sma, apo, bop
+# and momentum were array code already and come from the package unchanged.
 
 LOOP_INDICATORS = (
-    "ema", "dema", "true_range", "plus_dm", "minus_dm", "dx", "adx",
+    "ema", "dema", "true_range", "plus_dm", "minus_dm", "dx", "adx", "directional",
     "aroon_osc", "cci", "cmo", "trix", "ultimate_oscillator", "stochastic",
     "stochastic_fast", "natr", "parabolic_sar", "ht_dc_period", "ht_dc_phase",
 )
@@ -1055,6 +1070,12 @@ def adx(high: np.ndarray, low: np.ndarray, close: np.ndarray, period: int = 14) 
         prev = (prev * (period - 1) + d[i]) / period
         out[i] = prev
     return out
+
+
+def directional(high, low, close, period: int = 14):
+    """The four directional columns, each indicator run on its own."""
+    return (plus_dm(high, low, period), minus_dm(high, low, period),
+            dx(high, low, close, period), adx(high, low, close, period))
 
 
 def aroon_osc(high: np.ndarray, low: np.ndarray, period: int = 14) -> np.ndarray:

@@ -467,3 +467,28 @@ def test_ordered_sum_is_the_left_to_right_sum():
     assert accounting.ordered_sum([1e16, 1.0, -1e16]) == 0.0
     assert _bits(accounting.ordered_sum([-0.0])) == _bits(0.0)
     assert _bits(accounting.ordered_sum([])) == _bits(0.0)
+
+
+def test_ordered_sum_of_a_column_equals_the_loop_oracle():
+    """Columns as BacktestResult.total passes them: arrays of lengths 0 to
+    20,000, mixing scales, signed zeros, subnormals and cancellations."""
+    rng = np.random.default_rng(43)
+    tiny = 5e-324
+    columns = [np.array([]), np.array([-0.0]), np.full(7, -0.0), np.array([-0.0, 0.0]),
+               np.array([0.0, -0.0, -0.0]), np.array([1e308, 1e308, -1e308]),
+               np.array([tiny, -tiny]), np.array([math.inf, 1.0]),
+               np.array([math.nan, -0.0])]
+    for _ in range(200):
+        n = int(rng.integers(0, 20_001)) if rng.random() < 0.2 else int(rng.integers(0, 60))
+        xs = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, size=n)
+        zeros = rng.integers(0, n + 1, size=n // 3)
+        xs[zeros[zeros < n]] = rng.choice([0.0, -0.0, tiny, -tiny], size=int((zeros < n).sum()))
+        if n > 1 and rng.random() < 0.3:
+            xs = np.concatenate([xs, -xs[::-1]])  # exact cancellation partners
+        columns.append(xs)
+    for xs in columns:
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = accounting.ordered_sum(xs)
+        want = oracles.ordered_sum(xs.tolist())
+        assert type(got) is float
+        assert _bits(got) == _bits(want), (len(xs), got, want)

@@ -218,6 +218,7 @@ ORACLE_CALLS = {
     "minus_dm": lambda m, o, h, l, c: (m.minus_dm(h, l),),
     "dx": lambda m, o, h, l, c: (m.dx(h, l, c),),
     "adx": lambda m, o, h, l, c: (m.adx(h, l, c),),
+    "directional": lambda m, o, h, l, c: m.directional(h, l, c),
     "aroon_osc": lambda m, o, h, l, c: (m.aroon_osc(h, l),),
     "cci_14": lambda m, o, h, l, c: (m.cci(h, l, c),),
     "cci_30": lambda m, o, h, l, c: (m.cci(h, l, c, 30),),
@@ -334,6 +335,14 @@ def test_feature_matrix_runs_the_hilbert_pass_once(monkeypatch):
     assert_bit_equal(matrix[:, 26], ind.ht_dc_period(c))
     assert_bit_equal(matrix[:, 27], ind.ht_dc_phase(c))
     assert_bit_equal(ind.ht_dc_phase(c, ind.ht_dc_period(c)), ind.ht_dc_phase(c))
+
+
+def test_ht_dc_phase_skips_bars_before_a_full_cycle():
+    """A period passed in can ask for more bars than precede a bar: that
+    bar stays NaN, and the first bar with a whole cycle behind it is set."""
+    c = walk_bars(200, 2000.0, seed=4)[3]
+    got = ind.ht_dc_phase(c, np.full(200, 99.6))  # dc = 100
+    assert np.isnan(got[:99]).all() and np.isfinite(got[99:]).all()
 
 
 @pytest.mark.parametrize("period", [30, 100])
