@@ -6,6 +6,7 @@ import pytest
 from clmmlab import features as ft
 from clmmlab.cli import main
 from clmmlab.marketdata import Candle, CandleSeries, save_candles_csv, synth_gbm
+from clmmlab.report import write_csv_rows
 
 import oracles
 
@@ -151,3 +152,8 @@ def test_features_csv_export(tmp_path):
     assert int(row[0]) == candles[200].timestamp
     assert [float(x) for x in row[1:]] == mat[200].tolist()
     assert lines[1].split(",")[6] == "nan"  # dema before its warm-up
+    # the bytes csv.writer writes for the rows, NaN warm-up cells included
+    want = tmp_path / "want.csv"
+    write_csv_rows(str(want), ["timestamp"] + ft.FEATURE_NAMES,
+                   [[ts] + row for ts, row in zip(candles.timestamp.tolist(), mat.tolist())])
+    assert out.read_bytes() == want.read_bytes()

@@ -256,7 +256,7 @@ class TestSeriesColumns:
         with pytest.raises(ValueError, match="consecutive hours"):
             series[::2]
 
-    @pytest.mark.parametrize("source", ["fixture", "gbm"])
+    @pytest.mark.parametrize("source", ["fixture", "gbm", "gbm-tiny"])
     def test_csv_bytes_equal_per_bar_writer(self, tmp_path, source):
         """save_candles_csv writes from columns the bytes the Candle-list
         writer writes, and no cell is a numpy scalar's repr."""
@@ -264,8 +264,9 @@ class TestSeriesColumns:
             path = md.bundled_candles_path()
             series, bars = md.load_candles_csv(path), oracles.load_candles_csv(path)
         else:
-            series = md.synth_gbm(1234.5, 0.1, 0.4, 500, seed=7)
-            bars = oracles.synth_gbm_candles(1234.5, 0.1, 0.4, 500, seed=7)
+            p0 = 1234.5 if source == "gbm" else 3e-7
+            series = md.synth_gbm(p0, 0.1, 0.4, 500, seed=7)
+            bars = oracles.synth_gbm_candles(p0, 0.1, 0.4, 500, seed=7)
         md.save_candles_csv(series, str(tmp_path / "got.csv"))
         oracles.save_candles_csv(bars, str(tmp_path / "want.csv"))
         got = (tmp_path / "got.csv").read_bytes()

@@ -1,8 +1,10 @@
 """The typed-column CSV writer against csv.writer, kept as its oracle.
 
 report.write_csv_columns must write the bytes report.write_csv_rows
-(csv.writer) writes for the same values, for every artifact that goes
-through it: trace.csv, the candle cache and `clmmlab features`.
+(csv.writer) writes for the same values. The artifacts that go through it
+are checked against their own oracles too: trace.csv in test_harness.py,
+the candle cache in test_marketdata.py and `clmmlab features` in
+test_features.py.
 """
 
 import builtins
@@ -12,12 +14,8 @@ import numpy as np
 import pytest
 
 from clmmlab import report
-from clmmlab.backtest import BacktestResult, RunConfig, run_backtest, write_run_dir
-from clmmlab.cli import main
-from clmmlab.env import TRACE_CSV_HEADER, HourTrace
-from clmmlab.features import FEATURE_NAMES, compute_feature_matrix
-from clmmlab.marketdata import (CANDLE_CSV_HEADER, bundled_candles_path, load_candles_csv,
-                                save_candles_csv, synth_gbm)
+from clmmlab.backtest import BacktestResult, RunConfig, write_run_dir
+from clmmlab.env import HourTrace
 from clmmlab.report import write_csv_columns, write_csv_rows
 
 # repr's format boundaries and the extremes of a float64
@@ -98,52 +96,6 @@ def test_malformed_columns_are_refused_before_any_write(tmp_path, columns, heade
     with pytest.raises(ValueError, match=match):
         write_csv_columns(str(path), header, columns)
     assert not path.exists()
-
-
-def test_backtest_run_dir_equals_csv_writer_files(tmp_path):
-    candles = load_candles_csv(bundled_candles_path())
-    result = run_backtest(candles, RunConfig(method="ewa", ewa_widths=10, ewa_eta=1.0,
-                                             ewa_t_re=24, offset=200, seed=3))
-    paths = write_run_dir(result, str(tmp_path / "run"))
-    want = _csv_writer_bytes(str(tmp_path / "trace.csv"), TRACE_CSV_HEADER + ["config_hash", "seed"],
-                             list(result.trace.columns.values()), (result.config_hash, 3))
-    assert open(paths["trace"], "rb").read() == want
-
-
-@pytest.mark.parametrize("candles", [
-    load_candles_csv(bundled_candles_path()),
-    synth_gbm(2000.0, 0.0001, 0.02, 700, seed=9),
-    synth_gbm(3e-7, 0.0, 0.05, 300, seed=10),
-], ids=["fixture", "gbm", "gbm-tiny"])
-def test_candle_cache_round_trip(tmp_path, candles):
-    path = str(tmp_path / "candles.csv")
-    save_candles_csv(candles, path)
-    got = open(path, "rb").read()
-    assert got == _csv_writer_bytes(str(tmp_path / "want.csv"), CANDLE_CSV_HEADER,
-                                    candles.columns)
-    again = str(tmp_path / "again.csv")
-    save_candles_csv(load_candles_csv(path), again)
-    assert open(again, "rb").read() == got
-    assert [f for f in os.listdir(tmp_path) if f.endswith(".tmp")] == []
-
-
-def test_candle_cache_of_the_fixture_is_the_bundled_file(tmp_path):
-    path = str(tmp_path / "candles.csv")
-    save_candles_csv(load_candles_csv(bundled_candles_path()), path)
-    assert open(path, "rb").read() == open(bundled_candles_path(), "rb").read()
-
-
-def test_features_command_equals_csv_writer_rows(tmp_path):
-    out = str(tmp_path / "features.csv")
-    assert main(["features", "--candles", bundled_candles_path(), "--out", out]) == 0
-    candles = load_candles_csv(bundled_candles_path())
-    matrix = compute_feature_matrix(candles)
-    want = str(tmp_path / "want.csv")
-    write_csv_rows(want, ["timestamp"] + FEATURE_NAMES,
-                   [[ts] + row for ts, row in zip(candles.timestamp.tolist(), matrix.tolist())])
-    got = open(out, "rb").read()
-    assert got == open(want, "rb").read()
-    assert b",nan," in got
 
 
 def test_trace_is_streamed_in_chunks(tmp_path, monkeypatch):
