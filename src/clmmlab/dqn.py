@@ -75,9 +75,7 @@ class ReplayBuffer:
         the second. Returns (a, r)."""
         batch_size = len(x) // 2
         if batch_size > self._size:
-            raise ValueError(
-                f"cannot sample {batch_size} from buffer of size {self._size}"
-            )
+            raise ValueError(f"cannot sample {batch_size} from buffer of size {self._size}")
         idx = rng.choice(self._size, size=batch_size, replace=False)
         x[:batch_size] = self.obs[idx]
         x[batch_size:] = self.next_obs[idx]
@@ -146,15 +144,14 @@ def ddqn_update(ws: nets.Workspace, buffer: ReplayBuffer, rng: np.random.Generat
     The minibatch is the one `buffer.sample(ws.batch, rng)` draws, and the
     arithmetic is that of ddqn_target, nets.loss_and_gradients,
     nets.apply_update and nets.soft_update, op for op. The local net runs
-    once over [s; s2] in ws.x, the target net over the s2 half of the
-    same activation buffers, and `local`, `target` and the moments of `opt`
-    change in place. A non-finite loss raises TrainingDiverged before
+    once over [s; s2] in ws.acts, the target net over the s2 half in
+    ws.target_acts, and `local`, `target` and the moments of `opt` change
+    in place. A non-finite loss raises TrainingDiverged before
     anything is written.
     """
-    b = ws.batch
-    a, r = buffer.sample_into(ws.x, rng)
-    greedy = nets._forward(local, ws.x, ws.acts)[b:].argmax(axis=1)
-    q_target = nets._forward(target, ws.x[b:], tuple(buf[b:] for buf in ws.acts))
+    a, r = buffer.sample_into(ws.x[:, :-1], rng)
+    greedy = nets._forward(local, ws.acts)[ws.batch:].argmax(axis=1)
+    q_target = nets._forward(target, ws.target_acts)
     y = _bootstrap(r, greedy, q_target, GAMMA)
     loss = nets._backward(local, ws, a, y)
     if not np.isfinite(loss):
@@ -175,7 +172,8 @@ def greedy_rollout(env, params: NetworkParams, offset: int):
     records = []
     done = False
     while not done:
-        a = int(nets._forward(params, obs[None], acts).argmax())
+        acts[0][0, :-1] = obs
+        a = int(nets._forward(params, acts).argmax())
         obs, r, done, record = env.step(a)
         total += r
         actions.append(a)
@@ -238,7 +236,8 @@ def train_ddqn(
             if rng.random() < eps:
                 a = int(rng.integers(0, n_actions + 1))
             else:
-                a = int(nets._forward(local, obs[None], acts).argmax())
+                acts[0][0, :-1] = obs
+                a = int(nets._forward(local, acts).argmax())
             next_obs, r, done, _ = train_env.step(a)
             buffer.add(obs, a, r, next_obs)
             obs = next_obs

@@ -16,10 +16,15 @@ for the weights and for each moment, decoded by one helper.
 
 The forward pass, the backward pass, the Adam step and the soft update are
 one kernel each (`_forward`, `_backward`, `_adam`, `_blend`) that writes into
-buffers it is handed. The learner runs them in one `Workspace` sized once per
-training run and updates its weights, moments and target net in place;
-`forward`, `loss_and_gradients`, `apply_update` and `soft_update` run the
-same kernels on fresh buffers.
+buffers it is handed. The passes run three affine layers: `NetworkParams.layers`
+views the (in + 1, out) blocks [w1; b1], [w2; b2], [wv; bv], [wa; ba] of `flat`,
+and inputs and hidden activations end in a column of ones. The head is linear
+in h2, so the forward composes it per call into one map [wa; ba] - rowmean +
+[wv; bv] and q is one matmul (the textbook order, in tests/oracles.py, rounds
+differently in the last bits). The learner runs the kernels in one `Workspace`
+sized once per training run and updates its weights, moments and target net
+in place; `forward`, `loss_and_gradients`, `apply_update` and `soft_update`
+run the same kernels on fresh buffers.
 """
 
 import itertools
@@ -52,7 +57,8 @@ PARAM_NAMES = ("w1", "b1", "w2", "b2", "wv", "bv", "wa", "ba")
 
 
 class NetworkParams:
-    """Dueling MLP weights: biases 1-d, weights (in, out), all views into `flat`."""
+    """Dueling MLP weights: biases 1-d, weights (in, out), all views into `flat`,
+    as is each affine block of `layers` (None unless every bias fits its weight)."""
 
     def __init__(self, w1, b1, w2, b2, wv, bv, wa, ba):
         arrays = [np.asarray(a, dtype=float) for a in (w1, b1, w2, b2, wv, bv, wa, ba)]
@@ -72,6 +78,10 @@ class NetworkParams:
         self.flat, self.layout = flat, layout
         for name, start, stop, shape in layout:
             setattr(self, name, flat[start:stop].reshape(shape))
+        pairs = list(zip(layout[0::2], layout[1::2]))  # (weight, bias); validate() names a misfit
+        fits = all(len(w[3]) == 2 and b[3] == w[3][1:] for w, b in pairs)
+        self.layers = (tuple(flat[w[1]:b[2]].reshape(w[3][0] + 1, -1) for w, b in pairs)
+                       if fits else None)
 
     def arrays(self) -> List[Tuple[str, np.ndarray]]:
         return [(name, getattr(self, name)) for name in PARAM_NAMES]
@@ -88,19 +98,16 @@ class NetworkParams:
         return NetworkParams.from_flat(self.flat.copy(), self.layout)
 
     def validate(self) -> None:
-        h1 = self.w1.shape[1]
-        h2 = self.w2.shape[1]
-        expected = {
-            "w1": (self.w1.shape[0], h1), "b1": (h1,),
-            "w2": (h1, h2), "b2": (h2,),
-            "wv": (h2, 1), "bv": (1,),
-            "wa": (h2, self.wa.shape[1]), "ba": (self.wa.shape[1],),
-        }
+        for name, arr in (("w1", self.w1), ("w2", self.w2), ("wa", self.wa)):  # the rest follow
+            if arr.ndim != 2:
+                raise CheckpointError(f"parameter {name} has shape {arr.shape}, expected 2 axes")
+        (n_in, h1), h2, n_out = self.w1.shape, self.w2.shape[1], self.wa.shape[1]
+        expected = dict(zip(PARAM_NAMES, [(n_in, h1), (h1,), (h1, h2), (h2,),
+                                          (h2, 1), (1,), (h2, n_out), (n_out,)]))
         for name, arr in self.arrays():
             if arr.shape != expected[name]:
-                raise CheckpointError(
-                    f"parameter {name} has shape {arr.shape}, expected {expected[name]}"
-                )
+                raise CheckpointError(f"parameter {name} has shape {arr.shape}, "
+                                      f"expected {expected[name]}")
             if not np.all(np.isfinite(arr)):
                 raise CheckpointError(f"parameter {name} contains non-finite values")
 
@@ -128,32 +135,29 @@ def init_params(
 
 
 def _activations(rows: int, layout: Tuple):
-    """Empty buffers (h1, h2, v, adv, q, adv row sums) for a forward over `rows` rows."""
-    h1, h2, n_out = layout[1][3][0], layout[3][3][0], layout[7][3][0]  # b1, b2, ba
-    return (np.empty((rows, h1)), np.empty((rows, h2)), np.empty((rows, 1)),
-            np.empty((rows, n_out)), np.empty((rows, n_out)), np.empty((rows, 1)))
+    """Buffers (x, h1, h2, q, head, head row means) for a forward over `rows`
+    rows; x, h1 and h2 end in a column of ones, the inputs go in x[:, :-1]."""
+    (n_in, h1), (h2, n_out) = layout[0][3], layout[6][3]  # w1, wa
+    return (np.ones((rows, n_in + 1)), np.ones((rows, h1 + 1)), np.ones((rows, h2 + 1)),
+            np.empty((rows, n_out)), np.empty((h2 + 1, n_out)), np.empty((h2 + 1, 1)))
 
 
-def _forward(params: NetworkParams, x: np.ndarray, acts) -> np.ndarray:
-    """q over the rows of `x`; every activation is written into `acts` (see
-    _activations). ReLU runs in place: h > 0 is the same mask as z > 0."""
-    h1, h2, v, adv, q, adv_sum = acts
-    np.matmul(x, params.w1, out=h1)
-    h1 += params.b1
+def _forward(params: NetworkParams, acts) -> np.ndarray:
+    """q over the rows of acts' x; every activation and the composed head
+    are written into `acts` (see _activations). ReLU runs in place, on the
+    ones column too: h > 0 is the same mask as z > 0."""
+    x, h1, h2, q, head, mean = acts
+    l1, l2, lv, la = params.layers
+    np.matmul(x, l1, out=h1[:, :-1])
     np.maximum(h1, 0.0, out=h1)
-    np.matmul(h1, params.w2, out=h2)
-    h2 += params.b2
+    np.matmul(h1, l2, out=h2[:, :-1])
     np.maximum(h2, 0.0, out=h2)
-    np.matmul(h2, params.wv, out=v)
-    v += params.bv
-    np.matmul(h2, params.wa, out=adv)
-    adv += params.ba
     # sum / n is what ndarray.mean computes, minus its Python wrapper
-    np.add.reduce(adv, axis=1, keepdims=True, out=adv_sum)
-    adv_sum /= adv.shape[1]
-    np.add(v, adv, out=q)
-    q -= adv_sum
-    return q
+    np.add.reduce(la, axis=1, keepdims=True, out=mean)
+    mean /= la.shape[1]
+    np.subtract(la, mean, out=head)
+    head += lv
+    return np.matmul(h2, head, out=q)
 
 
 def check_input_dim(params: NetworkParams, dim: int) -> None:
@@ -167,34 +171,34 @@ def forward(params: NetworkParams, s: np.ndarray):
     Returns (q, v, adv); for a single 1-d input the outputs are squeezed.
     """
     s = np.asarray(s, dtype=float)
-    single = s.ndim == 1
-    x = s[None, :] if single else s
+    x = np.atleast_2d(s)
     check_input_dim(params, x.shape[1])
     acts = _activations(len(x), params.layout)
-    q = _forward(params, x, acts)
-    v, adv = acts[2], acts[3]
-    if single:
+    acts[0][:, :-1] = x
+    q = _forward(params, acts)
+    v, adv = acts[2] @ params.layers[2], acts[2] @ params.layers[3]
+    if s.ndim == 1:
         return q[0], float(v[0, 0]), adv[0]
     return q, v[:, 0], adv
 
 
 class Workspace:
     """Every buffer of a loss-and-gradients pass and an Adam step, allocated
-    once: the inputs `x` and activations `acts` of `rows` rows, the
+    once: the activations `acts` of `rows` rows (inputs in x[:, :-1]), the
     backward's buffers for the first `batch` of them, the gradients and two
     scratch vectors of the flat size. The learner sizes one for 2 * batch
-    rows, so the local net runs once over [s; s2]."""
+    rows, so the local net runs once over [s; s2]; `target_acts` runs the
+    target net over the rows after `batch`, with a head of its own."""
 
     def __init__(self, layout: Tuple, rows: int, batch: int):
-        (n_in, h1), (h2, n_out) = layout[0][3], layout[6][3]  # w1, wa
+        (_, h1), (h2, n_out) = layout[0][3], layout[6][3]  # w1, wa
         self.batch = batch
-        self.x = np.empty((rows, n_in))
-        self.acts = _activations(rows, layout)
+        self.acts = self.x, _, _, _, head, mean = _activations(rows, layout)
+        self.target_acts = (*(a[batch:] for a in self.acts[:4]), np.empty_like(head), mean)
         self.rows = np.arange(batch)
-        self.dq, self.dadv = np.empty((batch, n_out)), np.empty((batch, n_out))
+        self.dq = np.empty((batch, n_out))
         self.dh1, self.mask1 = np.empty((batch, h1)), np.empty((batch, h1), dtype=bool)
         self.dh2, self.mask2 = np.empty((batch, h2)), np.empty((batch, h2), dtype=bool)
-        self.dh2_v = np.empty((batch, h2))
         size = layout[-1][2]
         self.grads = NetworkParams.from_flat(np.empty(size), layout)
         self.sq, self.step = np.empty(size), np.empty(size)
@@ -203,10 +207,10 @@ class Workspace:
 def _backward(params: NetworkParams, ws: Workspace, actions: np.ndarray,
               targets: np.ndarray) -> float:
     """Mean squared TD error of the forward in the first ws.batch rows of
-    ws.acts (over ws.x), its analytic gradients written into ws.grads."""
+    ws.acts, its analytic gradients written into ws.grads."""
     n = ws.batch
-    x = ws.x[:n]
-    h1, h2, _, _, q, _ = (a[:n] for a in ws.acts)
+    x, h1, h2, q = (a[:n] for a in ws.acts[:4])
+    head, mean = ws.acts[4:]
     err = q[ws.rows, actions] - targets
     loss = float(np.add.reduce(err * err) / n)  # np.mean's arithmetic
 
@@ -214,27 +218,17 @@ def _backward(params: NetworkParams, ws: Workspace, actions: np.ndarray,
     dq = ws.dq
     dq.fill(0.0)
     dq[ws.rows, actions] = 2.0 * err / n
-    dv = dq.sum(axis=1, keepdims=True)
-    dadv = np.subtract(dq, dv / dq.shape[1], out=ws.dadv)
-
-    grads = ws.grads
-    np.matmul(h2.T, dv, out=grads.wv)
-    dv.sum(axis=0, out=grads.bv)
-    np.matmul(h2.T, dadv, out=grads.wa)
-    dadv.sum(axis=0, out=grads.ba)
-    # dh2 = dv @ wv.T + dadv @ wa.T; the k=1 product is a broadcast multiply,
-    # one broadcast operand at a time (numpy buffers a two-sided broadcast)
-    dh2 = np.matmul(dadv, params.wa.T, out=ws.dh2)
-    np.copyto(ws.dh2_v, params.wv.T)
-    ws.dh2_v *= dv
-    dh2 += ws.dh2_v
-    dh2 *= np.greater(h2, 0.0, out=ws.mask2)  # now dz2
-    np.matmul(h1.T, dh2, out=grads.w2)
-    dh2.sum(axis=0, out=grads.b2)
-    dh1 = np.matmul(dh2, params.w2.T, out=ws.dh1)
-    dh1 *= np.greater(h1, 0.0, out=ws.mask1)  # now dz1
-    np.matmul(x.T, dh1, out=grads.w1)
-    dh1.sum(axis=0, out=grads.b1)
+    g1, g2, gv, ga = ws.grads.layers
+    # G = h2' dq, the head map's gradient: gv = rowsum(G), ga = G - rowsum(G) / k
+    np.matmul(h2.T, dq, out=ga)
+    np.add.reduce(ga, axis=1, keepdims=True, out=gv)
+    ga -= np.divide(gv, ga.shape[1], out=mean)
+    dh2 = np.matmul(dq, head[:-1].T, out=ws.dh2)
+    dh2 *= np.greater(h2[:, :-1], 0.0, out=ws.mask2)  # now dz2
+    np.matmul(h1.T, dh2, out=g2)
+    dh1 = np.matmul(dh2, params.layers[1][:-1].T, out=ws.dh1)
+    dh1 *= np.greater(h1[:, :-1], 0.0, out=ws.mask1)  # now dz1
+    np.matmul(x.T, dh1, out=g1)
     return loss
 
 
@@ -257,8 +251,8 @@ def loss_and_gradients(
     if len(a) != len(x) or len(y) != len(x):
         raise ValueError("states, actions, targets must have equal length")
     ws = Workspace(params.layout, len(x), len(x))
-    ws.x[...] = x
-    _forward(params, ws.x, ws.acts)
+    ws.x[:, :-1] = x
+    _forward(params, ws.acts)
     return _backward(params, ws, a, y), ws.grads
 
 
@@ -374,9 +368,7 @@ def _decode_array(name: str, blob) -> np.ndarray:
         raise CheckpointError(f"field {name}: data is not a flat list of floats")
     expected = int(np.prod(shape)) if shape else 1
     if data.size != expected:
-        raise CheckpointError(
-            f"field {name}: {data.size} values do not fill shape {shape}"
-        )
+        raise CheckpointError(f"field {name}: {data.size} values do not fill shape {shape}")
     return data.reshape(shape)
 
 

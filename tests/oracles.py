@@ -13,7 +13,11 @@ per-candle hour path are the float-only kernel and path builder that the
 one walk body and env.hour_paths replaced. The learner oracles share only the
 parameter container, the Adam constants and the error types with
 clmmlab.nets (the four-call update also reads the replay buffer's arrays
-and the discount); the per-row feature scaler shares only the FeatureScaler
+and the discount). The dueling net is there twice: in textbook order
+(forward_all, loss_and_gradients), which nets matches within rounding, and
+as nets' affine arithmetic on fresh arrays (affine_forward,
+affine_loss_and_gradients), which the four-call update runs on and nets
+matches bit for bit. The per-row feature scaler shares only the FeatureScaler
 fields. The two-walk EWA replay runs on the oracle ledger and pins
 down the budgets x references rewrite of run_ewa; the per-width replay
 is run_ewa as it stood before it walked a block of hours at once, and
@@ -386,12 +390,13 @@ def soft_update(target, local, rate=0.01):
     return NetworkParams(**out)
 
 
-# -- the learner update as four calls ----------------------------------------
+# -- the dueling net, textbook order ------------------------------------------
 #
-# The double-DQN update as it stood before it ran in one workspace: every
-# pass allocates fresh arrays, the local net runs over s2 and over s in two
-# separate passes, and the optimizer returns new params. dqn.ddqn_update and
-# the public nets passes must agree with it bit for bit.
+# Each bias added after its matmul, and V and A computed apart and combined as
+# V + A - mean A. nets runs the same net as three affine layers with the head
+# composed into one map, which rounds differently in the last bits: its
+# passes must agree with these within rounding, and its greedy actions with
+# the argmax of this q.
 
 
 def forward_all(params, x):
@@ -423,9 +428,56 @@ def loss_and_gradients(params, x, a, y):
     return loss, NetworkParams(**grads)
 
 
+# -- the affine arithmetic on fresh arrays, and the learner as four calls -----
+#
+# nets' arithmetic with every intermediate a fresh array: each layer the
+# weight stacked on its bias, the input and hidden activations with a column
+# of ones appended, the head composed into one map la - rowmean(la) + lv.
+# The four-call update runs on it the way the update ran before it ran in
+# one workspace: the local net runs over s2 and over s in two separate
+# passes, and the optimizer returns new params. dqn.ddqn_update and the
+# public nets passes must agree with these bit for bit.
+
+
+def _with_ones(a):
+    return np.hstack([a, np.ones((len(a), 1))])
+
+
+def affine_forward(params, x):
+    """(q, v, adv, (x1, z1, h1, z2, h2, head)); x1, h1 and h2 end in ones."""
+    l1, l2, lv, la = (np.vstack([w, b]) for w, b in (
+        (params.w1, params.b1), (params.w2, params.b2),
+        (params.wv, params.bv), (params.wa, params.ba)))
+    x1 = _with_ones(x)
+    z1 = x1 @ l1
+    h1 = _with_ones(np.maximum(z1, 0.0))
+    z2 = h1 @ l2
+    h2 = _with_ones(np.maximum(z2, 0.0))
+    head = la - la.sum(axis=1, keepdims=True) / la.shape[1] + lv
+    return h2 @ head, (h2 @ lv)[:, 0], h2 @ la, (x1, z1, h1, z2, h2, head)
+
+
+def affine_loss_and_gradients(params, x, a, y):
+    n = len(x)
+    q, _, _, (x1, z1, h1, z2, h2, head) = affine_forward(params, x)
+    err = q[np.arange(n), a] - y
+    loss = float(np.mean(err * err))
+    dq = np.zeros_like(q)
+    dq[np.arange(n), a] = 2.0 * err / n
+    g_head = h2.T @ dq
+    gv = g_head.sum(axis=1, keepdims=True)
+    ga = g_head - gv / g_head.shape[1]
+    dz2 = (dq @ head[:-1].T) * (z2 > 0.0)
+    g2 = h1.T @ dz2
+    dz1 = (dz2 @ params.w2.T) * (z1 > 0.0)
+    g1 = x1.T @ dz1
+    return loss, NetworkParams(w1=g1[:-1], b1=g1[-1], w2=g2[:-1], b2=g2[-1],
+                               wv=gv[:-1], bv=gv[-1], wa=ga[:-1], ba=ga[-1])
+
+
 def ddqn_target(r, s2, local, target, gamma):
-    q_local = forward_all(local, s2)[0]
-    q_target = forward_all(target, s2)[0]
+    q_local = affine_forward(local, s2)[0]
+    q_target = affine_forward(target, s2)[0]
     return r + gamma * q_target[np.arange(len(s2)), q_local.argmax(axis=1)]
 
 
@@ -435,7 +487,7 @@ def ddqn_update(buffer, batch_size, rng, local, target, opt):
     s = buffer.obs[idx].astype(np.float64)
     s2 = buffer.next_obs[idx].astype(np.float64)
     y = ddqn_target(buffer.rewards[idx], s2, local, target, GAMMA)
-    loss, grads = loss_and_gradients(local, s, buffer.actions[idx], y)
+    loss, grads = affine_loss_and_gradients(local, s, buffer.actions[idx], y)
     if not np.isfinite(loss):
         raise TrainingDiverged(f"loss became {loss}")
     local = apply_update(local, opt, grads)

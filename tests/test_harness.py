@@ -254,6 +254,28 @@ class TestRunBacktest:
         assert got.config_hash == want.config_hash
         assert oracles.trace_records(got.trace) == oracles.trace_records(want.trace)
 
+    def test_ddqn_greedy_actions_are_textbook_argmax(self, tmp_path):
+        """On the fixture, every greedy action of a freshly trained net's
+        backtest is the argmax of the textbook oracle's q: composing the
+        dueling head into one map flips no action."""
+        fixture = bundled_candles_path()
+        run_training({"candles": fixture, "seed": 5, "episode_length": 50,
+                      "budget": 1500, "batch_size": 64, "train_hours": 500,
+                      "val_hours": 100}, str(tmp_path))
+        ckpt = str(tmp_path / "checkpoint.json")
+        config = RunConfig(method="ddqn", checkpoint=ckpt, offset=899, horizon=300)
+        candles = load_candles_csv(fixture)
+        actions = run_backtest(candles, config).trace["action"]
+        assert len(actions) == 300 and len(set(actions.tolist())) > 1
+        params, _, meta = load_checkpoint(ckpt)
+        matrix = FeatureScaler.from_dict(meta["scaler"]).apply(
+            compute_feature_matrix(candles))
+        env = LPEnv(candles, config.env_config(episode_length=300), matrix)
+        obs = env.reset(899)
+        for a in actions.tolist():
+            assert int(oracles.forward_all(params, obs[None])[0].argmax()) == a
+            obs = env.step(a)[0]
+
     def test_action_histogram_counts_every_hour(self, candles):
         config = RunConfig(method="tau-reset", tau=4, offset=10, horizon=120)
         result = run_backtest(candles, config)

@@ -398,6 +398,54 @@ class TestSubgraphClient:
         with pytest.raises(sg.SchemaError):
             client.fetch_hours("0xabc", 0, 3600)
 
+    def test_page_is_checked_in_one_pass(self, monkeypatch):
+        passes = []
+        real = sg.first_bad_bar
+
+        def counted(columns):
+            passes.append(len(columns[0]))
+            return real(columns)
+
+        monkeypatch.setattr(sg, "first_bad_bar", counted)
+        page1 = {"data": {"poolHourDatas": [hour_row(i) for i in range(1000)]}}
+        page2 = {"data": {"poolHourDatas": [hour_row(i) for i in range(1000, 1003)]}}
+        client = sg.SubgraphClient("http://x", transport=StubTransport([page1, page2]))
+        assert len(client.fetch_hours("0xabc", 1609459200, 1609459200 + 1003 * 3600)) == 1003
+        assert passes == [1000, 3]
+
+    @pytest.mark.parametrize("edits,bad,reason", [
+        ({3: ("open", "-1.0")}, 3, "open must be positive and finite, got -1.0"),
+        ({5: ("close", "inf"), 7: ("low", "x")}, 5, "close must be positive and finite, got inf"),
+        ({4: ("low", "2000.0")}, 4, "OHLC ordering violated at {ts}: o=1000.0 h={high} "
+                                    "l=2000.0 c=1000.0"),
+        ({6: ("volumeUSD", "-5"), 8: ("open", "-1")}, 6, "volume_usd must be >= 0, got -5.0"),
+        ({2: ("high", "abc"), 6: ("open", "-1")}, 2,
+         "could not convert string to float: 'abc'"),
+        ({2: ("close", None)}, 2,
+         "float() argument must be a string or a real number, not 'NoneType'"),
+    ], ids=["price", "bar-before-unparseable", "ohlc", "volume", "unparseable-first",
+            "null"])
+    def test_first_bad_row_raises_its_own_text(self, edits, bad, reason):
+        rows = [hour_row(i) for i in range(10)]
+        for i, (field, value) in edits.items():
+            rows[i][field] = value
+        client = sg.SubgraphClient("http://x", transport=StubTransport(
+            [{"data": {"poolHourDatas": rows}}]))
+        with pytest.raises(sg.SchemaError) as err:
+            client.fetch_hours("0xabc", 1609459200, 1609459200 + 10 * 3600)
+        reason = reason.format(ts=rows[bad]["periodStartUnix"], high=rows[bad]["high"])
+        assert str(err.value) == f"unparseable pool-hour row {rows[bad]!r}: {reason}"
+
+    def test_missing_field_before_a_bad_bar_raises_first(self):
+        rows = [hour_row(i) for i in range(6)]
+        del rows[1]["open"]
+        rows[4]["open"] = "-1"
+        client = sg.SubgraphClient("http://x", transport=StubTransport(
+            [{"data": {"poolHourDatas": rows}}]))
+        with pytest.raises(sg.SchemaError) as err:
+            client.fetch_hours("0xabc", 1609459200, 1609459200 + 6 * 3600)
+        assert str(err.value) == f"pool-hour row missing field 'open': {rows[1]!r}"
+
     def test_cache_hit_skips_network(self, tmp_path):
         rows = [hour_row(i) for i in range(48)]
         stub = StubTransport([{"data": {"poolHourDatas": rows}}])

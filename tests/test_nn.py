@@ -292,6 +292,19 @@ class TestCheckpoints:
             load_checkpoint(path)
         assert "optimizer.m" in str(ei.value) and "w1" in str(ei.value)
 
+    @pytest.mark.parametrize("name", ["w1", "w2", "wa"])
+    def test_one_axis_weight_rejected(self, tmp_path, name):
+        p = init_params(3, 3, seed=1)
+        path = str(tmp_path / "net.json")
+        save_checkpoint(path, p)
+        doc = json.loads(open(path).read())
+        size = getattr(p, name).size
+        doc["params"][name] = {"shape": [size], "data": [0.0] * size}
+        open(path, "w").write(json.dumps(doc))
+        with pytest.raises(CheckpointError) as ei:
+            load_checkpoint(path)
+        assert str(ei.value) == f"parameter {name} has shape ({size},), expected 2 axes"
+
     def test_missing_field_rejected(self, tmp_path):
         p = init_params(8, 3, seed=1)
         path = str(tmp_path / "net.json")
@@ -419,12 +432,12 @@ class TestFlatMatchesOracle:
         p = random_params(rng, 1.0)
         s = rng.normal(size=(rows, 5))
         q, v, adv = forward(p, s)
-        ref_q, ref_v, ref_adv, _ = oracles.forward_all(p, s)
+        ref_q, ref_v, ref_adv, _ = oracles.affine_forward(p, s)
         assert q.tobytes() == ref_q.tobytes() and adv.tobytes() == ref_adv.tobytes()
-        assert v.tobytes() == ref_v[:, 0].tobytes()
+        assert v.tobytes() == ref_v.tobytes()
         a, y = rng.integers(0, 3, size=rows), rng.normal(size=rows)
         loss, g = loss_and_gradients(p, s, a, y)
-        ref_loss, ref_g = oracles.loss_and_gradients(p, s, a, y)
+        ref_loss, ref_g = oracles.affine_loss_and_gradients(p, s, a, y)
         assert loss == ref_loss and same_bytes(g, ref_g)
 
     def test_relu_mask_in_place_keeps_nan_rows(self):
@@ -436,9 +449,77 @@ class TestFlatMatchesOracle:
         s[2, 1] = math.nan
         a, y = rng.integers(0, 3, size=6), rng.normal(size=6)
         loss, g = loss_and_gradients(p, s, a, y)
-        ref_loss, ref_g = oracles.loss_and_gradients(p, s, a, y)
+        ref_loss, ref_g = oracles.affine_loss_and_gradients(p, s, a, y)
         assert math.isnan(loss) and math.isnan(ref_loss)
         assert np.array_equal(g.flat, ref_g.flat, equal_nan=True)
+
+
+def assert_close(got, want, rtol=1e-12):
+    """The same non-finite entries, and the finite ones within rtol of the
+    largest finite |want|."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    finite = np.isfinite(want)
+    assert np.array_equal(np.isfinite(got), finite)
+    scale = np.abs(want[finite]).max(initial=0.0)
+    assert np.all(np.abs(got[finite] - want[finite]) <= rtol * scale)
+
+
+class TestAffineKernels:
+    """The affine kernels (biases folded into the weight blocks, the head
+    composed into one map) against the textbook dueling oracle."""
+
+    def check(self, p, s, a, y):
+        q, v, adv = forward(p, s)
+        ref_q, ref_v, ref_adv, _ = oracles.forward_all(p, s)
+        for got, want in ((q, ref_q), (v, ref_v[:, 0]), (adv, ref_adv)):
+            assert_close(got, want)
+        loss, g = loss_and_gradients(p, s, a, y)
+        ref_loss, ref_g = oracles.loss_and_gradients(p, s, a, y)
+        assert_close(loss, ref_loss)
+        for name, want in ref_g.arrays():
+            assert_close(getattr(g, name), want)
+
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e3, 1e150, 0.0])
+    @pytest.mark.parametrize("dims", [(5, (6, 4), 3), (32, (64, 64), 12)])
+    def test_random_nets_match_textbook_oracle(self, scale, dims):
+        n_in, hidden, n_out = dims
+        rng = np.random.default_rng(13)
+        for _ in range(5):
+            p = random_params(rng, scale, input_dim=n_in, hidden=hidden, n_out=n_out)
+            s = rng.normal(size=(64, n_in))
+            with np.errstate(over="ignore", invalid="ignore"):
+                self.check(p, s, rng.integers(0, n_out, size=64), rng.normal(size=64))
+
+    def test_nan_rows_and_zero_net(self):
+        rng = np.random.default_rng(14)
+        s = rng.normal(size=(6, 5))
+        s[2, 1] = math.nan
+        a, y = rng.integers(0, 3, size=6), rng.normal(size=6)
+        with np.errstate(invalid="ignore"):
+            self.check(random_params(rng, 1.0), s, a, y)
+        zero = random_params(rng, 0.0)
+        self.check(zero, s[[0, 1, 3, 4, 5]], a[:5], y[:5])
+        q, v, adv = forward(zero, s[0])
+        assert not q.any() and v == 0.0 and not adv.any()
+
+    def test_layers_view_flat(self):
+        p = init_params(4, 3, hidden=(5, 6), seed=1)
+        assert [layer.shape for layer in p.layers] == [(5, 5), (6, 6), (7, 1), (7, 3)]
+        assert all(np.shares_memory(layer, p.flat) for layer in p.layers)
+        p.layers[0][-1] = 2.5
+        assert np.all(p.b1 == 2.5)
+        p.layers[3][:-1] = 0.0
+        assert not p.wa.any()
+
+    def test_inconsistent_shapes_bind_no_layers(self):
+        p = init_params(3, 3, seed=1)
+        arrays = dict(p.arrays(), w1=np.zeros((2, 2)))
+        bad = NetworkParams(**arrays)
+        assert bad.layers is None
+        with pytest.raises(CheckpointError,
+                           match=r"parameter b1 has shape \(64,\), expected \(2,\)"):
+            bad.validate()
 
 
 def filled_buffer(rng, size, dim, n_actions):
@@ -456,7 +537,8 @@ def learner(dim, n_out, batch, seed, **opt_kwargs):
 
 
 class TestInPlaceUpdate:
-    """dqn.ddqn_update against the four-call update it replaced."""
+    """dqn.ddqn_update against the four-call update it replaced, run on the
+    oracle's fresh-array version of the affine arithmetic."""
 
     @pytest.mark.parametrize("batch,dim,n_out", [(64, 15, 3), (256, 32, 11)])
     @pytest.mark.parametrize("clip", ["idle", "active"])
