@@ -75,7 +75,9 @@ class ReplayBuffer:
         the second. Returns (a, r)."""
         batch_size = len(x) // 2
         if batch_size > self._size:
-            raise ValueError(f"cannot sample {batch_size} from buffer of size {self._size}")
+            raise ValueError(
+                f"cannot sample {batch_size} from buffer of size {self._size}"
+            )
         idx = rng.choice(self._size, size=batch_size, replace=False)
         x[:batch_size] = self.obs[idx]
         x[batch_size:] = self.next_obs[idx]

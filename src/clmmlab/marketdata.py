@@ -41,34 +41,28 @@ def _arrays(timestamp, *fields) -> Tuple[np.ndarray, ...]:
     return (np.array(timestamp, dtype=np.int64), *(np.array(f, dtype=float) for f in fields))
 
 
-def first_bad_bar(columns) -> Optional[Tuple[int, str]]:
+def _check_bars(columns, first_row: Optional[int]) -> None:
     """Every bar's checks at once, in a bar's order: each price positive and
-    finite, low <= open, close <= high, volume >= 0 and finite. Returns the
-    first bad bar's index and the text of its first failed check, or None."""
+    finite, low <= open, close <= high, volume >= 0 and finite. The first
+    bad bar raises its first failed check, prefixed "row N: " when the
+    first bar's row number is given."""
     _, o, h, l, c, v = columns
     passed = [(p > 0.0) & (p < math.inf) for p in (o, h, l, c)]
     passed += [(l <= np.minimum(o, c)) & (np.maximum(o, c) <= h), (v >= 0.0) & (v < math.inf)]
     bad = ~np.logical_and.reduce(passed)
     if not bad.any():
-        return None
+        return
     i = int(bad.argmax())
     check = next(k for k, ok in enumerate(passed) if not ok[i])
     ts, o, h, l, c, v = (column[i].item() for column in columns)
     if check < 4:
         name = CANDLE_CSV_HEADER[1 + check]
-        return i, f"{name} must be positive and finite, got {(o, h, l, c)[check]}"
-    if check == 4:
-        return i, f"OHLC ordering violated at {ts}: o={o} h={h} l={l} c={c}"
-    return i, f"volume_usd must be >= 0, got {v}"
-
-
-def _check_bars(columns, first_row: Optional[int]) -> None:
-    """first_bad_bar's error raised, prefixed "row N: " when the first bar's
-    row number is given."""
-    bad = first_bad_bar(columns)
-    if bad is not None:
-        raise DataValidationError(bad[1] if first_row is None else
-                                  f"row {first_row + bad[0]}: {bad[1]}")
+        error = f"{name} must be positive and finite, got {(o, h, l, c)[check]}"
+    elif check == 4:
+        error = f"OHLC ordering violated at {ts}: o={o} h={h} l={l} c={c}"
+    else:
+        error = f"volume_usd must be >= 0, got {v}"
+    raise DataValidationError(error if first_row is None else f"row {first_row + i}: {error}")
 
 
 class CandleSeries:

@@ -101,13 +101,19 @@ class NetworkParams:
         for name, arr in (("w1", self.w1), ("w2", self.w2), ("wa", self.wa)):  # the rest follow
             if arr.ndim != 2:
                 raise CheckpointError(f"parameter {name} has shape {arr.shape}, expected 2 axes")
-        (n_in, h1), h2, n_out = self.w1.shape, self.w2.shape[1], self.wa.shape[1]
-        expected = dict(zip(PARAM_NAMES, [(n_in, h1), (h1,), (h1, h2), (h2,),
-                                          (h2, 1), (1,), (h2, n_out), (n_out,)]))
+        h1 = self.w1.shape[1]
+        h2 = self.w2.shape[1]
+        expected = {
+            "w1": (self.w1.shape[0], h1), "b1": (h1,),
+            "w2": (h1, h2), "b2": (h2,),
+            "wv": (h2, 1), "bv": (1,),
+            "wa": (h2, self.wa.shape[1]), "ba": (self.wa.shape[1],),
+        }
         for name, arr in self.arrays():
             if arr.shape != expected[name]:
-                raise CheckpointError(f"parameter {name} has shape {arr.shape}, "
-                                      f"expected {expected[name]}")
+                raise CheckpointError(
+                    f"parameter {name} has shape {arr.shape}, expected {expected[name]}"
+                )
             if not np.all(np.isfinite(arr)):
                 raise CheckpointError(f"parameter {name} contains non-finite values")
 
@@ -368,7 +374,9 @@ def _decode_array(name: str, blob) -> np.ndarray:
         raise CheckpointError(f"field {name}: data is not a flat list of floats")
     expected = int(np.prod(shape)) if shape else 1
     if data.size != expected:
-        raise CheckpointError(f"field {name}: {data.size} values do not fill shape {shape}")
+        raise CheckpointError(
+            f"field {name}: {data.size} values do not fill shape {shape}"
+        )
     return data.reshape(shape)
 
 

@@ -14,11 +14,10 @@ import urllib.error
 import urllib.request
 from typing import Callable, Dict, List, Optional
 
-from .marketdata import (Candle, CandleSeries, _arrays, fill_gaps, first_bad_bar,
-                         load_candles_csv, save_candles_csv)
+from .marketdata import (Candle, CandleSeries, fill_gaps, load_candles_csv,
+                         save_candles_csv)
 
 PAGE_SIZE = 1000
-ROW_FIELDS = ("periodStartUnix", "open", "high", "low", "close", "volumeUSD")  # a Candle's order
 
 POOL_HOURS_QUERY = """
 query PoolHours($pool: String!, $start: Int!, $end: Int!, $first: Int!) {
@@ -120,36 +119,34 @@ class SubgraphClient:
         cursor = start
         out: List[Candle] = []
         while cursor < end:
-            rows = self._execute({"pool": pool_id, "start": cursor, "end": end, "first": PAGE_SIZE})
-            out += _decode_page(rows)
+            rows = self._execute(
+                {"pool": pool_id, "start": cursor, "end": end, "first": PAGE_SIZE}
+            )
+            for row in rows:
+                out.append(_decode_row(row))
             if len(rows) < PAGE_SIZE:
                 break
             cursor = int(rows[-1]["periodStartUnix"]) + 1
         return out
 
 
-def _decode_page(rows: List[Dict]) -> List[Candle]:
-    """A page's rows as candles. Every bar's checks (not the hourly spacing,
-    fill_gaps comes later) run in one pass over the rows before the first
-    that does not parse, so the first bad row raises."""
-    candles, unparsed = [], None
-    for row in rows:
-        missing = [field for field in ROW_FIELDS if field not in row]
-        if missing:
-            unparsed = SchemaError(f"pool-hour row missing field {missing[0]!r}: {row!r}")
-            break
-        try:
-            candles.append(Candle(int(row[ROW_FIELDS[0]]),
-                                  *(float(row[field]) for field in ROW_FIELDS[1:])))
-        except (TypeError, ValueError) as e:  # TypeError: a null field
-            unparsed = SchemaError(f"unparseable pool-hour row {row!r}: {e}")
-            break
-    bad = first_bad_bar(_arrays(*(list(zip(*candles)) or [()] * 6)))
-    if bad is not None:
-        raise SchemaError(f"unparseable pool-hour row {rows[bad[0]]!r}: {bad[1]}")
-    if unparsed is not None:
-        raise unparsed
-    return candles
+def _decode_row(row: Dict) -> Candle:
+    for field in ("periodStartUnix", "open", "high", "low", "close", "volumeUSD"):
+        if field not in row:
+            raise SchemaError(f"pool-hour row missing field {field!r}: {row!r}")
+    try:
+        candle = Candle(
+            timestamp=int(row["periodStartUnix"]),
+            open=float(row["open"]),
+            high=float(row["high"]),
+            low=float(row["low"]),
+            close=float(row["close"]),
+            volume_usd=float(row["volumeUSD"]),
+        )
+        CandleSeries.from_rows([candle])  # the bar's own checks
+        return candle
+    except (TypeError, ValueError, OverflowError) as e:  # a null field; a timestamp past int64
+        raise SchemaError(f"unparseable pool-hour row {row!r}: {e}") from None
 
 
 def _cache_path(cache_dir: str, pool_id: str, start: int, end: int) -> str:

@@ -398,21 +398,6 @@ class TestSubgraphClient:
         with pytest.raises(sg.SchemaError):
             client.fetch_hours("0xabc", 0, 3600)
 
-    def test_page_is_checked_in_one_pass(self, monkeypatch):
-        passes = []
-        real = sg.first_bad_bar
-
-        def counted(columns):
-            passes.append(len(columns[0]))
-            return real(columns)
-
-        monkeypatch.setattr(sg, "first_bad_bar", counted)
-        page1 = {"data": {"poolHourDatas": [hour_row(i) for i in range(1000)]}}
-        page2 = {"data": {"poolHourDatas": [hour_row(i) for i in range(1000, 1003)]}}
-        client = sg.SubgraphClient("http://x", transport=StubTransport([page1, page2]))
-        assert len(client.fetch_hours("0xabc", 1609459200, 1609459200 + 1003 * 3600)) == 1003
-        assert passes == [1000, 3]
-
     @pytest.mark.parametrize("edits,bad,reason", [
         ({3: ("open", "-1.0")}, 3, "open must be positive and finite, got -1.0"),
         ({5: ("close", "inf"), 7: ("low", "x")}, 5, "close must be positive and finite, got inf"),
@@ -423,8 +408,10 @@ class TestSubgraphClient:
          "could not convert string to float: 'abc'"),
         ({2: ("close", None)}, 2,
          "float() argument must be a string or a real number, not 'NoneType'"),
+        ({3: ("periodStartUnix", 2 ** 70), 5: ("open", "-1")}, 3,
+         "Python int too large to convert to C long"),
     ], ids=["price", "bar-before-unparseable", "ohlc", "volume", "unparseable-first",
-            "null"])
+            "null", "timestamp-past-int64"])
     def test_first_bad_row_raises_its_own_text(self, edits, bad, reason):
         rows = [hour_row(i) for i in range(10)]
         for i, (field, value) in edits.items():

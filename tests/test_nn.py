@@ -449,7 +449,7 @@ class TestFlatMatchesOracle:
         s[2, 1] = math.nan
         a, y = rng.integers(0, 3, size=6), rng.normal(size=6)
         loss, g = loss_and_gradients(p, s, a, y)
-        ref_loss, ref_g = oracles.affine_loss_and_gradients(p, s, a, y)
+        ref_loss, ref_g = oracles.loss_and_gradients(p, s, a, y)
         assert math.isnan(loss) and math.isnan(ref_loss)
         assert np.array_equal(g.flat, ref_g.flat, equal_nan=True)
 
