@@ -89,8 +89,8 @@ def compute_feature_matrix(candles: CandleSeries) -> np.ndarray:
     cols[:, 16] = ind.momentum(c)
     cols[:, 18] = ind.trix(c)
     cols[:, 19] = ind.ultimate_oscillator(h, l, c)
-    cols[:, 20], cols[:, 21] = ind.stochastic(h, l, c)
-    cols[:, 22], cols[:, 23] = ind.stochastic_fast(h, l, c)
+    # stoch_slow_k and stoch_fast_d are one array: the 3-hour SMA of fast %K
+    cols[:, 20], cols[:, 21], cols[:, 22], cols[:, 23] = ind.stochastics(h, l, c)
     cols[:, 24] = ind.natr(h, l, c)
     cols[:, 25] = ind.true_range(h, l, c)
     cols[:, 26] = ind.ht_dc_period(c)
@@ -150,9 +150,15 @@ class FeatureScaler:
             if len(fields[name]) != N_FEATURES:
                 raise ValueError(f"scaler {name} has {len(fields[name])} values, "
                                  f"expected {N_FEATURES}")
+        if not np.isfinite(fields["mean"]).all():
+            raise ValueError("scaler mean must hold finite numbers")
+        if not (np.isfinite(fields["std"]) & (fields["std"] >= 0.0)).all():
+            raise ValueError("scaler std must hold finite numbers >= 0")
         if not all(type(j) is int and 0 <= j < N_FEATURES for j in fields["columns"]):
             raise ValueError(f"scaler columns must be indices 0..{N_FEATURES - 1}, "
                              f"got {fields['columns']!r}")
+        if len(set(fields["columns"])) != len(fields["columns"]):
+            raise ValueError(f"scaler columns repeat an index: {fields['columns']!r}")
         return cls(fields["mean"], fields["std"], tuple(fields["columns"]))
 
 

@@ -1,7 +1,7 @@
 """Technical indicators over hourly OHLCV arrays.
 
-All functions take float64 numpy arrays aligned by bar index and return an
-array of the same length, NaN-filled over the indicator's warm-up prefix and
+All functions take float64 numpy arrays aligned by bar index and return
+arrays of the same length, NaN-filled over the indicator's warm-up prefix and
 finite afterwards.  Recurrences run strictly forward, so the value at index t
 never depends on bars after t; the feature layer leans on that for causality.
 
@@ -10,7 +10,8 @@ by zero: BOP and the stochastics return 0 when the bar or window has no
 range, CCI returns 0 on zero mean deviation, DX returns 0 when both DIs
 vanish, the ultimate oscillator returns 0 on zero true-range sum, and the
 Hilbert dominant-cycle period holds its previous value when the homodyne
-discriminator degenerates.
+discriminator degenerates.  `stochastics` returns slow %K and fast %D as
+one array: both are the 3-bar SMA of the same 5-bar fast %K.
 
 Windowed sums, means and extremes reduce over sliding-window views, and the
 elementwise steps are array expressions.  The true recurrences (EMA, Wilder
@@ -22,7 +23,6 @@ the tests hold every column bit-equal to them.
 
 import math
 from itertools import accumulate
-from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -104,80 +104,34 @@ def _wilder_sum(values: np.ndarray, period: int, first_index: int) -> np.ndarray
     return out
 
 
-def _directional_movement(high: np.ndarray, low: np.ndarray):
-    n = _validate(high, low)
+def directional(high: np.ndarray, low: np.ndarray, close: np.ndarray, period: int = 14):
+    """(plus_dm, minus_dm, dx, adx) from one pass: one Wilder sum each of both
+    directional movements and of the true range, then DX and its average."""
+    n = _validate(high, low, close)
     up = high[1:] - high[:-1]
     down = low[:-1] - low[1:]
     plus = np.zeros(n)
     minus = np.zeros(n)
     plus[1:] = np.where((up > down) & (up > 0.0), up, 0.0)
     minus[1:] = np.where((down > up) & (down > 0.0), down, 0.0)
-    return plus, minus
-
-
-def plus_dm(high: np.ndarray, low: np.ndarray, period: int = 14) -> np.ndarray:
-    p, _ = _directional_movement(high, low)
-    return _wilder_sum(p, period, 1)
-
-
-def minus_dm(high: np.ndarray, low: np.ndarray, period: int = 14) -> np.ndarray:
-    _, m = _directional_movement(high, low)
-    return _wilder_sum(m, period, 1)
-
-
-def _di(high, low, close, period):
-    """(+DM sum, -DM sum, +DI, -DI): one Wilder sum each of both movements
-    and of the true range."""
-    p, m = _directional_movement(high, low)
     tr = true_range(high, low, close)
     tr[:1] = 0.0
-    ps = _wilder_sum(p, period, 1)
-    ms = _wilder_sum(m, period, 1)
+    ps = _wilder_sum(plus, period, 1)
+    ms = _wilder_sum(minus, period, 1)
     trs = _wilder_sum(np.nan_to_num(tr), period, 1)
     with np.errstate(invalid="ignore", divide="ignore"):
         pdi = np.where(trs > 0.0, 100.0 * ps / trs, 0.0)
         mdi = np.where(trs > 0.0, 100.0 * ms / trs, 0.0)
-    pdi[np.isnan(ps)] = np.nan
-    mdi[np.isnan(ms)] = np.nan
-    return ps, ms, pdi, mdi
-
-
-def _dx(pdi, mdi):
-    out = np.full(len(pdi), np.nan)
-    valid = ~np.isnan(pdi)
-    tot = pdi[valid] + mdi[valid]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        vals = np.where(tot > 0.0, 100.0 * np.abs(pdi[valid] - mdi[valid]) / tot, 0.0)
-    out[valid] = vals
-    return out
-
-
-def _adx(d, period):
-    n = len(d)
-    out = np.full(n, np.nan)
-    first = period  # dx starts here
-    start = first + period - 1
-    if start >= n:
-        return out
-    out[start:] = list(accumulate(
-        d[start + 1:].tolist(), lambda prev, v: (prev * (period - 1) + v) / period,
-        initial=float(np.mean(d[first : first + period]))))
-    return out
-
-
-def dx(high: np.ndarray, low: np.ndarray, close: np.ndarray, period: int = 14) -> np.ndarray:
-    return _dx(*_di(high, low, close, period)[2:])
-
-
-def adx(high: np.ndarray, low: np.ndarray, close: np.ndarray, period: int = 14) -> np.ndarray:
-    return _adx(dx(high, low, close, period), period)
-
-
-def directional(high: np.ndarray, low: np.ndarray, close: np.ndarray, period: int = 14):
-    """(plus_dm, minus_dm, dx, adx) from one pass: each Wilder sum taken once."""
-    ps, ms, pdi, mdi = _di(high, low, close, period)
-    d = _dx(pdi, mdi)
-    return ps, ms, d, _adx(d, period)
+        tot = pdi + mdi
+        dx = np.where(tot > 0.0, 100.0 * np.abs(pdi - mdi) / tot, 0.0)
+    dx[np.isnan(ps)] = np.nan
+    adx = np.full(n, np.nan)
+    start = 2 * period - 1  # dx starts at bar `period`
+    if start < n:
+        adx[start:] = list(accumulate(
+            dx[start + 1:].tolist(), lambda prev, v: (prev * (period - 1) + v) / period,
+            initial=float(np.mean(dx[period:start + 1]))))
+    return ps, ms, dx, adx
 
 
 def apo(x: np.ndarray, fast: int = 12, slow: int = 26) -> np.ndarray:
@@ -313,38 +267,18 @@ def _raw_stochastic(high, low, close, period):
     return out
 
 
-def stochastic(
-    high: np.ndarray,
-    low: np.ndarray,
-    close: np.ndarray,
-    k_period: int = 5,
-    slow_period: int = 3,
-    d_period: int = 3,
-):
-    """Slow stochastic: returns (slowK, slowD)."""
-    fastk = _raw_stochastic(high, low, close, k_period)
-    start = k_period - 1
-    slowk = np.full(len(close), np.nan)
-    slowk[start:] = sma(fastk[start:], slow_period)
-    start2 = start + slow_period - 1
-    slowd = np.full(len(close), np.nan)
-    slowd[start2:] = sma(slowk[start2:], d_period)
-    return slowk, slowd
+def stochastics(high: np.ndarray, low: np.ndarray, close: np.ndarray):
+    """(slow %K, slow %D, fast %K, fast %D) of the 5-bar fast %K.
 
-
-def stochastic_fast(
-    high: np.ndarray,
-    low: np.ndarray,
-    close: np.ndarray,
-    k_period: int = 5,
-    d_period: int = 3,
-):
-    """Fast stochastic: returns (fastK, fastD)."""
-    fastk = _raw_stochastic(high, low, close, k_period)
-    start = k_period - 1
-    fastd = np.full(len(close), np.nan)
-    fastd[start:] = sma(fastk[start:], d_period)
-    return fastk, fastd
+    Slow %K and fast %D are both the 3-bar SMA of fast %K: one array,
+    returned in both places. Slow %D is its 3-bar SMA.
+    """
+    fast_k = _raw_stochastic(high, low, close, 5)
+    fast_d = np.full(len(close), np.nan)
+    fast_d[4:] = sma(fast_k[4:], 3)
+    slow_d = np.full(len(close), np.nan)
+    slow_d[6:] = sma(fast_d[6:], 3)
+    return fast_d, slow_d, fast_k, fast_d
 
 
 def natr(high: np.ndarray, low: np.ndarray, close: np.ndarray, period: int = 14) -> np.ndarray:
@@ -400,6 +334,7 @@ def parabolic_sar(
 
 
 _HT_LOOKBACK = 63
+_HT_IMAG_FLOOR = 1e-6  # relative to the bar's smoothed price
 
 
 def _wma4(x: np.ndarray) -> np.ndarray:
@@ -466,16 +401,15 @@ def ht_dc_period(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def ht_dc_phase(x: np.ndarray, period: Optional[np.ndarray] = None) -> np.ndarray:
+def ht_dc_phase(x: np.ndarray, period: np.ndarray) -> np.ndarray:
     """Phase within the dominant cycle, in degrees.
 
-    period is ht_dc_period(x), computed here when not given: a caller that
-    already holds it passes it to skip the sequential pass. Each bar's DFT
-    over its last dc smoothed prices runs as array sums: term k adds to
+    period is ht_dc_period(x), which the caller already holds. Each bar's
+    DFT over its last dc smoothed prices runs as array sums: term k adds to
     every bar whose dc exceeds k, in k order, as the bar's own loop would.
+    The imaginary part counts as zero below _HT_IMAG_FLOOR of the bar's
+    smoothed price, so the phase does not change with the price scale.
     """
-    if period is None:
-        period = ht_dc_period(x)
     n = len(x)
     out = np.full(n, np.nan)
     sm = _wma4(x)
@@ -498,8 +432,10 @@ def ht_dc_phase(x: np.ndarray, period: Optional[np.ndarray] = None) -> np.ndarra
         s = src[bars[:m] - k]  # term k pairs with bar i - k
         real[:m] += sin_w[dc[:m], k] * s
         imag[:m] += cos_w[dc[:m], k] * s
-    for i, sp_i, re, im in zip(bars.tolist(), sp.tolist(), real.tolist(), imag.tolist()):
-        if abs(im) > 0.001:
+    floors = (_HT_IMAG_FLOOR * src[bars]).tolist()
+    for i, sp_i, re, im, floor in zip(bars.tolist(), sp.tolist(), real.tolist(),
+                                      imag.tolist(), floors):
+        if abs(im) > floor:
             phase = math.degrees(math.atan(re / im))
         else:
             phase = 90.0 * (1.0 if re > 0.0 else (-1.0 if re < 0.0 else 0.0))

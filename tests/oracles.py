@@ -985,13 +985,15 @@ def synth_gbm_candles(p0: float, mu: float, sigma: float, n_hours: int, seed: in
 # -- loop indicators -------------------------------------------------------
 # The per-element indicator loops that clmmlab.indicators' array passes
 # replaced, kept verbatim as the bitwise oracle; directional runs four of
-# them one by one, where the package shares their Wilder sums. sma, apo, bop
-# and momentum were array code already and come from the package unchanged.
+# them one by one, where the package shares their Wilder sums, and
+# stochastics runs the slow and the fast stochastic, where the package takes
+# one fast %K and one SMA of it. sma, apo, bop and momentum were array code
+# already and come from the package unchanged.
 
 LOOP_INDICATORS = (
-    "ema", "dema", "true_range", "plus_dm", "minus_dm", "dx", "adx", "directional",
-    "aroon_osc", "cci", "cmo", "trix", "ultimate_oscillator", "stochastic",
-    "stochastic_fast", "natr", "parabolic_sar", "ht_dc_period", "ht_dc_phase",
+    "ema", "dema", "true_range", "directional", "aroon_osc", "cci", "cmo", "trix",
+    "ultimate_oscillator", "stochastics", "natr", "parabolic_sar", "ht_dc_period",
+    "ht_dc_phase",
 )
 
 
@@ -1270,6 +1272,11 @@ def stochastic_fast(
     return fastk, fastd
 
 
+def stochastics(high, low, close):
+    """(slowK, slowD, fastK, fastD), each stochastic run on its own."""
+    return (*stochastic(high, low, close), *stochastic_fast(high, low, close))
+
+
 def natr(high: np.ndarray, low: np.ndarray, close: np.ndarray, period: int = 14) -> np.ndarray:
     n = _validate(high, low, close)
     tr = true_range(high, low, close)
@@ -1394,7 +1401,7 @@ def ht_dc_period(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def ht_dc_phase(x: np.ndarray, period=None) -> np.ndarray:
+def ht_dc_phase(x: np.ndarray, period) -> np.ndarray:
     """Phase within the dominant cycle, in degrees.
 
     period, the package's ht_dc_period(x) as its caller passes it, is
@@ -1412,6 +1419,7 @@ def ht_dc_phase(x: np.ndarray, period=None) -> np.ndarray:
         real = imag = 0.0
         if i - dc + 1 < 0:
             continue
+        level = smooth[i] if np.isfinite(smooth[i]) else x[i]
         for k in range(dc):
             w = 2.0 * math.pi * k / dc
             s = smooth[i - k]
@@ -1419,7 +1427,7 @@ def ht_dc_phase(x: np.ndarray, period=None) -> np.ndarray:
                 s = x[i - k]
             real += math.sin(w) * s
             imag += math.cos(w) * s
-        if abs(imag) > 0.001:
+        if abs(imag) > 1e-6 * level:
             phase = math.degrees(math.atan(real / imag))
         else:
             phase = 90.0 * (1.0 if real > 0.0 else (-1.0 if real < 0.0 else 0.0))

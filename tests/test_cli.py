@@ -203,7 +203,13 @@ class TestErrorContract:
         (lambda s: s.pop("std"), "scaler std must be a list, got None"),
         (lambda s: s.update(mean=s["mean"][:3]), "scaler mean has 3 values, expected 28"),
         (lambda s: s.update(mean=["x"] * 28), "scaler mean must hold numbers"),
-    ], ids=["column-out-of-range", "missing-std", "short-mean", "non-number"])
+        (lambda s: s.update(std=["nan"] * 28), "scaler std must hold finite numbers >= 0"),
+        (lambda s: s.update(std=["inf"] * 28), "scaler std must hold finite numbers >= 0"),
+        (lambda s: s.update(std=["-1.0"] * 28), "scaler std must hold finite numbers >= 0"),
+        (lambda s: s.update(mean=["nan"] * 28), "scaler mean must hold finite numbers"),
+        (lambda s: s.update(columns=[0, 1, 0]), "scaler columns repeat an index: [0, 1, 0]"),
+    ], ids=["column-out-of-range", "missing-std", "short-mean", "non-number", "nan-std",
+            "inf-std", "negative-std", "nan-mean", "repeated-column"])
     def test_bad_checkpoint_scaler_is_run_error(self, candles_csv, capsys,
                                                 tmp_path, edit, message):
         scaler = {"mean": ["0.0"] * 28, "std": ["1.0"] * 28, "columns": [0, 1]}
@@ -216,6 +222,7 @@ class TestErrorContract:
              "--candles", candles_csv, "--out-dir", str(tmp_path / "out")], capsys)
         assert code == 1
         assert err.strip() == f"error: run: metadata {message}"
+        assert not (tmp_path / "out").exists()
 
     def test_candles_off_the_hourly_grid_are_run_error(self, capsys, tmp_path):
         path = tmp_path / "holey.csv"

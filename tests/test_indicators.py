@@ -77,12 +77,11 @@ def test_constant_series_degenerate_values():
     assert np.all(ind.bop(o, h, l, c) == 0.0)
     assert ind.cmo(c, 14)[250] == 0.0
     assert ind.cci(h, l, c, 14)[250] == 0.0
-    assert ind.dx(h, l, c, 14)[250] == 0.0
-    assert ind.adx(h, l, c, 14)[250] == 0.0
+    plus, minus, dx, adx = ind.directional(h, l, c)
+    assert plus[250] == minus[250] == dx[250] == adx[250] == 0.0
     assert ind.true_range(h, l, c)[250] == 0.0
     assert ind.natr(h, l, c, 14)[250] == 0.0
-    slow_k, slow_d = ind.stochastic(h, l, c)
-    assert slow_k[250] == 0.0 and slow_d[250] == 0.0
+    assert [out[250] for out in ind.stochastics(h, l, c)] == [0.0] * 4
     assert ind.ultimate_oscillator(h, l, c)[250] == 0.0
     assert ind.aroon_osc(h, l, 14)[250] == 0.0
     assert ind.parabolic_sar(h, l)[250] == pytest.approx(100.0)
@@ -91,20 +90,20 @@ def test_constant_series_degenerate_values():
     assert ind.apo(c)[250] == 0.0
     # Hilbert outputs finite on flat input
     assert np.isfinite(ind.ht_dc_period(c)[250])
-    assert np.isfinite(ind.ht_dc_phase(c)[250])
+    assert np.isfinite(ind.ht_dc_phase(c, ind.ht_dc_period(c))[250])
 
 
 def test_oscillator_ranges():
     o, h, l, c, v = random_bars(seed=3)
+    _, _, dx, adx = ind.directional(h, l, c)
     for arr, lo, hi in [
-        (ind.adx(h, l, c, 14), 0.0, 100.0),
-        (ind.dx(h, l, c, 14), 0.0, 100.0),
+        (adx, 0.0, 100.0),
+        (dx, 0.0, 100.0),
         (ind.cmo(c, 14), -100.0, 100.0),
         (ind.aroon_osc(h, l, 14), -100.0, 100.0),
         (ind.ultimate_oscillator(h, l, c), 0.0, 100.0),
         (ind.bop(o, h, l, c), -1.0, 1.0),
-        (ind.stochastic(h, l, c)[0], 0.0, 100.0),
-        (ind.stochastic_fast(h, l, c)[0], 0.0, 100.0),
+        *((out, 0.0, 100.0) for out in ind.stochastics(h, l, c)),
     ]:
         vals = arr[np.isfinite(arr)]
         assert np.all(vals >= lo - 1e-9) and np.all(vals <= hi + 1e-9)
@@ -112,14 +111,14 @@ def test_oscillator_ranges():
 
 def test_plus_minus_dm_nonnegative_and_trend_sensitive():
     o, h, l, c, v = random_bars(seed=5)
-    p = ind.plus_dm(h, l, 14)
-    m = ind.minus_dm(h, l, 14)
+    p, m, _, _ = ind.directional(h, l, c)
     assert np.all(p[np.isfinite(p)] >= 0.0)
     assert np.all(m[np.isfinite(m)] >= 0.0)
     # strict uptrend: no minus DM at all
     up = np.arange(100.0) + 100.0
-    assert np.all(ind.minus_dm(up, up - 0.5, 14)[20:] == 0.0)
-    assert np.all(ind.plus_dm(up, up - 0.5, 14)[20:] > 0.0)
+    p, m, _, _ = ind.directional(up, up - 0.5, up)
+    assert np.all(m[20:] == 0.0)
+    assert np.all(p[20:] > 0.0)
 
 
 def test_adx_rises_in_persistent_trend():
@@ -127,7 +126,7 @@ def test_adx_rises_in_persistent_trend():
     up = 100.0 * 1.01 ** np.arange(n)
     h = up * 1.001
     l = up * 0.999
-    a = ind.adx(h, l, up, 14)
+    a = ind.directional(h, l, up)[3]
     assert a[-1] > 90.0
 
 
@@ -147,10 +146,9 @@ def test_stochastic_extremes():
     n = 60
     up = np.arange(n) + 100.0
     h, l = up + 0.5, up - 0.5
-    slow_k, slow_d = ind.stochastic(h, l, up)
+    slow_k, slow_d, fast_k, fast_d = ind.stochastics(h, l, up)
     # in a steady uptrend the close sits near the top of every window
     assert slow_k[-1] > 80.0
-    fast_k, fast_d = ind.stochastic_fast(h, l, up)
     assert fast_k[-1] > 80.0
 
 
@@ -175,7 +173,7 @@ def test_ht_dc_period_bounds_and_cycle_detection():
 
 def test_ht_dc_phase_finite_and_bounded():
     o, h, l, c, v = random_bars(600, seed=11)
-    ph = ind.ht_dc_phase(c)
+    ph = ind.ht_dc_phase(c, ind.ht_dc_period(c))
     tail = ph[200:]
     assert np.all(np.isfinite(tail))
     assert np.all((tail > -360.0) & (tail < 360.0))
@@ -185,11 +183,12 @@ def test_warmup_prefixes_are_nan_then_finite():
     o, h, l, c, v = random_bars(400, seed=13)
     for arr in [
         ind.dema(c, 30),
-        ind.adx(h, l, c, 14),
+        *ind.directional(h, l, c),
         ind.trix(c, 30),
         ind.ultimate_oscillator(h, l, c),
+        *ind.stochastics(h, l, c),
         ind.ht_dc_period(c),
-        ind.ht_dc_phase(c),
+        ind.ht_dc_phase(c, ind.ht_dc_period(c)),
         ind.natr(h, l, c, 14),
     ]:
         assert np.isnan(arr[0])
@@ -214,10 +213,6 @@ ORACLE_CALLS = {
     "ema_5": lambda m, o, h, l, c: (m.ema(c, 5),),
     "dema": lambda m, o, h, l, c: (m.dema(c, 30),),
     "true_range": lambda m, o, h, l, c: (m.true_range(h, l, c),),
-    "plus_dm": lambda m, o, h, l, c: (m.plus_dm(h, l),),
-    "minus_dm": lambda m, o, h, l, c: (m.minus_dm(h, l),),
-    "dx": lambda m, o, h, l, c: (m.dx(h, l, c),),
-    "adx": lambda m, o, h, l, c: (m.adx(h, l, c),),
     "directional": lambda m, o, h, l, c: m.directional(h, l, c),
     "aroon_osc": lambda m, o, h, l, c: (m.aroon_osc(h, l),),
     "cci_14": lambda m, o, h, l, c: (m.cci(h, l, c),),
@@ -225,12 +220,13 @@ ORACLE_CALLS = {
     "cmo": lambda m, o, h, l, c: (m.cmo(c),),
     "trix": lambda m, o, h, l, c: (m.trix(c),),
     "ultimate_oscillator": lambda m, o, h, l, c: (m.ultimate_oscillator(h, l, c),),
-    "stochastic": lambda m, o, h, l, c: m.stochastic(h, l, c),
-    "stochastic_fast": lambda m, o, h, l, c: m.stochastic_fast(h, l, c),
+    # slow %K and %D, then fast %K and %D: the loop oracle runs each stochastic
+    "stochastic": lambda m, o, h, l, c: m.stochastics(h, l, c)[:2],
+    "stochastic_fast": lambda m, o, h, l, c: m.stochastics(h, l, c)[2:],
     "natr": lambda m, o, h, l, c: (m.natr(h, l, c),),
     "parabolic_sar": lambda m, o, h, l, c: (m.parabolic_sar(h, l),),
     "ht_dc_period": lambda m, o, h, l, c: (m.ht_dc_period(c),),
-    "ht_dc_phase": lambda m, o, h, l, c: (m.ht_dc_phase(c),),
+    "ht_dc_phase": lambda m, o, h, l, c: (m.ht_dc_phase(c, m.ht_dc_period(c)),),
 }
 
 
@@ -331,10 +327,56 @@ def test_feature_matrix_runs_the_hilbert_pass_once(monkeypatch):
     monkeypatch.setattr(ind, "_hilbert_period", counted)
     matrix = features.compute_feature_matrix(candles)
     assert calls == [len(candles)]
-    # columns 26-27 are the two indicators, each computed on its own
+    # columns 26-27 are the two indicators, the phase on the period column
     assert_bit_equal(matrix[:, 26], ind.ht_dc_period(c))
-    assert_bit_equal(matrix[:, 27], ind.ht_dc_phase(c))
-    assert_bit_equal(ind.ht_dc_phase(c, ind.ht_dc_period(c)), ind.ht_dc_phase(c))
+    assert_bit_equal(matrix[:, 27], ind.ht_dc_phase(c, ind.ht_dc_period(c)))
+
+
+def test_feature_matrix_runs_the_raw_stochastic_once(monkeypatch):
+    candles = synth_gbm(2000.0, 0.0, 0.01, 800, seed=5)
+    calls = []
+    real = ind._raw_stochastic
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return real(*args)
+
+    monkeypatch.setattr(ind, "_raw_stochastic", counted)
+    matrix = features.compute_feature_matrix(candles)
+    assert calls == [len(candles)]
+    assert_bit_equal(matrix[:, 20], matrix[:, 23])  # slow %K is fast %D
+
+
+def test_feature_matrix_reaches_every_public_indicator(monkeypatch):
+    """Every public function the module defines runs in one feature matrix:
+    an indicator no column reads has no place in the package."""
+    public = [name for name, fn in vars(ind).items()
+              if isinstance(fn, types.FunctionType) and not name.startswith("_")
+              and fn.__module__ == ind.__name__]
+    reached = set()
+
+    def recording(name, fn):
+        def wrapper(*args, **kwargs):
+            reached.add(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in public:
+        monkeypatch.setattr(ind, name, recording(name, getattr(ind, name)))
+    features.compute_feature_matrix(load_candles_csv(bundled_candles_path()))
+    assert sorted(reached) == sorted(public)
+
+
+@pytest.mark.parametrize("k", [1e-10, 1e-4, 1e-3, 1e4, 1e10])
+def test_ht_dc_phase_does_not_change_with_the_price_scale(k):
+    """The phase of prices times k is the phase of the prices, modulo 360
+    degrees; the near-zero test on the DFT's imaginary part is relative."""
+    c = load_candles_csv(bundled_candles_path()).close
+    want = ind.ht_dc_phase(c, ind.ht_dc_period(c))
+    got = ind.ht_dc_phase(c * k, ind.ht_dc_period(c * k))
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    turn = (got - want + 180.0) % 360.0 - 180.0
+    assert np.nanmax(np.abs(turn)) < 1e-6
 
 
 def test_ht_dc_phase_skips_bars_before_a_full_cycle():
