@@ -451,6 +451,8 @@ def run_training(settings: Dict, out_dir: str) -> TrainingResult:
         env_config = run.env_config(episode_length=episode_length)
     except ValueError as e:
         raise RunError(str(e)) from None
+    if s["budget"] < learner.warm_start:  # the learner would never update
+        raise RunError(f"budget must be >= warm_start={learner.warm_start}, got {s['budget']}")
     if s.get("train_hours", episode_length + 1) <= episode_length:
         raise RunError(f"train_hours must be > episode_length={episode_length}, "
                        f"got {s['train_hours']}")

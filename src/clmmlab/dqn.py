@@ -14,6 +14,12 @@ Each gradient step (ddqn_update) runs in place in one nets.Workspace that
 train_ddqn allocates once, and each greedy action in one batch-1
 activation set, allocated once per training run or greedy rollout.
 
+The learner trains in DTYPE, float32: train_ddqn rounds its float64 init
+draw (nets.init_params) once, and every kernel after that follows the
+weights' dtype, so the update, the moments, the target net, the greedy acts
+and the checkpoint are float32. A greedy rollout or ddqn_update on float64
+params computes in float64.
+
 Episode ends in both environments here are data truncations, not MDP
 terminals, so every stored transition bootstraps: the replay buffer keeps
 no terminal flag and the target has no done mask.
@@ -27,6 +33,8 @@ import numpy as np
 
 from . import nets
 from .nets import NetworkParams, OptimizerState, TrainingDiverged
+
+DTYPE = np.float32  # of the weights, moments and activations train_ddqn trains
 
 TRAINING_LOG_HEADER = [
     "episode", "steps", "epsilon", "train_return", "val_return", "loss",
@@ -71,8 +79,8 @@ class ReplayBuffer:
 
     def sample_into(self, x: np.ndarray, rng: np.random.Generator):
         """Draw len(x) // 2 distinct stored transitions; write their s rows
-        into the first half of the float64 array `x` and their s2 rows into
-        the second. Returns (a, r)."""
+        into the first half of `x` and their s2 rows into the second (a
+        float32 `x` takes them uncast). Returns (a, r)."""
         batch_size = len(x) // 2
         if batch_size > self._size:
             raise ValueError(
@@ -119,6 +127,9 @@ class DDQNConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.buffer < self.batch_size:
             raise ValueError(f"buffer must be >= batch_size={self.batch_size}, got {self.buffer}")
+        # a buffer that never holds warm_start transitions never starts the learner
+        if self.buffer < self.warm_start:
+            raise ValueError(f"buffer must be >= warm_start={self.warm_start}, got {self.buffer}")
 
 
 def ddqn_target(
@@ -145,16 +156,17 @@ def ddqn_update(ws: nets.Workspace, buffer: ReplayBuffer, rng: np.random.Generat
 
     The minibatch is the one `buffer.sample(ws.batch, rng)` draws, and the
     arithmetic is that of ddqn_target, nets.loss_and_gradients,
-    nets.apply_update and nets.soft_update, op for op. The local net runs
-    once over [s; s2] in ws.acts, the target net over the s2 half in
-    ws.target_acts, and `local`, `target` and the moments of `opt` change
-    in place. A non-finite loss raises TrainingDiverged before
-    anything is written.
+    nets.apply_update and nets.soft_update, op for op. The minibatch is
+    drawn into ws.x as [s; s2]; the local net runs over s2 in ws.next_acts,
+    the target net over s2 in ws.target_acts and the local net over s in
+    ws.acts, and `local`, `target` and the moments of `opt` change in place.
+    A non-finite loss raises TrainingDiverged before anything is written.
     """
     a, r = buffer.sample_into(ws.x[:, :-1], rng)
-    greedy = nets._forward(local, ws.acts)[ws.batch:].argmax(axis=1)
+    greedy = nets._forward(local, ws.next_acts).argmax(axis=1)
     q_target = nets._forward(target, ws.target_acts)
     y = _bootstrap(r, greedy, q_target, GAMMA)
+    nets._forward(local, ws.acts)
     loss = nets._backward(local, ws, a, y)
     if not np.isfinite(loss):
         raise TrainingDiverged(f"loss became {loss}")
@@ -168,7 +180,7 @@ def greedy_rollout(env, params: NetworkParams, offset: int):
     records), a record being env.step's fourth value (LPEnv: HourRecord)."""
     obs = env.reset(offset)
     nets.check_input_dim(params, len(obs))
-    acts = nets._activations(1, params.layout)  # every greedy act's activations
+    acts = nets._activations(1, params)  # every greedy act's activations
     total = 0.0
     actions: List[int] = []
     records = []
@@ -211,12 +223,12 @@ def train_ddqn(
     n_actions = train_env.config.n_actions
     probe = train_env.reset(train_env.min_offset())
     obs_dim = len(probe)
-    local = nets.init_params(obs_dim, n_actions + 1, seed=seed)
+    local = nets.init_params(obs_dim, n_actions + 1, seed=seed).astype(DTYPE)
     target = local.copy()
     opt = OptimizerState.for_params(local, learning_rate=config.learning_rate)
     buffer = ReplayBuffer(config.buffer, obs_dim)
-    ws = nets.Workspace(local.layout, 2 * config.batch_size, config.batch_size)
-    acts = nets._activations(1, local.layout)  # every greedy act's activations
+    ws = nets.Workspace(local, 2 * config.batch_size, config.batch_size)
+    acts = nets._activations(1, local)  # every greedy act's activations
     if eval_offset is None:
         eval_offset = eval_env.min_offset()
 

@@ -7,12 +7,14 @@ scalar value head and a per-action advantage head,
 
 so mean_a q(s, a) = V(s) identically. Gradients of the squared TD loss are
 derived analytically and checked against central finite differences in the
-test suite. Everything is float64 numpy; training is deterministic given
-the init seed and data order. All weights live in one float64 vector,
-`NetworkParams.flat`, that the named arrays view. Gradients, the Adam moments
-(OptimizerState.m and .v) and the target net are NetworkParams in the same
-layout; checkpoints (`dueling-mlp-v1`) store one named array per parameter
-for the weights and for each moment, decoded by one helper.
+test suite. Training is deterministic given the init seed and data order.
+All weights live in one vector, `NetworkParams.flat`, that the named arrays
+view; it is float64 or float32 (the learner trains in float32, see
+dqn.DTYPE), and every kernel computes in its dtype. Gradients, the Adam
+moments (OptimizerState.m and .v) and the target net are NetworkParams in
+the same layout and dtype; checkpoints (`dueling-mlp-v1`) store one named
+array per parameter for the weights and for each moment, decoded by one
+helper, and a float32 array loads back as the same float32 values.
 
 The forward pass, the backward pass, the Adam step and the soft update are
 one kernel each (`_forward`, `_backward`, `_adam`, `_blend`) that writes into
@@ -58,10 +60,13 @@ PARAM_NAMES = ("w1", "b1", "w2", "b2", "wv", "bv", "wa", "ba")
 
 class NetworkParams:
     """Dueling MLP weights: biases 1-d, weights (in, out), all views into `flat`,
-    as is each affine block of `layers` (None unless every bias fits its weight)."""
+    as is each affine block of `layers` (None unless every bias fits its weight).
+    `flat` is float32 when every array given is float32, else float64."""
 
     def __init__(self, w1, b1, w2, b2, wv, bv, wa, ba):
-        arrays = [np.asarray(a, dtype=float) for a in (w1, b1, w2, b2, wv, bv, wa, ba)]
+        arrays = [np.asarray(a) for a in (w1, b1, w2, b2, wv, bv, wa, ba)]
+        dtype = np.float32 if all(a.dtype == np.float32 for a in arrays) else np.float64
+        arrays = [a.astype(dtype, copy=False) for a in arrays]
         stops = list(itertools.accumulate(a.size for a in arrays))
         layout = tuple(zip(PARAM_NAMES, [0] + stops[:-1], stops,  # name, start, stop, shape
                            [a.shape for a in arrays]))
@@ -96,6 +101,10 @@ class NetworkParams:
 
     def copy(self) -> "NetworkParams":
         return NetworkParams.from_flat(self.flat.copy(), self.layout)
+
+    def astype(self, dtype) -> "NetworkParams":
+        """A copy whose values are rounded to `dtype`."""
+        return NetworkParams.from_flat(self.flat.astype(dtype), self.layout)
 
     def validate(self) -> None:
         for name, arr in (("w1", self.w1), ("w2", self.w2), ("wa", self.wa)):  # the rest follow
@@ -140,12 +149,14 @@ def init_params(
     )
 
 
-def _activations(rows: int, layout: Tuple):
-    """Buffers (x, h1, h2, q, head, head row means) for a forward over `rows`
-    rows; x, h1 and h2 end in a column of ones, the inputs go in x[:, :-1]."""
-    (n_in, h1), (h2, n_out) = layout[0][3], layout[6][3]  # w1, wa
-    return (np.ones((rows, n_in + 1)), np.ones((rows, h1 + 1)), np.ones((rows, h2 + 1)),
-            np.empty((rows, n_out)), np.empty((h2 + 1, n_out)), np.empty((h2 + 1, 1)))
+def _activations(rows: int, params: NetworkParams):
+    """Buffers (x, h1, h2, q, head, head row means) in the dtype of `params`
+    for a forward over `rows` rows; x, h1 and h2 end in a column of ones, the
+    inputs go in x[:, :-1]."""
+    (n_in, h1), (h2, n_out), dtype = params.w1.shape, params.wa.shape, params.flat.dtype
+    return (np.ones((rows, n_in + 1), dtype), np.ones((rows, h1 + 1), dtype),
+            np.ones((rows, h2 + 1), dtype), np.empty((rows, n_out), dtype),
+            np.empty((h2 + 1, n_out), dtype), np.empty((h2 + 1, 1), dtype))
 
 
 def _forward(params: NetworkParams, acts) -> np.ndarray:
@@ -176,10 +187,10 @@ def forward(params: NetworkParams, s: np.ndarray):
 
     Returns (q, v, adv); for a single 1-d input the outputs are squeezed.
     """
-    s = np.asarray(s, dtype=float)
+    s = np.asarray(s, dtype=params.flat.dtype)
     x = np.atleast_2d(s)
     check_input_dim(params, x.shape[1])
-    acts = _activations(len(x), params.layout)
+    acts = _activations(len(x), params)
     acts[0][:, :-1] = x
     q = _forward(params, acts)
     v, adv = acts[2] @ params.layers[2], acts[2] @ params.layers[3]
@@ -189,34 +200,38 @@ def forward(params: NetworkParams, s: np.ndarray):
 
 
 class Workspace:
-    """Every buffer of a loss-and-gradients pass and an Adam step, allocated
-    once: the activations `acts` of `rows` rows (inputs in x[:, :-1]), the
-    backward's buffers for the first `batch` of them, the gradients and two
-    scratch vectors of the flat size. The learner sizes one for 2 * batch
-    rows, so the local net runs once over [s; s2]; `target_acts` runs the
-    target net over the rows after `batch`, with a head of its own."""
+    """Every buffer of a loss-and-gradients pass and an Adam step for nets
+    of the layout and dtype of `params`, allocated once: activations of
+    `rows` rows with their inputs in x[:, :-1], the backward's buffers for
+    the first `batch` of them, the gradients and two scratch vectors of the
+    flat size. `acts` views the first `batch` rows, the ones the backward
+    reads. The learner sizes one for 2 * batch rows, [s; s2]: `next_acts`
+    runs the local net over the rows after `batch`, and `target_acts` the
+    target net over the same rows with a head of its own. The local net
+    runs over s and s2 apart, as the four-call update does, since some BLAS
+    kernels round a float32 product's rows differently with the row count."""
 
-    def __init__(self, layout: Tuple, rows: int, batch: int):
-        (_, h1), (h2, n_out) = layout[0][3], layout[6][3]  # w1, wa
+    def __init__(self, params: NetworkParams, rows: int, batch: int):
+        (_, h1), (h2, n_out), dtype = params.w1.shape, params.wa.shape, params.flat.dtype
         self.batch = batch
-        self.acts = self.x, _, _, _, head, mean = _activations(rows, layout)
-        self.target_acts = (*(a[batch:] for a in self.acts[:4]), np.empty_like(head), mean)
+        self.x, *layers, head, mean = _activations(rows, params)
+        self.acts = (*(a[:batch] for a in (self.x, *layers)), head, mean)
+        self.next_acts = (*(a[batch:] for a in (self.x, *layers)), head, mean)
+        self.target_acts = (*self.next_acts[:4], np.empty_like(head), mean)
         self.rows = np.arange(batch)
-        self.dq = np.empty((batch, n_out))
-        self.dh1, self.mask1 = np.empty((batch, h1)), np.empty((batch, h1), dtype=bool)
-        self.dh2, self.mask2 = np.empty((batch, h2)), np.empty((batch, h2), dtype=bool)
-        size = layout[-1][2]
-        self.grads = NetworkParams.from_flat(np.empty(size), layout)
-        self.sq, self.step = np.empty(size), np.empty(size)
+        self.dq = np.empty((batch, n_out), dtype)
+        self.dh1, self.mask1 = np.empty((batch, h1), dtype), np.empty((batch, h1), dtype=bool)
+        self.dh2, self.mask2 = np.empty((batch, h2), dtype), np.empty((batch, h2), dtype=bool)
+        self.grads = NetworkParams.from_flat(np.empty_like(params.flat), params.layout)
+        self.sq, self.step = np.empty_like(params.flat), np.empty_like(params.flat)
 
 
 def _backward(params: NetworkParams, ws: Workspace, actions: np.ndarray,
               targets: np.ndarray) -> float:
-    """Mean squared TD error of the forward in the first ws.batch rows of
-    ws.acts, its analytic gradients written into ws.grads."""
+    """Mean squared TD error of the forward in ws.acts, its analytic
+    gradients written into ws.grads."""
     n = ws.batch
-    x, h1, h2, q = (a[:n] for a in ws.acts[:4])
-    head, mean = ws.acts[4:]
+    x, h1, h2, q, head, mean = ws.acts
     err = q[ws.rows, actions] - targets
     loss = float(np.add.reduce(err * err) / n)  # np.mean's arithmetic
 
@@ -249,14 +264,14 @@ def loss_and_gradients(
     loss = mean_i (q(s_i, a_i) - y_i)^2. The gradient container reuses
     NetworkParams field-for-field.
     """
-    x = np.asarray(states, dtype=float)
+    x = np.asarray(states, dtype=params.flat.dtype)
     a = np.asarray(actions, dtype=int)
     y = np.asarray(targets, dtype=float)
     if x.ndim != 2 or len(x) == 0:
         raise ValueError("states must be a non-empty (batch, dim) array")
     if len(a) != len(x) or len(y) != len(x):
         raise ValueError("states, actions, targets must have equal length")
-    ws = Workspace(params.layout, len(x), len(x))
+    ws = Workspace(params, len(x), len(x))
     ws.x[:, :-1] = x
     _forward(params, ws.acts)
     return _backward(params, ws, a, y), ws.grads
@@ -315,6 +330,10 @@ def _adam(flat: np.ndarray, opt: OptimizerState, grads: NetworkParams,
     m, v = opt.m.flat, opt.v.flat
     m *= ADAM_BETA1
     m += np.multiply(g, 1.0 - ADAM_BETA1, out=sq)
+    # m of a weight whose gradient stays zero decays into the subnormals, where
+    # numpy's arithmetic on it is many times slower; its step, at most
+    # learning_rate * 10 * tiny / ADAM_EPS, moves no weight of normal size
+    np.copyto(m, 0.0, where=np.abs(m, out=sq) < np.finfo(m.dtype).tiny)
     v *= ADAM_BETA2
     v += np.multiply(np.multiply(g, g, out=sq), 1.0 - ADAM_BETA2, out=sq)
     # flat -= learning_rate * m_hat / (sqrt(v_hat) + eps)
@@ -355,7 +374,13 @@ def soft_update(target: NetworkParams, local: NetworkParams,
 
 
 def _encode_array(arr: np.ndarray) -> Dict:
-    return {"shape": list(arr.shape), "data": arr.reshape(-1).tolist()}
+    """An array record; a float32 array's data are the exact float64 values of
+    its entries and the record names its dtype, a float64 record names none."""
+    record = {"shape": list(arr.shape)}
+    if arr.dtype != np.float64:
+        record["dtype"] = arr.dtype.name
+    record["data"] = arr.reshape(-1).tolist()
+    return record
 
 
 def _decode_array(name: str, blob) -> np.ndarray:
@@ -366,12 +391,21 @@ def _decode_array(name: str, blob) -> np.ndarray:
         raise CheckpointError(
             f"field {name}: shape {shape!r} is not a list of non-negative ints")
     shape = tuple(shape)
+    dtype = blob.get("dtype", "float64")
+    if dtype not in ("float64", "float32"):
+        raise CheckpointError(f"field {name}: dtype {dtype!r} is not float64 or float32")
     try:
         data = np.asarray(blob["data"], dtype=float)
     except (TypeError, ValueError):
         data = None
     if data is None or data.ndim != 1:
         raise CheckpointError(f"field {name}: data is not a flat list of floats")
+    if dtype == "float32":
+        with np.errstate(over="ignore"):
+            rounded = data.astype(np.float32)
+        if not np.array_equal(rounded, data, equal_nan=True):
+            raise CheckpointError(f"field {name}: data holds values that are not float32")
+        data = rounded
     expected = int(np.prod(shape)) if shape else 1
     if data.size != expected:
         raise CheckpointError(
@@ -449,6 +483,10 @@ def parse_checkpoint(data: bytes) -> Tuple[NetworkParams, Optional[OptimizerStat
             if bad:
                 raise CheckpointError(
                     f"optimizer.{key} shapes do not match the params in {bad}")
+            if moments[key].flat.dtype != params.flat.dtype:
+                raise CheckpointError(
+                    f"optimizer.{key} is {moments[key].flat.dtype}, "
+                    f"the params are {params.flat.dtype}")
         opt = OptimizerState(
             m=moments["m"], v=moments["v"],
             step=int(blob["step"]),

@@ -370,6 +370,7 @@ def apply_update(params, opt, grads):
         g = getattr(grads, name)
         m, v = getattr(opt.m, name), getattr(opt.v, name)
         m[...] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+        m[np.abs(m) < np.finfo(m.dtype).tiny] = 0.0  # subnormals flushed
         v[...] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
         m_hat = m / (1.0 - ADAM_BETA1 ** t)
         v_hat = v / (1.0 - ADAM_BETA2 ** t)
@@ -440,7 +441,7 @@ def loss_and_gradients(params, x, a, y):
 
 
 def _with_ones(a):
-    return np.hstack([a, np.ones((len(a), 1))])
+    return np.hstack([a, np.ones((len(a), 1), a.dtype)])
 
 
 def affine_forward(params, x):
@@ -484,8 +485,8 @@ def ddqn_target(r, s2, local, target, gamma):
 def ddqn_update(buffer, batch_size, rng, local, target, opt):
     """One learner step as four calls: (loss, new local, new target); mutates `opt`."""
     idx = rng.choice(len(buffer), size=batch_size, replace=False)
-    s = buffer.obs[idx].astype(np.float64)
-    s2 = buffer.next_obs[idx].astype(np.float64)
+    s = buffer.obs[idx].astype(local.flat.dtype)
+    s2 = buffer.next_obs[idx].astype(local.flat.dtype)
     y = ddqn_target(buffer.rewards[idx], s2, local, target, GAMMA)
     loss, grads = affine_loss_and_gradients(local, s, buffer.actions[idx], y)
     if not np.isfinite(loss):

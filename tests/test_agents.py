@@ -178,14 +178,15 @@ class TestTrainDdqn:
         env, ev = ToyPriceCycleEnv(), ToyPriceCycleEnv()
         res = train_ddqn(env, ev, cfg, budget=100, seed=5)
         fresh = nets.init_params(toymdp.OBS_DIM, env.config.n_actions + 1, seed=5)
-        for n, a in fresh.arrays():
-            assert np.array_equal(getattr(res.params, n), a)
+        # the learner trains the float64 init draw rounded once to float32
+        assert res.params.flat.dtype == np.float32
+        assert res.params.flat.tobytes() == fresh.flat.astype(np.float32).tobytes()
         assert res.steps == 100
 
     def test_zero_epsilon_matches_greedy_rollout(self, monkeypatch):
         monkeypatch.setattr(dqn, "EPS_START", 0.0)
         monkeypatch.setattr(dqn, "EPS_END", 0.0)
-        cfg = DDQNConfig(warm_start=10 ** 9)
+        cfg = DDQNConfig(warm_start=10_000)
         env = RecordingEnv(fixed_offset=2)
         res = train_ddqn(env, ToyPriceCycleEnv(), cfg, budget=64, seed=7)
         _, greedy_actions, _ = greedy_rollout(ToyPriceCycleEnv(), res.params, 2)
@@ -207,9 +208,9 @@ class TestTrainDdqn:
         sized = []
         real = nets._activations
 
-        def counted(rows, layout):
+        def counted(rows, params):
             sized.append(rows)
-            return real(rows, layout)
+            return real(rows, params)
 
         def no_forward(*args, **kwargs):
             raise AssertionError("nets.forward allocated a greedy act's activations")
@@ -219,7 +220,7 @@ class TestTrainDdqn:
         assert greedy_rollout(ToyPriceCycleEnv(), params, 2)[:2] == (total, actions)
         assert sized == [1]
         sized.clear()
-        cfg = DDQNConfig(batch_size=8, warm_start=10 ** 9, eval_every_episodes=1)
+        cfg = DDQNConfig(batch_size=8, warm_start=10_000, eval_every_episodes=1)
         res = train_ddqn(ToyPriceCycleEnv(), ToyPriceCycleEnv(), cfg, budget=64, seed=7)
         # the run's own, then one per evaluation (the Workspace sizes 2 * batch)
         assert sized == [16, 1] + [1] * res.episodes
@@ -232,6 +233,9 @@ class TestTrainDdqn:
         ({"batch_size": 0}, "batch_size must be >= 1, got 0"),
         ({"buffer": 0}, "buffer must be >= batch_size=256, got 0"),
         ({"batch_size": 64, "buffer": 63}, "buffer must be >= batch_size=64, got 63"),
+        ({"buffer": 500}, "buffer must be >= warm_start=1000, got 500"),
+        ({"batch_size": 8, "buffer": 99, "warm_start": 100},
+         "buffer must be >= warm_start=100, got 99"),
     ])
     def test_rejection_names_the_setting_at_fault(self, settings, message):
         with pytest.raises(ValueError) as err:
@@ -262,7 +266,7 @@ class TestTrainDdqn:
         save_candles_csv(synth_gbm(2000.0, 0.0, 0.01, 420, seed=33), candles)
         out = tmp_path / "train"
         code = cli.main(["train", "--candles", candles, "--seed", "1",
-                         "--episode-length", "40", "--budget", "400",
+                         "--episode-length", "40", "--budget", "1000",
                          "--train-hours", "150", "--val-hours", "50",
                          "--out-dir", str(out)])
         assert code == 0
@@ -270,11 +274,12 @@ class TestTrainDdqn:
         with open(out / "training_log.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == TRAINING_LOG_HEADER + ["config_hash", "seed"]
-        # 10 episodes of 40 steps, evaluated once when the budget runs out
-        assert len(rows) == 2
-        assert rows[1][:2] == ["10", "400"]
-        assert float(rows[1][4]) == run["best_val_return"]
-        assert rows[1][-2:] == [run["config_hash"], "1"]
+        # 25 episodes of 40 steps, evaluated every 20 and when the budget runs out
+        assert [row[:2] for row in rows[1:]] == [["20", "800"], ["25", "1000"]]
+        assert max(float(row[4]) for row in rows[1:]) == run["best_val_return"]
+        # the one update, at the last step, is the log's only loss
+        assert rows[1][5] == "nan" != rows[2][5]
+        assert all(row[-2:] == [run["config_hash"], "1"] for row in rows[1:])
 
 
 @pytest.fixture(scope="module")

@@ -409,7 +409,7 @@ class TestTrainCommand:
         out = tmp_path / "train"
         code, stdout, _ = run_cli(
             ["train", "--candles", candles_csv, "--seed", "1",
-             "--episode-length", "40", "--budget", "400",
+             "--episode-length", "40", "--budget", "1000",
              "--train-hours", "150", "--val-hours", "50",
              "--out-dir", str(out)], capsys)
         assert code == 0
@@ -427,6 +427,7 @@ class TestTrainCommand:
         ("--l0", "nan"), ("--gas", "inf"), ("--learning-rate", "nan"),
         ("--learning-rate", "inf"), ("--learning-rate", "0"),
         ("--batch-size", "0"), ("--buffer", "0"), ("--fee-tier", "nan"),
+        ("--buffer", "500"), ("--budget", "999"),  # below the warm start: no update
     ])
     def test_rejects_values_that_used_to_fall_back(self, candles_csv, capsys,
                                                    tmp_path, flag, value,
@@ -619,7 +620,7 @@ class TestConfigFile:
     @pytest.mark.parametrize("command,flags", [
         ("backtest", ["--method", "tau-reset", "--tau", "4", "--offset", "10",
                       "--horizon", "100"]),
-        ("train", ["--seed", "1", "--episode-length", "40", "--budget", "200",
+        ("train", ["--seed", "1", "--episode-length", "40", "--budget", "1000",
                    "--train-hours", "150", "--val-hours", "50"]),
     ])
     def test_integer_float_setting_equals_its_flag(self, candles_csv, capsys,
@@ -637,7 +638,7 @@ class TestConfigFile:
     def test_config_key_order_does_not_change_checkpoint(self, candles_csv,
                                                           capsys, tmp_path):
         settings = [("candles", candles_csv), ("seed", 2), ("episode_length", 40),
-                    ("budget", 200), ("train_hours", 150), ("val_hours", 50)]
+                    ("budget", 1000), ("train_hours", 150), ("val_hours", 50)]
         for name, items in (("fwd", settings), ("rev", settings[::-1])):
             cfg = tmp_path / f"{name}.json"
             cfg.write_text(json.dumps(dict(items)))
@@ -651,7 +652,7 @@ class TestConfigFile:
                       "--ewa-t-re", "24", "--offset", "10", "--horizon", "100"]),
         ("backtest", ["--method", "tau-reset", "--pool", "usdc", "--period", "1"]),
         ("backtest", ["--method", "ewa", "--pool", "usdc", "--period", "2"]),
-        ("train", ["--seed", "2", "--episode-length", "40", "--budget", "200",
+        ("train", ["--seed", "2", "--episode-length", "40", "--budget", "1000",
                    "--train-hours", "150", "--val-hours", "50"]),
     ], ids=["backtest", "backtest-tau-table", "backtest-ewa-table", "train"])
     def test_run_json_config_reruns_identically(self, candles_csv, period_csv,
@@ -727,7 +728,7 @@ class TestRunIdentity:
         for d in self._copies(candles_csv, tmp_path):
             code, _, err = run_cli(
                 ["train", "--candles", str(d / "candles.csv"), "--seed", "2",
-                 "--episode-length", "40", "--budget", "200", "--train-hours",
+                 "--episode-length", "40", "--budget", "1000", "--train-hours",
                  "150", "--val-hours", "50", "--out-dir", str(d / "run")], capsys)
             assert code == 0, err
         a, b = tmp_path / "x" / "run", tmp_path / "y" / "run"
@@ -762,7 +763,7 @@ def command_dirs(candles_csv, tmp_path_factory):
     root = tmp_path_factory.mktemp("commands")
     argvs = {
         "train": ["train", "--candles", candles_csv, "--seed", "1",
-                  "--episode-length", "40", "--budget", "200",
+                  "--episode-length", "40", "--budget", "1000",
                   "--train-hours", "150", "--val-hours", "50"],
         "backtest": ["backtest", "--method", "tau-reset", "--tau", "6",
                      "--candles", candles_csv, "--offset", "10", "--horizon", "100"],

@@ -425,6 +425,29 @@ class TestRunTraining:
         assert (str(err.value), err.value.category) == (message, "config")
         assert not (tmp_path / "out").exists()
 
+    def test_checkpoint_replays_the_validation_it_was_selected_on(self, tmp_path):
+        """A trained checkpoint loads as the float32 net training kept, and
+        its ddqn backtest over the validation window takes the greedy
+        actions of that in-memory net, scoring its best validation return."""
+        fixture = bundled_candles_path()
+        result = run_training({"candles": fixture, "seed": 5, "episode_length": 50,
+                               "budget": 1500, "batch_size": 64, "train_hours": 500,
+                               "val_hours": 100}, str(tmp_path))
+        ckpt = str(tmp_path / "checkpoint.json")
+        params, _, meta = load_checkpoint(ckpt)
+        assert params.flat.dtype == result.params.flat.dtype == np.float32
+        assert params.flat.tobytes() == result.params.flat.tobytes()
+        config = RunConfig(method="ddqn", checkpoint=ckpt, offset=WARMUP_CANDLES + 500,
+                           horizon=100)
+        candles = load_candles_csv(fixture)
+        actions = run_backtest(candles, config).trace["action"].tolist()
+        matrix = FeatureScaler.from_dict(meta["scaler"]).apply(
+            compute_feature_matrix(candles))
+        env = LPEnv(candles, config.env_config(episode_length=100), matrix)
+        total, want, _ = greedy_rollout(env, result.params, config.offset)
+        assert actions == want and len(set(want)) > 1
+        assert total == result.best_val_return
+
     def test_default_split_of_the_bundled_fixture(self, tmp_path, monkeypatch):
         """The protocol with the learner stubbed out: train_ddqn receives
         the envs run_training builds and returns an untrained net."""

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from clmmlab import dqn, nets
+from clmmlab import dqn, nets, toymdp
 from clmmlab.dqn import DDQNConfig, ReplayBuffer, ddqn_update, train_ddqn
 from clmmlab.nets import (
     CheckpointError,
@@ -227,25 +227,57 @@ class TestSoftUpdate:
 
 class TestCheckpoints:
     def test_round_trip_bit_exact(self, tmp_path):
-        p = init_params(32, 11, seed=9)
-        opt = OptimizerState.for_params(p)
-        rng = np.random.default_rng(10)
-        for _ in range(3):
-            s = rng.normal(size=(8, 32))
-            a = rng.integers(0, 11, size=8)
-            y = rng.normal(size=8)
-            _, g = loss_and_gradients(p, s, a, y)
-            p = apply_update(p, opt, g)
+        for dtype in (np.float64, np.float32):
+            p = init_params(32, 11, seed=9).astype(dtype)
+            opt = OptimizerState.for_params(p)
+            rng = np.random.default_rng(10)
+            for _ in range(3):
+                s = rng.normal(size=(8, 32))
+                a = rng.integers(0, 11, size=8)
+                y = rng.normal(size=8)
+                _, g = loss_and_gradients(p, s, a, y)
+                p = apply_update(p, opt, g)
+            path = str(tmp_path / "net.json")
+            save_checkpoint(path, p, opt, metadata={"seed": 9, "config_hash": "abc123"})
+            p2, opt2, meta = load_checkpoint(path)
+            for n, a in p.arrays():
+                assert np.array_equal(getattr(p2, n), a)
+            assert p2.flat.dtype == opt2.m.flat.dtype == opt2.v.flat.dtype == dtype
+            assert opt2.step == opt.step
+            assert opt2.m.layout == opt2.v.layout == p.layout
+            assert opt2.m.flat.tobytes() == opt.m.flat.tobytes()
+            assert opt2.v.flat.tobytes() == opt.v.flat.tobytes()
+            assert meta["seed"] == 9
+            # a float64 record names no dtype, so float64 checkpoints keep their bytes
+            record = json.loads(open(path).read())["optimizer"]["v"]["w1"]
+            assert list(record) == (["shape", "data"] if dtype == np.float64
+                                    else ["shape", "dtype", "data"])
+
+    @pytest.mark.parametrize("record,message", [
+        ({"dtype": "float16"}, "field w1: dtype 'float16' is not float64 or float32"),
+        ({"dtype": "float32", "data": [0.1] * 24},
+         "field w1: data holds values that are not float32"),
+        ({"dtype": "float32", "data": [1e300] * 24},
+         "field w1: data holds values that are not float32"),
+    ])
+    def test_bad_dtype_record_rejected(self, tmp_path, record, message):
+        p = init_params(8, 3, seed=1).astype(np.float32)
         path = str(tmp_path / "net.json")
-        save_checkpoint(path, p, opt, metadata={"seed": 9, "config_hash": "abc123"})
-        p2, opt2, meta = load_checkpoint(path)
-        for n, a in p.arrays():
-            assert np.array_equal(getattr(p2, n), a)
-        assert opt2.step == opt.step
-        assert opt2.m.layout == opt2.v.layout == p.layout
-        assert opt2.m.flat.tobytes() == opt.m.flat.tobytes()
-        assert opt2.v.flat.tobytes() == opt.v.flat.tobytes()
-        assert meta["seed"] == 9
+        save_checkpoint(path, p)
+        doc = json.loads(open(path).read())
+        doc["params"]["w1"] = {"shape": [8, 3], "data": [0.5] * 24, **record}
+        open(path, "w").write(json.dumps(doc))
+        with pytest.raises(CheckpointError) as ei:
+            load_checkpoint(path)
+        assert str(ei.value) == message
+
+    def test_moments_of_another_dtype_rejected(self, tmp_path):
+        p = init_params(8, 3, seed=1)
+        path = str(tmp_path / "net.json")
+        save_checkpoint(path, p.astype(np.float32), OptimizerState.for_params(p))
+        with pytest.raises(CheckpointError) as ei:
+            load_checkpoint(path)
+        assert str(ei.value) == "optimizer.m is float64, the params are float32"
 
     def test_shape_tamper_rejected(self, tmp_path):
         p = init_params(8, 3, seed=1)
@@ -389,6 +421,18 @@ class TestFlatMatchesOracle:
             assert same_bytes(p, q) and opt.step == ref.step
             assert same_bytes(opt.m, ref.m) and same_bytes(opt.v, ref.v)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_adam_flushes_a_subnormal_first_moment(self, dtype):
+        p = init_params(4, 3, seed=1).astype(dtype)
+        opt, ref = OptimizerState.for_params(p), OptimizerState.for_params(p)
+        opt.m.flat[:] = ref.m.flat[:] = np.finfo(dtype).tiny  # one decay from subnormal
+        opt.m.flat[0] = ref.m.flat[0] = 1.0
+        zero = NetworkParams.from_flat(np.zeros_like(p.flat), p.layout)
+        new = apply_update(p, opt, zero)
+        assert opt.m.flat[0] == dtype(0.9) and not opt.m.flat[1:].any()
+        assert same_bytes(new, oracles.apply_update(p, ref, zero))
+        assert same_bytes(opt.m, ref.m) and same_bytes(opt.v, ref.v)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_names_the_same_array(self, bad):
         p = init_params(4, 3, seed=1)
@@ -522,6 +566,71 @@ class TestAffineKernels:
             bad.validate()
 
 
+# The float32 kernels' bound against the float64 textbook oracle, relative to
+# the largest |q| or |g|: 30x their worst error over 50 random nets at batch 256.
+F32_RTOL = 1e-5
+
+
+class TestFloat32Kernels:
+    """Float32 params run every pass in float32, within F32_RTOL of the
+    float64 textbook oracle on the same float32 values."""
+
+    @pytest.mark.parametrize("rows", [1, 64, 256])
+    def test_passes_match_float64_textbook_oracle(self, rows):
+        rng = np.random.default_rng(15 + rows)
+        for _ in range(10):
+            p = random_params(rng, 1.0, input_dim=32, hidden=(64, 64),
+                              n_out=11).astype(np.float32)
+            s = rng.normal(size=(rows, 32)).astype(np.float32)
+            a, y = rng.integers(0, 11, size=rows), rng.normal(size=rows)
+            p64, s64 = p.astype(np.float64), s.astype(np.float64)
+            q, v, adv = forward(p, s)
+            assert q.dtype == v.dtype == adv.dtype == np.float32
+            ref_q, ref_v, ref_adv, _ = oracles.forward_all(p64, s64)
+            for got, want in ((q, ref_q), (v, ref_v[:, 0]), (adv, ref_adv)):
+                assert_close(got, want, F32_RTOL)
+            loss, g = loss_and_gradients(p, s, a, y)
+            ref_loss, ref_g = oracles.loss_and_gradients(p64, s64, a, y)
+            assert g.flat.dtype == np.float32
+            assert_close(loss, ref_loss, F32_RTOL)
+            assert_close(g.flat, ref_g.flat, F32_RTOL)
+
+    def test_greedy_actions_are_oracle_argmax_where_its_top_two_differ(self):
+        rng = np.random.default_rng(16)
+        p = init_params(32, 11, seed=16).astype(np.float32)
+        s = rng.normal(size=(4096, 32)).astype(np.float32)
+        ref_q = oracles.forward_all(p.astype(np.float64), s.astype(np.float64))[0]
+        top2 = np.sort(ref_q, axis=1)[:, -2:]
+        clear = top2[:, 1] - top2[:, 0] > F32_RTOL * np.abs(ref_q).max()
+        assert clear.mean() > 0.9
+        greedy = forward(p, s)[0].argmax(axis=1)
+        assert np.array_equal(greedy[clear], ref_q.argmax(axis=1)[clear])
+
+    def test_greedy_rollout_acts_in_float32(self, monkeypatch):
+        p = init_params(toymdp.OBS_DIM, toymdp.N_WIDTHS + 1, seed=3).astype(np.float32)
+        dtypes, real = [], nets._activations
+
+        def spy(rows, params):
+            acts = real(rows, params)
+            dtypes.append({a.dtype for a in acts})
+            return acts
+
+        monkeypatch.setattr(nets, "_activations", spy)
+        _, actions, _ = dqn.greedy_rollout(ToyPriceCycleEnv(), p, 2)
+        assert dtypes == [{np.dtype(np.float32)}]
+        env = ToyPriceCycleEnv()
+        obs, checked = env.reset(2), 0
+        for a in actions:
+            x = obs.astype(np.float32).astype(np.float64)[None]
+            q = oracles.forward_all(p.astype(np.float64), x)[0][0]
+            top2 = np.sort(q)[-2:]
+            if top2[1] - top2[0] > F32_RTOL * np.abs(q).max():
+                assert a == q.argmax()
+                checked += 1
+            obs = env.step(a)[0]
+        assert checked > 0.9 * len(actions)
+
+
 def filled_buffer(rng, size, dim, n_actions):
     buf = ReplayBuffer(size, dim)
     for _ in range(size):
@@ -530,71 +639,75 @@ def filled_buffer(rng, size, dim, n_actions):
     return buf
 
 
-def learner(dim, n_out, batch, seed, **opt_kwargs):
-    local = init_params(dim, n_out, seed=seed)
-    return (nets.Workspace(local.layout, 2 * batch, batch), local, local.copy(),
+def learner(dim, n_out, batch, seed, dtype=np.float64, **opt_kwargs):
+    local = init_params(dim, n_out, seed=seed).astype(dtype)
+    return (nets.Workspace(local, 2 * batch, batch), local, local.copy(),
             OptimizerState.for_params(local, **opt_kwargs))
 
 
 class TestInPlaceUpdate:
     """dqn.ddqn_update against the four-call update it replaced, run on the
-    oracle's fresh-array version of the affine arithmetic."""
+    oracle's fresh-array version of the affine arithmetic in the same dtype."""
 
     @pytest.mark.parametrize("batch,dim,n_out", [(64, 15, 3), (256, 32, 11)])
     @pytest.mark.parametrize("clip", ["idle", "active"])
     def test_matches_four_call_oracle_bit_for_bit(self, batch, dim, n_out, clip):
-        rng = np.random.default_rng(batch + dim)
-        buf = filled_buffer(rng, 1000, dim, n_out)
-        clip_norm = {"idle": math.inf, "active": 1e-3}[clip]
-        ws, local, target, opt = learner(dim, n_out, batch, seed=dim,
-                                         learning_rate=1e-2, clip_norm=clip_norm)
-        _, ref_local, ref_target, ref_opt = learner(dim, n_out, batch, seed=dim,
-                                                    learning_rate=1e-2,
-                                                    clip_norm=clip_norm)
-        rng_new, rng_ref = np.random.default_rng(7), np.random.default_rng(7)
-        norms = []
-        for _ in range(200):
-            loss = ddqn_update(ws, buf, rng_new, local, target, opt)
-            norms.append(global_norm(ws.grads))
-            ref_loss, ref_local, ref_target = oracles.ddqn_update(
-                buf, batch, rng_ref, ref_local, ref_target, ref_opt)
-            assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
-            assert same_bytes(local, ref_local) and same_bytes(target, ref_target)
-            assert same_bytes(opt.m, ref_opt.m) and same_bytes(opt.v, ref_opt.v)
-            assert opt.step == ref_opt.step
-        # every raw gradient is above the active limit, so it clips every step
-        if clip == "idle":
-            assert min(norms) > 1e-3
-        else:
-            assert norms == pytest.approx([1e-3] * len(norms))
+        for dtype in (np.float64, np.float32):
+            rng = np.random.default_rng(batch + dim)
+            buf = filled_buffer(rng, 1000, dim, n_out)
+            clip_norm = {"idle": math.inf, "active": 1e-3}[clip]
+            ws, local, target, opt = learner(dim, n_out, batch, seed=dim, dtype=dtype,
+                                             learning_rate=1e-2, clip_norm=clip_norm)
+            _, ref_local, ref_target, ref_opt = learner(dim, n_out, batch, seed=dim,
+                                                        dtype=dtype, learning_rate=1e-2,
+                                                        clip_norm=clip_norm)
+            assert all(a.dtype == dtype for a in (ws.x, *ws.acts, ws.grads.flat, opt.m.flat))
+            rng_new, rng_ref = np.random.default_rng(7), np.random.default_rng(7)
+            norms = []
+            for _ in range(200):
+                loss = ddqn_update(ws, buf, rng_new, local, target, opt)
+                norms.append(global_norm(ws.grads))
+                ref_loss, ref_local, ref_target = oracles.ddqn_update(
+                    buf, batch, rng_ref, ref_local, ref_target, ref_opt)
+                assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+                assert same_bytes(local, ref_local) and same_bytes(target, ref_target)
+                assert same_bytes(opt.m, ref_opt.m) and same_bytes(opt.v, ref_opt.v)
+                assert opt.step == ref_opt.step
+            assert local.flat.dtype == ref_local.flat.dtype == dtype
+            # every raw gradient is above the active limit, so it clips every step
+            if clip == "idle":
+                assert min(norms) > 1e-3
+            else:
+                assert norms == pytest.approx([1e-3] * len(norms))
 
     def test_warm_updates_allocate_no_activation_sized_array(self):
-        batch, dim, n_out = 256, 32, 11
-        rng = np.random.default_rng(5)
-        buf = filled_buffer(rng, 1000, dim, n_out)
-        ws, local, target, opt = learner(dim, n_out, batch, seed=5)
-        one_activation = batch * 64 * 8  # bytes of a (256, 64) float64 array
+        for dtype in (np.float64, np.float32):
+            batch, dim, n_out = 256, 32, 11
+            rng = np.random.default_rng(5)
+            buf = filled_buffer(rng, 1000, dim, n_out)
+            ws, local, target, opt = learner(dim, n_out, batch, seed=5, dtype=dtype)
+            one_activation = batch * 64 * np.dtype(dtype).itemsize  # a (256, 64) array
 
-        def peak_growth(update):
-            update()  # warm
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                for _ in range(20):
-                    update()
-                return tracemalloc.get_traced_memory()[1] - base
-            finally:
-                tracemalloc.stop()
+            def peak_growth(update):
+                update()  # warm
+                tracemalloc.start()
+                try:
+                    base = tracemalloc.get_traced_memory()[0]
+                    for _ in range(20):
+                        update()
+                    return tracemalloc.get_traced_memory()[1] - base
+                finally:
+                    tracemalloc.stop()
 
-        assert peak_growth(lambda: ddqn_update(ws, buf, rng, local, target, opt)) \
-            < one_activation
-        # the four-call update it replaced holds several at once
-        nets_ = [local.copy(), target.copy()]
+            assert peak_growth(lambda: ddqn_update(ws, buf, rng, local, target, opt)) \
+                < one_activation
+            # the four-call update it replaced holds several at once
+            nets_ = [local.copy(), target.copy()]
 
-        def four_call():
-            _, nets_[0], nets_[1] = oracles.ddqn_update(buf, batch, rng, *nets_, opt)
+            def four_call():
+                _, nets_[0], nets_[1] = oracles.ddqn_update(buf, batch, rng, *nets_, opt)
 
-        assert peak_growth(four_call) > one_activation
+            assert peak_growth(four_call) > one_activation
 
     def test_nan_loss_raises_before_anything_is_written(self):
         batch, dim, n_out = 64, 15, 3
